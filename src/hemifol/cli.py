@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,18 +35,13 @@ FMT = "%.17g"
 
 @dataclass
 class RunConfig:
-    command: str = ""
-    inputs: list = field(default_factory=list)
     n_polar: int = 64
     n_azimuthal: int = 128
     tolerance: float = 1e-7
-    recover_tol: float = 1e-9
-    outdir: str = "."
-    seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.recover_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
 
     def grid(self):
         return hq.QuadratureGrid(self.n_polar, self.n_azimuthal)
@@ -246,9 +241,17 @@ def cmd_foliate(args, cfg: RunConfig) -> int:
     lam_grid = list(np.linspace(args.lambda_min, fam.lambda_max, args.n_lambda))
     samples = []
     if fam.v < 1.0:
-        r_mid = 0.5 * (lam_grid[0] + lam_grid[-1])
-        samples = [np.array([0.0, 0.0, r_mid]),
-                   np.array([r_mid / 2, r_mid / 3, r_mid / 2])]
+        # one point per direction, midway between the innermost and the
+        # outermost leaf along it; where the ray misses a leaf the point sits
+        # at the mean radius and the report says ray-misses
+        for d in ([0.0, 0.0, 1.0], [1 / 2, 1 / 3, 1 / 2]):
+            d = np.array(d) / np.linalg.norm(d)
+            try:
+                r = 0.5 * (fo.ray_intersect(fam, lam_grid[0], d).t
+                           + fo.ray_intersect(fam, lam_grid[-1], d).t)
+            except fo.NoIntersection:
+                r = 0.5 * (lam_grid[0] + lam_grid[-1])
+            samples.append(r * d)
     report = fo.foliation_report(fam, lam_grid, samples)
     records = []
     for pr in report.pair_results:
@@ -297,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n-polar", type=int, default=None)
     parser.add_argument("--n-azimuthal", type=int, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="exact hemisphere moment tables")
@@ -351,11 +353,9 @@ def main(argv=None) -> int:
     if args.config:
         overrides.update(_load_config(args.config))
     cfg = RunConfig(
-        command=args.command,
         n_polar=args.n_polar or int(overrides.get("n_polar", 64)),
         n_azimuthal=args.n_azimuthal or int(overrides.get("n_azimuthal", 128)),
         tolerance=args.tolerance or float(overrides.get("tolerance", 1e-7)),
-        seed=args.seed if args.seed is not None else int(overrides.get("seed", 0)),
     )
     return args.func(args, cfg)
 

@@ -29,7 +29,7 @@ __all__ = [
     "ln", "sqrt", "sin", "cos", "artanh", "cot",
     "ZERO", "ONE",
     "parse", "to_string", "diff", "evaluate", "evaluate_jet",
-    "substitute", "free_variables", "compile_fn",
+    "substitute", "free_variables",
 ]
 
 FUNCTIONS = ("ln", "sqrt", "sin", "cos", "artanh", "cot")
@@ -519,13 +519,6 @@ def evaluate_jet(e: Expr, bindings: dict[str, Jet2]) -> Jet2:
     """Evaluate with order-2 jets sharing one deformation parameter."""
     b = {k: Jet2.lift(v) for k, v in bindings.items()}
     return Jet2.lift(_eval(e, b, {}))
-
-
-def compile_fn(e: Expr, names: list[str]):
-    """Return f(*values) evaluating ``e`` with the given variable order."""
-    def f(*values):
-        return evaluate(e, dict(zip(names, values)))
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 coverage of a deleted neighborhood, and the v < 1 / v > 1 dichotomy.
 
 Inside/outside queries reflect the leaf across the boundary plane z = 0 to
-a closed surface and use ray-crossing parity against a triangulation, the
-numeric counterpart of the reflection device in the abstract foliation
-argument.  Smoothness of the leaf map is not certified, only injectivity,
+a closed surface, the reflection device of the abstract foliation
+argument, and decide against it exactly: the doubled leaf is a radial graph
+about its base center, so a point is inside when it is nearer that center
+than the leaf along the same ray, found by the ray-intersection fixed
+point.  Smoothness of the leaf map is not certified, only injectivity,
 monotonicity and coverage; reports say so.
 """
 
@@ -50,7 +52,12 @@ class InconclusiveOverlap(Exception):
 class LeafFamily:
     """Family of perturbed hemispheres with speed v >= 0 and smooth
     second-order perturbation f given by three expressions in
-    lambda, w1, w2, w3 with f3 = 0 on the equator."""
+    lambda, w1, w2, w3 with f3 = 0 on the equator.
+
+    ``c_bound`` is the sampled sup of |f| + |Df|; ``lambda_max * c_bound``
+    must be below 1.  With g = lambda f that gives |g| + |Dg| < 1, so every
+    leaf is transverse to each ray from its base center lambda v e1 and the
+    doubled leaf is a radial graph about it, as the inside test assumes."""
 
     def __init__(self, v: float, f_exprs=(ex.ZERO, ex.ZERO, ex.ZERO),
                  lambda_max: float = 0.1):
@@ -65,7 +72,8 @@ class LeafFamily:
                     for c in self.f_exprs]
         self._check_boundary_condition()
         self.c_bound = self._estimate_bound()
-        self._mesh_cache: dict[float, tuple] = {}
+        if self.lambda_max * self.c_bound >= 1:
+            raise ValueError("lambda_max * sup(|f| + |Df|) must be below 1")
 
     def _check_boundary_condition(self):
         phi = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
@@ -160,33 +168,28 @@ class FoliationReport:
 
 
 # ---------------------------------------------------------------------------
-# ray intersection
+# ray fixed point: ray intersections and the inside/outside test
 # ---------------------------------------------------------------------------
 
-def ray_intersect(fam: LeafFamily, lam: float, theta0,
-                  tol: float = 1e-12, max_iter: int = 200) -> RayIntersection:
-    """Unique intersection t(lambda, theta0) theta0 of the ray R+ theta0
-    with the leaf, solved as a coupled fixed point: t from the quadratic
-    |t theta0 - center|^2 = lambda^2 (non-negative root), omega by
-    renormalizing the pullback; contraction for small lambda."""
-    if not 0 < lam <= fam.lambda_max:
-        raise ValueError("lambda must lie in (0, lambda_max]")
-    theta0 = np.asarray(theta0, dtype=float)
-    theta0 = theta0 / np.linalg.norm(theta0)
+def _ray_fixed_point(fam: LeafFamily, lam: float, origin, theta0,
+                     tol: float = 1e-12, max_iter: int = 200):
+    """Coupled fixed point (t, omega) of origin + t theta0 = phi_lam(omega):
+    t from the quadratic |origin + t theta0 - center|^2 = lambda^2
+    (larger root) with center = lambda v e1 + lambda^2 f(lambda, omega),
+    omega by renormalizing the pullback; contraction for small lambda.
+    ``theta0`` is a unit vector."""
     omega = theta0.copy()
     t_val = lam
     for _ in range(max_iter):
-        center = lam * fam.v * E1 + lam ** 2 * fam.f(lam, omega)
-        b = float(theta0 @ center)
-        c = float(center @ center) - lam ** 2
+        rel = lam * fam.v * E1 + lam ** 2 * fam.f(lam, omega) - origin
+        b = float(theta0 @ rel)
+        c = float(rel @ rel) - lam ** 2
         disc = b * b - c
         if disc < 0:
             raise NoIntersection(
                 f"ray misses the leaf (discriminant {disc:.3e})")
         t_new = b + math.sqrt(disc)
-        if t_new < 0:
-            raise NoIntersection("leaf lies behind the ray origin")
-        om_raw = (t_new * theta0 - center) / lam
+        om_raw = (t_new * theta0 - rel) / lam
         nrm = np.linalg.norm(om_raw)
         if nrm == 0:
             raise NoConvergence("degenerate pullback")
@@ -194,102 +197,41 @@ def ray_intersect(fam: LeafFamily, lam: float, theta0,
         delta = abs(t_new - t_val) + float(np.linalg.norm(om_new - omega))
         t_val, omega = t_new, om_new
         if delta < tol:
-            break
-    else:
-        raise NoConvergence(f"fixed point not contracting after {max_iter} iterations")
+            return t_val, omega
+    raise NoConvergence(f"fixed point not contracting after {max_iter} iterations")
+
+
+def ray_intersect(fam: LeafFamily, lam: float, theta0,
+                  tol: float = 1e-12, max_iter: int = 200) -> RayIntersection:
+    """Unique intersection t(lambda, theta0) theta0 of the ray R+ theta0
+    from the origin with the leaf, by the fixed point of
+    :func:`_ray_fixed_point`."""
+    if not 0 < lam <= fam.lambda_max:
+        raise ValueError("lambda must lie in (0, lambda_max]")
+    theta0 = np.asarray(theta0, dtype=float)
+    theta0 = theta0 / np.linalg.norm(theta0)
+    t_val, omega = _ray_fixed_point(fam, lam, np.zeros(3), theta0, tol, max_iter)
+    if t_val < 0:
+        raise NoIntersection("leaf lies behind the ray origin")
     if omega[2] < -1e-9:
         raise NoIntersection("intersection lies below the boundary plane")
     residual = float(np.linalg.norm(t_val * theta0 - fam.leaf(lam, omega)))
     return RayIntersection(t_val, omega, residual)
 
 
-# ---------------------------------------------------------------------------
-# inside / outside by reflected-surface ray parity
-# ---------------------------------------------------------------------------
-
-_RAY_DIRECTIONS = [
-    np.array([0.12345678, 0.67891234, 0.45678912]),
-    np.array([-0.52341234, 0.31415926, 0.78901234]),
-    np.array([0.33219876, -0.61234567, 0.41421356]),
-    np.array([0.70710678, 0.40824829, -0.57735027]),
-    np.array([-0.26794919, -0.57735027, 0.73205081]),
-]
-
-
-def _leaf_mesh(fam: LeafFamily, lam: float, n_t: int = 48, n_phi: int = 96):
-    """Triangulated doubled (reflected) leaf as vertex triples."""
-    cached = fam._mesh_cache.get((lam, n_t, n_phi))
-    if cached is not None:
-        return cached
-    t = np.linspace(0.0, 1.0, n_t)
-    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(t, phi, indexing="ij")
-    s = np.sqrt(np.clip(1.0 - tt ** 2, 0.0, None))
-    omega = np.stack([s * np.cos(pp), s * np.sin(pp), tt], axis=-1)
-    upper = fam.leaf(lam, omega.reshape(-1, 3)).reshape(n_t, n_phi, 3)
-    lower = upper.copy()
-    lower[..., 2] *= -1.0
-
-    def quads(vgrid, flip):
-        tris = []
-        for i in range(n_t - 1):
-            for j in range(n_phi):
-                j2 = (j + 1) % n_phi
-                a, bq = vgrid[i, j], vgrid[i, j2]
-                cq, d = vgrid[i + 1, j], vgrid[i + 1, j2]
-                if flip:
-                    tris.append((a, cq, bq))
-                    tris.append((bq, cq, d))
-                else:
-                    tris.append((a, bq, cq))
-                    tris.append((bq, d, cq))
-        return tris
-
-    tris = quads(upper, False) + quads(lower, True)
-    v0 = np.array([tr[0] for tr in tris])
-    v1 = np.array([tr[1] for tr in tris])
-    v2 = np.array([tr[2] for tr in tris])
-    # drop degenerate pole triangles
-    area2 = np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
-    keep = area2 > 1e-18
-    mesh = (v0[keep], v1[keep], v2[keep])
-    fam._mesh_cache[(lam, n_t, n_phi)] = mesh
-    return mesh
-
-
-def _ray_parity(origin, direction, mesh, eps=1e-12):
-    """Number of Moller-Trumbore crossings of origin + s*direction, s > 0;
-    returns None when the ray passes suspiciously близко to an edge."""
-    v0, v1, v2 = mesh
-    e1 = v1 - v0
-    e2 = v2 - v0
-    h = np.cross(direction[None, :], e2)
-    a = np.einsum("ij,ij->i", e1, h)
-    ok = np.abs(a) > eps
-    f = np.zeros_like(a)
-    f[ok] = 1.0 / a[ok]
-    sv = origin[None, :] - v0
-    u = f * np.einsum("ij,ij->i", sv, h)
-    qv = np.cross(sv, e1)
-    vv = f * np.einsum("ij,ij->i", qv, np.broadcast_to(direction, e2.shape))
-    s = f * np.einsum("ij,ij->i", e2, qv)
-    hits = ok & (u >= 0) & (vv >= 0) & (u + vv <= 1) & (s > 1e-12)
-    margin = np.minimum.reduce([np.abs(u[hits]), np.abs(vv[hits]),
-                                np.abs(1 - u[hits] - vv[hits])]) if np.any(hits) else None
-    if margin is not None and np.any(margin < 1e-9):
-        return None
-    return int(np.count_nonzero(hits))
-
-
 def point_inside_leaf(fam: LeafFamily, lam: float, point) -> bool:
-    """Ray-crossing parity against the doubled (reflected) leaf surface."""
+    """Inside the leaf doubled by reflection across z = 0: reflect the point
+    to z >= 0 and compare its distance from the base center lambda v e1 with
+    the leaf's along the same ray.  The doubled leaf is a radial graph about
+    that center (see :class:`LeafFamily`), so this decides exactly."""
     point = np.asarray(point, dtype=float)
-    mesh = _leaf_mesh(fam, lam)
-    for d in _RAY_DIRECTIONS:
-        parity = _ray_parity(point, d / np.linalg.norm(d), mesh)
-        if parity is not None:
-            return parity % 2 == 1
-    raise NoConvergence("all parity rays hit mesh edges")
+    base = lam * fam.v * E1
+    d = np.array([point[0], point[1], abs(point[2])]) - base
+    r = float(np.linalg.norm(d))
+    if r == 0:
+        return True
+    t_val, _ = _ray_fixed_point(fam, lam, base, d / r)
+    return r < t_val
 
 
 # ---------------------------------------------------------------------------

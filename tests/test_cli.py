@@ -144,6 +144,26 @@ class TestFoliate:
         l1, l2 = records[-1]["witness_pair"]
         assert l2 / l1 == pytest.approx(3.0, rel=1e-9)
 
+    def test_coverage_samples_between_leaves_near_v1(self, tmp_path, capsys):
+        # for v near 1 the lambda_max leaf is low on the z axis, so a sample
+        # at the mean radius would lie outside every leaf
+        fam = _family_file(tmp_path, 0.9)
+        code = cli.main(["foliate", str(fam)])
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        assert code == 0
+        assert [r["status"] for r in records if "status" in r] == ["unique", "unique"]
+
+    def test_coverage_ray_missing_a_leaf(self, tmp_path, capsys):
+        # v + lambda_max * f1 > 1 puts the origin outside the lambda_max
+        # leaf, so the vertical ray from it misses that leaf
+        fam = _family_file(tmp_path, 0.999)
+        code = cli.main(["foliate", str(fam)])
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        assert code == 1
+        assert [r["status"] for r in records if "status" in r][0] == "ray-misses"
+
     def test_rays_csv(self, tmp_path, capsys):
         fam = _family_file(tmp_path, 0.5)
         rays = tmp_path / "rays.csv"

@@ -57,6 +57,14 @@ class TestLeafFamily:
         with pytest.raises(ValueError):
             fo.LeafFamily(-0.5)
 
+    def test_lambda_max_times_c_bound_below_one(self):
+        # the inside test needs every leaf to be a radial graph about its
+        # base center, which lambda_max * sup(|f| + |Df|) < 1 certifies
+        with pytest.raises(ValueError):
+            fo.LeafFamily(0.0, (ex.const(30), ex.ZERO, ex.ZERO), lambda_max=0.05)
+        fam = fo.LeafFamily(0.0, (ex.const(30), ex.ZERO, ex.ZERO), lambda_max=0.03)
+        assert fam.lambda_max * fam.c_bound < 1
+
 
 class TestRayIntersect:
     def test_concentric(self):
@@ -136,6 +144,24 @@ class TestInsideOutside:
         center = lam * 0.5
         assert fo.point_inside_leaf(fam, lam, [center, 0.0, 0.01])
         assert not fo.point_inside_leaf(fam, lam, [center + 0.21, 0.0, 0.0])
+
+    def test_near_surface_matches_closed_form(self):
+        # points at lam * (1 -/+ eps) from the center of a shifted sphere
+        rng = np.random.default_rng(11)
+        fam = fo.LeafFamily(0.5, CONST_03, lambda_max=0.05)
+        wrong = []
+        for lam in (0.02, 0.05):
+            center = np.array([lam * 0.5 + lam ** 2 * 0.3, 0.0, 0.0])
+            for _ in range(20):
+                d = rng.normal(size=3)
+                d[2] = abs(d[2])
+                d /= np.linalg.norm(d)
+                for eps in (1e-3, 1e-4, 1e-6):
+                    for sign, want in ((-1, True), (1, False)):
+                        p = center + lam * (1 + sign * eps) * d
+                        if fo.point_inside_leaf(fam, lam, p) != want:
+                            wrong.append((lam, eps, sign))
+        assert not wrong
 
 
 class TestLeavesIntersect:
