@@ -2,10 +2,19 @@
 gallery, expansion verification, linearized solutions and foliation
 reports.
 
-Exit codes encode verdicts so CI can assert the dichotomy: analyze returns
-0/1/2 for Foliates/DoesNotFoliate/Inconclusive, verify-expansions returns
-nonzero on any mismatch.  All floats print with 17 significant digits and
-identical configurations produce byte-identical output.
+Exit codes encode verdicts so CI can assert the dichotomy, and input errors
+use codes no verdict uses:
+
+    0   Foliates; every other command succeeded
+    1   DoesNotFoliate (analyze), Overlaps (foliate), mismatch
+        (verify-expansions)
+    2   Inconclusive (analyze)
+    64  usage error: unknown command, missing or malformed option
+    65  bad input: unreadable file, expression syntax error, invalid value
+
+Input errors print one line to stderr instead of a traceback.  All floats
+print with 17 significant digits and identical configurations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from . import variational as va
 __all__ = ["main", "RunConfig"]
 
 FMT = "%.17g"
+EX_USAGE = 64
+EX_DATAERR = 65
 
 
 @dataclass
@@ -291,8 +302,16 @@ def cmd_foliate(args, cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EX_USAGE, not argparse's 2 (Inconclusive)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hemifol",
         description="foliation criteria and variational expansions for "
                     "CMC and Willmore half-spheres")
@@ -349,15 +368,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    overrides = {}
-    if args.config:
-        overrides.update(_load_config(args.config))
-    cfg = RunConfig(
-        n_polar=args.n_polar or int(overrides.get("n_polar", 64)),
-        n_azimuthal=args.n_azimuthal or int(overrides.get("n_azimuthal", 128)),
-        tolerance=args.tolerance or float(overrides.get("tolerance", 1e-7)),
-    )
-    return args.func(args, cfg)
+    try:
+        overrides = {}
+        if args.config:
+            overrides.update(_load_config(args.config))
+        cfg = RunConfig(
+            n_polar=args.n_polar or int(overrides.get("n_polar", 64)),
+            n_azimuthal=args.n_azimuthal or int(overrides.get("n_azimuthal", 128)),
+            tolerance=args.tolerance or float(overrides.get("tolerance", 1e-7)),
+        )
+        return args.func(args, cfg)
+    except (ex.ParseError, OSError, ValueError) as err:
+        print(f"hemifol: error: {err}", file=sys.stderr)
+        return EX_DATAERR
 
 
 if __name__ == "__main__":

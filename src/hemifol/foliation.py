@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import expr as ex
 
@@ -115,9 +116,7 @@ class LeafFamily:
              "w1": omega[..., 0], "w2": omega[..., 1], "w3": omega[..., 2]}
         out = np.empty_like(omega)
         for i in range(3):
-            out[..., i] = np.broadcast_to(
-                np.asarray(ex.evaluate(self.f_exprs[i], b), dtype=float),
-                omega[..., 0].shape)
+            out[..., i] = ex.evaluate(self.f_exprs[i], b)
         return out
 
     def jacobian_f(self, lam, omega):
@@ -128,9 +127,7 @@ class LeafFamily:
         out = np.zeros(omega.shape[:-1] + (3, 3))
         for i in range(3):
             for j in range(3):
-                out[..., i, j] = np.broadcast_to(
-                    np.asarray(ex.evaluate(self._df[i][j], b), dtype=float),
-                    omega[..., 0].shape)
+                out[..., i, j] = ex.evaluate(self._df[i][j], b)
         return out
 
     def leaf(self, lam, omega):
@@ -246,16 +243,38 @@ def _sphere_grid(n: int):
     return np.stack([s * np.cos(pp), s * np.sin(pp), tt], axis=-1).reshape(-1, 3)
 
 
-def _min_distance(fam: LeafFamily, lam1: float, lam2: float,
-                  n_grid: int = 32, steps: int = 50):
-    """Coarse grid seeding then projected gradient descent on the squared
-    distance between the two leaves; deterministic."""
-    grid = _sphere_grid(n_grid)
-    p1 = fam.leaf(lam1, grid)
-    p2 = fam.leaf(lam2, grid)
-    d2 = np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2)
-    i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    om1, om2 = grid[i].copy(), grid[j].copy()
+_SEED_GRID = _sphere_grid(32)
+_DESCENT_STEPS = 50
+
+
+def _nearest_pair(p1, p2):
+    """First (i, j) in row-major order minimizing |p1[i] - p2[j]|^2, as
+    ``np.argmin`` over the all-pairs array would pick it, found with k-d
+    trees: the nearest distance r bounds a ball query, and the pairs within
+    r (1 + 1e-9) are scored again with the all-pairs expression."""
+    tree1, tree2 = cKDTree(p1), cKDTree(p2)
+    r = float(np.min(tree1.query(p2)[0]))
+    near = tree1.query_ball_tree(tree2, r * (1.0 + 1e-9))
+    i = np.repeat(np.arange(len(near)), [len(js) for js in near])
+    j = np.fromiter((jj for js in near for jj in js), dtype=np.intp, count=len(i))
+    d2 = np.sum((p1[i] - p2[j]) ** 2, axis=-1)
+    best = d2 == d2.min()
+    return min(zip(i[best].tolist(), j[best].tolist()))
+
+
+def _min_distance(fam: LeafFamily, lam1: float, lam2: float):
+    """Minimum distance between two leaves and a witness pair of points, by
+    projected gradient descent on the squared distance from a seed pair;
+    deterministic.
+
+    The seed is the nearest pair of leaf points over a 32 x 32 grid of the
+    half-sphere (:func:`_nearest_pair`).  The tie-break is explicit because
+    exact ties occur: the grid's t = 1 row holds 32 copies of the pole, and
+    symmetric families can give mirror pairs at equal distance.  The first pair
+    in row-major order is the one a dense ``argmin`` picks, so the seed, and
+    with it the descent's result, does not depend on the trees' order."""
+    i, j = _nearest_pair(fam.leaf(lam1, _SEED_GRID), fam.leaf(lam2, _SEED_GRID))
+    om1, om2 = _SEED_GRID[i].copy(), _SEED_GRID[j].copy()
 
     def project(g, om):
         g = g - (g @ om) * om
@@ -270,14 +289,10 @@ def _min_distance(fam: LeafFamily, lam1: float, lam2: float,
             cand = cand / np.linalg.norm(cand)
         return cand
 
-    def dval(o1, o2):
-        return float(np.linalg.norm(fam.leaf(lam1, o1) - fam.leaf(lam2, o2)))
-
-    cur = dval(om1, om2)
+    x1, x2 = fam.leaf(lam1, om1), fam.leaf(lam2, om2)
+    cur = float(np.linalg.norm(x1 - x2))
     step = 0.1
-    for _ in range(steps):
-        x1 = fam.leaf(lam1, om1)
-        x2 = fam.leaf(lam2, om2)
+    for _ in range(_DESCENT_STEPS):
         diff = x1 - x2
         j1 = lam1 * (np.eye(3) + lam1 * fam.jacobian_f(lam1, om1))
         j2 = lam2 * (np.eye(3) + lam2 * fam.jacobian_f(lam2, om2))
@@ -290,15 +305,16 @@ def _min_distance(fam: LeafFamily, lam1: float, lam2: float,
         for _ in range(30):
             c1 = tangent_step(om1, g1 / norm, step)
             c2 = tangent_step(om2, g2 / norm, step)
-            val = dval(c1, c2)
+            y1, y2 = fam.leaf(lam1, c1), fam.leaf(lam2, c2)
+            val = float(np.linalg.norm(y1 - y2))
             if val < cur:
-                om1, om2, cur = c1, c2, val
+                om1, om2, x1, x2, cur = c1, c2, y1, y2, val
                 improved = True
                 break
             step *= 0.5
         if not improved or step < 1e-14:
             break
-    return cur, (fam.leaf(lam1, om1), fam.leaf(lam2, om2))
+    return cur, (x1, x2)
 
 
 def _interior_crossing(fam: LeafFamily, lam1: float, lam2: float):

@@ -213,3 +213,33 @@ class TestConfig:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             cli.RunConfig(tolerance=-1.0)
+
+
+class TestInputErrors:
+    # input errors exit 65 (usage errors 64) with one line on stderr, so they
+    # cannot be read as the verdict codes 0/1/2
+    @pytest.mark.parametrize("body", [None, "v = 0.5\nf1 = 0.3*(\nlambda_max = 0.05\n",
+                                      "v = 0.5\nf3 = 1\nlambda_max = 0.05\n"],
+                             ids=["missing", "syntax", "f3-on-equator"])
+    def test_bad_family_file(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.fam"
+        if body is not None:
+            path.write_text(body)
+        assert cli.main(["foliate", str(path)]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("hemifol: error: ")
+
+    def test_missing_surface_file(self, tmp_path, capsys):
+        code = cli.main(["analyze", str(tmp_path / "none.surf"), "--case", "cmc"])
+        assert code == cli.EX_DATAERR
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "none.surf" in err
+
+    def test_unknown_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["frobnicate"])
+        assert info.value.code == cli.EX_USAGE
+        assert "invalid choice" in capsys.readouterr().err

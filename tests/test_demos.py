@@ -20,3 +20,36 @@ def test_foliation_dichotomy_demo():
         assert verdicts[f"v = {v}"] == "Foliates"
     for v in ("1.1", "1.5", "2.0"):
         assert verdicts[f"v = {v}"].startswith("Overlaps, witness leaves (")
+
+
+def _run_demo(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_gallery_criterion_demo():
+    out = _run_demo("gallery_criterion.py")
+    rows = [line for line in out.splitlines() if "bracket [" in line]
+    assert len(rows) == 8
+    for line in rows:
+        want = ("DoesNotFoliate" if line.lstrip().startswith(("a = 0.45", "a = 0.51"))
+                else "Foliates")
+        assert line.endswith(f"->  {want}"), line
+
+
+def test_linearized_solutions_demo():
+    out = _run_demo("linearized_solutions.py")
+    assert "alpha'(0) = -0.375000000000  (closed form -0.375000000000)" in out
+    assert "alpha'(0) = +0.250000000000  (closed form +0.250000000000)" in out
+
+
+def test_moments_and_recovery_demo():
+    out = _run_demo("moments_and_recovery.py")
+    assert "integral of w1^2 w2^0 w3^1  =  1/4 * pi" in out
+    assert "  e: NoRationalFit (" in out

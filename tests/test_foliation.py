@@ -204,6 +204,50 @@ class TestLeavesIntersect:
             fo.leaves_intersect(fam, 0.1, 0.05)
 
 
+def _all_pairs_argmin(p1, p2):
+    """The dense seed the k-d tree replaces: first minimum in row-major order."""
+    d2 = np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2)
+    i, j = np.unravel_index(np.argmin(d2), d2.shape)
+    return int(i), int(j)
+
+
+_SEED_FAMILIES = {
+    "zero": (ex.ZERO, ex.ZERO, ex.ZERO),
+    "constant": (ex.parse("0.3"), ex.ZERO, ex.ZERO),
+    "curved": (ex.parse("0.2*w1*w3"), ex.ZERO, ex.parse("0.15*w3*(1-w3)")),
+}
+
+
+class TestSeedPair:
+    @pytest.mark.parametrize("v", [0.1, 0.9, 1.5])
+    @pytest.mark.parametrize("kind", sorted(_SEED_FAMILIES))
+    def test_matches_all_pairs_argmin(self, kind, v):
+        # the pairs foliate tests on its default grid: consecutive, skip and,
+        # for v > 1, the constructed (l1, l1 v/(v-1)); the zero family's
+        # rotational symmetry and the pole row of the grid give exact ties
+        fam = fo.LeafFamily(v, _SEED_FAMILIES[kind], lambda_max=0.05)
+        lam = list(np.linspace(0.005, 0.05, 10))
+        pairs = [(lam[i], lam[i + k]) for k in (1, 2) for i in range(len(lam) - k)]
+        if v > 1:
+            pairs += [(l1, l1 * v / (v - 1)) for l1 in lam
+                      if l1 * v / (v - 1) <= fam.lambda_max]
+        for l1, l2 in pairs:
+            p1 = fam.leaf(l1, fo._SEED_GRID)
+            p2 = fam.leaf(l2, fo._SEED_GRID)
+            assert fo._nearest_pair(p1, p2) == _all_pairs_argmin(p1, p2), (l1, l2)
+
+    def test_exact_tie_takes_first_row(self):
+        # |p1[0] - p2[1]| = |p1[1] - p2[0]| = 1; the nearest neighbour of p2[0]
+        # alone would give (1, 0)
+        p1 = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [5.0, 5.0, 0.0]])
+        p2 = np.array([[9.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, 3.0, 0.0]])
+        assert _all_pairs_argmin(p1, p2) == (0, 1)
+        assert fo._nearest_pair(p1, p2) == (0, 1)
+        # the grid's pole row: 32 equal points on each side
+        pole = np.tile([0.0, 0.0, 1.0], (32, 1))
+        assert fo._nearest_pair(pole, pole + 0.5) == _all_pairs_argmin(pole, pole + 0.5)
+
+
 class TestFoliationReport:
     def test_v05_const_f_foliates(self):
         fam = fo.LeafFamily(0.5, CONST_03, lambda_max=0.05)
