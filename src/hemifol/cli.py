@@ -10,7 +10,9 @@ use codes no verdict uses:
         (verify-expansions)
     2   Inconclusive (analyze)
     64  usage error: unknown command, missing or malformed option
-    65  bad input: unreadable file, expression syntax error, invalid value
+    65  bad input: unreadable file, expression syntax error, invalid value,
+        an expression that cannot be evaluated (unbound variable, domain
+        error), a surface without a nondegenerate critical point in reach
 
 Input errors print one line to stderr instead of a traceback.  All floats
 print with 17 significant digits and identical configurations produce
@@ -378,7 +380,8 @@ def main(argv=None) -> int:
             tolerance=args.tolerance or float(overrides.get("tolerance", 1e-7)),
         )
         return args.func(args, cfg)
-    except (ex.ParseError, OSError, ValueError) as err:
+    except (ex.ExprError, gs.NoConvergence, gs.DegenerateHessian,
+            OSError, ValueError) as err:
         print(f"hemifol: error: {err}", file=sys.stderr)
         return EX_DATAERR
 

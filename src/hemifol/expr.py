@@ -7,6 +7,12 @@ artanh, cot, the constant pi, named variables and exact rational constants.
 Half-integer powers are expressed as sqrt composed with an integer power so
 the differentiation rules stay closed.
 
+Every walk of the DAG is a loop over one iterative children-first order, so
+no expression is too deep to evaluate, differentiate or print; only the
+parser recurses, and it rejects more than ``MAX_NESTING`` nested groups.
+:func:`evaluate` also takes a sequence of roots and evaluates them over one
+memo, so subexpressions shared between fields are computed once.
+
 Evaluation is generic over the scalar type: plain floats / numpy arrays, or
 :class:`Jet2` values carrying (f, f', f'') in one shared deformation
 parameter.  No simplification is performed beyond constant folding;
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,13 +34,17 @@ __all__ = [
     "EvalError", "UnboundVariableError", "DomainError",
     "const", "var", "pi", "add", "sub", "mul", "div", "powi",
     "ln", "sqrt", "sin", "cos", "artanh", "cot",
-    "ZERO", "ONE",
+    "ZERO", "ONE", "MAX_NESTING",
     "parse", "to_string", "diff", "evaluate", "evaluate_jet",
     "substitute", "free_variables",
 ]
 
 FUNCTIONS = ("ln", "sqrt", "sin", "cos", "artanh", "cot")
 RESERVED = ("pi",) + FUNCTIONS
+
+# The parser spends about four stack frames per nested group; 200 groups
+# stay well inside the interpreter's default recursion limit of 1000.
+MAX_NESTING = 200
 
 
 class ExprError(Exception):
@@ -74,12 +85,19 @@ class Expr:
     """One interned node of an expression DAG.  Do not construct directly;
     use the module-level constructors (which fold constants and intern)."""
 
-    __slots__ = ("kind", "payload", "args")
+    __slots__ = ("kind", "payload", "args", "value", "order")
 
     def __init__(self, kind, payload, args):
         self.kind = kind          # 'const'|'pi'|'var'|'add'|'sub'|'mul'|'div'|'pow'|<func>
         self.payload = payload    # Fraction for 'const', str for 'var', int for 'pow'
         self.args = args          # tuple of child Expr nodes
+        # float of a 'pi' or 'const' node (None beyond the float range)
+        try:
+            self.value = (float(payload) if kind == "const"
+                          else math.pi if kind == "pi" else None)
+        except OverflowError:
+            self.value = None
+        self.order = None         # evaluation order, cached on first evaluation
 
     # -- operator sugar (used heavily when building formulas in code) -------
     def __add__(self, other):
@@ -233,111 +251,115 @@ cos = _unary("cos")
 artanh = _unary("artanh")
 cot = _unary("cot")
 
-_UNARY = {k: globals()[k] for k in FUNCTIONS}
+_BUILD = dict({k: globals()[k] for k in FUNCTIONS}, add=add, sub=sub, mul=mul, div=div)
+
+
+def _artanh_derivs(b, y):
+    d = 1.0 - b * b
+    return 1.0 / d, 2.0 * b / (d * d)
+
+
+# The elementary functions of float, Jet2 and symbolic code: kind -> (phi,
+# (b, phi(b)) -> (phi'(b), phi''(b)), None or (mask of the points of b
+# outside the domain, message), (a, da) -> d phi(a) as an expression).
+_FUNCS = {
+    "ln": (np.log, lambda b, y: (1.0 / b, -1.0 / (b * b)),
+           (lambda b: b <= 0, "ln of non-positive value"),
+           lambda a, da: div(da, a)),
+    "sqrt": (np.sqrt, lambda b, y: (0.5 / y, -0.25 / (y * b)),
+             (lambda b: b < 0, "sqrt of negative value"),
+             lambda a, da: div(da, mul(const(2), sqrt(a)))),
+    "sin": (np.sin, lambda b, y: (np.cos(b), -y), None,
+            lambda a, da: mul(cos(a), da)),
+    "cos": (np.cos, lambda b, y: (-np.sin(b), -y), None,
+            lambda a, da: mul(const(-1), mul(sin(a), da))),
+    "artanh": (np.arctanh, _artanh_derivs,
+               (lambda b: np.abs(b) >= 1, "artanh outside (-1, 1)"),
+               lambda a, da: div(da, sub(ONE, powi(a, 2)))),
+    "cot": (lambda b: np.cos(b) / np.sin(b),
+            lambda b, y: (-(1.0 + y * y), 2.0 * y * (1.0 + y * y)), None,
+            lambda a, da: mul(const(-1), mul(add(ONE, powi(cot(a), 2)), da))),
+}
+
+
+# ---------------------------------------------------------------------------
+# the walk
+# ---------------------------------------------------------------------------
+
+def _postorder(roots, done=()):
+    """Nodes reachable from ``roots``, children first and each once, in the
+    order a left-to-right recursive walk would finish them.  A node whose id
+    is in ``done`` is skipped together with its subtree."""
+    out, seen = [], set()
+    stack = [(None, iter(roots))]    # each node with its unvisited children
+    while stack:
+        for a in stack[-1][1]:
+            if id(a) not in seen and id(a) not in done:
+                seen.add(id(a))
+                stack.append((a, iter(a.args)))
+                break
+        else:
+            out.append(stack.pop()[0])
+    out.pop()                        # the frame of the roots
+    return out
 
 
 def free_variables(e: Expr) -> frozenset[str]:
-    seen = set()
-    out = set()
-
-    def walk(n):
-        if id(n) in seen:
-            return
-        seen.add(id(n))
-        if n.kind == "var":
-            out.add(n.payload)
-        for a in n.args:
-            walk(a)
-
-    walk(e)
-    return frozenset(out)
+    return frozenset(n.payload for n in _postorder((e,)) if n.kind == "var")
 
 
 def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
     """Replace free variables by expressions (capture is not a concern:
     there are no binders)."""
     memo: dict[int, Expr] = {}
-
-    def walk(n):
-        r = memo.get(id(n))
-        if r is not None:
-            return r
+    for n in _postorder((e,)):
         if n.kind == "var":
             r = mapping.get(n.payload, n)
-        elif n.kind in ("const", "pi"):
-            r = n
         else:
-            args = tuple(walk(a) for a in n.args)
+            args = tuple(memo[id(a)] for a in n.args)
             if all(x is y for x, y in zip(args, n.args)):
                 r = n
-            elif n.kind == "add":
-                r = add(*args)
-            elif n.kind == "sub":
-                r = sub(*args)
-            elif n.kind == "mul":
-                r = mul(*args)
-            elif n.kind == "div":
-                r = div(*args)
             elif n.kind == "pow":
                 r = powi(args[0], n.payload)
             else:
-                r = _UNARY[n.kind](args[0])
+                r = _BUILD[n.kind](*args)
         memo[id(n)] = r
-        return r
-
-    return walk(e)
+    return memo[id(e)]
 
 
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
 
-_DIFF_CACHE: dict[tuple[int, str], Expr] = {}
+# variable name -> {id(node): derivative}
+_DIFF_CACHE: dict[str, dict[int, Expr]] = {}
 
 
 def diff(e: Expr, name: str) -> Expr:
     """Exact symbolic partial derivative with respect to ``name``."""
-    key = (id(e), name)
-    r = _DIFF_CACHE.get(key)
-    if r is not None:
-        return r
-    k = e.kind
-    if k in ("const", "pi"):
-        r = ZERO
-    elif k == "var":
-        r = ONE if e.payload == name else ZERO
-    elif k == "add":
-        r = add(diff(e.args[0], name), diff(e.args[1], name))
-    elif k == "sub":
-        r = sub(diff(e.args[0], name), diff(e.args[1], name))
-    elif k == "mul":
-        a, b = e.args
-        r = add(mul(diff(a, name), b), mul(a, diff(b, name)))
-    elif k == "div":
-        a, b = e.args
-        r = div(sub(mul(diff(a, name), b), mul(a, diff(b, name))), powi(b, 2))
-    elif k == "pow":
-        (a,) = e.args
-        r = mul(mul(const(e.payload), powi(a, e.payload - 1)), diff(a, name))
-    else:
-        (a,) = e.args
-        da = diff(a, name)
-        if k == "ln":
-            r = div(da, a)
-        elif k == "sqrt":
-            r = div(da, mul(const(2), sqrt(a)))
-        elif k == "sin":
-            r = mul(cos(a), da)
-        elif k == "cos":
-            r = mul(const(-1), mul(sin(a), da))
-        elif k == "artanh":
-            r = div(da, sub(ONE, powi(a, 2)))
-        elif k == "cot":
-            r = mul(const(-1), mul(add(ONE, powi(cot(a), 2)), da))
-        else:  # pragma: no cover
-            raise AssertionError(k)
-    _DIFF_CACHE[key] = r
-    return r
+    cache = _DIFF_CACHE.setdefault(name, {})
+    for n in _postorder((e,), cache):
+        k = n.kind
+        if k in ("const", "pi"):
+            r = ZERO
+        elif k == "var":
+            r = ONE if n.payload == name else ZERO
+        elif k in ("add", "sub"):
+            r = _BUILD[k](cache[id(n.args[0])], cache[id(n.args[1])])
+        elif k == "mul":
+            a, b = n.args
+            r = add(mul(cache[id(a)], b), mul(a, cache[id(b)]))
+        elif k == "div":
+            a, b = n.args
+            r = div(sub(mul(cache[id(a)], b), mul(a, cache[id(b)])), powi(b, 2))
+        elif k == "pow":
+            (a,) = n.args
+            r = mul(mul(const(n.payload), powi(a, n.payload - 1)), cache[id(a)])
+        else:
+            (a,) = n.args
+            r = _FUNCS[k][3](a, cache[id(a)])
+        cache[id(n)] = r
+    return cache[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,42 +432,12 @@ class Jet2:
         b = self.f
         return self._chain(b ** n, n * b ** (n - 1), n * (n - 1) * b ** (n - 2))
 
-    def ln(self):
-        b = self.f
-        return self._chain(np.log(b), 1.0 / b, -1.0 / (b * b))
-
-    def sqrt(self):
-        s = np.sqrt(self.f)
-        return self._chain(s, 0.5 / s, -0.25 / (s * self.f))
-
-    def sin(self):
-        s, c = np.sin(self.f), np.cos(self.f)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = np.sin(self.f), np.cos(self.f)
-        return self._chain(c, -s, -c)
-
-    def artanh(self):
-        b = self.f
-        d = 1.0 - b * b
-        return self._chain(np.arctanh(b), 1.0 / d, 2.0 * b / (d * d))
-
-    def cot(self):
-        s = np.sin(self.f)
-        ct = np.cos(self.f) / s
-        return self._chain(ct, -(1.0 + ct * ct), 2.0 * ct * (1.0 + ct * ct))
+    __pow__ = powi
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def _check_positive(v, e, what):
-    bad = v.f if isinstance(v, Jet2) else v
-    if np.any(np.asarray(bad) <= 0):
-        raise DomainError(f"{what} of non-positive value", e)
-
 
 def _check_nonzero(v, e):
     bad = v.f if isinstance(v, Jet2) else v
@@ -453,72 +445,65 @@ def _check_nonzero(v, e):
         raise DomainError("division by zero", e)
 
 
-def _eval(e, bindings, memo):
-    r = memo.get(id(e))
-    if r is not None:
-        return r
-    k = e.kind
-    if k == "const":
-        r = float(e.payload)
-    elif k == "pi":
-        r = math.pi
-    elif k == "var":
-        try:
-            r = bindings[e.payload]
-        except KeyError:
-            raise UnboundVariableError(e.payload) from None
-    elif k == "add":
-        r = _eval(e.args[0], bindings, memo) + _eval(e.args[1], bindings, memo)
-    elif k == "sub":
-        r = _eval(e.args[0], bindings, memo) - _eval(e.args[1], bindings, memo)
-    elif k == "mul":
-        r = _eval(e.args[0], bindings, memo) * _eval(e.args[1], bindings, memo)
-    elif k == "div":
-        a = _eval(e.args[0], bindings, memo)
-        b = _eval(e.args[1], bindings, memo)
-        _check_nonzero(b, e)
-        r = a / b
-    elif k == "pow":
-        a = _eval(e.args[0], bindings, memo)
-        if e.payload < 0:
-            _check_nonzero(a, e)
-        r = a.powi(e.payload) if isinstance(a, Jet2) else a ** e.payload
-    else:
-        a = _eval(e.args[0], bindings, memo)
-        if k == "ln":
-            _check_positive(a, e, "ln")
-            r = a.ln() if isinstance(a, Jet2) else np.log(a)
-        elif k == "sqrt":
-            neg = a.f if isinstance(a, Jet2) else a
-            if np.any(np.asarray(neg) < 0):
-                raise DomainError("sqrt of negative value", e)
-            r = a.sqrt() if isinstance(a, Jet2) else np.sqrt(a)
-        elif k == "sin":
-            r = a.sin() if isinstance(a, Jet2) else np.sin(a)
-        elif k == "cos":
-            r = a.cos() if isinstance(a, Jet2) else np.cos(a)
-        elif k == "artanh":
-            mag = a.f if isinstance(a, Jet2) else a
-            if np.any(np.abs(np.asarray(mag)) >= 1):
-                raise DomainError("artanh outside (-1, 1)", e)
-            r = a.artanh() if isinstance(a, Jet2) else np.arctanh(a)
-        elif k == "cot":
-            r = a.cot() if isinstance(a, Jet2) else np.cos(a) / np.sin(a)
-        else:  # pragma: no cover
-            raise AssertionError(k)
-    memo[id(e)] = r
-    return r
+def _eval(roots, bindings):
+    memo = {}
+    for root in roots:
+        order = root.order
+        if order is None:
+            order = root.order = _postorder((root,))
+        for n in order:
+            i = id(n)
+            if i in memo:
+                continue
+            if n.value is not None:
+                r = n.value
+            elif n.kind == "add":
+                r = memo[id(n.args[0])] + memo[id(n.args[1])]
+            elif n.kind == "mul":
+                r = memo[id(n.args[0])] * memo[id(n.args[1])]
+            elif n.kind == "sub":
+                r = memo[id(n.args[0])] - memo[id(n.args[1])]
+            elif n.kind == "var":
+                try:
+                    r = bindings[n.payload]
+                except KeyError:
+                    raise UnboundVariableError(n.payload) from None
+            elif n.kind == "div":
+                b = memo[id(n.args[1])]
+                _check_nonzero(b, n)
+                r = memo[id(n.args[0])] / b
+            elif n.kind == "const":
+                raise DomainError("constant outside the float range", n)
+            elif n.kind == "pow":
+                a = memo[id(n.args[0])]
+                if n.payload < 0:
+                    _check_nonzero(a, n)
+                r = a ** n.payload
+            else:
+                a = memo[id(n.args[0])]
+                fn, derivs, check, _ = _FUNCS[n.kind]
+                b = a.f if isinstance(a, Jet2) else a
+                if check is not None and np.any(check[0](np.asarray(b))):
+                    raise DomainError(check[1], n)
+                y = fn(b)
+                r = a._chain(y, *derivs(b, y)) if isinstance(a, Jet2) else y
+            memo[i] = r
+    return [memo[id(root)] for root in roots]
 
 
-def evaluate(e: Expr, bindings: dict[str, float]) -> float:
-    """IEEE-double evaluation; values may be floats or numpy arrays."""
-    return _eval(e, bindings, {})
+def evaluate(e, bindings: dict[str, float]):
+    """IEEE-double evaluation; values may be floats or numpy arrays.  ``e``
+    is one expression, or a sequence of expressions evaluated over one memo
+    into a list of values."""
+    if isinstance(e, Expr):
+        return _eval((e,), bindings)[0]
+    return _eval(e, bindings)
 
 
 def evaluate_jet(e: Expr, bindings: dict[str, Jet2]) -> Jet2:
     """Evaluate with order-2 jets sharing one deformation parameter."""
     b = {k: Jet2.lift(v) for k, v in bindings.items()}
-    return Jet2.lift(_eval(e, b, {}))
+    return Jet2.lift(_eval((e,), b)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +545,14 @@ class _Parser:
     term   := factor (('*'|'/') factor)*
     factor := base ('^' integer)?
     base   := number | ident | '(' expr ')' | func '(' expr ')'
-    """
+
+    Groups (parentheses and function calls) nest at most ``MAX_NESTING``
+    deep."""
 
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -633,24 +621,26 @@ class _Parser:
         kind, val, off = self.next()
         if kind == "num":
             return const(Fraction(val))
-        if kind == "ident":
-            if val == "pi":
-                return pi
-            if val in FUNCTIONS:
-                k2, v2, _ = self.peek()
-                if not (k2 == "op" and v2 == "("):
-                    raise ReservedNameError(
-                        f"reserved function name '{val}' used as a variable", off)
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return _UNARY[val](arg)
+        if kind == "ident" and val == "pi":
+            return pi
+        if kind == "ident" and val not in FUNCTIONS:
             return var(val)
-        if kind == "op" and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ParseError(f"unexpected token {val!r}", off)
+        if kind == "ident":
+            k2, v2, _ = self.peek()
+            if not (k2 == "op" and v2 == "("):
+                raise ReservedNameError(
+                    f"reserved function name '{val}' used as a variable", off)
+            self.next()
+        elif not (kind == "op" and val == "("):
+            raise ParseError(f"unexpected token {val!r}", off)
+        # a group: parenthesized expression or function call opened at off
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"more than {MAX_NESTING} nested groups", off)
+        e = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return _BUILD[val](e) if kind == "ident" else e
 
 
 def parse(text: str) -> Expr:
@@ -659,48 +649,59 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def _frac_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 3}
-
-
-def _print(e, prec):
-    k = e.kind
-    if k == "const":
-        x = e.payload
-        if x < 0:
-            s = f"0 - {_frac_str(-x)}"
-            return f"({s})" if prec >= 1 else s
-        s = _frac_str(x)
-        # a/b must bind like a term, not an atom
-        return f"({s})" if x.denominator != 1 and prec > 2 else s
-    if k == "pi":
-        return "pi"
-    if k == "var":
-        return e.payload
-    if k == "add":
-        s = f"{_print(e.args[0], 1)} + {_print(e.args[1], 1)}"
-    elif k == "sub":
-        s = f"{_print(e.args[0], 1)} - {_print(e.args[1], 2)}"
-    elif k == "mul":
-        s = f"{_print(e.args[0], 2)}*{_print(e.args[1], 2)}"
-    elif k == "div":
-        s = f"{_print(e.args[0], 2)}/{_print(e.args[1], 3)}"
-    elif k == "pow":
-        n = e.payload
-        if n < 0:
-            return _print(div(ONE, powi(e.args[0], -n)), prec)
-        s = f"{_print(e.args[0], 4)}^{n}"
-        return f"({s})" if prec > 3 else s
-    else:
-        return f"{k}({_print(e.args[0], 0)})"
-    return f"({s})" if prec >= _PREC[k] + 1 else s
+# Each node prints as a text and a threshold: the text is parenthesized where
+# the surrounding context binds with precedence >= the threshold (0 for a
+# function argument or the whole text, 1 for a sum operand, 2 for a product
+# operand or a subtrahend, 3 for a divisor, 4 for a power base).
+_ATOM = 5
+# kind -> (operator, left operand's context, right operand's context, threshold)
+_INFIX = {"add": (" + ", 1, 1, 2), "sub": (" - ", 1, 2, 2),
+          "mul": ("*", 2, 2, 3), "div": ("/", 2, 3, 3)}
 
 
 def to_string(e: Expr) -> str:
-    """Grammar-conformant text; parse(to_string(e)) evaluates identically."""
-    return _print(e, 0)
+    """Grammar-conformant text; parse(to_string(e)) evaluates identically
+    when the text nests at most ``MAX_NESTING`` groups."""
+    order = _postorder((e,))
+    # a node's text is dropped once its last parent has used it: printing
+    # expands the DAG into a tree, and the texts of shared subtrees are large
+    uses = Counter(id(a) for n in order for a in n.args)
+    memo: dict[int, tuple[str, int]] = {}
+
+    def operand(a, prec):
+        s, threshold = memo[id(a)]
+        uses[id(a)] -= 1
+        if not uses[id(a)]:
+            del memo[id(a)]
+        return f"({s})" if prec >= threshold else s
+
+    for n in order:
+        k = n.kind
+        if k == "const":
+            x = n.payload
+            if x < 0:
+                r = (f"0 - {-x}", 1)
+            else:
+                # a/b must bind like a term, not an atom
+                r = (str(x), 3 if x.denominator != 1 else _ATOM)
+        elif k == "pi":
+            r = ("pi", _ATOM)
+        elif k == "var":
+            r = (n.payload, _ATOM)
+        elif k in _INFIX:
+            op, left, right, threshold = _INFIX[k]
+            r = (f"{operand(n.args[0], left)}{op}{operand(n.args[1], right)}",
+                 threshold)
+        elif k == "pow":
+            # a^-m prints as 1/a^m
+            m = n.payload
+            if m > 0:
+                r = (f"{operand(n.args[0], 4)}^{m}", 4)
+            elif m == -1:
+                r = (f"1/{operand(n.args[0], 3)}", 3)
+            else:
+                r = (f"1/{operand(n.args[0], 4)}^{-m}", 3)
+        else:
+            r = (f"{k}({operand(n.args[0], 0)})", _ATOM)
+        memo[id(n)] = r
+    return memo[id(e)][0]

@@ -34,6 +34,8 @@ SMOOTHNESS_NOTE = ("leaf-map smoothness is not certified numerically; "
 
 CONTACT_TOL = 1e-9
 INCONCLUSIVE_TOL = 1e-6
+RAY_TOL = 1e-12
+RAY_MAX_ITER = 200
 E1 = np.array([1.0, 0.0, 0.0])
 
 
@@ -69,8 +71,9 @@ class LeafFamily:
         self.v = float(v)
         self.f_exprs = tuple(f_exprs)
         self.lambda_max = float(lambda_max)
-        self._df = [[ex.diff(c, w) for w in ("w1", "w2", "w3")]
-                    for c in self.f_exprs]
+        # row-major: _df[3 i + j] = d f_i / d w_j
+        self._df = tuple(ex.diff(c, w) for c in self.f_exprs
+                         for w in ("w1", "w2", "w3"))
         self._check_boundary_condition()
         self.c_bound = self._estimate_bound()
         if self.lambda_max * self.c_bound >= 1:
@@ -96,17 +99,11 @@ class LeafFamily:
         sup = 0.0
         for lam in np.linspace(0.0, self.lambda_max, 4):
             bl = dict(b, **{"lambda": np.full_like(b["w3"], lam)})
-            mag = np.zeros_like(b["w3"])
-            dmag = np.zeros_like(b["w3"])
-            for i in range(3):
-                mag = mag + np.broadcast_to(
-                    np.asarray(ex.evaluate(self.f_exprs[i], bl), dtype=float),
-                    mag.shape) ** 2
-                for j in range(3):
-                    dmag = dmag + np.broadcast_to(
-                        np.asarray(ex.evaluate(self._df[i][j], bl), dtype=float),
-                        dmag.shape) ** 2
-            sup = max(sup, float(np.max(np.sqrt(mag) + np.sqrt(dmag))))
+            zero = np.zeros_like(b["w3"])
+            sq = [np.broadcast_to(np.asarray(val, dtype=float), zero.shape) ** 2
+                  for val in ex.evaluate(self.f_exprs + self._df, bl)]
+            sup = max(sup, float(np.max(np.sqrt(sum(sq[:3], zero))
+                                        + np.sqrt(sum(sq[3:], zero)))))
         return sup
 
     def f(self, lam, omega):
@@ -115,8 +112,8 @@ class LeafFamily:
         b = {"lambda": np.broadcast_to(lam, omega[..., 0].shape),
              "w1": omega[..., 0], "w2": omega[..., 1], "w3": omega[..., 2]}
         out = np.empty_like(omega)
-        for i in range(3):
-            out[..., i] = ex.evaluate(self.f_exprs[i], b)
+        for i, val in enumerate(ex.evaluate(self.f_exprs, b)):
+            out[..., i] = val
         return out
 
     def jacobian_f(self, lam, omega):
@@ -124,11 +121,10 @@ class LeafFamily:
         omega = np.asarray(omega, dtype=float)
         b = {"lambda": np.broadcast_to(lam, omega[..., 0].shape),
              "w1": omega[..., 0], "w2": omega[..., 1], "w3": omega[..., 2]}
-        out = np.zeros(omega.shape[:-1] + (3, 3))
-        for i in range(3):
-            for j in range(3):
-                out[..., i, j] = ex.evaluate(self._df[i][j], b)
-        return out
+        out = np.empty(omega.shape[:-1] + (9,))
+        for k, val in enumerate(ex.evaluate(self._df, b)):
+            out[..., k] = val
+        return out.reshape(omega.shape[:-1] + (3, 3))
 
     def leaf(self, lam, omega):
         """phi_lambda(omega) for points omega (..., 3)."""
@@ -168,8 +164,7 @@ class FoliationReport:
 # ray fixed point: ray intersections and the inside/outside test
 # ---------------------------------------------------------------------------
 
-def _ray_fixed_point(fam: LeafFamily, lam: float, origin, theta0,
-                     tol: float = 1e-12, max_iter: int = 200):
+def _ray_fixed_point(fam: LeafFamily, lam: float, origin, theta0):
     """Coupled fixed point (t, omega) of origin + t theta0 = phi_lam(omega):
     t from the quadratic |origin + t theta0 - center|^2 = lambda^2
     (larger root) with center = lambda v e1 + lambda^2 f(lambda, omega),
@@ -177,7 +172,7 @@ def _ray_fixed_point(fam: LeafFamily, lam: float, origin, theta0,
     ``theta0`` is a unit vector."""
     omega = theta0.copy()
     t_val = lam
-    for _ in range(max_iter):
+    for _ in range(RAY_MAX_ITER):
         rel = lam * fam.v * E1 + lam ** 2 * fam.f(lam, omega) - origin
         b = float(theta0 @ rel)
         c = float(rel @ rel) - lam ** 2
@@ -193,13 +188,12 @@ def _ray_fixed_point(fam: LeafFamily, lam: float, origin, theta0,
         om_new = om_raw / nrm
         delta = abs(t_new - t_val) + float(np.linalg.norm(om_new - omega))
         t_val, omega = t_new, om_new
-        if delta < tol:
+        if delta < RAY_TOL:
             return t_val, omega
-    raise NoConvergence(f"fixed point not contracting after {max_iter} iterations")
+    raise NoConvergence(f"fixed point not contracting after {RAY_MAX_ITER} iterations")
 
 
-def ray_intersect(fam: LeafFamily, lam: float, theta0,
-                  tol: float = 1e-12, max_iter: int = 200) -> RayIntersection:
+def ray_intersect(fam: LeafFamily, lam: float, theta0) -> RayIntersection:
     """Unique intersection t(lambda, theta0) theta0 of the ray R+ theta0
     from the origin with the leaf, by the fixed point of
     :func:`_ray_fixed_point`."""
@@ -207,7 +201,7 @@ def ray_intersect(fam: LeafFamily, lam: float, theta0,
         raise ValueError("lambda must lie in (0, lambda_max]")
     theta0 = np.asarray(theta0, dtype=float)
     theta0 = theta0 / np.linalg.norm(theta0)
-    t_val, omega = _ray_fixed_point(fam, lam, np.zeros(3), theta0, tol, max_iter)
+    t_val, omega = _ray_fixed_point(fam, lam, np.zeros(3), theta0)
     if t_val < 0:
         raise NoIntersection("leaf lies behind the ray origin")
     if omega[2] < -1e-9:

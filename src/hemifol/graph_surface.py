@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 DEGENERACY_TOL = 1e-10
 
 
@@ -115,45 +116,45 @@ def curvature_at(s: GraphSurface, x: float, y: float) -> CurvatureData:
     Hessian only where gradH vanishes."""
     if not s.contains(x, y):
         raise ValueError(f"({x}, {y}) outside surface domain {s.domain}")
-    b = {"x": float(x), "y": float(y)}
-    gradH = np.array([ex.evaluate(g, b) for g in s.gradH])
-    hessH = np.array([[ex.evaluate(h, b) for h in row] for row in s.hessH])
+    vals = ex.evaluate(s.gradH + s.hessH[0] + s.hessH[1] + (s.H, s.K)
+                       + s.gradK + s.grad_u, {"x": float(x), "y": float(y)})
+    gradH = np.array(vals[0:2])
+    hessH = np.array(vals[2:6]).reshape(2, 2)
     hessH = 0.5 * (hessH + hessH.T)
     return CurvatureData(
         point=(float(x), float(y)),
-        H=ex.evaluate(s.H, b),
-        K=ex.evaluate(s.K, b),
+        H=vals[6],
+        K=vals[7],
         gradH=gradH,
         hessH=hessH,
-        gradK=np.array([ex.evaluate(g, b) for g in s.gradK]),
-        grad_u=np.array([ex.evaluate(g, b) for g in s.grad_u]),
+        gradK=np.array(vals[8:10]),
+        grad_u=np.array(vals[10:12]),
         hess_is_covariant=bool(np.linalg.norm(gradH) < NEWTON_TOL),
         nondegenerate=bool(abs(np.linalg.det(hessH)) > DEGENERACY_TOL),
     )
 
 
-def find_critical_point(s: GraphSurface, guess=(0.0, 0.0),
-                        max_iter: int = 50) -> CurvatureData:
+def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
     """Newton iteration on gradH to |gradH| < 1e-12; raises
     :class:`DegenerateHessian` when the Hessian determinant drops below
     1e-10 and :class:`NoConvergence` after 50 steps."""
     p = np.asarray(guess, dtype=float)
-    for _ in range(max_iter):
-        b = {"x": p[0], "y": p[1]}
-        g = np.array([ex.evaluate(gg, b) for gg in s.gradH])
+    for _ in range(NEWTON_MAX_ITER):
+        vals = ex.evaluate(s.gradH + s.hessH[0] + s.hessH[1], {"x": p[0], "y": p[1]})
+        g = np.array(vals[0:2])
         if np.linalg.norm(g) < NEWTON_TOL:
             data = curvature_at(s, p[0], p[1])
             if not data.nondegenerate:
-                raise DegenerateHessian(
-                    f"critical point at {tuple(p)} has |det hessH| <= {DEGENERACY_TOL}")
+                raise DegenerateHessian(f"critical point at {tuple(p.tolist())} "
+                                        f"has |det hessH| <= {DEGENERACY_TOL}")
             return data
-        h = np.array([[ex.evaluate(hh, b) for hh in row] for row in s.hessH])
+        h = np.array(vals[2:6]).reshape(2, 2)
         if abs(np.linalg.det(h)) < DEGENERACY_TOL:
-            raise DegenerateHessian(f"Hessian of H nearly singular at {tuple(p)}")
+            raise DegenerateHessian(f"Hessian of H nearly singular at {tuple(p.tolist())}")
         p = p - np.linalg.solve(h, g)
         if not s.contains(p[0], p[1]):
-            raise NoConvergence(f"Newton iterate left the domain: {tuple(p)}")
-    raise NoConvergence(f"no critical point within {max_iter} Newton steps")
+            raise NoConvergence(f"Newton iterate left the domain: {tuple(p.tolist())}")
+    raise NoConvergence(f"no critical point within {NEWTON_MAX_ITER} Newton steps")
 
 
 _CASE_FACTOR = {"willmore": 0.5, "cmc": 1.0 / 3.0}
@@ -226,7 +227,7 @@ def gallery_v0_norm(a: float) -> float:
             / abs(1.0 - 15.0 * a ** 4 + 2.0 * a ** 6))
 
 
-def gallery_root(tol: float = 1e-12) -> float:
+def gallery_root() -> float:
     """Bisection root of 1 - 15 a^4 + 2 a^6 on [0.5, 0.52]."""
     def p(x):
         return 1.0 - 15.0 * x ** 4 + 2.0 * x ** 6
@@ -235,7 +236,7 @@ def gallery_root(tol: float = 1e-12) -> float:
     flo = p(lo)
     if flo <= 0 or p(hi) >= 0:
         raise ValueError("bracket does not straddle the root")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if p(mid) > 0:
             lo = mid

@@ -134,22 +134,17 @@ class ResidualReport:
         return max(vals)
 
 
-def _sup_on_grid(e: ex.Expr, t_max=0.95, n_t=97, n_phi=64, extra=None):
-    t = np.linspace(0.0, t_max, n_t)
-    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(t, phi, indexing="ij")
-    b = {"t": tt.ravel(), "phi": pp.ravel()}
-    if extra:
-        b.update(extra)
-    return float(np.max(np.abs(ex.evaluate(e, b))))
+# residual sample points (t, phi): a grid of the hemisphere short of the
+# pole, where the (t, phi) chart is singular, and the equator
+_GRID = tuple(a.ravel() for a in np.meshgrid(
+    np.linspace(0.0, 0.95, 97), np.linspace(0.0, 2 * np.pi, 64, endpoint=False),
+    indexing="ij"))
+_EQUATOR = (np.zeros(256), np.linspace(0.0, 2 * np.pi, 256, endpoint=False))
 
 
-def _sup_on_equator(e: ex.Expr, n_phi=256, extra=None):
-    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    b = {"t": np.zeros_like(phi), "phi": phi}
-    if extra:
-        b.update(extra)
-    return float(np.max(np.abs(ex.evaluate(e, b))))
+def _sup(e: ex.Expr, points, kb):
+    t, phi = points
+    return float(np.max(np.abs(ex.evaluate(e, dict(kb, t=t, phi=phi)))))
 
 
 def residual_check(p: LinearizedProblem, u: ex.Expr,
@@ -167,16 +162,16 @@ def residual_check(p: LinearizedProblem, u: ex.Expr,
         ex.substitute(_K1 * _W1 ** 2 + _K2 * _W2 ** 2,
                       {"k1": _k(p.kappa1), "k2": _k(p.kappa2)}))
     if p.case == "cmc":
-        interior = _sup_on_grid(lap2_u - rhs - _k(3 * H / 8), extra=kb)
+        interior = _sup(lap2_u - rhs - _k(3 * H / 8), _GRID, kb)
         third = float("nan")
         mass_target = 0.0
     else:
-        interior = _sup_on_grid(
-            sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + _k(H), extra=kb)
-        third = _sup_on_equator(
-            sphere.eta_derivative(lap2_u) - 7 * kappa_form + _k(H), extra=kb)
+        interior = _sup(sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + _k(H),
+                        _GRID, kb)
+        third = _sup(sphere.eta_derivative(lap2_u) - 7 * kappa_form + _k(H),
+                     _EQUATOR, kb)
         mass_target = math.pi / 8.0 * H
-    neumann = _sup_on_equator(sphere.eta_derivative(ut) + kappa_form, extra=kb)
+    neumann = _sup(sphere.eta_derivative(ut) + kappa_form, _EQUATOR, kb)
     mass = abs(hq.integrate_tphi(ut, grid, extra=kb) - mass_target)
     center = max(
         abs(hq.integrate_tphi(ut * sphere.OMEGA[0], grid, extra=kb)),
@@ -287,8 +282,8 @@ def solve_willmore_modes():
     return v1, h
 
 
-def _mode_sup_error(numeric, closed, t_max=0.999, n=400):
-    t = np.linspace(0.0, t_max, n)
+def _mode_sup_error(numeric, closed):
+    t = np.linspace(0.0, 0.999, 400)
     theta = np.arccos(t)
     theta = np.clip(theta, THETA_START, None)
     got = np.array([numeric(th) for th in theta])
@@ -296,8 +291,7 @@ def _mode_sup_error(numeric, closed, t_max=0.999, n=400):
     return float(np.max(np.abs(got - want)))
 
 
-def solve_ode_modes(p: LinearizedProblem,
-                    n_t: int = 40, n_phi: int = 32) -> LinearizedSolution:
+def solve_ode_modes(p: LinearizedProblem) -> LinearizedSolution:
     """Numerically solve the azimuthal mode-0 and mode-2 problems by
     shooting from a two-term regular series start at theta = 1e-3, discard
     the singular homogeneous solutions, assemble u'(0) = modes - f/2 on a
@@ -319,8 +313,8 @@ def solve_ode_modes(p: LinearizedProblem,
         }
     coef2 = (p.kappa1 - p.kappa2) / 4.0
 
-    t = np.linspace(0.0, math.cos(THETA_START), n_t)
-    phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
+    t = np.linspace(0.0, math.cos(THETA_START), 40)
+    phi = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
     tt, pp = np.meshgrid(t, phi, indexing="ij")
     theta = np.arccos(np.clip(tt, -1.0, 1.0))
     w1, w2_, w3 = sphere.omega_values(tt, pp)

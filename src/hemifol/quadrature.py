@@ -230,8 +230,7 @@ SIGNIFICANCE = 0.05
 CERTIFIABLE_FLOOR = 1e-14
 
 
-def recover_coefficients(x: float, tol: float = 1e-10,
-                         max_denominator: int = MAX_DENOMINATOR) -> CoefficientVector:
+def recover_coefficients(x: float, tol: float = 1e-10) -> CoefficientVector:
     """Recognize x as pi*(p + q*ln2) with rational p, q.
 
     Searches for integer relations a*x/pi + b + c*ln2 = 0 by lattice
@@ -244,7 +243,7 @@ def recover_coefficients(x: float, tol: float = 1e-10,
     if abs(x) >= 1e12:
         raise NoRationalFit(f"value {x} out of range")
     y = x / math.pi
-    candidates = {(Fraction(y).limit_denominator(max_denominator), Fraction(0))}
+    candidates = {(Fraction(y).limit_denominator(MAX_DENOMINATOR), Fraction(0))}
     for scale in (10 ** 10, 10 ** 12, 10 ** 13, 10 ** 14, 10 ** 15, 10 ** 16):
         rows = [
             [1, 0, 0, round(y * scale)],
@@ -257,7 +256,7 @@ def recover_coefficients(x: float, tol: float = 1e-10,
                 continue
             p = Fraction(-b, a)
             q = Fraction(-c, a)
-            if p.denominator <= max_denominator and q.denominator <= max_denominator:
+            if p.denominator <= MAX_DENOMINATOR and q.denominator <= MAX_DENOMINATOR:
                 candidates.add((p, q))
     best = None
     for p, q in candidates:
@@ -274,7 +273,7 @@ def recover_coefficients(x: float, tol: float = 1e-10,
             best = (rank, cand)
     if best is None:
         raise NoRationalFit(
-            f"no pi*(p + q*ln2) with denominators <= {max_denominator} "
+            f"no pi*(p + q*ln2) with denominators <= {MAX_DENOMINATOR} "
             f"matches {x!r} within {tol}")
     return best[1]
 

@@ -42,6 +42,10 @@ DH_NAMES = ("dh111", "dh112", "dh122", "dh211", "dh212", "dh222")
 
 PROBE_PAIRS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, -1.0))
 
+# residual gates of the K, H^2 fit and of the recovery of its coefficients
+PROBE_TOL = 1e-7
+RECOVER_TOL = 1e-9
+
 
 class DegenerateMetric(Exception):
     pass
@@ -417,7 +421,7 @@ class TermDecomposition:
         return (hq.CoefficientVector(ktot, kln), hq.CoefficientVector(htot, hln))
 
 
-def _fit_K_H2(values: dict, tol: float = 1e-7) -> tuple[float, float]:
+def _fit_K_H2(values: dict) -> tuple[float, float]:
     """Decompose probe values as alpha*K + beta*H^2, checking consistency
     across all probe pairs."""
     rows = []
@@ -429,18 +433,17 @@ def _fit_K_H2(values: dict, tol: float = 1e-7) -> tuple[float, float]:
     y = np.array(rhs)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = A @ coef - y
-    if np.max(np.abs(resid)) > tol:
+    if np.max(np.abs(resid)) > PROBE_TOL:
         raise InconsistentProbes(
-            f"probe pairs disagree beyond {tol}: residuals {resid}")
+            f"probe pairs disagree beyond {PROBE_TOL}: residuals {resid}")
     return float(coef[0]), float(coef[1])
 
 
-def _decompose(values: dict, tol: float = 1e-7,
-               recover_tol: float = 1e-9) -> FunctionalValue:
-    alpha, beta = _fit_K_H2(values, tol)
+def _decompose(values: dict) -> FunctionalValue:
+    alpha, beta = _fit_K_H2(values)
     return FunctionalValue(
-        K_coeff=hq.recover_coefficients(alpha, tol=recover_tol),
-        H2_coeff=hq.recover_coefficients(beta, tol=recover_tol),
+        K_coeff=hq.recover_coefficients(alpha, tol=RECOVER_TOL),
+        H2_coeff=hq.recover_coefficients(beta, tol=RECOVER_TOL),
         raw=dict(values),
     )
 

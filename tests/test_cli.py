@@ -79,6 +79,14 @@ class TestAnalyze:
         lower = float(line.split("[")[1].split(",")[0])
         assert lower == pytest.approx(want, rel=1e-9)
 
+    def test_deep_flat_sum(self, tmp_path, capsys):
+        # 1500 terms: a sum chain far deeper than the interpreter's stack
+        terms = " + ".join(f"x^3/{1000 * i}" for i in range(1, 1501))
+        path = tmp_path / "deep.surf"
+        path.write_text(f"name = deep\nu = x*y + {terms}\n")
+        assert cli.main(["analyze", str(path), "--case", "willmore"]) == 0
+        assert "verdict: Foliates" in capsys.readouterr().out.splitlines()
+
 
 class TestGallery:
     def test_csv_columns_and_verdicts(self, capsys):
@@ -243,3 +251,29 @@ class TestInputErrors:
             cli.main(["frobnicate"])
         assert info.value.code == cli.EX_USAGE
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f1, message", [
+        ("ln(w3)", "ln of non-positive value in subexpression 'ln(w3)'"),
+        ("z*w3", "unbound variable 'z'"),
+    ], ids=["domain", "unbound"])
+    def test_family_expression_not_evaluable(self, tmp_path, capsys, f1, message):
+        path = tmp_path / "bad.fam"
+        path.write_text(f"v = 0.5\nf1 = {f1}\nlambda_max = 0.05\n")
+        assert cli.main(["foliate", str(path)]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hemifol: error: {message}\n"
+
+    @pytest.mark.parametrize("u, message", [
+        ("x + y", "hemifol: error: critical point at (0.01, -0.01) has |det hessH| <= 1e-10"),
+        ("x*y + " + " + ".join(f"x^2*y/{i}" for i in range(1, 21)),
+         "hemifol: error: Newton iterate left the domain: (2.69"),
+    ], ids=["degenerate", "no-convergence"])
+    def test_surface_without_critical_point(self, tmp_path, capsys, u, message):
+        path = tmp_path / "bad.surf"
+        path.write_text(f"name = bad\nu = {u}\n")
+        assert cli.main(["analyze", str(path), "--case", "willmore"]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(message)

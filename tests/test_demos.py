@@ -53,3 +53,12 @@ def test_moments_and_recovery_demo():
     out = _run_demo("moments_and_recovery.py")
     assert "integral of w1^2 w2^0 w3^1  =  1/4 * pi" in out
     assert "  e: NoRationalFit (" in out
+
+
+def test_expansion_verification_demo():
+    out = _run_demo("expansion_verification.py")
+    totals = [line for line in out.splitlines() if line.startswith("  total : ")]
+    assert totals == [
+        "  total : K pi*(1 + 0*ln2)   H^2 pi*(-3/2 + 1*ln2)",
+        "  total : K pi*(1/6 + 0*ln2)   H^2 pi*(-35/192 + 0*ln2)",
+    ]

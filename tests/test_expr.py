@@ -219,3 +219,188 @@ def test_cot():
     assert ex.evaluate(e, {"x": math.pi / 4}) == pytest.approx(1.0)
     d = ex.diff(e, "x")
     assert ex.evaluate(d, {"x": math.pi / 4}) == pytest.approx(-2.0)
+
+
+# ---------------------------------------------------------------------------
+# deep expressions: every walk is iterative
+# ---------------------------------------------------------------------------
+
+N_DEEP = 1500
+HARMONIC = sum(1.0 / i for i in range(1, N_DEEP + 1))
+
+
+def _deep_sum():
+    """x*y + sum_{i <= N} x^3/(1000 i), a left-deep chain of N additions."""
+    e = ex.parse("x*y")
+    for i in range(1, N_DEEP + 1):
+        e = e + ex.var("x") ** 3 / (1000 * i)
+    return e
+
+
+def _deep_product():
+    """x*x*...*x with N + 1 factors, a left-deep chain of N products."""
+    x = ex.var("x")
+    e = x
+    for _ in range(N_DEEP):
+        e = e * x
+    return e
+
+
+def test_deep_sum_through_every_walk():
+    e = _deep_sum()
+    x, y = 0.5, 0.25
+    c = HARMONIC / 1000.0
+    assert ex.evaluate(e, {"x": x, "y": y}) == pytest.approx(x * y + c * x ** 3, rel=1e-12)
+    jet = ex.evaluate_jet(e, {"x": ex.Jet2(x, 1.0, 0.0), "y": y})
+    assert jet.f == pytest.approx(x * y + c * x ** 3, rel=1e-12)
+    assert jet.d1 == pytest.approx(y + 3 * c * x ** 2, rel=1e-12)
+    assert jet.d2 == pytest.approx(6 * c * x, rel=1e-12)
+    dx = ex.diff(e, "x")
+    assert ex.evaluate(dx, {"x": x, "y": y}) == pytest.approx(y + 3 * c * x ** 2, rel=1e-12)
+    s = ex.substitute(e, {"y": ex.const(2)})
+    assert ex.evaluate(s, {"x": x}) == pytest.approx(2 * x + c * x ** 3, rel=1e-12)
+    assert ex.free_variables(e) == {"x", "y"}
+    text = ex.to_string(e)
+    assert text.startswith("x*y + x^3/1000 + x^3/2000 + x^3/3000 + ")
+    assert text.endswith(" + x^3/1500000")
+    assert ex.parse(text) is e
+
+
+def test_deep_product_through_every_walk():
+    e = _deep_product()
+    n = N_DEEP + 1
+    x = 1.0005
+    assert ex.evaluate(e, {"x": x}) == pytest.approx(x ** n, rel=1e-11)
+    jet = ex.evaluate_jet(e, {"x": ex.Jet2(x, 1.0, 0.0)})
+    assert jet.f == pytest.approx(x ** n, rel=1e-11)
+    assert jet.d1 == pytest.approx(n * x ** (n - 1), rel=1e-11)
+    assert jet.d2 == pytest.approx(n * (n - 1) * x ** (n - 2), rel=1e-11)
+    dx = ex.diff(e, "x")
+    assert ex.evaluate(dx, {"x": x}) == pytest.approx(n * x ** (n - 1), rel=1e-11)
+    s = ex.substitute(e, {"x": ex.parse("2*y")})
+    assert ex.evaluate(s, {"y": x / 2}) == pytest.approx(x ** n, rel=1e-11)
+    assert ex.free_variables(e) == {"x"}
+    text = ex.to_string(e)
+    assert text == "*".join(["x"] * n)
+    assert ex.parse(text) is e
+
+
+# ---------------------------------------------------------------------------
+# several roots over one memo
+# ---------------------------------------------------------------------------
+
+def _bits(v):
+    parts = (v.f, v.d1, v.d2) if isinstance(v, ex.Jet2) else (v,)
+    return [(np.shape(p), np.asarray(p, dtype=float).tobytes()) for p in parts]
+
+
+def test_multi_root_evaluate_matches_single_roots():
+    rng = np.random.default_rng(17)
+    roots = [_random_expr(rng) for _ in range(40)]
+    xs, ys = rng.uniform(-1.5, 1.5, 64), rng.uniform(-1.5, 1.5, 64)
+    for b in ({"x": xs, "y": ys},
+              {"x": ex.Jet2(xs, 1.0, 0.0), "y": ex.Jet2(ys, 0.5, -1.0)},
+              {"x": 0.3, "y": -0.7}):
+        together = ex.evaluate(roots, b)
+        assert len(together) == len(roots)
+        for e, got in zip(roots, together):
+            assert _bits(got) == _bits(ex.evaluate(e, b)), ex.to_string(e)
+
+
+# ---------------------------------------------------------------------------
+# printing: byte-identical to the recursive printer
+# ---------------------------------------------------------------------------
+
+_REF_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 3}
+
+
+def _ref_frac(x):
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _reference_print(e, prec=0):
+    """The recursive printer the iterative one replaced, kept as the reference."""
+    k = e.kind
+    if k == "const":
+        x = e.payload
+        if x < 0:
+            s = f"0 - {_ref_frac(-x)}"
+            return f"({s})" if prec >= 1 else s
+        s = _ref_frac(x)
+        return f"({s})" if x.denominator != 1 and prec > 2 else s
+    if k == "pi":
+        return "pi"
+    if k == "var":
+        return e.payload
+    if k == "add":
+        s = f"{_reference_print(e.args[0], 1)} + {_reference_print(e.args[1], 1)}"
+    elif k == "sub":
+        s = f"{_reference_print(e.args[0], 1)} - {_reference_print(e.args[1], 2)}"
+    elif k == "mul":
+        s = f"{_reference_print(e.args[0], 2)}*{_reference_print(e.args[1], 2)}"
+    elif k == "div":
+        s = f"{_reference_print(e.args[0], 2)}/{_reference_print(e.args[1], 3)}"
+    elif k == "pow":
+        n = e.payload
+        if n < 0:
+            return _reference_print(ex.div(ex.ONE, ex.powi(e.args[0], -n)), prec)
+        s = f"{_reference_print(e.args[0], 4)}^{n}"
+        return f"({s})" if prec > 3 else s
+    else:
+        return f"{k}({_reference_print(e.args[0], 0)})"
+    return f"({s})" if prec >= _REF_PREC[k] + 1 else s
+
+
+def test_to_string_matches_recursive_printer():
+    rng = np.random.default_rng(19)
+    corpus = []
+    for _ in range(150):
+        e = _random_expr(rng)
+        c = ex.const(Fraction(-int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+        r = ex.const(Fraction(int(rng.integers(1, 9)), int(rng.integers(2, 9))))
+        # negative powers, and negative and rational constants in every context
+        corpus += [e, e ** -1, e ** -3, (e ** -2) ** 2, c - e, e - c, c * e, e * c,
+                   e / c, e / r, r / e, r ** 2 * e, (e + c) ** 3, ex.sin(c * e),
+                   e ** -2 / r, c + e ** -1]
+    for e in corpus:
+        assert ex.to_string(e) == _reference_print(e)
+
+
+# ---------------------------------------------------------------------------
+# constants, the parser's nesting cap
+# ---------------------------------------------------------------------------
+
+def test_constants_carry_their_float(monkeypatch):
+    e = ex.parse("3/7*x^2 - 5/11*x + 2/3 + pi")
+
+    def no_conversion(self):
+        raise AssertionError("Fraction converted to float during evaluation")
+
+    monkeypatch.setattr(Fraction, "__float__", no_conversion)
+    x = 0.3
+    assert ex.evaluate(e, {"x": x}) == pytest.approx(
+        3 / 7 * x * x - 5 / 11 * x + 2 / 3 + math.pi, rel=1e-15)
+
+
+def test_constant_beyond_float_range_is_a_domain_error():
+    e = ex.parse("10^400*x")
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(e, {"x": 1.0})
+    assert "constant outside the float range" in str(err.value)
+
+
+def test_parse_nesting_cap():
+    n = ex.MAX_NESTING
+    assert ex.parse("(" * n + "x" + ")" * n) is ex.var("x")
+    nested = ex.parse("sin(" * n + "x" + ")" * n)
+    want = 0.5
+    for _ in range(n):
+        want = math.sin(want)
+    assert ex.evaluate(nested, {"x": 0.5}) == pytest.approx(want, rel=1e-14)
+    for text, offset in [("(" * (n + 1) + "x" + ")" * (n + 1), n),
+                         ("(" * 2000 + "x" + ")" * 2000, n),
+                         ("1 + " + "ln(" * (n + 1) + "x" + ")" * (n + 1), 4 + 3 * n)]:
+        with pytest.raises(ex.ParseError) as err:
+            ex.parse(text)
+        assert err.value.offset == offset
+        assert f"more than {n} nested groups" in str(err.value)
