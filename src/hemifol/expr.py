@@ -46,6 +46,9 @@ RESERVED = ("pi",) + FUNCTIONS
 # stay well inside the interpreter's default recursion limit of 1000.
 MAX_NESTING = 200
 
+# longest subexpression text a DomainError message quotes
+_MESSAGE_TEXT_MAX = 200
+
 
 class ExprError(Exception):
     pass
@@ -74,10 +77,16 @@ class UnboundVariableError(EvalError):
 
 
 class DomainError(EvalError):
-    """Evaluation left the function domain; carries the offending subtree."""
+    """Evaluation left the function domain; carries the offending subtree.
+    The message quotes the subtree's text when it is at most 200 characters
+    long, and otherwise names the subtree's operator and the text's length:
+    printing expands the DAG into a tree, which can exhaust memory."""
 
     def __init__(self, message, subtree):
-        super().__init__(f"{message} in subexpression '{to_string(subtree)}'")
+        text, length = _text(subtree, _MESSAGE_TEXT_MAX)
+        where = (f"subexpression '{text}'" if text is not None
+                 else f"'{subtree.kind}' subexpression of {length} characters")
+        super().__init__(f"{message} in {where}")
         self.subtree = subtree
 
 
@@ -662,46 +671,55 @@ _INFIX = {"add": (" + ", 1, 1, 2), "sub": (" - ", 1, 2, 2),
 def to_string(e: Expr) -> str:
     """Grammar-conformant text; parse(to_string(e)) evaluates identically
     when the text nests at most ``MAX_NESTING`` groups."""
+    return _text(e)[0]
+
+
+def _text(e: Expr, limit=math.inf):
+    """(text, length) of ``to_string(e)``.  Lengths are summed over the DAG,
+    so a text longer than ``limit`` characters is measured without being
+    built, and comes back as None."""
     order = _postorder((e,))
     # a node's text is dropped once its last parent has used it: printing
     # expands the DAG into a tree, and the texts of shared subtrees are large
     uses = Counter(id(a) for n in order for a in n.args)
-    memo: dict[int, tuple[str, int]] = {}
+    memo: dict[int, tuple[str | None, int, int]] = {}
 
     def operand(a, prec):
-        s, threshold = memo[id(a)]
+        s, length, threshold = memo[id(a)]
         uses[id(a)] -= 1
         if not uses[id(a)]:
             del memo[id(a)]
-        return f"({s})" if prec >= threshold else s
+        return (s and f"({s})", length + 2) if prec >= threshold else (s, length)
 
     for n in order:
         k = n.kind
         if k == "const":
             x = n.payload
             if x < 0:
-                r = (f"0 - {-x}", 1)
+                parts, threshold = (f"0 - {-x}",), 1
             else:
                 # a/b must bind like a term, not an atom
-                r = (str(x), 3 if x.denominator != 1 else _ATOM)
+                parts, threshold = (str(x),), 3 if x.denominator != 1 else _ATOM
         elif k == "pi":
-            r = ("pi", _ATOM)
+            parts, threshold = ("pi",), _ATOM
         elif k == "var":
-            r = (n.payload, _ATOM)
+            parts, threshold = (n.payload,), _ATOM
         elif k in _INFIX:
             op, left, right, threshold = _INFIX[k]
-            r = (f"{operand(n.args[0], left)}{op}{operand(n.args[1], right)}",
-                 threshold)
+            parts = (operand(n.args[0], left), op, operand(n.args[1], right))
         elif k == "pow":
             # a^-m prints as 1/a^m
             m = n.payload
             if m > 0:
-                r = (f"{operand(n.args[0], 4)}^{m}", 4)
+                parts, threshold = (operand(n.args[0], 4), f"^{m}"), 4
             elif m == -1:
-                r = (f"1/{operand(n.args[0], 3)}", 3)
+                parts, threshold = ("1/", operand(n.args[0], 3)), 3
             else:
-                r = (f"1/{operand(n.args[0], 4)}^{-m}", 3)
+                parts, threshold = ("1/", operand(n.args[0], 4), f"^{-m}"), 3
         else:
-            r = (f"{k}({operand(n.args[0], 0)})", _ATOM)
-        memo[id(n)] = r
-    return memo[id(e)][0]
+            parts, threshold = (f"{k}(", operand(n.args[0], 0), ")"), _ATOM
+        length = sum(len(p) if isinstance(p, str) else p[1] for p in parts)
+        text = (None if length > limit else
+                "".join(p if isinstance(p, str) else p[0] for p in parts))
+        memo[id(n)] = (text, length, threshold)
+    return memo[id(e)][:2]

@@ -5,10 +5,12 @@ coverage of a deleted neighborhood, and the v < 1 / v > 1 dichotomy.
 Inside/outside queries reflect the leaf across the boundary plane z = 0 to
 a closed surface, the reflection device of the abstract foliation
 argument, and decide against it exactly: the doubled leaf is a radial graph
-about its base center, so a point is inside when it is nearer that center
-than the leaf along the same ray, found by the ray-intersection fixed
-point.  Smoothness of the leaf map is not certified, only injectivity,
-monotonicity and coverage; reports say so.
+about its base center, so the signed radial gap of a point (its distance
+from that center minus the leaf's along the same ray, found by the
+ray-intersection fixed point) is negative exactly inside.  Two leaves meet
+when that gap, taken over the points of the smaller leaf, changes sign.
+Smoothness of the leaf map is not certified, only injectivity, monotonicity
+and coverage; reports say so.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import expr as ex
 
@@ -32,8 +33,6 @@ SMOOTHNESS_NOTE = ("leaf-map smoothness is not certified numerically; "
                    "this report checks injectivity, ray monotonicity and "
                    "coverage only")
 
-CONTACT_TOL = 1e-9
-INCONCLUSIVE_TOL = 1e-6
 RAY_TOL = 1e-12
 RAY_MAX_ITER = 200
 E1 = np.array([1.0, 0.0, 0.0])
@@ -48,8 +47,8 @@ class NoConvergence(Exception):
 
 
 class InconclusiveOverlap(Exception):
-    """Minimum leaf distance falls in the tangency band [1e-9, 1e-6] where
-    intersection cannot be certified numerically; refine the grid."""
+    """The radial gap between two leaves is within its computed error, so
+    whether they touch or cross cannot be decided numerically."""
 
 
 class LeafFamily:
@@ -144,9 +143,9 @@ class PairResult:
     lambda1: float
     lambda2: float
     intersects: bool
-    min_distance: float
-    witness: tuple | None          # (point on leaf 1-ish, point on leaf 2) or None
-    method: str                    # 'distance' | 'interior' | 'disjoint'
+    min_distance: float            # smallest radial gap; 0.0 for a crossing
+    witness: tuple | None          # (point on leaf 1, point on leaf 2) at a crossing
+    method: str                    # 'interior' (crossing) | 'disjoint'
 
 
 @dataclass
@@ -161,34 +160,34 @@ class FoliationReport:
 
 
 # ---------------------------------------------------------------------------
-# ray fixed point: ray intersections and the inside/outside test
+# ray fixed point, the radial gap and the inside/outside test
 # ---------------------------------------------------------------------------
 
 def _ray_fixed_point(fam: LeafFamily, lam: float, origin, theta0):
-    """Coupled fixed point (t, omega) of origin + t theta0 = phi_lam(omega):
-    t from the quadratic |origin + t theta0 - center|^2 = lambda^2
-    (larger root) with center = lambda v e1 + lambda^2 f(lambda, omega),
-    omega by renormalizing the pullback; contraction for small lambda.
-    ``theta0`` is a unit vector."""
+    """Coupled fixed point (t, omega) of origin + t theta0 = phi_lam(omega)
+    for unit directions ``theta0`` of shape (..., 3): t from the quadratic
+    |origin + t theta0 - center|^2 = lambda^2 (larger root) with center =
+    lambda v e1 + lambda^2 f(lambda, omega), omega by renormalizing the
+    pullback; contraction for small lambda.  Iterates until the largest step
+    over all directions is below ``RAY_TOL``."""
     omega = theta0.copy()
     t_val = lam
+    shift = lam * fam.v * E1 - origin
     for _ in range(RAY_MAX_ITER):
-        rel = lam * fam.v * E1 + lam ** 2 * fam.f(lam, omega) - origin
-        b = float(theta0 @ rel)
-        c = float(rel @ rel) - lam ** 2
-        disc = b * b - c
-        if disc < 0:
+        rel = shift + lam ** 2 * fam.f(lam, omega)
+        b = (theta0 * rel).sum(axis=-1)
+        disc = b * b - (rel * rel).sum(axis=-1) + lam ** 2
+        if disc.min() < 0:
             raise NoIntersection(
-                f"ray misses the leaf (discriminant {disc:.3e})")
-        t_new = b + math.sqrt(disc)
-        om_raw = (t_new * theta0 - rel) / lam
-        nrm = np.linalg.norm(om_raw)
-        if nrm == 0:
-            raise NoConvergence("degenerate pullback")
-        om_new = om_raw / nrm
-        delta = abs(t_new - t_val) + float(np.linalg.norm(om_new - omega))
+                f"ray misses the leaf (discriminant {disc.min():.3e})")
+        t_new = b + np.sqrt(disc)
+        # |om_raw| = 1 up to rounding, by the choice of t_new
+        om_raw = (t_new[..., None] * theta0 - rel) / lam
+        om_new = om_raw / np.sqrt((om_raw * om_raw).sum(axis=-1, keepdims=True))
+        step = om_new - omega
+        delta = abs(t_new - t_val) + np.sqrt((step * step).sum(axis=-1))
         t_val, omega = t_new, om_new
-        if delta < RAY_TOL:
+        if delta.max() < RAY_TOL:
             return t_val, omega
     raise NoConvergence(f"fixed point not contracting after {RAY_MAX_ITER} iterations")
 
@@ -202,6 +201,7 @@ def ray_intersect(fam: LeafFamily, lam: float, theta0) -> RayIntersection:
     theta0 = np.asarray(theta0, dtype=float)
     theta0 = theta0 / np.linalg.norm(theta0)
     t_val, omega = _ray_fixed_point(fam, lam, np.zeros(3), theta0)
+    t_val = float(t_val)
     if t_val < 0:
         raise NoIntersection("leaf lies behind the ray origin")
     if omega[2] < -1e-9:
@@ -210,150 +210,100 @@ def ray_intersect(fam: LeafFamily, lam: float, theta0) -> RayIntersection:
     return RayIntersection(t_val, omega, residual)
 
 
-def point_inside_leaf(fam: LeafFamily, lam: float, point) -> bool:
-    """Inside the leaf doubled by reflection across z = 0: reflect the point
-    to z >= 0 and compare its distance from the base center lambda v e1 with
-    the leaf's along the same ray.  The doubled leaf is a radial graph about
-    that center (see :class:`LeafFamily`), so this decides exactly."""
-    point = np.asarray(point, dtype=float)
+def _radial_gap(fam: LeafFamily, lam: float, points):
+    """Signed radial gap of points (..., 3) to the leaf doubled by reflection
+    across z = 0: each point, reflected to z >= 0, has its distance from the
+    base center lambda v e1 less the leaf's distance from that center along
+    the same ray.  The doubled leaf is a radial graph about the center (see
+    :class:`LeafFamily`), so the gap is negative exactly inside it.  Returns
+    the gap and the leaf's point on each ray."""
     base = lam * fam.v * E1
-    d = np.array([point[0], point[1], abs(point[2])]) - base
-    r = float(np.linalg.norm(d))
-    if r == 0:
-        return True
-    t_val, _ = _ray_fixed_point(fam, lam, base, d / r)
-    return r < t_val
+    d = np.concatenate((points[..., :2], np.abs(points[..., 2:])), axis=-1) - base
+    r = np.linalg.norm(d, axis=-1)
+    # the center itself is inside along any ray
+    u = np.where(r[..., None] > 0, d, [0.0, 0.0, 1.0])
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    t_val, _ = _ray_fixed_point(fam, lam, base, u)
+    return r - t_val, base + t_val[..., None] * u
+
+
+def point_inside_leaf(fam: LeafFamily, lam: float, point) -> bool:
+    """Inside the leaf doubled by reflection across z = 0: the radial gap of
+    :func:`_radial_gap` at one point is negative."""
+    return bool(_radial_gap(fam, lam, np.asarray(point, dtype=float))[0] < 0)
 
 
 # ---------------------------------------------------------------------------
 # pairwise leaf intersection
 # ---------------------------------------------------------------------------
 
-def _sphere_grid(n: int):
-    t = np.linspace(0.0, 1.0, n)
-    phi = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    tt, pp = np.meshgrid(t, phi, indexing="ij")
-    s = np.sqrt(np.clip(1.0 - tt ** 2, 0.0, None))
-    return np.stack([s * np.cos(pp), s * np.sin(pp), tt], axis=-1).reshape(-1, 3)
+# polar angle and azimuth of the grid on which leaves_intersect first
+# evaluates the gap; both spacings are pi/32
+_THETA = np.linspace(0.0, np.pi / 2, 17)
+_PHI = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+_STENCIL = np.arange(-2.0, 3.0)
+_FINEST_STEP = 1e-6
+_SECTIONS = np.linspace(0.0, 1.0, 17)[:, None]
 
 
-_SEED_GRID = _sphere_grid(32)
-_DESCENT_STEPS = 50
-
-
-def _nearest_pair(p1, p2):
-    """First (i, j) in row-major order minimizing |p1[i] - p2[j]|^2, as
-    ``np.argmin`` over the all-pairs array would pick it, found with k-d
-    trees: the nearest distance r bounds a ball query, and the pairs within
-    r (1 + 1e-9) are scored again with the all-pairs expression."""
-    tree1, tree2 = cKDTree(p1), cKDTree(p2)
-    r = float(np.min(tree1.query(p2)[0]))
-    near = tree1.query_ball_tree(tree2, r * (1.0 + 1e-9))
-    i = np.repeat(np.arange(len(near)), [len(js) for js in near])
-    j = np.fromiter((jj for js in near for jj in js), dtype=np.intp, count=len(i))
-    d2 = np.sum((p1[i] - p2[j]) ** 2, axis=-1)
-    best = d2 == d2.min()
-    return min(zip(i[best].tolist(), j[best].tolist()))
-
-
-def _min_distance(fam: LeafFamily, lam1: float, lam2: float):
-    """Minimum distance between two leaves and a witness pair of points, by
-    projected gradient descent on the squared distance from a seed pair;
-    deterministic.
-
-    The seed is the nearest pair of leaf points over a 32 x 32 grid of the
-    half-sphere (:func:`_nearest_pair`).  The tie-break is explicit because
-    exact ties occur: the grid's t = 1 row holds 32 copies of the pole, and
-    symmetric families can give mirror pairs at equal distance.  The first pair
-    in row-major order is the one a dense ``argmin`` picks, so the seed, and
-    with it the descent's result, does not depend on the trees' order."""
-    i, j = _nearest_pair(fam.leaf(lam1, _SEED_GRID), fam.leaf(lam2, _SEED_GRID))
-    om1, om2 = _SEED_GRID[i].copy(), _SEED_GRID[j].copy()
-
-    def project(g, om):
-        g = g - (g @ om) * om
-        return g
-
-    def tangent_step(om, g, size):
-        cand = om - size * g
-        cand = cand / np.linalg.norm(cand)
-        if cand[2] < 0.0:
-            cand = cand.copy()
-            cand[2] = 0.0
-            cand = cand / np.linalg.norm(cand)
-        return cand
-
-    x1, x2 = fam.leaf(lam1, om1), fam.leaf(lam2, om2)
-    cur = float(np.linalg.norm(x1 - x2))
-    step = 0.1
-    for _ in range(_DESCENT_STEPS):
-        diff = x1 - x2
-        j1 = lam1 * (np.eye(3) + lam1 * fam.jacobian_f(lam1, om1))
-        j2 = lam2 * (np.eye(3) + lam2 * fam.jacobian_f(lam2, om2))
-        g1 = project(2.0 * diff @ j1, om1)
-        g2 = project(-2.0 * diff @ j2, om2)
-        norm = math.sqrt(float(g1 @ g1 + g2 @ g2))
-        if norm < 1e-16:
-            break
-        improved = False
-        for _ in range(30):
-            c1 = tangent_step(om1, g1 / norm, step)
-            c2 = tangent_step(om2, g2 / norm, step)
-            y1, y2 = fam.leaf(lam1, c1), fam.leaf(lam2, c2)
-            val = float(np.linalg.norm(y1 - y2))
-            if val < cur:
-                om1, om2, x1, x2, cur = c1, c2, y1, y2, val
-                improved = True
-                break
-            step *= 0.5
-        if not improved or step < 1e-14:
-            break
-    return cur, (x1, x2)
-
-
-def _interior_crossing(fam: LeafFamily, lam1: float, lam2: float):
-    """Interior test: phi_{lam2}(-e1) strictly inside the region bounded by
-    leaf lam1 while phi_{lam2}(+e1) is outside forces a crossing along any
-    connecting curve; returns the crossing point or None."""
-    p_minus = fam.leaf(lam2, np.array([-1.0, 0.0, 0.0]))
-    p_plus = fam.leaf(lam2, np.array([1.0, 0.0, 0.0]))
-    if not (point_inside_leaf(fam, lam1, p_minus)
-            and not point_inside_leaf(fam, lam1, p_plus)):
-        return None
-    # bisection along the equator path gamma(s) from -e1 to +e1 on leaf lam2
-    def gamma(s):
-        ang = math.pi * (1.0 - s)
-        return np.array([math.cos(ang), math.sin(ang), 0.0])
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if point_inside_leaf(fam, lam1, fam.leaf(lam2, gamma(mid))):
-            lo = mid
-        else:
-            hi = mid
-    crossing = fam.leaf(lam2, gamma(0.5 * (lo + hi)))
-    return crossing
+def _half_sphere(theta, phi):
+    s = np.sin(theta)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def leaves_intersect(fam: LeafFamily, lam1: float, lam2: float) -> PairResult:
-    """Decide im(phi_{lam1}) intersect im(phi_{lam2}): near-contact by
-    minimum distance below 1e-9, or the interior test firing; distances in
-    [1e-9, 1e-6] raise :class:`InconclusiveOverlap`."""
+    """Decide im(phi_{lam1}) intersect im(phi_{lam2}) by the sign of the
+    radial gap g (:func:`_radial_gap`) of leaf lam1's points to leaf lam2.
+
+    g is evaluated on a 17 x 64 (theta, phi) grid of the half-sphere.  With
+    no sign change there, a 5 x 5 stencil around the node of smallest |g|
+    moves that node, its spacing halving from pi/32 to 1e-6.  The error of
+    g is the change of the smallest |g| over the last halving plus
+    ``RAY_TOL``.  Values of both signs beyond the error mean a crossing,
+    found by sectioning the parameter segment between the most negative and
+    the most positive value.  Otherwise the pair is disjoint with
+    ``min_distance`` the smallest |g|, unless that is within the error,
+    which raises :class:`InconclusiveOverlap`.
+
+    The points are taken on the smaller leaf: a constructed v > 1 pair's
+    small leaf straddles the large one, while the crossing region on the
+    large leaf is only about (v - 1)/v radians wide."""
     if not 0 < lam1 < lam2 <= fam.lambda_max:
         raise ValueError("need 0 < lambda1 < lambda2 <= lambda_max")
-    dist, witness = _min_distance(fam, lam1, lam2)
-    if dist < CONTACT_TOL:
-        return PairResult(lam1, lam2, True, dist, witness, "distance")
-    crossing = _interior_crossing(fam, lam1, lam2)
-    if crossing is not None:
-        return PairResult(lam1, lam2, True, dist,
-                          (crossing, crossing), "interior")
-    if dist <= INCONCLUSIVE_TOL:
-        raise InconclusiveOverlap(
-            f"minimum leaf distance {dist:.3e} in the tangency band; "
-            "grid refinement advised")
-    return PairResult(lam1, lam2, False, dist, None, "disjoint")
+
+    def gap(theta, phi):
+        p = fam.leaf(lam1, _half_sphere(theta, phi))
+        return _radial_gap(fam, lam2, p) + (p,)
+
+    theta, phi = np.meshgrid(_THETA, _PHI, indexing="ij")
+    g = gap(theta, phi)[0]
+    k = int(np.argmin(np.abs(g)))
+    err, step = RAY_TOL, _THETA[1]
+    while g.min() >= -err or g.max() <= err:
+        low = abs(g.flat[k])
+        if step < _FINEST_STEP:
+            if low <= err:
+                raise InconclusiveOverlap(
+                    f"radial gap {low:.3e} within its error {err:.3e}")
+            return PairResult(lam1, lam2, False, float(low), None, "disjoint")
+        theta, phi = np.meshgrid(
+            np.clip(theta.flat[k] + step * _STENCIL, 0.0, np.pi / 2),
+            phi.flat[k] + step * _STENCIL, indexing="ij")
+        g = gap(theta, phi)[0]
+        k = int(np.argmin(np.abs(g)))
+        err = abs(abs(g.flat[k]) - low) + RAY_TOL
+        step /= 2
+    # g < 0 at a and g >= 0 at b; 13 sections of 16 shrink [a, b] to about
+    # the float spacing of the parameters
+    nodes = np.stack([theta.ravel(), phi.ravel()], axis=-1)
+    a, b = nodes[np.argmin(g)], nodes[np.argmax(g)]
+    for _ in range(13):
+        ab = a + _SECTIONS * (b - a)
+        g, q, p = gap(ab[:, 0], ab[:, 1])
+        g[0], g[-1] = -1.0, 1.0
+        j = int(np.argmax(g >= 0))
+        a, b = ab[j - 1], ab[j]
+    return PairResult(lam1, lam2, True, 0.0, (p[j], q[j]), "interior")
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +334,18 @@ def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> Foliatio
     pairs = []
     if fam.v > 1.0:
         # eps = lambda1/(v-1), i.e. lambda2 = lambda1 * v/(v-1); take grid
-        # starts when they fit under lambda_max and one guaranteed-feasible
-        # start otherwise
+        # starts when they fit under lambda_max and one constructed start
+        # otherwise
         ratio = fam.v / (fam.v - 1.0)
         feasible = [l1 for l1 in lam if l1 * ratio <= fam.lambda_max]
         if not feasible:
-            feasible = [0.9 * fam.lambda_max / ratio]
+            # for constant f1, leaves a < b cross iff v + f1 (lambda_a +
+            # lambda_b) > 1, which lambda2 <= (v - 1)/(2 |f1|) meets; the
+            # factor 4 leaves another 2 for curved f
+            l2 = 0.9 * fam.lambda_max
+            if fam.c_bound > 0:
+                l2 = min(l2, (fam.v - 1.0) / (4.0 * fam.c_bound))
+            feasible = [l2 / ratio]
         for l1 in feasible:
             pairs.append((l1, l1 * ratio))
     pairs += [(lam[i], lam[i + 1]) for i in range(len(lam) - 1)]

@@ -55,7 +55,7 @@ def gallery_params(a: float) -> GalleryParams:
 
 class GraphSurface:
     """Immutable graph z = u(x, y) with symbolically derived curvature
-    fields; safe to share across threads."""
+    fields."""
 
     def __init__(self, u: ex.Expr, domain=((-1.0, 1.0), (-1.0, 1.0)),
                  name: str = ""):

@@ -172,6 +172,20 @@ class TestFoliate:
         assert code == 1
         assert [r["status"] for r in records if "status" in r][0] == "ray-misses"
 
+    @pytest.mark.parametrize("v, f1", [
+        (1.011290136625749, -0.2275), (1.0003322523382998, -0.1513)])
+    def test_constructed_pair_near_v1(self, tmp_path, capsys, v, f1):
+        # v/(v-1) * lambda_min exceeds lambda_max, so the constructed pair
+        # has lambda2 = (v-1)/(4 c_bound), where the leaves still cross
+        fam = _family_file(tmp_path, v, f"(0-{-f1})")
+        code = cli.main(["foliate", str(fam)])
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        assert code == 1
+        l1, l2 = records[-1]["witness_pair"]
+        assert l2 == pytest.approx((v - 1) / (4 * -f1), rel=1e-12)
+        assert l1 == pytest.approx(l2 * (v - 1) / v, rel=1e-12)
+
     def test_rays_csv(self, tmp_path, capsys):
         fam = _family_file(tmp_path, 0.5)
         rays = tmp_path / "rays.csv"

@@ -389,6 +389,29 @@ def test_constant_beyond_float_range_is_a_domain_error():
     assert "constant outside the float range" in str(err.value)
 
 
+def test_domain_error_message_is_bounded():
+    # n doublings of w3 print as 2^n copies of it, 5 * 2^n - 3 characters,
+    # inside ln(0 - (...)): quoted when short, measured when long
+    def doubled(n):
+        e = ex.var("w3")
+        for _ in range(n):
+            e = ex.add(e, e)
+        return ex.ln(ex.sub(ex.ZERO, e))
+
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(doubled(3), {"w3": 1.0})
+    assert str(err.value) == ("ln of non-positive value in subexpression "
+                              f"'{ex.to_string(doubled(3))}'")
+    assert len(ex.to_string(doubled(3))) == 5 * 2 ** 3 + 7
+    bad = doubled(25)
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(bad, {"w3": 1.0})
+    assert str(err.value) == ("ln of non-positive value in 'ln' subexpression "
+                              f"of {5 * 2 ** 25 + 7} characters")
+    assert len(str(err.value)) <= 300
+    assert err.value.subtree is bad
+
+
 def test_parse_nesting_cap():
     n = ex.MAX_NESTING
     assert ex.parse("(" * n + "x" + ")" * n) is ex.var("x")

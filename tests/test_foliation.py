@@ -198,54 +198,45 @@ class TestLeavesIntersect:
         want = nested_sphere_distance(0.5, 0.3, 0.04, 0.08)
         assert res.min_distance == pytest.approx(want, abs=1e-8)
 
+    def test_crossing_off_e1(self):
+        # f = 15 e2: spheres of radius lam centered at 15 lam^2 e2, which cross
+        # iff lam1 + lam2 >= 1/15, on the e2 side only
+        fam = fo.LeafFamily(0.0, (ex.ZERO, ex.const(15), ex.ZERO), lambda_max=0.05)
+        lam = np.linspace(0.005, 0.05, 10)
+        pairs = [(lam[i], lam[i + k]) for k in (1, 2) for i in range(len(lam) - k)]
+        crossing = 0
+        for lam1, lam2 in pairs:
+            res = fo.leaves_intersect(fam, lam1, lam2)
+            c1, c2 = 15 * lam1 ** 2, 15 * lam2 ** 2
+            assert res.intersects == (lam2 - lam1 <= c2 - c1 <= lam1 + lam2), (lam1, lam2)
+            if res.intersects:
+                crossing += 1
+                for x in res.witness:
+                    for l, c in ((lam1, c1), (lam2, c2)):
+                        assert abs(np.linalg.norm(x - [0.0, c, 0.0]) - l) < 1e-10
+        assert crossing == 6
+
+    def test_nearly_touching_nested_leaves(self):
+        # v = 1.0113, f1 = -0.2275: the leaves 0.02 and 0.03 are nested
+        # spheres 8.5e-7 apart
+        v = 1.011290136625749
+        fam = fo.LeafFamily(v, (ex.parse("0-0.2275"), ex.ZERO, ex.ZERO),
+                            lambda_max=0.05)
+        res = fo.leaves_intersect(fam, 0.02, 0.03)
+        assert not res.intersects
+        want = nested_sphere_distance(v, -0.2275, 0.02, 0.03)
+        assert res.min_distance == pytest.approx(want, abs=1e-12)
+
+    def test_touching_leaves_inconclusive(self):
+        # v = 1, f = 0: every leaf passes through the origin
+        fam = fo.LeafFamily(1.0, lambda_max=0.05)
+        with pytest.raises(fo.InconclusiveOverlap):
+            fo.leaves_intersect(fam, 0.02, 0.03)
+
     def test_argument_validation(self):
         fam = fo.LeafFamily(0.0, lambda_max=0.1)
         with pytest.raises(ValueError):
             fo.leaves_intersect(fam, 0.1, 0.05)
-
-
-def _all_pairs_argmin(p1, p2):
-    """The dense seed the k-d tree replaces: first minimum in row-major order."""
-    d2 = np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2)
-    i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    return int(i), int(j)
-
-
-_SEED_FAMILIES = {
-    "zero": (ex.ZERO, ex.ZERO, ex.ZERO),
-    "constant": (ex.parse("0.3"), ex.ZERO, ex.ZERO),
-    "curved": (ex.parse("0.2*w1*w3"), ex.ZERO, ex.parse("0.15*w3*(1-w3)")),
-}
-
-
-class TestSeedPair:
-    @pytest.mark.parametrize("v", [0.1, 0.9, 1.5])
-    @pytest.mark.parametrize("kind", sorted(_SEED_FAMILIES))
-    def test_matches_all_pairs_argmin(self, kind, v):
-        # the pairs foliate tests on its default grid: consecutive, skip and,
-        # for v > 1, the constructed (l1, l1 v/(v-1)); the zero family's
-        # rotational symmetry and the pole row of the grid give exact ties
-        fam = fo.LeafFamily(v, _SEED_FAMILIES[kind], lambda_max=0.05)
-        lam = list(np.linspace(0.005, 0.05, 10))
-        pairs = [(lam[i], lam[i + k]) for k in (1, 2) for i in range(len(lam) - k)]
-        if v > 1:
-            pairs += [(l1, l1 * v / (v - 1)) for l1 in lam
-                      if l1 * v / (v - 1) <= fam.lambda_max]
-        for l1, l2 in pairs:
-            p1 = fam.leaf(l1, fo._SEED_GRID)
-            p2 = fam.leaf(l2, fo._SEED_GRID)
-            assert fo._nearest_pair(p1, p2) == _all_pairs_argmin(p1, p2), (l1, l2)
-
-    def test_exact_tie_takes_first_row(self):
-        # |p1[0] - p2[1]| = |p1[1] - p2[0]| = 1; the nearest neighbour of p2[0]
-        # alone would give (1, 0)
-        p1 = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [5.0, 5.0, 0.0]])
-        p2 = np.array([[9.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, 3.0, 0.0]])
-        assert _all_pairs_argmin(p1, p2) == (0, 1)
-        assert fo._nearest_pair(p1, p2) == (0, 1)
-        # the grid's pole row: 32 equal points on each side
-        pole = np.tile([0.0, 0.0, 1.0], (32, 1))
-        assert fo._nearest_pair(pole, pole + 0.5) == _all_pairs_argmin(pole, pole + 0.5)
 
 
 class TestFoliationReport:
