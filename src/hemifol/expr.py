@@ -10,8 +10,11 @@ the differentiation rules stay closed.
 Every walk of the DAG is a loop over one iterative children-first order, so
 no expression is too deep to evaluate, differentiate or print; only the
 parser recurses, and it rejects more than ``MAX_NESTING`` nested groups.
+Evaluating one root drops each intermediate value as soon as its last
+consumer has been computed, so a walk keeps only the values still to be read.
 :func:`evaluate` also takes a sequence of roots and evaluates them over one
-memo, so subexpressions shared between fields are computed once.
+memo kept to the end, so subexpressions shared between fields are computed
+once.
 
 Evaluation is generic over the scalar type: plain floats / numpy arrays, or
 :class:`Jet2` values carrying (f, f', f'') in one shared deformation
@@ -25,6 +28,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -94,7 +98,7 @@ class Expr:
     """One interned node of an expression DAG.  Do not construct directly;
     use the module-level constructors (which fold constants and intern)."""
 
-    __slots__ = ("kind", "payload", "args", "value", "order")
+    __slots__ = ("kind", "payload", "args", "value", "order", "frees")
 
     def __init__(self, kind, payload, args):
         self.kind = kind          # 'const'|'pi'|'var'|'add'|'sub'|'mul'|'div'|'pow'|<func>
@@ -107,6 +111,7 @@ class Expr:
         except OverflowError:
             self.value = None
         self.order = None         # evaluation order, cached on first evaluation
+        self.frees = None         # per position of order: ids last read there
 
     # -- operator sugar (used heavily when building formulas in code) -------
     def __add__(self, other):
@@ -454,13 +459,34 @@ def _check_nonzero(v, e):
         raise DomainError("division by zero", e)
 
 
-def _eval(roots, bindings):
+def _last_reads(order):
+    """Per position of ``order``: None, or the ids of the nodes whose last
+    consumer sits at that position."""
+    last = {}
+    for pos, n in enumerate(order):
+        for a in n.args:
+            last[id(a)] = pos
+    frees = [None] * len(order)
+    for i, pos in last.items():
+        frees[pos] = (frees[pos] or ()) + (i,)
+    return frees
+
+
+def _eval(roots, bindings, release=False):
+    """Values of ``roots`` over one memo.  With ``release`` (one root) each
+    value is dropped once its last consumer has been computed."""
     memo = {}
     for root in roots:
         order = root.order
         if order is None:
             order = root.order = _postorder((root,))
-        for n in order:
+        if release:
+            frees = root.frees
+            if frees is None:
+                frees = root.frees = _last_reads(order)
+        else:
+            frees = repeat(None)
+        for n, drop in zip(order, frees):
             i = id(n)
             if i in memo:
                 continue
@@ -497,22 +523,27 @@ def _eval(roots, bindings):
                 y = fn(b)
                 r = a._chain(y, *derivs(b, y)) if isinstance(a, Jet2) else y
             memo[i] = r
+            if drop:
+                for j in drop:
+                    del memo[j]
     return [memo[id(root)] for root in roots]
 
 
 def evaluate(e, bindings: dict[str, float]):
     """IEEE-double evaluation; values may be floats or numpy arrays.  ``e``
-    is one expression, or a sequence of expressions evaluated over one memo
-    into a list of values."""
+    is one expression, evaluated keeping only the values still to be read,
+    or a sequence of expressions evaluated over one memo into a list of
+    values."""
     if isinstance(e, Expr):
-        return _eval((e,), bindings)[0]
+        return _eval((e,), bindings, release=True)[0]
     return _eval(e, bindings)
 
 
 def evaluate_jet(e: Expr, bindings: dict[str, Jet2]) -> Jet2:
-    """Evaluate with order-2 jets sharing one deformation parameter."""
+    """Evaluate with order-2 jets sharing one deformation parameter; each
+    intermediate jet is dropped after its last read."""
     b = {k: Jet2.lift(v) for k, v in bindings.items()}
-    return Jet2.lift(_eval((e,), b)[0])
+    return Jet2.lift(_eval((e,), b, release=True)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -179,41 +179,62 @@ def integrate_boundary_tphi(e: ex.Expr, n: int = 256,
 # ---------------------------------------------------------------------------
 
 def _lll(basis):
-    """Integer LLL reduction (delta = 3/4) on a small list of integer rows."""
+    """Integer LLL reduction (delta = 3/4) on a small list of integer rows.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3:
+    the Gram-Schmidt coefficients ``mu`` and squared norms ``B`` are exact
+    ``Fraction`` values, computed once and then updated in place by each
+    size reduction (nearest integer, half to even, from j = k-1 down to 0)
+    and each swap.  A coefficient against a zero-norm vector is taken as 0,
+    so dependent rows are reduced too; the updates keep every value equal
+    to a full recomputation."""
     basis = [row[:] for row in basis]
     n = len(basis)
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
-    def gram():
-        bstar = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = []
-        for i in range(n):
-            v = [Fraction(x) for x in basis[i]]
-            for j in range(i):
-                mu[i][j] = Fraction(dot(basis[i], bstar[j]), 1) / norms[j] \
-                    if norms[j] else Fraction(0)
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            bstar.append(v)
-            norms.append(dot(v, v))
-        return mu, norms
+    bstar = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = []
+    for i in range(n):
+        v = [Fraction(x) for x in basis[i]]
+        for j in range(i):
+            mu[i][j] = Fraction(dot(basis[i], bstar[j])) / B[j] if B[j] else Fraction(0)
+            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+        B.append(dot(v, v))
 
-    mu, norms = gram()
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                mu, norms = gram()
-        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+                mu[k][j] -= q
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+        m = mu[k][k - 1]
+        if B[k] >= (Fraction(3, 4) - m ** 2) * B[k - 1]:
             k += 1
+            continue
+        # swap rows k-1 and k; B[k-1] > 0 here, or the test above holds
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        b = B[k] + m * m * B[k - 1]
+        if b:
+            mu[k][k - 1] = m * B[k - 1] / b
+            B[k] = B[k - 1] * B[k] / b
         else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            mu, norms = gram()
-            k = max(k - 1, 1)
+            B[k] = B[k - 1]
+        B[k - 1] = b
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            u = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * u
+            mu[i][k] = u if B[k] else Fraction(0)
+        k = max(k - 1, 1)
     return basis
 
 

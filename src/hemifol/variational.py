@@ -245,6 +245,41 @@ _EPS_JET = ex.Jet2(0.0, 1.0, 0.0)
 _GAUSS_S = np.polynomial.legendre.leggauss(32)
 
 
+def _surface_integrals(fields: dict, names, nodes, k1, k2, dh) -> list:
+    """Gauss-grid integrals of the named surface fields as jets, after
+    checking the normal radicand on the grid."""
+    t, phi, w = nodes
+    b = _bindings(t, phi, k1, k2, dh, _EPS_JET)
+    rad = ex.evaluate_jet(fields["radicand"], b)
+    if np.min(np.asarray(rad.f)) <= 0:
+        raise DegenerateMetric("normal radicand not positive on the grid")
+    return [_jet_sum(ex.evaluate_jet(fields[name], b), w) for name in names]
+
+
+def _volume_integral(fields: dict, nodes, k1, k2, dh) -> ex.Jet2:
+    """Enclosed volume as a jet: radial Gauss shells over the surface grid;
+    the integrand is polynomial in s for these perturbations, so 32 nodes
+    are exact."""
+    t, phi, w = nodes
+    xs, ws = _GAUSS_S
+    s_nodes = 0.5 * (xs + 1.0)
+    s_w = 0.5 * ws
+    bv = _bindings(t[None, :], phi[None, :], k1, k2, dh, _EPS_JET)
+    bv["s"] = s_nodes[:, None]
+    vol_jet = ex.evaluate_jet(fields["vol_integrand"], bv)
+    w2 = s_w[:, None] * w[None, :]
+    return _jet_sum(vol_jet, w2)
+
+
+def _b1_integral(fields: dict, grid: hq.QuadratureGrid, k1, k2, dh) -> ex.Jet2:
+    """Equator integral of B1 against the round boundary measure."""
+    n_b = 4 * grid.n_azimuthal
+    phib = 2.0 * np.pi * np.arange(n_b) / n_b
+    bb = _bindings(np.zeros_like(phib), phib, k1, k2, dh, _EPS_JET)
+    b1_jet = ex.evaluate_jet(fields["B1"], bb)
+    return _jet_sum(b1_jet, np.full(n_b, 2.0 * np.pi / n_b))
+
+
 def functionals(u_dir: ex.Expr, metric: MetricPerturbation,
                 grid: hq.QuadratureGrid = hq.QuadratureGrid(),
                 k1: float = 1.0, k2: float = 1.0, dh: float = 0.0) -> dict:
@@ -253,29 +288,13 @@ def functionals(u_dir: ex.Expr, metric: MetricPerturbation,
     barycenter components C1, C2, and the equator integral of the first
     boundary operator B1."""
     fields = _build_fields(u_dir, metric)
-    t, phi, w = grid.nodes()
-    b = _bindings(t, phi, k1, k2, dh, _EPS_JET)
-
-    rad = ex.evaluate_jet(fields["radicand"], b)
-    if np.min(np.asarray(rad.f)) <= 0:
-        raise DegenerateMetric("normal radicand not positive on the grid")
-
-    out = {}
-    out["A"] = _jet_sum(ex.evaluate_jet(fields["density"], b), w)
-    out["W"] = _jet_sum(ex.evaluate_jet(fields["W_density"], b), w)
-
-    # volume: radial Gauss shells; integrand is polynomial in s for these
-    # perturbations, so 32 nodes are exact
-    xs, ws = _GAUSS_S
-    s_nodes = 0.5 * (xs + 1.0)
-    s_w = 0.5 * ws
-    bv = _bindings(t[None, :], phi[None, :], k1, k2, dh, _EPS_JET)
-    bv["s"] = s_nodes[:, None]
-    vol_jet = ex.evaluate_jet(fields["vol_integrand"], bv)
-    w2 = s_w[:, None] * w[None, :]
-    out["V"] = _jet_sum(vol_jet, w2)
+    nodes = grid.nodes()
+    out = dict(zip(("A", "W"), _surface_integrals(
+        fields, ("density", "W_density"), nodes, k1, k2, dh)))
+    out["V"] = _volume_integral(fields, nodes, k1, k2, dh)
 
     # linearized barycenter: D1C only, exactly linear in the graph direction
+    t, phi, w = nodes
     u_vals = ex.evaluate(fields["u"], {"t": t, "phi": phi,
                                        "k1": float(k1), "k2": float(k2)})
     w1v, w2v, _ = sphere.omega_values(t, phi)
@@ -284,12 +303,7 @@ def functionals(u_dir: ex.Expr, metric: MetricPerturbation,
             np.broadcast_to(u_vals * wi, w.shape) * w))
         out[f"C{i}"] = ex.Jet2(0.0, d1, 0.0)
 
-    # equator integral of B1 against the round boundary measure
-    n_b = 4 * grid.n_azimuthal
-    phib = 2.0 * np.pi * np.arange(n_b) / n_b
-    bb = _bindings(np.zeros_like(phib), phib, k1, k2, dh, _EPS_JET)
-    b1_jet = ex.evaluate_jet(fields["B1"], bb)
-    out["B1int"] = _jet_sum(b1_jet, np.full(n_b, 2.0 * np.pi / n_b))
+    out["B1int"] = _b1_integral(fields, grid, k1, k2, dh)
     return out
 
 
@@ -468,19 +482,22 @@ def second_derivative_terms(case: str,
     u_dir = lin.uprime_expr(case)
     gprime = metric_first_order()
     gsecond = metric_second_order()
-    functional = "W" if case == "willmore" else "A"
+    # only the functionals read below are integrated: the energy or area
+    # density, plus the B1 equator integral for Willmore
+    density = "W_density" if case == "willmore" else "density"
 
     diag, usq, gsq, u2term, g2term, d1 = {}, {}, {}, {}, {}, {}
-    zero_u = ex.ZERO
-    zero_g = metric_zero()
+    f_diag = _build_fields(u_dir, gprime)
+    f_u = _build_fields(u_dir, metric_zero())
+    f_g = _build_fields(ex.ZERO, gprime)
+    nodes = grid.nodes()
     for k1, k2 in PROBE_PAIRS:
-        f_diag = functionals(u_dir, gprime, grid, k1, k2, dh)
-        f_u = functionals(u_dir, zero_g, grid, k1, k2, dh)
-        f_g = functionals(zero_u, gprime, grid, k1, k2, dh)
-        diag[(k1, k2)] = f_diag[functional].d2
-        usq[(k1, k2)] = f_u[functional].d2
-        gsq[(k1, k2)] = f_g[functional].d2
-        d1[(k1, k2)] = f_diag[functional].d1
+        jd, ju, jg = (_surface_integrals(f, (density,), nodes, k1, k2, dh)[0]
+                      for f in (f_diag, f_u, f_g))
+        diag[(k1, k2)] = jd.d2
+        usq[(k1, k2)] = ju.d2
+        gsq[(k1, k2)] = jg.d2
+        d1[(k1, k2)] = jd.d1
 
         if case == "willmore":
             # D1 W u'' = equator integral of d^2/deps^2 B1[eps u', delta+eps g']
@@ -489,7 +506,7 @@ def second_derivative_terms(case: str,
                 d2_b1_boundary_integrand(gsecond),
                 extra={"k1": k1, "k2": k2,
                        **{n: float(dh) for n in DH_NAMES}})
-            u2term[(k1, k2)] = f_diag["B1int"].d2 + odd
+            u2term[(k1, k2)] = _b1_integral(f_diag, grid, k1, k2, dh).d2 + odd
             g2term[(k1, k2)] = hq.integrate_tphi(
                 d2_willmore_g2_integrand(gsecond), grid,
                 extra={"k1": k1, "k2": k2,

@@ -308,6 +308,104 @@ def test_multi_root_evaluate_matches_single_roots():
 
 
 # ---------------------------------------------------------------------------
+# one root: values are dropped after their last read (on the random corpus,
+# test_multi_root_evaluate_matches_single_roots compares the two paths)
+# ---------------------------------------------------------------------------
+
+def _kept(e, b):
+    """``e`` evaluated by the multi-root path, which keeps every value."""
+    return ex.evaluate([e], b)[0]
+
+
+def _kept_jet(e, b):
+    """``evaluate_jet`` through the multi-root path."""
+    return ex.Jet2.lift(_kept(e, {k: ex.Jet2.lift(v) for k, v in b.items()}))
+
+
+@pytest.mark.parametrize("name", ["radicand", "density", "W_density",
+                                  "vol_integrand", "B1"])
+def test_release_matches_kept_memo_on_variational_fields(name):
+    from hemifol import linearized as lin
+    from hemifol import quadrature as hq
+    from hemifol import variational as va
+
+    fields = va._build_fields(lin.uprime_expr("willmore"), va.metric_first_order())
+    t, phi, _ = hq.QuadratureGrid(16, 32).nodes()
+    b = va._bindings(t, phi, 1.0, -0.5, 0.0, va._EPS_JET)
+    if name == "vol_integrand":
+        b = va._bindings(t[None, :], phi[None, :], 1.0, -0.5, 0.0, va._EPS_JET)
+        b["s"] = np.linspace(0.0, 1.0, 5)[:, None]
+    # names, not the fields, in the assertions: printing a field expands
+    # its DAG into a tree of hundreds of MB
+    got, want = _bits(ex.evaluate_jet(fields[name], b)), _bits(_kept_jet(fields[name], b))
+    assert got == want
+    assert got[2][0] == np.broadcast_shapes(*(np.shape(v) for v in b.values()))
+
+
+def test_release_edge_cases():
+    x, y = ex.var("x"), ex.var("y")
+    xs = np.linspace(0.1, 0.9, 7)
+    b = {"x": xs, "y": 2.0 * xs}
+    # one argument read twice by one node
+    a = ex.sin(x) + ex.ONE
+    sq = ex.mul(a, a)
+    assert sq.args[0] is sq.args[1]
+    assert _bits(ex.evaluate(sq, b)) == _bits((np.sin(xs) + 1.0) * (np.sin(xs) + 1.0))
+    # a bare variable is its own value
+    assert ex.evaluate(x, b) is xs
+    assert ex.evaluate_jet(x, {"x": ex.Jet2(xs, 1.0, 0.0)}).f is xs
+    # a second evaluation reuses the cached free list
+    e = ex.ln(sq + y) * ex.cos(a) - a / (y + ex.ONE)
+    first = ex.evaluate(e, b)
+    frees = e.frees
+    assert len(frees) == len(e.order)
+    assert sum(len(drop or ()) for drop in frees) == len(e.order) - 1
+    assert _bits(first) == _bits(_kept(e, b))
+    assert _bits(ex.evaluate(e, b)) == _bits(first)
+    assert e.frees is frees
+    # a root evaluated alone, then as a subtree of a later root
+    later = ex.sqrt(e * e + ex.ONE) + e
+    want = _kept(later, b)
+    assert _bits(ex.evaluate(later, b)) == _bits(want)
+    together = ex.evaluate([e, later], b)
+    assert _bits(together[0]) == _bits(first)
+    assert _bits(together[1]) == _bits(want)
+
+
+def test_release_domain_error_names_its_node():
+    x = ex.var("x")
+    head = ex.sin(x) * ex.cos(x) + x ** 2      # walked and dropped first
+    bad = ex.ln(x - ex.const(2))
+    e = head + bad * ex.sqrt(x)
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(e, {"x": np.array([1.0, 3.0])})
+    assert err.value.subtree is bad
+    assert str(err.value) == "ln of non-positive value in subexpression 'ln(x - 2)'"
+    # the free list cached by the failed walk serves the next one
+    assert ex.evaluate(e, {"x": 3.0}) == ex.evaluate([e], {"x": 3.0})[0]
+
+
+def test_w_density_jet_peak_memory():
+    # intermediates are dropped at their last read; a walk that keeps every
+    # jet of the 1,232-node DAG peaks at about 240 MB
+    import tracemalloc
+
+    from hemifol import linearized as lin
+    from hemifol import quadrature as hq
+    from hemifol import variational as va
+
+    fields = va._build_fields(lin.uprime_expr("willmore"), va.metric_first_order())
+    t, phi, _ = hq.QuadratureGrid(64, 128).nodes()
+    b = va._bindings(t, phi, 1.0, 1.0, 0.0, va._EPS_JET)
+    tracemalloc.start()
+    try:
+        ex.evaluate_jet(fields["W_density"], b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6, peak / 1e6
+
+# ---------------------------------------------------------------------------
 # printing: byte-identical to the recursive printer
 # ---------------------------------------------------------------------------
 

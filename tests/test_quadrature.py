@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from hemifol import expr as ex
 from hemifol import quadrature as hq
+from hemifol import variational as va
 
 LN2 = math.log(2.0)
 
@@ -168,6 +170,112 @@ class TestRecoverCoefficients:
         x = math.pi * (113 / 30240 - LN2 / 9) + 1e-6
         with pytest.raises(hq.NoRationalFit):
             hq.recover_coefficients(x)
+
+
+# ---------------------------------------------------------------------------
+# lattice reduction: the incremental LLL against a full recomputation
+# ---------------------------------------------------------------------------
+
+def _reference_lll(basis):
+    """The LLL that recomputed the whole Gram-Schmidt after every size
+    reduction and swap, kept as the reference."""
+    basis = [row[:] for row in basis]
+    n = len(basis)
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gram():
+        bstar = []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        norms = []
+        for i in range(n):
+            v = [Fraction(x) for x in basis[i]]
+            for j in range(i):
+                mu[i][j] = Fraction(dot(basis[i], bstar[j]), 1) / norms[j] \
+                    if norms[j] else Fraction(0)
+                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+            bstar.append(v)
+            norms.append(dot(v, v))
+        return mu, norms
+
+    mu, norms = gram()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                mu, norms = gram()
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            mu, norms = gram()
+            k = max(k - 1, 1)
+    return basis
+
+
+def _recovery_lattices(values, monkeypatch):
+    """(basis, reduced basis) of every _lll call recover_coefficients makes
+    for these values."""
+    seen = []
+    lll = hq._lll
+
+    def record(rows):
+        rows = [row[:] for row in rows]
+        reduced = lll(rows)
+        seen.append((rows, reduced))
+        return reduced
+
+    monkeypatch.setattr(hq, "_lll", record)
+    for x in values:
+        try:
+            hq.recover_coefficients(x)
+        except hq.NoRationalFit:
+            pass
+    monkeypatch.setattr(hq, "_lll", lll)
+    assert len(seen) == 6 * len(values)
+    return seen
+
+
+class TestLLL:
+    def test_term_value_lattices(self, willmore_terms, cmc_terms, monkeypatch):
+        # the K and H^2 coefficients of the ten terms of both cases
+        values = [c for dec in (willmore_terms, cmc_terms)
+                  for tv in dec.terms.values()
+                  for c in va._fit_K_H2(tv.raw)]
+        assert len(values) == 20
+        for rows, reduced in _recovery_lattices(values, monkeypatch):
+            assert reduced == _reference_lll(rows), rows
+
+    def test_random_value_lattices(self, monkeypatch):
+        rng = random.Random(2023)
+        values = [rng.uniform(-5.0, 5.0) for _ in range(300)]
+        for rows, reduced in _recovery_lattices(values, monkeypatch):
+            assert reduced == _reference_lll(rows), rows
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [0, 0]],                                # zero B[k], mu 0
+        [[2, 0], [1, 0], [1, 1]],                        # zero B[k], mu 1/2
+        [[1, 2], [2, 4], [1, 0]],
+        [[3, 1], [0, 0], [1, 1]],
+        [[2, 0, 1], [1, 0, 0], [0, 3, 1], [1, 1, 1]],
+    ])
+    def test_dependent_rows_swap_a_zero_norm(self, rows):
+        # recover_coefficients' rows [I_3 | c] are independent, so no
+        # Gram-Schmidt norm is ever 0 there; dependent rows reach that case
+        assert hq._lll(rows) == _reference_lll(rows)
+
+    def test_random_small_lattices(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            n, d = rng.randint(2, 5), rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(n)]
+            if rng.random() < 0.5:
+                a, b = rng.sample(range(n), 2)
+                rows[a] = [rng.randint(-2, 2) * x for x in rows[b]]
+            assert hq._lll(rows) == _reference_lll(rows), rows
 
 
 def test_moment_table_sizes():

@@ -391,6 +391,46 @@ class TestSecondDerivativeTerms:
         assert f["A"].d1 == pytest.approx(aw, abs=1e-10)
         assert f["W"].d1 == pytest.approx(ww, abs=1e-10)
 
+    @pytest.mark.parametrize("case", ["willmore", "cmc"])
+    def test_raw_values_match_public_functionals(self, case):
+        # second_derivative_terms integrates only what it reads; every raw
+        # probe value must equal, bit for bit, the one assembled from the
+        # full functionals
+        grid = hq.QuadratureGrid(16, 32)
+        dec = va.second_derivative_terms(case, grid)
+        u_dir = lin.uprime_expr(case)
+        g1, g2 = va.metric_first_order(), va.metric_second_order()
+        key = "W" if case == "willmore" else "A"
+        raw = {name: {} for name in va.WILLMORE_TERMS}
+        d1 = []
+        for k1, k2 in va.PROBE_PAIRS:
+            extra = {"k1": k1, "k2": k2, **{n: 0.0 for n in va.DH_NAMES}}
+            f_diag = va.functionals(u_dir, g1, grid, k1, k2)
+            f_u = va.functionals(u_dir, va.metric_zero(), grid, k1, k2)
+            f_g = va.functionals(ex.ZERO, g1, grid, k1, k2)
+            p = (k1, k2)
+            raw["D1sq"][p] = f_u[key].d2
+            raw["D2sq"][p] = f_g[key].d2
+            raw["D12"][p] = 0.5 * (f_diag[key].d2 - f_u[key].d2 - f_g[key].d2)
+            if case == "willmore":
+                raw["D1_u2"][p] = f_diag["B1int"].d2 + hq.integrate_boundary_tphi(
+                    va.d2_b1_boundary_integrand(g2), extra=extra)
+                raw["D2_g2"][p] = hq.integrate_tphi(
+                    va.d2_willmore_g2_integrand(g2), grid, extra=extra)
+            else:
+                raw["D1_u2"][p] = -4.0 * hq.integrate_tphi(
+                    sphere.to_tphi(u_dir) ** 2, grid, extra={"k1": k1, "k2": k2})
+                raw["D2_g2"][p] = hq.integrate_tphi(
+                    va.d2_area_g2_integrand(g2), grid, extra=extra)
+            if k1 + k2:
+                d1.append(f_diag[key].d1 / (k1 + k2))
+        def bits(values):
+            return {p: float(v).hex() for p, v in values.items()}
+
+        for name, values in raw.items():
+            assert bits(dec.terms[name].raw) == bits(values), name
+        assert dec.first_derivative.hex() == float(np.mean(d1)).hex()
+
 
 class TestAssembleExpansion:
     def test_willmore_c2_value(self, willmore_terms):
