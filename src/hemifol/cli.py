@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -312,7 +313,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls of
+    :func:`main`: parsing leaves it unchanged, and every default is
+    immutable."""
     parser = _Parser(
         prog="hemifol",
         description="foliation criteria and variational expansions for "
@@ -338,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gallery", help="criterion table for the cubic family")
     p.add_argument("--a", type=float, nargs="+",
-                   default=[0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+                   default=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5))
     p.add_argument("--case", choices=["willmore", "cmc"], default="willmore")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_gallery)

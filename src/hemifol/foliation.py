@@ -11,12 +11,23 @@ ray-intersection fixed point) is negative exactly inside.  Two leaves meet
 when that gap, taken over the points of the smaller leaf, changes sign.
 Smoothness of the leaf map is not certified, only injectivity, monotonicity
 and coverage; reports say so.
+
+Every ray intersection and radial gap is a request to one vectorised fixed
+point, :func:`_fixed_points`, in which each request iterates until its own
+step is below ``RAY_TOL``.  The pair test and the coverage bisection are
+generators that yield requests; :func:`_lockstep` drives many of them at
+once, evaluating the pending requests of all in one batch, so a report
+pays numpy's per-call overhead once per round instead of once per pair or
+ray.  Results and errors are those of running the generators one after
+another.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,74 +174,275 @@ class FoliationReport:
 # ray fixed point, the radial gap and the inside/outside test
 # ---------------------------------------------------------------------------
 
-def _ray_fixed_point(fam: LeafFamily, lam: float, origin, theta0):
-    """Coupled fixed point (t, omega) of origin + t theta0 = phi_lam(omega)
-    for unit directions ``theta0`` of shape (..., 3): t from the quadratic
-    |origin + t theta0 - center|^2 = lambda^2 (larger root) with center =
-    lambda v e1 + lambda^2 f(lambda, omega), omega by renormalizing the
-    pullback; contraction for small lambda.  Iterates until the largest step
-    over all directions is below ``RAY_TOL``."""
-    omega = theta0.copy()
-    t_val = lam
-    shift = lam * fam.v * E1 - origin
+def _fixed_points(fam: LeafFamily, lam, shift, theta0, sizes):
+    """Coupled fixed points (t, omega) of origin + t theta0 = phi_lam(omega)
+    for many independent requests at once.  Request i has leaf ``lam[i]``,
+    ``shift[i]`` = lam v e1 - origin and the next ``sizes[i]`` columns of
+    the unit directions ``theta0`` (shape (3, N)).  t comes from the
+    quadratic |origin + t theta0 - center|^2 = lambda^2 (larger root) with
+    center = lambda v e1 + lambda^2 f(lambda, omega), omega from
+    renormalizing the pullback; contraction for small lambda.  Each request
+    iterates until the largest step over its own directions is below
+    ``RAY_TOL`` and then freezes, so its values do not depend on the rest
+    of the batch.
+
+    Vectors are stored one component per row, so that the sums over the
+    three components run over contiguous rows, in the order x + y + z of a
+    sum over the last axis of an (N, 3) array.  Returns t (N,), omega
+    (3, N) and, per request, None or the :class:`NoIntersection` or
+    :class:`NoConvergence` it met."""
+    sizes = np.asarray(sizes)
+    lam_p = np.repeat(np.asarray(lam, dtype=float), sizes)
+    # lambda^2 of each request as the scalar code squares it: a numpy power
+    # on an array may round differently
+    sq = np.repeat(np.array([x ** 2 for x in lam], dtype=float), sizes)
+    shift = np.repeat(np.asarray(shift, dtype=float).T, sizes, axis=1)
+    t_out, om_out = np.empty(theta0.shape[1]), np.empty_like(theta0)
+    errors = [None] * len(sizes)
+    live, cols = np.arange(len(sizes)), np.arange(theta0.shape[1])
+    omega, t_val = theta0, lam_p
+    starts = np.cumsum(sizes) - sizes
     for _ in range(RAY_MAX_ITER):
-        rel = shift + lam ** 2 * fam.f(lam, omega)
-        b = (theta0 * rel).sum(axis=-1)
-        disc = b * b - (rel * rel).sum(axis=-1) + lam ** 2
-        if disc.min() < 0:
-            raise NoIntersection(
-                f"ray misses the leaf (discriminant {disc.min():.3e})")
-        t_new = b + np.sqrt(disc)
+        rel = shift + sq * fam.f(lam_p, omega.T).T
+        b = (theta0 * rel).sum(axis=0)
+        disc = b * b - (rel * rel).sum(axis=0) + sq
+        low = np.minimum.reduceat(disc, starts)
+        # |disc| = disc but on the columns of a missing request, which are
+        # dropped below: disc = x + lambda^2 is never -0
+        t_new = b + np.sqrt(np.abs(disc))
         # |om_raw| = 1 up to rounding, by the choice of t_new
-        om_raw = (t_new[..., None] * theta0 - rel) / lam
-        om_new = om_raw / np.sqrt((om_raw * om_raw).sum(axis=-1, keepdims=True))
+        om_raw = (t_new * theta0 - rel) / lam_p
+        om_new = om_raw / np.sqrt((om_raw * om_raw).sum(axis=0))
         step = om_new - omega
-        delta = abs(t_new - t_val) + np.sqrt((step * step).sum(axis=-1))
+        delta = abs(t_new - t_val) + np.sqrt((step * step).sum(axis=0))
         t_val, omega = t_new, om_new
-        if delta.max() < RAY_TOL:
-            return t_val, omega
-    raise NoConvergence(f"fixed point not contracting after {RAY_MAX_ITER} iterations")
+        miss = low < 0
+        done = np.maximum.reduceat(delta, starts) < RAY_TOL
+        stop = done | miss
+        if stop.any():
+            for i in np.flatnonzero(miss):
+                errors[live[i]] = NoIntersection(
+                    f"ray misses the leaf (discriminant {low[i]:.3e})")
+            fin = np.repeat(done, sizes)
+            t_out[cols[fin]], om_out[:, cols[fin]] = t_val[fin], omega[:, fin]
+            if stop.all():
+                return t_out, om_out, errors
+            keep = np.repeat(~stop, sizes)
+            live, sizes = live[~stop], sizes[~stop]
+            starts = np.cumsum(sizes) - sizes
+            cols, sq, lam_p, t_val = (x[keep] for x in (cols, sq, lam_p, t_val))
+            theta0, shift, omega = (x[:, keep] for x in (theta0, shift, omega))
+    for i in live:
+        errors[i] = NoConvergence(
+            f"fixed point not contracting after {RAY_MAX_ITER} iterations")
+    return t_out, om_out, errors
 
 
-def ray_intersect(fam: LeafFamily, lam: float, theta0) -> RayIntersection:
-    """Unique intersection t(lambda, theta0) theta0 of the ray R+ theta0
-    from the origin with the leaf, by the fixed point of
-    :func:`_ray_fixed_point`."""
-    if not 0 < lam <= fam.lambda_max:
-        raise ValueError("lambda must lie in (0, lambda_max]")
+def _radial(base, points):
+    """Distance r from ``base`` of each point (one component per row)
+    reflected to z >= 0, and the unit vector from ``base`` towards it (e3
+    at ``base`` itself, which is inside along any ray)."""
+    d = np.concatenate((points[:2], np.abs(points[2:]))) - base
+    r = np.sqrt((d * d).sum(axis=0))
+    u = np.where(r > 0, d, [[0.0], [0.0], [1.0]])
+    return r, u / np.sqrt((u * u).sum(axis=0))
+
+
+def _half_sphere(theta, phi):
+    """Points of the unit half-sphere, one component per row."""
+    s = np.sin(theta)
+    return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)])
+
+
+def _unit(theta0):
     theta0 = np.asarray(theta0, dtype=float)
-    theta0 = theta0 / np.linalg.norm(theta0)
-    t_val, omega = _ray_fixed_point(fam, lam, np.zeros(3), theta0)
+    return theta0 / np.linalg.norm(theta0)
+
+
+# ---------------------------------------------------------------------------
+# requests and the lockstep driver
+# ---------------------------------------------------------------------------
+
+class _Ray(NamedTuple):
+    """Where the ray from the origin along the unit vector ``theta0`` meets
+    leaf ``lam``.  Reply: (t, omega)."""
+    lam: float
+    theta0: np.ndarray
+
+    def size(self):
+        return 1
+
+
+class _Gap(NamedTuple):
+    """Signed radial gap to leaf ``lam`` of points, doubling the leaf by
+    reflection across z = 0: each point, reflected to z >= 0, has its
+    distance from the base center lambda v e1 less the leaf's distance from
+    that center along the same ray.  The doubled leaf is a radial graph
+    about the center (see :class:`LeafFamily`), so the gap is negative
+    exactly inside it.  The points are ``points`` (shape (n, 3)) or, when
+    that is None, leaf ``lam1``'s points at polar angles ``theta`` and
+    azimuths ``phi``.  Reply, flattened in C order: (gap, the leaf's point
+    on each ray, the points)."""
+    lam: float
+    lam1: float | None = None
+    theta: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    points: np.ndarray | None = None
+
+    def size(self):
+        return len(self.points) if self.lam1 is None else self.theta.size
+
+
+def _answer(fam: LeafFamily, reqs) -> list:
+    """Replies to a batch of requests, in order, each a reply or the error
+    the request's fixed point met; leaf points, gap set-up and fixed point
+    are each one vectorised evaluation over the batch."""
+    gaps = [i for i, r in enumerate(reqs) if isinstance(r, _Gap)]
+    rays = [i for i, r in enumerate(reqs) if not isinstance(r, _Gap)]
+    lam = [reqs[i].lam for i in gaps + rays]
+    lv = np.array([x * fam.v for x in lam])          # lambda v of each request
+    sizes = [reqs[i].size() for i in gaps + rays]
+    # lambda v e1 - origin: zero for a gap, whose origin is the base center
+    shift = np.zeros((len(lam), 3))
+    shift[len(gaps):, 0] = lv[len(gaps):]
+    dirs = [np.array([reqs[i].theta0 for i in rays]).reshape(-1, 3).T]
+    if gaps:
+        n_gap = sum(sizes[:len(gaps)])
+        points = np.empty((3, n_gap))
+        angled = np.array([reqs[i].lam1 is not None for i in gaps])
+        leaf = np.repeat(angled, sizes[:len(gaps)])
+        src = [reqs[i] for i in gaps if reqs[i].lam1 is not None]
+        if src:
+            n = [r.theta.size for r in src]
+            om = _half_sphere(np.concatenate([r.theta.ravel() for r in src]),
+                              np.concatenate([r.phi.ravel() for r in src]))
+            l1 = np.repeat([r.lam1 for r in src], n)
+            # LeafFamily.leaf, with lambda v and lambda^2 formed per request
+            points[:, leaf] = (E1[:, None] * np.repeat([r.lam1 * fam.v for r in src], n)
+                               + l1 * om
+                               + np.repeat([r.lam1 ** 2 for r in src], n)
+                               * fam.f(l1, om.T).T)
+        if not angled.all():
+            points[:, ~leaf] = np.concatenate(
+                [reqs[i].points for i in gaps if reqs[i].lam1 is None]).T
+        base = E1[:, None] * np.repeat(lv[:len(gaps)], sizes[:len(gaps)])
+        dist, u = _radial(base, points)
+        dirs.insert(0, u)
+    t_val, omega, errors = _fixed_points(fam, lam, shift,
+                                         np.concatenate(dirs, axis=1), sizes)
+    if gaps:
+        g, q = dist - t_val[:n_gap], base + t_val[:n_gap] * u
+    out = [None] * len(reqs)
+    a = 0
+    for i, size, err in zip(gaps + rays, sizes, errors):
+        b = a + size
+        if err is not None:
+            out[i] = err
+        elif isinstance(reqs[i], _Gap):
+            out[i] = (g[a:b], q[:, a:b].T, points[:, a:b].T)
+        else:
+            out[i] = (t_val[a], omega[:, a])
+        a = b
+    return out
+
+
+def _answer_each(fam: LeafFamily, reqs) -> list:
+    try:
+        return _answer(fam, reqs)
+    except ex.ExprError as err:
+        # f's evaluation failed for some request of the batch; answering
+        # one by one gives the error to that request alone
+        if len(reqs) == 1:
+            return [err]
+        return [_answer_each(fam, [r])[0] for r in reqs]
+
+
+# the errors a request or a generator can end with; each is kept and raised
+# where the sequential computation would have raised it
+_ERRORS = (NoIntersection, NoConvergence, InconclusiveOverlap, ValueError,
+           ex.ExprError)
+
+
+def _lockstep(fam: LeafFamily, gens) -> list:
+    """Drive generators that yield :class:`_Ray` and :class:`_Gap` requests
+    in lockstep.  Pending requests are served first come, first served, in
+    batches of at most one leaf grid's worth of points; each generator is
+    sent its reply, or has its request's error thrown into it.  Returns,
+    per generator, its return value or the error that ended it."""
+    out = [None] * len(gens)
+    queue = deque()
+
+    def advance(i, reply):
+        try:
+            if isinstance(reply, Exception):
+                req = gens[i].throw(reply)
+            else:
+                req = gens[i].send(reply)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except _ERRORS as err:
+            out[i] = err
+        else:
+            queue.append((i, req))
+
+    for i in range(len(gens)):
+        advance(i, None)
+    while queue:
+        batch = [queue.popleft()]
+        n = batch[0][1].size()
+        while queue:
+            n += queue[0][1].size()
+            if n > _BATCH_POINTS:
+                break
+            batch.append(queue.popleft())
+        for (i, _), reply in zip(batch, _answer_each(fam, [r for _, r in batch])):
+            advance(i, reply)
+    return out
+
+
+def _unwrap(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _run(fam: LeafFamily, gen):
+    """Return value of one generator driven alone."""
+    return _unwrap(_lockstep(fam, [gen])[0])
+
+
+def _reply(req):
+    return (yield req)
+
+
+def _ray(lam, theta0):
+    """ray_intersect on a unit ``theta0`` as a generator: (t, omega)."""
+    t_val, omega = yield _Ray(lam, theta0)
     t_val = float(t_val)
     if t_val < 0:
         raise NoIntersection("leaf lies behind the ray origin")
     if omega[2] < -1e-9:
         raise NoIntersection("intersection lies below the boundary plane")
+    return t_val, omega
+
+
+def ray_intersect(fam: LeafFamily, lam: float, theta0) -> RayIntersection:
+    """Unique intersection t(lambda, theta0) theta0 of the ray R+ theta0
+    from the origin with the leaf, by the fixed point of
+    :func:`_fixed_points`."""
+    if not 0 < lam <= fam.lambda_max:
+        raise ValueError("lambda must lie in (0, lambda_max]")
+    theta0 = _unit(theta0)
+    t_val, omega = _run(fam, _ray(lam, theta0))
     residual = float(np.linalg.norm(t_val * theta0 - fam.leaf(lam, omega)))
     return RayIntersection(t_val, omega, residual)
 
 
-def _radial_gap(fam: LeafFamily, lam: float, points):
-    """Signed radial gap of points (..., 3) to the leaf doubled by reflection
-    across z = 0: each point, reflected to z >= 0, has its distance from the
-    base center lambda v e1 less the leaf's distance from that center along
-    the same ray.  The doubled leaf is a radial graph about the center (see
-    :class:`LeafFamily`), so the gap is negative exactly inside it.  Returns
-    the gap and the leaf's point on each ray."""
-    base = lam * fam.v * E1
-    d = np.concatenate((points[..., :2], np.abs(points[..., 2:])), axis=-1) - base
-    r = np.linalg.norm(d, axis=-1)
-    # the center itself is inside along any ray
-    u = np.where(r[..., None] > 0, d, [0.0, 0.0, 1.0])
-    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-    t_val, _ = _ray_fixed_point(fam, lam, base, u)
-    return r - t_val, base + t_val[..., None] * u
-
-
 def point_inside_leaf(fam: LeafFamily, lam: float, point) -> bool:
-    """Inside the leaf doubled by reflection across z = 0: the radial gap of
-    :func:`_radial_gap` at one point is negative."""
-    return bool(_radial_gap(fam, lam, np.asarray(point, dtype=float))[0] < 0)
+    """Inside the leaf doubled by reflection across z = 0: the radial gap
+    (:class:`_Gap`) at one point is negative."""
+    points = np.asarray(point, dtype=float).reshape(1, 3)
+    return bool(_run(fam, _reply(_Gap(lam, points=points)))[0][0] < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +456,13 @@ _PHI = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
 _STENCIL = np.arange(-2.0, 3.0)
 _FINEST_STEP = 1e-6
 _SECTIONS = np.linspace(0.0, 1.0, 17)[:, None]
-
-
-def _half_sphere(theta, phi):
-    s = np.sin(theta)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
+# points per batch of the lockstep driver: one grid, which bounds its memory
+_BATCH_POINTS = _THETA.size * _PHI.size
 
 
 def leaves_intersect(fam: LeafFamily, lam1: float, lam2: float) -> PairResult:
     """Decide im(phi_{lam1}) intersect im(phi_{lam2}) by the sign of the
-    radial gap g (:func:`_radial_gap`) of leaf lam1's points to leaf lam2.
+    radial gap g (:class:`_Gap`) of leaf lam1's points to leaf lam2.
 
     g is evaluated on a 17 x 64 (theta, phi) grid of the half-sphere.  With
     no sign change there, a 5 x 5 stencil around the node of smallest |g|
@@ -268,15 +477,15 @@ def leaves_intersect(fam: LeafFamily, lam1: float, lam2: float) -> PairResult:
     The points are taken on the smaller leaf: a constructed v > 1 pair's
     small leaf straddles the large one, while the crossing region on the
     large leaf is only about (v - 1)/v radians wide."""
+    return _run(fam, _pair(fam, lam1, lam2))
+
+
+def _pair(fam: LeafFamily, lam1: float, lam2: float):
+    """leaves_intersect as a generator of :class:`_Gap` requests."""
     if not 0 < lam1 < lam2 <= fam.lambda_max:
         raise ValueError("need 0 < lambda1 < lambda2 <= lambda_max")
-
-    def gap(theta, phi):
-        p = fam.leaf(lam1, _half_sphere(theta, phi))
-        return _radial_gap(fam, lam2, p) + (p,)
-
     theta, phi = np.meshgrid(_THETA, _PHI, indexing="ij")
-    g = gap(theta, phi)[0]
+    g = (yield _Gap(lam2, lam1, theta, phi))[0]
     k = int(np.argmin(np.abs(g)))
     err, step = RAY_TOL, _THETA[1]
     while g.min() >= -err or g.max() <= err:
@@ -289,7 +498,7 @@ def leaves_intersect(fam: LeafFamily, lam1: float, lam2: float) -> PairResult:
         theta, phi = np.meshgrid(
             np.clip(theta.flat[k] + step * _STENCIL, 0.0, np.pi / 2),
             phi.flat[k] + step * _STENCIL, indexing="ij")
-        g = gap(theta, phi)[0]
+        g = (yield _Gap(lam2, lam1, theta, phi))[0]
         k = int(np.argmin(np.abs(g)))
         err = abs(abs(g.flat[k]) - low) + RAY_TOL
         step /= 2
@@ -299,7 +508,7 @@ def leaves_intersect(fam: LeafFamily, lam1: float, lam2: float) -> PairResult:
     a, b = nodes[np.argmin(g)], nodes[np.argmax(g)]
     for _ in range(13):
         ab = a + _SECTIONS * (b - a)
-        g, q, p = gap(ab[:, 0], ab[:, 1])
+        g, q, p = yield _Gap(lam2, lam1, ab[:, 0], ab[:, 1])
         g[0], g[-1] = -1.0, 1.0
         j = int(np.argmax(g >= 0))
         a, b = ab[j - 1], ab[j]
@@ -320,13 +529,46 @@ def _theta_grid():
     return out
 
 
+def _coverage(lam, p):
+    """One coverage record of foliation_report as a generator of
+    :class:`_Ray` requests: bisection through the monotone ray map."""
+    p = np.asarray(p, dtype=float)
+    r = float(np.linalg.norm(p))
+    theta0 = _unit(p / r)
+    try:
+        t_lo = (yield from _ray(lam[0], theta0))[0]
+        t_hi = (yield from _ray(lam[-1], theta0))[0]
+    except NoIntersection:
+        return {"point": p, "lambda": None, "hits": 0, "status": "ray-misses"}
+    if not t_lo <= r <= t_hi:
+        return {"point": p, "lambda": None, "hits": 0, "status": "not-covered"}
+    lo, hi = lam[0], lam[-1]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (yield from _ray(mid, theta0))[0] < r:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14:
+            break
+    lam_star = 0.5 * (lo + hi)
+    resid = abs((yield from _ray(lam_star, theta0))[0] - r)
+    return {"point": p, "lambda": lam_star,
+            "hits": 1 if resid < 1e-8 else 0,
+            "status": "unique" if resid < 1e-8 else "ambiguous"}
+
+
 def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> FoliationReport:
     """Verdict 'Foliates' when consecutive-and-skip leaf pairs are disjoint,
     t(lambda, theta0) is strictly increasing on a ray grid, and every sample
     point is hit by exactly one leaf (bisection through the monotone ray
     map); otherwise 'Overlaps' with a witness.  For v > 1 the constructed
     pairs (lambda1, lambda1 * v/(v-1)) are tested first so the witness
-    realizes the eps = lambda1/(v-1) construction."""
+    realizes the eps = lambda1/(v-1) construction.
+
+    Every pair, ray and sample is decided in one lockstep run; the first
+    error in the order pairs, rays, samples is raised, as a sequential run
+    would raise it."""
     lam = sorted(float(x) for x in lambda_grid)
     if not lam or lam[0] <= 0 or lam[-1] > fam.lambda_max:
         raise ValueError("lambda grid must lie in (0, lambda_max]")
@@ -351,19 +593,28 @@ def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> Foliatio
     pairs += [(lam[i], lam[i + 1]) for i in range(len(lam) - 1)]
     pairs += [(lam[i], lam[i + 2]) for i in range(len(lam) - 2)]
 
+    thetas = _theta_grid()
+    gens = [_pair(fam, l1, l2) for l1, l2 in pairs]
+    for u in map(_unit, thetas):
+        gens += [_ray(l, u) for l in lam]
+    gens += [_coverage(lam, p) for p in sample_points]
+    outcomes = iter(_lockstep(fam, gens))
+    pair_out = [next(outcomes) for _ in pairs]
+    ray_out = [[next(outcomes) for _ in lam] for _ in thetas]
+
     pair_results = []
     witness_pair = None
-    for l1, l2 in pairs:
-        res = leaves_intersect(fam, l1, l2)
+    for (l1, l2), res in zip(pairs, pair_out):
+        res = _unwrap(res)
         pair_results.append(res)
         if res.intersects and witness_pair is None:
             witness_pair = (l1, l2, res)
 
     monotone = True
     mono_witness = None
-    for theta0 in _theta_grid():
+    for theta0, outs in zip(thetas, ray_out):
         try:
-            ts = [ray_intersect(fam, l, theta0).t for l in lam]
+            ts = [_unwrap(o)[0] for o in outs]
         except NoIntersection:
             continue
         diffs = np.diff(ts)
@@ -373,37 +624,7 @@ def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> Foliatio
             mono_witness = (theta0, lam[k], lam[k + 1])
             break
 
-    coverage = []
-    for p in sample_points:
-        p = np.asarray(p, dtype=float)
-        r = float(np.linalg.norm(p))
-        theta0 = p / r
-        try:
-            t_lo = ray_intersect(fam, lam[0], theta0).t
-            t_hi = ray_intersect(fam, lam[-1], theta0).t
-        except NoIntersection:
-            coverage.append({"point": p, "lambda": None, "hits": 0,
-                             "status": "ray-misses"})
-            continue
-        if not t_lo <= r <= t_hi:
-            coverage.append({"point": p, "lambda": None, "hits": 0,
-                             "status": "not-covered"})
-            continue
-        lo, hi = lam[0], lam[-1]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if ray_intersect(fam, mid, theta0).t < r:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14:
-                break
-        lam_star = 0.5 * (lo + hi)
-        resid = abs(ray_intersect(fam, lam_star, theta0).t - r)
-        coverage.append({"point": p, "lambda": lam_star,
-                         "hits": 1 if resid < 1e-8 else 0,
-                         "status": "unique" if resid < 1e-8 else "ambiguous"})
-
+    coverage = [_unwrap(c) for c in outcomes]
     covered = all(c["hits"] == 1 for c in coverage)
     if witness_pair is None and monotone and covered:
         verdict = "Foliates"

@@ -247,12 +247,14 @@ _GAUSS_S = np.polynomial.legendre.leggauss(32)
 
 def _surface_integrals(fields: dict, names, nodes, k1, k2, dh) -> list:
     """Gauss-grid integrals of the named surface fields as jets, after
-    checking the normal radicand on the grid."""
+    checking the normal radicand on the grid.  The check reads only the
+    radicand's value at eps = 0, which is a jet's value part, so it
+    evaluates floats."""
     t, phi, w = nodes
-    b = _bindings(t, phi, k1, k2, dh, _EPS_JET)
-    rad = ex.evaluate_jet(fields["radicand"], b)
-    if np.min(np.asarray(rad.f)) <= 0:
+    rad = ex.evaluate(fields["radicand"], _bindings(t, phi, k1, k2, dh, 0.0))
+    if np.min(np.asarray(rad)) <= 0:
         raise DegenerateMetric("normal radicand not positive on the grid")
+    b = _bindings(t, phi, k1, k2, dh, _EPS_JET)
     return [_jet_sum(ex.evaluate_jet(fields[name], b), w) for name in names]
 
 

@@ -291,3 +291,44 @@ class TestInputErrors:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(message)
+
+
+class TestParserReuse:
+    def test_one_parser_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process; alternating commands,
+        # usage errors among them, must give what a fresh parser gives
+        surf = str(_surface_file(tmp_path, 0.3))
+        fam = str(_family_file(tmp_path, 1.5))
+        runs = [
+            ["analyze", surf, "--case", "willmore"],
+            ["linearized", "--case", "cmc", "--k1", "0.5"],
+            ["foliate", fam, "--n-lambda", "4"],
+            ["analyze", surf],
+            ["--n-polar", "16", "--n-azimuthal", "32",
+             "verify-expansions", "--case", "cmc"],
+            ["analyze", surf, "--case", "cmc", "--guess", "0.02", "-0.02"],
+            ["foliate"],
+            ["linearized", "--case", "willmore"],
+            ["foliate", fam, "--n-lambda", "5", "--lambda-min", "0.01"],
+            ["gallery", "--a", "0.1"],
+            ["gallery"],
+        ]
+
+        def outcomes():
+            got = []
+            for argv in runs:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as stop:
+                    code = ("exit", stop.code)
+                captured = capsys.readouterr()
+                got.append((code, captured.out, captured.err))
+            return got
+
+        shared = outcomes()
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert outcomes() == shared
+        assert [c for c, _, _ in shared] == [
+            0, 0, 1, ("exit", cli.EX_USAGE), 0, 0, ("exit", cli.EX_USAGE),
+            0, 1, 0, 0]

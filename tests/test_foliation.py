@@ -305,3 +305,326 @@ def test_family_file_roundtrip(tmp_path):
     assert meta["lambda_max"] == 0.05
     r = fo.ray_intersect(fam, 0.04, [1.0, 0.0, 0.0])
     assert r.t == pytest.approx(0.04 * 1.5 + 0.04 ** 2 * 0.3 + 0.04, abs=1e-12)
+
+
+# --- lockstep driver against the sequential code it replaced ---------------
+#
+# The reference below is the sequential implementation: one fixed point per
+# call, leaf pairs decided one after another, and the monotonicity and
+# coverage loops calling the ray intersection one ray at a time.  The
+# lockstep driver must reproduce it bit for bit, errors included.
+
+def _ref_fixed_point(fam, lam, origin, theta0):
+    omega = theta0.copy()
+    t_val = lam
+    shift = lam * fam.v * fo.E1 - origin
+    for _ in range(fo.RAY_MAX_ITER):
+        rel = shift + lam ** 2 * fam.f(lam, omega)
+        b = (theta0 * rel).sum(axis=-1)
+        disc = b * b - (rel * rel).sum(axis=-1) + lam ** 2
+        if disc.min() < 0:
+            raise fo.NoIntersection(
+                f"ray misses the leaf (discriminant {disc.min():.3e})")
+        t_new = b + np.sqrt(disc)
+        om_raw = (t_new[..., None] * theta0 - rel) / lam
+        om_new = om_raw / np.sqrt((om_raw * om_raw).sum(axis=-1, keepdims=True))
+        step = om_new - omega
+        delta = abs(t_new - t_val) + np.sqrt((step * step).sum(axis=-1))
+        t_val, omega = t_new, om_new
+        if delta.max() < fo.RAY_TOL:
+            return t_val, omega
+    raise fo.NoConvergence(
+        f"fixed point not contracting after {fo.RAY_MAX_ITER} iterations")
+
+
+def _ref_ray(fam, lam, theta0):
+    theta0 = np.asarray(theta0, dtype=float)
+    theta0 = theta0 / np.linalg.norm(theta0)
+    t_val, omega = _ref_fixed_point(fam, lam, np.zeros(3), theta0)
+    t_val = float(t_val)
+    if t_val < 0:
+        raise fo.NoIntersection("leaf lies behind the ray origin")
+    if omega[2] < -1e-9:
+        raise fo.NoIntersection("intersection lies below the boundary plane")
+    residual = float(np.linalg.norm(t_val * theta0 - fam.leaf(lam, omega)))
+    return fo.RayIntersection(t_val, omega, residual)
+
+
+def _ref_radial_gap(fam, lam, points):
+    base = lam * fam.v * fo.E1
+    d = np.concatenate((points[..., :2], np.abs(points[..., 2:])), axis=-1) - base
+    r = np.linalg.norm(d, axis=-1)
+    u = np.where(r[..., None] > 0, d, [0.0, 0.0, 1.0])
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    t_val, _ = _ref_fixed_point(fam, lam, base, u)
+    return r - t_val, base + t_val[..., None] * u
+
+
+def _ref_leaves_intersect(fam, lam1, lam2):
+    if not 0 < lam1 < lam2 <= fam.lambda_max:
+        raise ValueError("need 0 < lambda1 < lambda2 <= lambda_max")
+
+    def half_sphere(theta, phi):
+        s = np.sin(theta)
+        return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
+
+    def gap(theta, phi):
+        p = fam.leaf(lam1, half_sphere(theta, phi))
+        return _ref_radial_gap(fam, lam2, p) + (p,)
+
+    theta, phi = np.meshgrid(fo._THETA, fo._PHI, indexing="ij")
+    g = gap(theta, phi)[0]
+    k = int(np.argmin(np.abs(g)))
+    err, step = fo.RAY_TOL, fo._THETA[1]
+    while g.min() >= -err or g.max() <= err:
+        low = abs(g.flat[k])
+        if step < fo._FINEST_STEP:
+            if low <= err:
+                raise fo.InconclusiveOverlap(
+                    f"radial gap {low:.3e} within its error {err:.3e}")
+            return fo.PairResult(lam1, lam2, False, float(low), None, "disjoint")
+        theta, phi = np.meshgrid(
+            np.clip(theta.flat[k] + step * fo._STENCIL, 0.0, np.pi / 2),
+            phi.flat[k] + step * fo._STENCIL, indexing="ij")
+        g = gap(theta, phi)[0]
+        k = int(np.argmin(np.abs(g)))
+        err = abs(abs(g.flat[k]) - low) + fo.RAY_TOL
+        step /= 2
+    nodes = np.stack([theta.ravel(), phi.ravel()], axis=-1)
+    a, b = nodes[np.argmin(g)], nodes[np.argmax(g)]
+    for _ in range(13):
+        ab = a + fo._SECTIONS * (b - a)
+        g, q, p = gap(ab[:, 0], ab[:, 1])
+        g[0], g[-1] = -1.0, 1.0
+        j = int(np.argmax(g >= 0))
+        a, b = ab[j - 1], ab[j]
+    return fo.PairResult(lam1, lam2, True, 0.0, (p[j], q[j]), "interior")
+
+
+def _ref_report(fam, lambda_grid, sample_points=()):
+    lam = sorted(float(x) for x in lambda_grid)
+    pairs = []
+    if fam.v > 1.0:
+        ratio = fam.v / (fam.v - 1.0)
+        feasible = [l1 for l1 in lam if l1 * ratio <= fam.lambda_max]
+        if not feasible:
+            l2 = 0.9 * fam.lambda_max
+            if fam.c_bound > 0:
+                l2 = min(l2, (fam.v - 1.0) / (4.0 * fam.c_bound))
+            feasible = [l2 / ratio]
+        pairs += [(l1, l1 * ratio) for l1 in feasible]
+    pairs += [(lam[i], lam[i + 1]) for i in range(len(lam) - 1)]
+    pairs += [(lam[i], lam[i + 2]) for i in range(len(lam) - 2)]
+    pair_results = [_ref_leaves_intersect(fam, l1, l2) for l1, l2 in pairs]
+
+    monotone, mono_witness = True, None
+    for theta0 in fo._theta_grid():
+        try:
+            ts = [_ref_ray(fam, l, theta0).t for l in lam]
+        except fo.NoIntersection:
+            continue
+        diffs = np.diff(ts)
+        if np.any(diffs <= 0):
+            monotone = False
+            k = int(np.argmax(diffs <= 0))
+            mono_witness = (theta0, lam[k], lam[k + 1])
+            break
+
+    coverage = []
+    for p in sample_points:
+        p = np.asarray(p, dtype=float)
+        r = float(np.linalg.norm(p))
+        theta0 = p / r
+        try:
+            t_lo = _ref_ray(fam, lam[0], theta0).t
+            t_hi = _ref_ray(fam, lam[-1], theta0).t
+        except fo.NoIntersection:
+            coverage.append({"point": p, "lambda": None, "hits": 0,
+                             "status": "ray-misses"})
+            continue
+        if not t_lo <= r <= t_hi:
+            coverage.append({"point": p, "lambda": None, "hits": 0,
+                             "status": "not-covered"})
+            continue
+        lo, hi = lam[0], lam[-1]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if _ref_ray(fam, mid, theta0).t < r:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-14:
+                break
+        lam_star = 0.5 * (lo + hi)
+        resid = abs(_ref_ray(fam, lam_star, theta0).t - r)
+        coverage.append({"point": p, "lambda": lam_star,
+                         "hits": 1 if resid < 1e-8 else 0,
+                         "status": "unique" if resid < 1e-8 else "ambiguous"})
+    return pair_results, monotone, mono_witness, coverage
+
+
+def _bits(x):
+    """Exact, comparable form of results: floats by their hex digits and
+    arrays by their bytes."""
+    if isinstance(x, np.ndarray):
+        return (x.shape, x.tobytes())
+    if isinstance(x, float):
+        return float(x).hex()
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(y) for y in x)
+    if isinstance(x, dict):
+        return tuple((k, _bits(v)) for k, v in sorted(x.items()))
+    if isinstance(x, fo.PairResult):
+        return _bits((x.lambda1, x.lambda2, x.intersects, x.min_distance,
+                      x.witness, x.method))
+    if isinstance(x, fo.RayIntersection):
+        return _bits((x.t, x.omega, x.residual))
+    return x
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", _bits(fn(*args))
+    except (fo.NoIntersection, fo.NoConvergence, fo.InconclusiveOverlap,
+            ValueError, ex.DomainError) as err:
+        return "raised", type(err).__name__, str(err)
+
+
+def _report_bits(fam, grid, samples):
+    rep = fo.foliation_report(fam, grid, samples)
+    return rep.pair_results, rep.monotone, rep.monotone_witness, rep.coverage
+
+
+def _seeded_families():
+    rng = np.random.default_rng(20231)
+    fams = []
+    vs = list(rng.uniform(0.0, 2.5, 24)) + [0.999, 1.0005, 1.002, 0.98, 1.05, 2.04]
+    for i, v in enumerate(vs):
+        c, c3, c2 = rng.uniform(-0.3, 0.3, 3)
+        kind = i % 4
+        if kind == 0:
+            f = (ex.ZERO, ex.ZERO, ex.ZERO)
+        elif kind == 1:
+            f = (ex.const(Fraction(round(c, 4)).limit_denominator(10 ** 4)),
+                 ex.ZERO, ex.ZERO)
+        elif kind == 2:
+            f = (ex.parse(f"{abs(c):.4f}*w1*w3"), ex.ZERO,
+                 ex.parse(f"{abs(c3):.4f}*w3*(1-w3)"))
+        else:
+            # curved, and off e1: leaves also move along e2
+            f = (ex.parse(f"{abs(c):.4f}*w1*w3"), ex.parse(f"{abs(c2):.4f}*w2"),
+                 ex.ZERO)
+        fams.append(fo.LeafFamily(float(v), f, lambda_max=0.05))
+    # f1 = -15 pulls leaves back faster than they grow along e1 beyond
+    # lambda = 1/30: t(lambda, e1) is not monotone
+    fams.append(fo.LeafFamily(0.0, (ex.parse("0-15"), ex.ZERO, ex.ZERO),
+                              lambda_max=0.06))
+    return fams
+
+
+class TestLockstep:
+    GRID = list(np.linspace(0.005, 0.05, 6))
+
+    @pytest.mark.parametrize("index", range(31))
+    def test_report_matches_sequential(self, index):
+        fam = _seeded_families()[index]
+        samples = [np.array([0.0, 0.0, 0.02]), np.array([0.012, -0.008, 0.015]),
+                   np.array([-0.03, 0.0, 0.001])]
+        want = _outcome(_ref_report, fam, self.GRID, samples)
+        got = _outcome(_report_bits, fam, self.GRID, samples)
+        assert got == want
+
+    def test_families_mix_crossing_and_disjoint_pairs(self):
+        # the seeded families cover both verdicts, and reports holding both
+        # kinds of pair
+        mixed = verdicts = 0
+        reports = [fo.foliation_report(fam, self.GRID) for fam in _seeded_families()]
+        for rep in reports:
+            kinds = {r.intersects for r in rep.pair_results}
+            mixed += kinds == {True, False}
+            verdicts |= 1 << (rep.verdict == "Foliates")
+        assert mixed >= 5
+        assert verdicts == 3
+        # the last family is the non-monotone one, with its witness along e1
+        assert not reports[-1].monotone
+        assert reports[-1].monotone_witness[0][0] == 1.0
+
+    def test_batch_with_a_missing_ray(self):
+        # v = 3: the ray along -e1 misses every leaf; the other requests of
+        # its batch get their unbatched values
+        fam = fo.LeafFamily(3.0, (ex.parse("0.2*w1*w3"), ex.ZERO,
+                                  ex.parse("0.1*w3*(1-w3)")), lambda_max=0.05)
+        rays = [(0.02, [1.0, 0.1, 0.2]), (0.03, [-1.0, 0.0, 0.0]),
+                (0.04, [1.0, 0.0, 0.0]), (0.05, [0.95, 0.2, 0.1])]
+        gens = [fo._ray(lam, fo._unit(d)) for lam, d in rays]
+        gens.append(fo._pair(fam, 0.02, 0.045))
+        out = fo._lockstep(fam, gens)
+        assert isinstance(out[1], fo.NoIntersection)
+        with pytest.raises(fo.NoIntersection) as info:
+            _ref_ray(fam, *rays[1])
+        assert str(out[1]) == str(info.value)
+        for (lam, d), got in zip(rays[:1] + rays[2:], out[:1] + out[2:4]):
+            want = _ref_ray(fam, lam, d)
+            assert _bits((float(got[0]), got[1])) == _bits((want.t, want.omega))
+            assert _bits(fo.ray_intersect(fam, lam, d)) == _bits(want)
+        assert _bits(out[4]) == _bits(_ref_leaves_intersect(fam, 0.02, 0.045))
+
+    def test_domain_error_stays_with_its_request(self):
+        # f1 leaves its domain near the horizontal direction at azimuth
+        # pi/24, which the family's bound sampling misses: requests that
+        # reach it get the DomainError, the rest of their batch does not
+        f1 = ex.parse("0.1*sqrt(0.995 - 0.991445*w1 - 0.130526*w2)")
+        fam = fo.LeafFamily(0.0, (f1, ex.ZERO, ex.ZERO), lambda_max=0.05)
+        rays = [(0.02, [0.0, 1.0, 0.2]), (0.02, [0.991445, 0.130526, 0.01]),
+                (0.03, [0.0, 1.0, 1.0])]
+        gens = [fo._ray(lam, fo._unit(d)) for lam, d in rays]
+        gens.append(fo._pair(fam, 0.01, 0.02))
+        out = fo._lockstep(fam, gens)
+        for k in (1, 3):
+            assert isinstance(out[k], ex.DomainError)
+        for k in (0, 2):
+            want = _ref_ray(fam, *rays[k])
+            assert _bits((float(out[k][0]), out[k][1])) == _bits((want.t, want.omega))
+        grid = list(np.linspace(0.005, 0.05, 6))
+        got = _outcome(_report_bits, fam, grid, [])
+        assert got[:2] == ("raised", "DomainError")
+        assert got == _outcome(_ref_report, fam, grid, [])
+
+    def test_kth_pair_inconclusive_raises_as_sequential(self):
+        # f1 = 1, v = 0.9: leaves a < b are nested spheres that touch
+        # internally when lambda_a + lambda_b = (1 - v)/f1 = 0.1, here the
+        # second pair; the first is disjoint and the third crosses
+        fam = fo.LeafFamily(0.9, (ex.ONE, ex.ZERO, ex.ZERO), lambda_max=0.08)
+        grid = [0.02, 0.04, 0.06, 0.08]
+        with pytest.raises(fo.InconclusiveOverlap) as want:
+            _ref_leaves_intersect(fam, 0.04, 0.06)
+        assert not _ref_leaves_intersect(fam, 0.02, 0.04).intersects
+        assert _ref_leaves_intersect(fam, 0.06, 0.08).intersects
+        got = _outcome(_report_bits, fam, grid, [np.array([0.0, 0.0, 0.05])])
+        assert got == ("raised", "InconclusiveOverlap", str(want.value))
+        assert got == _outcome(_ref_report, fam, grid, [np.array([0.0, 0.0, 0.05])])
+
+    def test_public_calls_match_sequential(self):
+        fam = _seeded_families()[2]
+        assert _outcome(fo.leaves_intersect, fam, 0.01, 0.03) == \
+            _outcome(_ref_leaves_intersect, fam, 0.01, 0.03)
+        assert _outcome(fo.leaves_intersect, fam, 0.03, 0.01) == \
+            _outcome(_ref_leaves_intersect, fam, 0.03, 0.01)
+        for p in ([0.01, 0.0, 0.01], [0.0, 0.02, 0.0], [0.1, 0.1, 0.1]):
+            want = _ref_radial_gap(fam, 0.03, np.asarray(p))[0] < 0
+            assert fo.point_inside_leaf(fam, 0.03, p) == want
+
+    def test_report_memory_is_bounded(self):
+        # batches hold at most one leaf grid's worth of points
+        import tracemalloc
+        fam = fo.LeafFamily(2.04, (ex.parse("0.2*w1*w3"), ex.ZERO,
+                                   ex.parse("0.1*w3*(1-w3)")), lambda_max=0.05)
+        grid = list(np.linspace(0.005, 0.05, 10))
+        fo.foliation_report(fam, grid)
+        tracemalloc.start()
+        try:
+            fo.foliation_report(fam, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6

@@ -431,6 +431,25 @@ class TestSecondDerivativeTerms:
             assert bits(dec.terms[name].raw) == bits(values), name
         assert dec.first_derivative.hex() == float(np.mean(d1)).hex()
 
+    @pytest.mark.parametrize("case", ["willmore", "cmc"])
+    def test_radicand_floats_equal_jet_values(self, case):
+        # the surface integrals test the radicand's sign on floats at
+        # eps = 0; on every field set and probe pair of
+        # second_derivative_terms those floats are the jet's value part
+        nodes = hq.QuadratureGrid().nodes()
+        t, phi, _ = nodes
+        u_dir = lin.uprime_expr(case)
+        g1 = va.metric_first_order()
+        for u, g in ((u_dir, g1), (u_dir, va.metric_zero()), (ex.ZERO, g1)):
+            rad = va._build_fields(u, g)["radicand"]
+            for k1, k2 in va.PROBE_PAIRS:
+                jet = ex.evaluate_jet(rad, va._bindings(t, phi, k1, k2, 0.0,
+                                                        va._EPS_JET))
+                flt = ex.evaluate(rad, va._bindings(t, phi, k1, k2, 0.0, 0.0))
+                want = np.broadcast_to(np.asarray(jet.f), t.shape)
+                got = np.broadcast_to(np.asarray(flt), t.shape)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestAssembleExpansion:
     def test_willmore_c2_value(self, willmore_terms):
