@@ -257,12 +257,16 @@ def cmd_foliate(args, cfg: RunConfig) -> int:
     if fam.v < 1.0:
         # one point per direction, midway between the innermost and the
         # outermost leaf along it; where the ray misses a leaf the point sits
-        # at the mean radius and the report says ray-misses
-        for d in ([0.0, 0.0, 1.0], [1 / 2, 1 / 3, 1 / 2]):
-            d = np.array(d) / np.linalg.norm(d)
+        # at the mean radius and the report says ray-misses.  All four rays
+        # run at once; their outcomes are read in the order of a ray at a time
+        dirs = [np.array(d) / np.linalg.norm(d)
+                for d in ([0.0, 0.0, 1.0], [1 / 2, 1 / 3, 1 / 2])]
+        ends = (lam_grid[0], lam_grid[-1])
+        outcomes = iter(fo._ray_outcomes(fam, [(lam, d) for d in dirs for lam in ends]))
+        for d in dirs:
+            inner, outer = next(outcomes), next(outcomes)
             try:
-                r = 0.5 * (fo.ray_intersect(fam, lam_grid[0], d).t
-                           + fo.ray_intersect(fam, lam_grid[-1], d).t)
+                r = 0.5 * (fo._unwrap(inner) + fo._unwrap(outer))
             except fo.NoIntersection:
                 r = 0.5 * (lam_grid[0] + lam_grid[-1])
             samples.append(r * d)
@@ -289,14 +293,16 @@ def cmd_foliate(args, cfg: RunConfig) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(["lambda", "theta0_x", "theta0_y", "theta0_z", "t"])
-        for theta0 in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
-            for lamv in lam_grid:
-                try:
-                    ri = fo.ray_intersect(fam, lamv, theta0)
-                except (fo.NoIntersection, fo.NoConvergence):
-                    continue
-                writer.writerow([_f(lamv), _f(theta0[0]), _f(theta0[1]),
-                                 _f(theta0[2]), _f(ri.t)])
+        rays = [(lamv, theta0) for theta0 in
+                ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+                for lamv in lam_grid]
+        for (lamv, theta0), outcome in zip(rays, fo._ray_outcomes(fam, rays)):
+            try:
+                t = fo._unwrap(outcome)
+            except (fo.NoIntersection, fo.NoConvergence):
+                continue
+            writer.writerow([_f(lamv), _f(theta0[0]), _f(theta0[1]),
+                             _f(theta0[2]), _f(t)])
         _emit(buf.getvalue(), args.rays_csv)
     return 0 if report.verdict == "Foliates" else 1
 
@@ -380,9 +386,12 @@ def main(argv=None) -> int:
         if args.config:
             overrides.update(_load_config(args.config))
         cfg = RunConfig(
-            n_polar=args.n_polar or int(overrides.get("n_polar", 64)),
-            n_azimuthal=args.n_azimuthal or int(overrides.get("n_azimuthal", 128)),
-            tolerance=args.tolerance or float(overrides.get("tolerance", 1e-7)),
+            n_polar=(int(overrides.get("n_polar", 64)) if args.n_polar is None
+                     else args.n_polar),
+            n_azimuthal=(int(overrides.get("n_azimuthal", 128))
+                         if args.n_azimuthal is None else args.n_azimuthal),
+            tolerance=(float(overrides.get("tolerance", 1e-7))
+                       if args.tolerance is None else args.tolerance),
         )
         return args.func(args, cfg)
     except (ex.ExprError, gs.NoConvergence, gs.DegenerateHessian,

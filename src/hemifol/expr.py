@@ -18,8 +18,15 @@ once.
 
 Evaluation is generic over the scalar type: plain floats / numpy arrays, or
 :class:`Jet2` values carrying (f, f', f'') in one shared deformation
-parameter.  No simplification is performed beyond constant folding;
-correctness of rewrites is semantic (evaluation equality), not syntactic.
+parameter.  A jet walk (:func:`evaluate_jet`) keeps every subexpression that
+does not depend on a jet binding as a plain float or array, and does
+derivative work only where a jet is present.  Its value parts equal those of
+lifting every binding to a jet, because a plain quotient inside a jet walk
+is taken as a * (1/b), as a jet with zero derivative parts divides; its
+derivative parts are equal after broadcasting, apart from the sign of exact
+zeros and the NaN that a skipped ``f * 0.0`` made of a non-finite ``f``.  No
+simplification is performed beyond constant folding; correctness of
+rewrites is semantic (evaluation equality), not syntactic.
 """
 
 from __future__ import annotations
@@ -386,9 +393,15 @@ class Jet2:
     Components may be floats or numpy arrays (broadcast elementwise), all in
     one shared deformation parameter.  Arithmetic is exact at truncation
     order 2.
+
+    The other operand of an operator may be a plain float or array, a value
+    that does not depend on eps: its derivative parts are zero, and the
+    products with them are skipped.  Numpy defers to the reflected
+    operators, so ``ndarray * Jet2`` is a Jet2, not an object array.
     """
 
     __slots__ = ("f", "d1", "d2")
+    __array_ufunc__ = None
 
     def __init__(self, f, d1=0.0, d2=0.0):
         self.f = f
@@ -403,20 +416,23 @@ class Jet2:
         return f"Jet2({self.f}, {self.d1}, {self.d2})"
 
     def __add__(self, o):
-        o = Jet2.lift(o)
+        if not isinstance(o, Jet2):
+            return Jet2(self.f + o, self.d1, self.d2)
         return Jet2(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = Jet2.lift(o)
+        if not isinstance(o, Jet2):
+            return Jet2(self.f - o, self.d1, self.d2)
         return Jet2(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2)
 
     def __rsub__(self, o):
-        return Jet2.lift(o) - self
+        return Jet2(o - self.f, 0.0 - self.d1, 0.0 - self.d2)
 
     def __mul__(self, o):
-        o = Jet2.lift(o)
+        if not isinstance(o, Jet2):
+            return Jet2(self.f * o, self.d1 * o, self.d2 * o)
         return Jet2(
             self.f * o.f,
             self.f * o.d1 + self.d1 * o.f,
@@ -426,10 +442,11 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        return self * Jet2.lift(o)._recip()
+        # a plain divisor's reciprocal is 1/o, as the lifted jet's was
+        return self * (o._recip() if isinstance(o, Jet2) else 1.0 / o)
 
     def __rtruediv__(self, o):
-        return Jet2.lift(o) * self._recip()
+        return self._recip() * o
 
     def __neg__(self):
         return Jet2(-self.f, -self.d1, -self.d2)
@@ -472,9 +489,11 @@ def _last_reads(order):
     return frees
 
 
-def _eval(roots, bindings, release=False):
+def _eval(roots, bindings, release=False, jet=False):
     """Values of ``roots`` over one memo.  With ``release`` (one root) each
-    value is dropped once its last consumer has been computed."""
+    value is dropped once its last consumer has been computed.  With
+    ``jet`` a quotient by a plain value is taken as a * (1/b), as a jet
+    with zero derivative parts divides."""
     memo = {}
     for root in roots:
         order = root.order
@@ -506,7 +525,8 @@ def _eval(roots, bindings, release=False):
             elif n.kind == "div":
                 b = memo[id(n.args[1])]
                 _check_nonzero(b, n)
-                r = memo[id(n.args[0])] / b
+                a = memo[id(n.args[0])]
+                r = a * (1.0 / b) if jet and not isinstance(b, Jet2) else a / b
             elif n.kind == "const":
                 raise DomainError("constant outside the float range", n)
             elif n.kind == "pow":
@@ -539,11 +559,16 @@ def evaluate(e, bindings: dict[str, float]):
     return _eval(e, bindings)
 
 
-def evaluate_jet(e: Expr, bindings: dict[str, Jet2]) -> Jet2:
+def evaluate_jet(e: Expr, bindings: dict) -> Jet2:
     """Evaluate with order-2 jets sharing one deformation parameter; each
-    intermediate jet is dropped after its last read."""
-    b = {k: Jet2.lift(v) for k, v in bindings.items()}
-    return Jet2.lift(_eval((e,), b, release=True)[0])
+    intermediate value is dropped after its last read.  Bindings are jets
+    or plain floats and arrays.  A subexpression that does not depend on a
+    jet stays plain and only the root is lifted, so derivative work is done
+    only where a jet is present.  Against lifting every binding, the value
+    part is equal and the derivative parts are equal after broadcasting
+    (they may be scalars where lifting gave arrays), apart from the sign of
+    exact zeros and NaN from non-finite values."""
+    return Jet2.lift(_eval((e,), bindings, release=True, jet=True)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -426,16 +426,31 @@ def _ray(lam, theta0):
     return t_val, omega
 
 
+def _check_lambda(fam: LeafFamily, lam):
+    if not 0 < lam <= fam.lambda_max:
+        raise ValueError("lambda must lie in (0, lambda_max]")
+
+
 def ray_intersect(fam: LeafFamily, lam: float, theta0) -> RayIntersection:
     """Unique intersection t(lambda, theta0) theta0 of the ray R+ theta0
     from the origin with the leaf, by the fixed point of
     :func:`_fixed_points`."""
-    if not 0 < lam <= fam.lambda_max:
-        raise ValueError("lambda must lie in (0, lambda_max]")
+    _check_lambda(fam, lam)
     theta0 = _unit(theta0)
     t_val, omega = _run(fam, _ray(lam, theta0))
     residual = float(np.linalg.norm(t_val * theta0 - fam.leaf(lam, omega)))
     return RayIntersection(t_val, omega, residual)
+
+
+def _ray_outcomes(fam: LeafFamily, rays) -> list:
+    """t of many rays, answered in one lockstep run: per (lambda, theta0)
+    of ``rays``, the ``ray_intersect(fam, lambda, theta0).t`` it would
+    return, or the error it would raise (:func:`_unwrap` returns the one
+    and raises the other)."""
+    def one(lam, theta0):
+        _check_lambda(fam, lam)
+        return (yield from _ray(lam, _unit(theta0)))[0]
+    return _lockstep(fam, [one(lam, theta0) for lam, theta0 in rays])
 
 
 def point_inside_leaf(fam: LeafFamily, lam: float, point) -> bool:

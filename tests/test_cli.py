@@ -186,6 +186,22 @@ class TestFoliate:
         assert l2 == pytest.approx((v - 1) / (4 * -f1), rel=1e-12)
         assert l1 == pytest.approx(l2 * (v - 1) / v, rel=1e-12)
 
+    @pytest.mark.parametrize("v, message", [
+        (0.5, "lambda must lie in (0, lambda_max]"),
+        (1.5, "lambda grid must lie in (0, lambda_max]")])
+    def test_lambda_min_not_positive(self, tmp_path, capsys, v, message):
+        # v < 1 meets the bad lambda in its sample-radius rays, v > 1 in
+        # the report
+        fam = _family_file(tmp_path, v)
+        rays = tmp_path / "rays.csv"
+        code = cli.main(["foliate", str(fam), "--lambda-min", "0",
+                         "--rays-csv", str(rays)])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hemifol: error: {message}\n"
+        assert not rays.exists()
+
     def test_rays_csv(self, tmp_path, capsys):
         fam = _family_file(tmp_path, 0.5)
         rays = tmp_path / "rays.csv"
@@ -235,6 +251,16 @@ class TestConfig:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             cli.RunConfig(tolerance=-1.0)
+
+    @pytest.mark.parametrize("flag", ["--tolerance", "--n-polar", "--n-azimuthal"])
+    def test_zero_override_rejected(self, capsys, flag):
+        # 0 is an invalid value, not a request for the default
+        code = cli.main([flag, "0", "verify-expansions", "--case", "cmc"])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("hemifol: error: ")
 
 
 class TestInputErrors:

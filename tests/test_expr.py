@@ -318,18 +318,45 @@ def _kept(e, b):
 
 
 def _kept_jet(e, b):
-    """``evaluate_jet`` through the multi-root path."""
+    """``evaluate_jet`` through the multi-root path with every binding
+    lifted to a jet, so that every node reading a variable, eps-free or
+    not, does jet arithmetic."""
     return ex.Jet2.lift(_kept(e, {k: ex.Jet2.lift(v) for k, v in b.items()}))
 
 
-@pytest.mark.parametrize("name", ["radicand", "density", "W_density",
-                                  "vol_integrand", "B1"])
-def test_release_matches_kept_memo_on_variational_fields(name):
+def _bits_unsigned_zero(v):
+    """:func:`_bits` with -0.0 read as 0.0.  A product with a plain factor
+    skips the zero term the lifted factor added, which can leave an exact
+    zero derivative with the other sign (the s = 0 row of vol_integrand);
+    no value of a jet walk is divided by a derivative part."""
+    return [(shape, (np.frombuffer(raw) + 0.0).tobytes()) for shape, raw in _bits(v)]
+
+
+_FIELD_SETS = {"u_and_g": (True, True), "u_only": (True, False), "g_only": (False, True)}
+
+# ids: the field name alone for the Willmore (u', g') set, the first one
+# this test covered, and case-set-name for the others
+_VARIATIONAL_FIELDS = [
+    pytest.param(case, field_set, name,
+                 id=name if (case, field_set) == ("willmore", "u_and_g")
+                 else f"{case}-{field_set}-{name}")
+    for case in ("willmore", "cmc") for field_set in _FIELD_SETS
+    for name in ("radicand", "density", "W_density", "vol_integrand", "B1")]
+
+
+@pytest.mark.parametrize("case, field_set, name", _VARIATIONAL_FIELDS)
+def test_release_matches_kept_memo_on_variational_fields(case, field_set, name):
+    # the field sets of second_derivative_terms: (u', g'), (u', 0), (0, g').
+    # With every binding lifted, the release path has the kept memo's bits.
+    # With eps-free bindings plain, eps-free subexpressions stay plain, and
+    # the values equal the lifted walk's but for the sign of exact zeros
     from hemifol import linearized as lin
     from hemifol import quadrature as hq
     from hemifol import variational as va
 
-    fields = va._build_fields(lin.uprime_expr("willmore"), va.metric_first_order())
+    with_u, with_g = _FIELD_SETS[field_set]
+    fields = va._build_fields(lin.uprime_expr(case) if with_u else ex.ZERO,
+                              va.metric_first_order() if with_g else va.metric_zero())
     t, phi, _ = hq.QuadratureGrid(16, 32).nodes()
     b = va._bindings(t, phi, 1.0, -0.5, 0.0, va._EPS_JET)
     if name == "vol_integrand":
@@ -337,9 +364,52 @@ def test_release_matches_kept_memo_on_variational_fields(name):
         b["s"] = np.linspace(0.0, 1.0, 5)[:, None]
     # names, not the fields, in the assertions: printing a field expands
     # its DAG into a tree of hundreds of MB
-    got, want = _bits(ex.evaluate_jet(fields[name], b)), _bits(_kept_jet(fields[name], b))
-    assert got == want
-    assert got[2][0] == np.broadcast_shapes(*(np.shape(v) for v in b.values()))
+    shape = np.broadcast_shapes(*(np.shape(v) for v in b.values()))
+    lifted = {k: ex.Jet2.lift(v) for k, v in b.items()}
+    want = _kept_jet(fields[name], b)
+    assert _bits(ex.evaluate_jet(fields[name], lifted)) == _bits(want)
+    assert _bits(want)[2][0] == shape
+    # the bindings as variational passes them, eps-free ones plain
+    got = ex.evaluate_jet(fields[name], b)
+    assert _bits_unsigned_zero(got) == _bits_unsigned_zero(want)
+    if name != "vol_integrand":
+        assert _bits(got) == _bits(want)
+    assert _bits(got)[2][0] == shape
+
+
+def _broadcast_bits(*jets):
+    """Bytes of each jet's parts broadcast to one shape, -0.0 read as 0.0."""
+    parts = [(j.f, j.d1, j.d2) for j in jets]
+    shape = np.broadcast_shapes(*(np.shape(p) for ps in parts for p in ps))
+    return [[(np.broadcast_to(p, shape) + 0.0).tobytes() for p in ps] for ps in parts]
+
+
+def test_plain_bindings_match_lifted_on_random_corpus():
+    # y plain: every y-only subexpression stays a float or array; the
+    # result has the bits of the walk with y lifted to a jet of zero
+    # derivatives, but for the sign of exact zeros (see _bits_unsigned_zero)
+    rng = np.random.default_rng(19)
+    roots = [_random_expr(rng) for _ in range(40)]
+    xs, ys = rng.uniform(-1.5, 1.5, 64), rng.uniform(-1.5, 1.5, 64)
+    plain_quotients = 0
+    for x, y in ((ex.Jet2(xs, 1.0, 0.0), ys), (ex.Jet2(0.3, 1.0, -0.5), -0.7),
+                 (ex.Jet2(xs, 0.5, -1.0), 0.4)):
+        for e in roots:
+            got, want = _broadcast_bits(ex.evaluate_jet(e, {"x": x, "y": y}),
+                                        ex.evaluate_jet(e, {"x": x, "y": ex.Jet2(y)}))
+            assert got == want, ex.to_string(e)
+        plain_quotients += sum(n.kind == "div" and "x" not in ex.free_variables(n.args[1])
+                               for e in roots for n in e.order)
+    assert plain_quotients > 0
+    # numpy defers to the jet's reflected operators
+    j = ex.Jet2(xs, 1.0, 0.5)
+    for left in (ys, 0.5, np.float64(0.5)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b, lambda a, b: a / b):
+            got = op(left, j)
+            assert isinstance(got, ex.Jet2)
+            got, want = _broadcast_bits(got, op(ex.Jet2(left), j))
+            assert got == want
 
 
 def test_release_edge_cases():

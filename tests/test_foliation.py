@@ -569,6 +569,25 @@ class TestLockstep:
             assert _bits(fo.ray_intersect(fam, lam, d)) == _bits(want)
         assert _bits(out[4]) == _bits(_ref_leaves_intersect(fam, 0.02, 0.045))
 
+    def test_ray_outcomes_match_ray_intersect(self):
+        # one lockstep run of rays, a missing one and out-of-range lambdas
+        # among them: each outcome is what ray_intersect returns or raises
+        fam = fo.LeafFamily(3.0, (ex.parse("0.2*w1*w3"), ex.ZERO,
+                                  ex.parse("0.1*w3*(1-w3)")), lambda_max=0.05)
+        rays = [(0.02, [1.0, 0.1, 0.2]), (0.03, [-1.0, 0.0, 0.0]),
+                (0.0, [1.0, 0.0, 0.0]), (0.05, [0.95, 0.2, 0.1]),
+                (0.06, [0.0, 0.0, 1.0]), (0.04, [1.0, 0.0, 0.0])]
+        out = fo._ray_outcomes(fam, rays)
+        assert [type(o).__name__ for o in out] == [
+            "float", "NoIntersection", "ValueError", "float", "ValueError", "float"]
+        for (lam, d), got in zip(rays, out):
+            if isinstance(got, Exception):
+                with pytest.raises(type(got)) as info:
+                    fo.ray_intersect(fam, lam, d)
+                assert str(got) == str(info.value)
+            else:
+                assert _bits(got) == _bits(fo.ray_intersect(fam, lam, d).t)
+
     def test_domain_error_stays_with_its_request(self):
         # f1 leaves its domain near the horizontal direction at azimuth
         # pi/24, which the family's bound sampling misses: requests that
