@@ -8,7 +8,8 @@ use codes no verdict uses:
     0   Foliates; every other command succeeded
     1   DoesNotFoliate (analyze), Overlaps (foliate), mismatch
         (verify-expansions)
-    2   Inconclusive (analyze)
+    2   Inconclusive (analyze; foliate when two leaves touch within the
+        computed error of their radial gap)
     64  usage error: unknown command, missing or malformed option
     65  bad input: unreadable file, expression syntax error, invalid value,
         an expression that cannot be evaluated (unbound variable, domain
@@ -104,7 +105,8 @@ def cmd_moments(args, cfg: RunConfig) -> int:
     return 0
 
 
-_EXIT_BY_VERDICT = {"Foliates": 0, "DoesNotFoliate": 1, "Inconclusive": 2}
+_EXIT_BY_VERDICT = {"Foliates": 0, "DoesNotFoliate": 1, "Overlaps": 1,
+                    "Inconclusive": 2}
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
@@ -253,6 +255,8 @@ def cmd_linearized(args, cfg: RunConfig) -> int:
 def cmd_foliate(args, cfg: RunConfig) -> int:
     fam, meta = fo.load_family_file(args.family)
     lam_grid = list(np.linspace(args.lambda_min, fam.lambda_max, args.n_lambda))
+    if not lam_grid:
+        raise ValueError("lambda grid must lie in (0, lambda_max]")
     samples = []
     if fam.v < 1.0:
         # one point per direction, midway between the innermost and the
@@ -270,23 +274,29 @@ def cmd_foliate(args, cfg: RunConfig) -> int:
             except fo.NoIntersection:
                 r = 0.5 * (lam_grid[0] + lam_grid[-1])
             samples.append(r * d)
-    report = fo.foliation_report(fam, lam_grid, samples)
-    records = []
-    for pr in report.pair_results:
-        records.append({
-            "lambda1": pr.lambda1, "lambda2": pr.lambda2,
-            "intersects": pr.intersects, "min_distance": pr.min_distance,
-            "method": pr.method,
-        })
-    records.append({"monotone": report.monotone})
-    for c in report.coverage:
-        records.append({"point": list(map(float, c["point"])),
-                        "lambda": c["lambda"], "hits": c["hits"],
-                        "status": c["status"]})
-    records.append({"verdict": report.verdict,
-                    "witness_pair": None if report.witness_pair is None
-                    else [report.witness_pair[0], report.witness_pair[1]],
-                    "note": report.note})
+    try:
+        report = fo.foliation_report(fam, lam_grid, samples)
+    except fo.InconclusiveOverlap as err:
+        # two leaves touch within the computed error of their radial gap
+        records = [{"verdict": "Inconclusive", "witness_pair": None,
+                    "note": str(err)}]
+    else:
+        records = []
+        for pr in report.pair_results:
+            records.append({
+                "lambda1": pr.lambda1, "lambda2": pr.lambda2,
+                "intersects": pr.intersects, "min_distance": pr.min_distance,
+                "method": pr.method,
+            })
+        records.append({"monotone": report.monotone})
+        for c in report.coverage:
+            records.append({"point": list(map(float, c["point"])),
+                            "lambda": c["lambda"], "hits": c["hits"],
+                            "status": c["status"]})
+        records.append({"verdict": report.verdict,
+                        "witness_pair": None if report.witness_pair is None
+                        else [report.witness_pair[0], report.witness_pair[1]],
+                        "note": report.note})
     text = "".join(json.dumps(r) + "\n" for r in records)
     _emit(text, args.out)
     if args.rays_csv:
@@ -304,7 +314,7 @@ def cmd_foliate(args, cfg: RunConfig) -> int:
             writer.writerow([_f(lamv), _f(theta0[0]), _f(theta0[1]),
                              _f(theta0[2]), _f(t)])
         _emit(buf.getvalue(), args.rays_csv)
-    return 0 if report.verdict == "Foliates" else 1
+    return _EXIT_BY_VERDICT[records[-1]["verdict"]]
 
 
 # ---------------------------------------------------------------------------

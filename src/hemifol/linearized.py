@@ -12,12 +12,21 @@ the critical half-sphere solves
 with Neumann data du'/deta = -(k1 w1^2 + k2 w2^2) on the equator, the
 third-order condition d(Lap + 2)u'/deta = 7 (k1 w1^2 + k2 w2^2) - H in the
 Willmore case, and the mass/center constraints.
+
+The ODE mode functions do not depend on the curvatures, which enter only
+the mode coefficients and the -f/2 term.  So :func:`solve_ode_modes`
+solves the modes of a case once per process, reads their dense output as
+arrays at the sup-error and sample points, and keeps those tables; each
+call then only scales the mode columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -212,7 +221,8 @@ def _mode2_op(c, forcing=None):
 
 def solve_cmc_modes():
     """CMC mode functions g1(theta), g2(theta) of u' = (k1+k2)/4 v1 +
-    (k1-k2)/4 v2 - f/2 with v1 = g1, v2 = (w1^2 - w2^2) g2."""
+    (k1-k2)/4 v2 - f/2 with v1 = g1, v2 = (w1^2 - w2^2) g2.  Both take a
+    scalar or a 1-D array of theta."""
     th0 = THETA_START
     # mode 0: g'' + cot g' + 2 g = 3/2, regular start g = g0 + (3/2 - 2 g0)/4 theta^2
     op = _mode0_op(2.0)
@@ -242,7 +252,8 @@ def solve_willmore_modes():
     """Willmore mode functions v1(theta) and h(theta) of
     u' = (k1+k2) v1 + (k1-k2)/4 (w1^2 - w2^2) h - f/2, via the chained pair
     w = (Lap + 2)v (Poisson step) then the Helmholtz step, with the kernel
-    constants fixed by the Neumann and mass constraints."""
+    constants fixed by the Neumann and mass constraints.  Both functions
+    take a scalar or a 1-D array of theta."""
     th0 = THETA_START
     end = math.pi / 2
 
@@ -261,7 +272,7 @@ def solve_willmore_modes():
     C0 = 2.0 * (0.125 - 0.5 * c_cos - integral_P)
 
     def v1(theta):
-        return P.sol(theta)[0] + 0.5 * C0 + c_cos * math.cos(theta)
+        return P.sol(theta)[0] + 0.5 * C0 + c_cos * _cos(theta)
 
     # mode 2, step 1: homogeneous w'' + 5 cot w' - 6 w = 0 with w'(pi/2) = -4
     regw = _integrate_mode(_mode2_op(-6.0), [1.0 + th0 ** 2 / 2.0, th0])
@@ -282,56 +293,97 @@ def solve_willmore_modes():
     return v1, h
 
 
+def _cos(theta):
+    """``math.cos`` of a scalar or of each entry of a 1-D array, so that the
+    bits do not depend on the SIMD cosine numpy was built with."""
+    if np.ndim(theta) == 0:
+        return math.cos(theta)
+    return np.fromiter(map(math.cos, theta), float, len(theta))
+
+
 def _mode_sup_error(numeric, closed):
     t = np.linspace(0.0, 0.999, 400)
     theta = np.arccos(t)
     theta = np.clip(theta, THETA_START, None)
-    got = np.array([numeric(th) for th in theta])
+    got = numeric(theta)
     want = closed(np.cos(theta))
     return float(np.max(np.abs(got - want)))
 
 
-def solve_ode_modes(p: LinearizedProblem) -> LinearizedSolution:
-    """Numerically solve the azimuthal mode-0 and mode-2 problems by
-    shooting from a two-term regular series start at theta = 1e-3, discard
-    the singular homogeneous solutions, assemble u'(0) = modes - f/2 on a
-    sample grid, and attach the closed form and multipliers."""
-    if p.case == "cmc":
+class _ModeTable(NamedTuple):
+    """The curvature-free part of :func:`solve_ode_modes` for one case: the
+    modes' sup errors against their closed forms, and the sample points
+    (t, phi), omega there, and both mode columns, each raveled; all of it
+    read-only, since every call shares it."""
+    sup_errors: Mapping[str, float]
+    t: np.ndarray
+    phi: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    w3: np.ndarray
+    mode0: np.ndarray
+    mode2: np.ndarray
+
+
+@functools.cache
+def _mode_tables(case: str) -> _ModeTable:
+    """Solve the modes of ``case`` ('cmc' or 'willmore') and read their
+    dense output at the sup-error points and on the 40 x 32 sample grid;
+    one entry per case for the life of the process."""
+    if case == "cmc":
         m0, m2 = solve_cmc_modes()
-        coef0 = (p.kappa1 + p.kappa2) / 4.0
         errs = {
             "mode0": _mode_sup_error(m0, lambda t: 0.75 - t),
             "mode2": _mode_sup_error(m2, lambda t: (2.0 + t) / (3.0 * (1.0 + t) ** 2)),
         }
     else:
         m0, m2 = solve_willmore_modes()
-        coef0 = p.kappa1 + p.kappa2
         errs = {
             "mode0": _mode_sup_error(
                 m0, lambda t: 1.0 - math.log(2.0) + 0.5 * np.log(1.0 + t) - 0.75 * t),
             "mode2": _mode_sup_error(m2, lambda t: 1.0 / (1.0 + t)),
         }
-    coef2 = (p.kappa1 - p.kappa2) / 4.0
-
     t = np.linspace(0.0, math.cos(THETA_START), 40)
     phi = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
-    tt, pp = np.meshgrid(t, phi, indexing="ij")
+    tt, pp = (a.ravel() for a in np.meshgrid(t, phi, indexing="ij"))
     theta = np.arccos(np.clip(tt, -1.0, 1.0))
-    w1, w2_, w3 = sphere.omega_values(tt, pp)
-    mode0_vals = np.array([m0(th) for th in theta.ravel()]).reshape(theta.shape)
-    mode2_vals = np.array([m2(th) for th in theta.ravel()]).reshape(theta.shape)
+    table = _ModeTable(MappingProxyType(errs), tt, pp, *sphere.omega_values(tt, pp),
+                       m0(theta), m2(theta))
+    for column in table[1:]:
+        column.flags.writeable = False
+    return table
+
+
+def solve_ode_modes(p: LinearizedProblem) -> LinearizedSolution:
+    """Numerically solve the azimuthal mode-0 and mode-2 problems by
+    shooting from a two-term regular series start at theta = 1e-3, discard
+    the singular homogeneous solutions, assemble u'(0) = modes - f/2 on a
+    sample grid, and attach the closed form and multipliers.
+
+    The modes do not depend on the curvatures, so they are solved, and
+    their dense output read as arrays, once per case per process (see
+    :func:`_mode_tables`); each call scales the cached mode columns and
+    returns its own ``samples`` array and ``mode_sup_errors`` dict."""
+    table = _mode_tables(p.case)
+    if p.case == "cmc":
+        coef0 = (p.kappa1 + p.kappa2) / 4.0
+    else:
+        coef0 = p.kappa1 + p.kappa2
+    coef2 = (p.kappa1 - p.kappa2) / 4.0
+
+    w1, w2_, w3 = table.w1, table.w2, table.w3
     f_half = 0.5 * (p.kappa1 * w1 ** 2 + p.kappa2 * w2_ ** 2) * w3
-    u_vals = (coef0 * mode0_vals
-              + coef2 * (w1 ** 2 - w2_ ** 2) * mode2_vals
+    u_vals = (coef0 * table.mode0
+              + coef2 * (w1 ** 2 - w2_ ** 2) * table.mode2
               - f_half)
-    samples = np.column_stack([tt.ravel(), pp.ravel(), u_vals.ravel()])
+    samples = np.column_stack([table.t, table.phi, u_vals])
     alpha, beta = multipliers(p)
     return LinearizedSolution(
         u_prime=closed_form_uprime(p),
         samples=samples,
         alpha_prime=alpha,
         beta_prime=beta,
-        mode_sup_errors=errs,
+        mode_sup_errors=dict(table.sup_errors),
     )
 
 

@@ -132,6 +132,28 @@ class TestLinearized:
         assert lines[0] == "t,phi,u_prime"
         assert len(lines) > 100
 
+    def test_shared_mode_tables_match_fresh_runs(self, tmp_path, capsys):
+        # one process solves each case's modes once; alternating cases and
+        # curvatures must print what a run with no tables yet prints
+        from hemifol import linearized as lin
+        runs = [("cmc", "1", "0"), ("willmore", "0.5", "-2"), ("cmc", "-1.25", "3"),
+                ("willmore", "0", "0"), ("cmc", "0", "0"), ("willmore", "1", "1")]
+
+        def run(case, k1, k2):
+            csv_path = tmp_path / "u.csv"
+            assert cli.main(["linearized", "--case", case, "--k1", k1,
+                             "--k2", k2, "--dump-csv", str(csv_path)]) == 0
+            return capsys.readouterr().out, csv_path.read_bytes()
+
+        lin._mode_tables.cache_clear()
+        shared = [run(*args) for args in runs]
+        assert lin._mode_tables.cache_info().misses == 2
+        fresh = []
+        for args in reversed(runs):
+            lin._mode_tables.cache_clear()
+            fresh.append(run(*args))
+        assert shared == fresh[::-1]
+
 
 class TestFoliate:
     def test_foliating_family(self, tmp_path, capsys):
@@ -201,6 +223,31 @@ class TestFoliate:
         assert captured.out == ""
         assert captured.err == f"hemifol: error: {message}\n"
         assert not rays.exists()
+
+    @pytest.mark.parametrize("v", [0.5, 1.5])
+    def test_empty_lambda_grid(self, tmp_path, capsys, v):
+        # v < 1 would read the grid's ends for its sample-radius rays, v > 1
+        # meets the empty grid in the report; both are bad input
+        fam = _family_file(tmp_path, v)
+        code = cli.main(["foliate", str(fam), "--n-lambda", "0"])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: lambda grid must lie in (0, lambda_max]\n"
+
+    def test_touching_leaves_inconclusive(self, tmp_path, capsys):
+        # v = 1, f = 0: every leaf touches the next at the origin, a radial
+        # gap of 0 within its error, which is no verdict either way
+        fam = _family_file(tmp_path, 1, shift="0")
+        rays = tmp_path / "rays.csv"
+        code = cli.main(["foliate", str(fam), "--rays-csv", str(rays)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert [json.loads(line) for line in captured.out.splitlines()] == [
+            {"verdict": "Inconclusive", "witness_pair": None,
+             "note": "radial gap 0.000e+00 within its error 1.000e-12"}]
+        assert rays.read_text().splitlines()[0] == "lambda,theta0_x,theta0_y,theta0_z,t"
 
     def test_rays_csv(self, tmp_path, capsys):
         fam = _family_file(tmp_path, 0.5)

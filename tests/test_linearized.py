@@ -172,3 +172,111 @@ class TestMultipliers:
         alpha, beta = lin.multipliers(lin.LinearizedProblem(case, k1, k2))
         assert alpha == pytest.approx(want, abs=1e-10)
         assert np.max(np.abs(beta)) < 1e-10
+
+
+def _reference_solve_ode_modes(p):
+    """solve_ode_modes as it was before the mode tables: the modes solved
+    on every call and their dense output read one point at a time."""
+    def sup_error(numeric, closed):
+        t = np.linspace(0.0, 0.999, 400)
+        theta = np.arccos(t)
+        theta = np.clip(theta, lin.THETA_START, None)
+        got = np.array([numeric(th) for th in theta])
+        want = closed(np.cos(theta))
+        return float(np.max(np.abs(got - want)))
+
+    if p.case == "cmc":
+        m0, m2 = lin.solve_cmc_modes()
+        coef0 = (p.kappa1 + p.kappa2) / 4.0
+        errs = {
+            "mode0": sup_error(m0, lambda t: 0.75 - t),
+            "mode2": sup_error(m2, lambda t: (2.0 + t) / (3.0 * (1.0 + t) ** 2)),
+        }
+    else:
+        m0, m2 = lin.solve_willmore_modes()
+        coef0 = p.kappa1 + p.kappa2
+        errs = {
+            "mode0": sup_error(
+                m0, lambda t: 1.0 - math.log(2.0) + 0.5 * np.log(1.0 + t) - 0.75 * t),
+            "mode2": sup_error(m2, lambda t: 1.0 / (1.0 + t)),
+        }
+    coef2 = (p.kappa1 - p.kappa2) / 4.0
+
+    t = np.linspace(0.0, math.cos(lin.THETA_START), 40)
+    phi = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
+    tt, pp = np.meshgrid(t, phi, indexing="ij")
+    theta = np.arccos(np.clip(tt, -1.0, 1.0))
+    w1, w2_, w3 = sphere.omega_values(tt, pp)
+    mode0_vals = np.array([m0(th) for th in theta.ravel()]).reshape(theta.shape)
+    mode2_vals = np.array([m2(th) for th in theta.ravel()]).reshape(theta.shape)
+    f_half = 0.5 * (p.kappa1 * w1 ** 2 + p.kappa2 * w2_ ** 2) * w3
+    u_vals = (coef0 * mode0_vals
+              + coef2 * (w1 ** 2 - w2_ ** 2) * mode2_vals
+              - f_half)
+    samples = np.column_stack([tt.ravel(), pp.ravel(), u_vals.ravel()])
+    alpha, beta = lin.multipliers(p)
+    return lin.LinearizedSolution(
+        u_prime=lin.closed_form_uprime(p), samples=samples,
+        alpha_prime=alpha, beta_prime=beta, mode_sup_errors=errs)
+
+
+def _curvatures():
+    rng = np.random.default_rng(11)
+    seeded = [tuple(float(k) for k in rng.uniform(-3.0, 3.0, 2)) for _ in range(7)]
+    return [(0.0, 0.0), (1.0, 1.0), (-2.5, -2.5), (0.0, 1.5), (-0.75, 0.0)] + seeded
+
+
+def _same_bytes(a, b):
+    assert a.samples.dtype == b.samples.dtype
+    assert a.samples.shape == b.samples.shape
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.mode_sup_errors.keys() == b.mode_sup_errors.keys()
+    for key in a.mode_sup_errors:
+        assert a.mode_sup_errors[key].hex() == b.mode_sup_errors[key].hex()
+    assert float(a.alpha_prime).hex() == float(b.alpha_prime).hex()
+    assert np.asarray(a.beta_prime).tobytes() == np.asarray(b.beta_prime).tobytes()
+
+
+class TestModeTables:
+    @pytest.mark.parametrize("case", ["cmc", "willmore"])
+    def test_same_bytes_as_per_point_reference(self, case):
+        # the modes solved once per case and read as arrays give exactly the
+        # samples, sup errors and multipliers of solving and reading them
+        # point by point, on a cache miss and on a hit
+        for k1, k2 in _curvatures():
+            p = lin.LinearizedProblem(case, k1, k2)
+            want = _reference_solve_ode_modes(p)
+            lin._mode_tables.cache_clear()
+            _same_bytes(lin.solve_ode_modes(p), want)
+            _same_bytes(lin.solve_ode_modes(p), want)
+            assert lin._mode_tables.cache_info().hits >= 1
+
+    def test_array_reads_match_point_reads(self):
+        theta = np.linspace(lin.THETA_START, math.pi / 2, 97)
+        for modes in (lin.solve_cmc_modes(), lin.solve_willmore_modes()):
+            for mode in modes:
+                each = np.array([mode(th) for th in theta])
+                assert mode(theta).tobytes() == each.tobytes()
+
+    def test_callers_cannot_change_the_tables(self):
+        p = lin.LinearizedProblem("willmore", 0.7, -1.3)
+        first = lin.solve_ode_modes(p)
+        want_samples = first.samples.copy()
+        want_errors = dict(first.mode_sup_errors)
+        first.samples[:, 2] = 0.0
+        first.mode_sup_errors["mode0"] = 1.0
+        first.mode_sup_errors.clear()
+        second = lin.solve_ode_modes(p)
+        assert second.samples.tobytes() == want_samples.tobytes()
+        assert second.mode_sup_errors == want_errors
+        assert second.samples is not first.samples
+        assert second.mode_sup_errors is not first.mode_sup_errors
+
+    def test_one_entry_per_case(self):
+        lin._mode_tables.cache_clear()
+        for case in ("cmc", "willmore", "CMC", "Willmore"):
+            lin.solve_ode_modes(lin.LinearizedProblem(case, 1.0, 0.5))
+        info = lin._mode_tables.cache_info()
+        assert info.currsize == 2 and info.misses == 2
+        table = lin._mode_tables("cmc")
+        assert not any(column.flags.writeable for column in table[1:])
