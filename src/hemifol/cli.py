@@ -15,6 +15,14 @@ use codes no verdict uses:
         an expression that cannot be evaluated (unbound variable, domain
         error), a surface without a nondegenerate critical point in reach
 
+``verify-expansions`` measures its own quadrature grid (see
+``variational.second_derivative_terms``); each row's ``abs_err`` is the
+larger of the row's quadrature residual and the largest raw-value move of
+the grid's last doubling.  The one setting is ``--tolerance``, the largest
+``abs_err`` that passes: the flag, else the ``tolerance`` key of a
+``--config`` file of ``key = value`` lines, else 1e-7.  It must be
+positive for every command.
+
 Input errors print one line to stderr instead of a traceback.  All floats
 print with 17 significant digits and identical configurations produce
 byte-identical output.
@@ -29,7 +37,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,25 +48,14 @@ from . import linearized as lin
 from . import quadrature as hq
 from . import variational as va
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 FMT = "%.17g"
 EX_USAGE = 64
 EX_DATAERR = 65
 
 
-@dataclass
-class RunConfig:
-    n_polar: int = 64
-    n_azimuthal: int = 128
-    tolerance: float = 1e-7
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-    def grid(self):
-        return hq.QuadratureGrid(self.n_polar, self.n_azimuthal)
+DEFAULT_TOLERANCE = 1e-7
 
 
 def _load_config(path) -> dict:
@@ -90,7 +86,7 @@ def _emit(text: str, out):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_moments(args, cfg: RunConfig) -> int:
+def cmd_moments(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     if args.boundary:
@@ -109,7 +105,7 @@ _EXIT_BY_VERDICT = {"Foliates": 0, "DoesNotFoliate": 1, "Overlaps": 1,
                     "Inconclusive": 2}
 
 
-def cmd_analyze(args, cfg: RunConfig) -> int:
+def cmd_analyze(args) -> int:
     surface = gs.load_surface_file(args.surface)
     data = gs.find_critical_point(surface, tuple(args.guess))
     verdict = gs.foliation_criterion(surface, data, args.case)
@@ -132,7 +128,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     return _EXIT_BY_VERDICT[verdict.verdict]
 
 
-def cmd_gallery(args, cfg: RunConfig) -> int:
+def cmd_gallery(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["a", "v0x", "v0y", "v0norm", "verdict"])
@@ -175,16 +171,16 @@ _REFERENCE_TOTALS = {
 _REFERENCE_FIRST = {"willmore": -1.0, "cmc": -0.25}
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     case = args.case
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["term", "K_p", "K_q", "H2_p", "H2_q",
                      "ref_K", "ref_H2", "abs_err", "status"])
     try:
-        dec = va.second_derivative_terms(case, cfg.grid())
+        dec = va.second_derivative_terms(case)
     except (hq.NoRationalFit, va.InconsistentProbes) as err:
-        # a sabotaged grid/tolerance surfaces here: flag and exit nonzero
+        # values the finest grid cannot pin down: flag and exit nonzero
         writer.writerow(["all", "", "", "", "", "", "",
                          f"unrecoverable: {err}", "FAIL"])
         _emit(buf.getvalue(), args.out)
@@ -203,20 +199,22 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         quad_err = max(
             abs(raw - (ref_value * k1 * k2 + ref_h2 * (k1 + k2) ** 2))
             for (k1, k2), raw in tv.raw.items())
-        status = "PASS" if exact and quad_err < cfg.tolerance else "FAIL"
+        abs_err = max(err, quad_err, dec.grid_change)
+        status = "PASS" if exact and abs_err < args.tolerance else "FAIL"
         failures += status == "FAIL"
         writer.writerow([
             name, str(tv.K_coeff.p), str(tv.K_coeff.q),
             str(tv.H2_coeff.p), str(tv.H2_coeff.q),
             f"pi*({want[0]}+{want[1]}ln2)", f"pi*({want[2]}+{want[3]}ln2)",
-            _f(max(err, quad_err)), status,
+            _f(abs_err), status,
         ])
     ktot, htot = dec.total()
     wk_p, wk_q, wh_p, wh_q = _REFERENCE_TOTALS[case]
     tot_ok = (ktot.p == wk_p and ktot.q == wk_q
               and htot.p == wh_p and htot.q == wh_q)
-    first_err = abs(dec.first_derivative - _REFERENCE_FIRST[case] * math.pi)
-    first_ok = first_err < cfg.tolerance
+    first_err = max(abs(dec.first_derivative - _REFERENCE_FIRST[case] * math.pi),
+                    dec.grid_change)
+    first_ok = first_err < args.tolerance
     writer.writerow(["total", str(ktot.p), str(ktot.q), str(htot.p), str(htot.q),
                      f"pi*({wk_p}+{wk_q}ln2)", f"pi*({wh_p}+{wh_q}ln2)",
                      _f(first_err), "PASS" if tot_ok and first_ok else "FAIL"])
@@ -225,10 +223,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def cmd_linearized(args, cfg: RunConfig) -> int:
+def cmd_linearized(args) -> int:
     problem = lin.LinearizedProblem(args.case, args.k1, args.k2)
     solution = lin.solve_ode_modes(problem)
-    report = lin.residual_check(problem, solution.u_prime, cfg.grid())
+    report = lin.residual_check(problem, solution.u_prime)
     records = [
         {"field": "interior_pde", "residual": report.interior},
         {"field": "neumann", "residual": report.neumann},
@@ -252,7 +250,7 @@ def cmd_linearized(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_foliate(args, cfg: RunConfig) -> int:
+def cmd_foliate(args) -> int:
     fam, meta = fo.load_family_file(args.family)
     lam_grid = list(np.linspace(args.lambda_min, fam.lambda_max, args.n_lambda))
     if not lam_grid:
@@ -339,9 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="foliation criteria and variational expansions for "
                     "CMC and Willmore half-spheres")
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--n-polar", type=int, default=None)
-    parser.add_argument("--n-azimuthal", type=int, default=None)
-    parser.add_argument("--tolerance", type=float, default=None)
+    parser.add_argument("--tolerance", type=float, default=None,
+                        help="largest abs_err verify-expansions passes "
+                             f"(default {DEFAULT_TOLERANCE:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="exact hemisphere moment tables")
@@ -392,18 +390,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = {}
-        if args.config:
-            overrides.update(_load_config(args.config))
-        cfg = RunConfig(
-            n_polar=(int(overrides.get("n_polar", 64)) if args.n_polar is None
-                     else args.n_polar),
-            n_azimuthal=(int(overrides.get("n_azimuthal", 128))
-                         if args.n_azimuthal is None else args.n_azimuthal),
-            tolerance=(float(overrides.get("tolerance", 1e-7))
-                       if args.tolerance is None else args.tolerance),
-        )
-        return args.func(args, cfg)
+        config = _load_config(args.config) if args.config else {}
+        if args.tolerance is None:
+            args.tolerance = float(config.get("tolerance", DEFAULT_TOLERANCE))
+        if args.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+        return args.func(args)
     except (ex.ExprError, gs.NoConvergence, gs.DegenerateHessian,
             OSError, ValueError) as err:
         print(f"hemifol: error: {err}", file=sys.stderr)

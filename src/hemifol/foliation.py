@@ -126,16 +126,6 @@ class LeafFamily:
             out[..., i] = val
         return out
 
-    def jacobian_f(self, lam, omega):
-        """df/domega at points omega (..., 3) -> (..., 3, 3)."""
-        omega = np.asarray(omega, dtype=float)
-        b = {"lambda": np.broadcast_to(lam, omega[..., 0].shape),
-             "w1": omega[..., 0], "w2": omega[..., 1], "w3": omega[..., 2]}
-        out = np.empty(omega.shape[:-1] + (9,))
-        for k, val in enumerate(ex.evaluate(self._df, b)):
-            out[..., k] = val
-        return out.reshape(omega.shape[:-1] + (3, 3))
-
     def leaf(self, lam, omega):
         """phi_lambda(omega) for points omega (..., 3)."""
         omega = np.asarray(omega, dtype=float)

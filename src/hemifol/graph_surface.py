@@ -265,10 +265,13 @@ def load_surface_file(path) -> GraphSurface:
                 for item in line[len("params:"):].split(","):
                     key, _, val = item.partition("=")
                     params[key.strip()] = ex.const(Fraction(val.strip()))
-            elif line.startswith("name"):
-                name = line.partition("=")[2].strip()
-            elif line.startswith("u"):
-                u_text = line.partition("=")[2].strip()
+                continue
+            key, _, val = line.partition("=")
+            key = key.strip()
+            if key == "name":
+                name = val.strip()
+            elif key == "u":
+                u_text = val.strip()
             else:
                 raise ValueError(f"unrecognized surface-file line: {line!r}")
     if u_text is None:

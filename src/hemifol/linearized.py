@@ -201,12 +201,12 @@ def _integrate_mode(rhs, y0, theta0=THETA_START):
     return sol
 
 
-def _mode0_op(c):
-    """g'' + cot(theta) g' + c g as a first-order system."""
+def _mode0_op(c, forcing=None):
+    """g'' + cot(theta) g' + c g = forcing as a first-order system."""
     def rhs(theta, y):
         g, dg = y
-        return [dg, -dg / math.tan(theta) - c * g + rhs.forcing(theta)]
-    rhs.forcing = lambda theta: 0.0
+        f = forcing(theta) if forcing is not None else 0.0
+        return [dg, -dg / math.tan(theta) - c * g + f]
     return rhs
 
 
@@ -225,12 +225,10 @@ def solve_cmc_modes():
     scalar or a 1-D array of theta."""
     th0 = THETA_START
     # mode 0: g'' + cot g' + 2 g = 3/2, regular start g = g0 + (3/2 - 2 g0)/4 theta^2
-    op = _mode0_op(2.0)
-    op.forcing = lambda theta: 1.5
     a2 = 1.5 / 4.0
-    part = _integrate_mode(op, [a2 * th0 ** 2, 2 * a2 * th0])
-    op_h = _mode0_op(2.0)
-    hom = _integrate_mode(op_h, [1.0 - th0 ** 2 / 2.0, -th0])
+    part = _integrate_mode(_mode0_op(2.0, forcing=lambda theta: 1.5),
+                           [a2 * th0 ** 2, 2 * a2 * th0])
+    hom = _integrate_mode(_mode0_op(2.0), [1.0 - th0 ** 2 / 2.0, -th0])
     # Neumann: g'(pi/2) = 1
     end = math.pi / 2
     g0 = (1.0 - part.sol(end)[1]) / hom.sol(end)[1]
@@ -258,13 +256,11 @@ def solve_willmore_modes():
     end = math.pi / 2
 
     # mode 0, step 1: Lap w = -1 regular particular, w_p ~ -theta^2/4
-    op_w = _mode0_op(0.0)
-    op_w.forcing = lambda theta: -1.0
-    wp = _integrate_mode(op_w, [-th0 ** 2 / 4.0, -th0 / 2.0])
+    wp = _integrate_mode(_mode0_op(0.0, forcing=lambda theta: -1.0),
+                         [-th0 ** 2 / 4.0, -th0 / 2.0])
     # step 2: (Lap + 2) P = w_p with regular series P ~ -theta^4/48
-    op_p = _mode0_op(2.0)
-    op_p.forcing = lambda theta: wp.sol(theta)[0]
-    P = _integrate_mode(op_p, [-th0 ** 4 / 48.0, -th0 ** 3 / 12.0])
+    P = _integrate_mode(_mode0_op(2.0, forcing=lambda theta: wp.sol(theta)[0]),
+                        [-th0 ** 4 / 48.0, -th0 ** 3 / 12.0])
     # v1 = P + C0/2 + c cos(theta); Neumann v1'(pi/2) = 1/4, mass integral pi/4
     c_cos = P.sol(end)[1] - 0.25
     integral_P, _ = quad(lambda th: P.sol(th)[0] * math.sin(th), th0, end,

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
+from . import sphere
 
 __all__ = [
     "Moment", "CoefficientVector", "QuadratureGrid", "NoRationalFit",
@@ -123,17 +124,12 @@ def boundary_moment(a: int, b: int) -> Fraction:
 _W_NAMES = ("w1", "w2", "w3")
 
 
-def _omega_arrays(t, phi):
-    s = np.sqrt(1.0 - t * t)
-    return {"w1": s * np.cos(phi), "w2": s * np.sin(phi), "w3": t}
-
-
 def integrate_surface(e: ex.Expr, grid: QuadratureGrid = QuadratureGrid(),
                       extra: dict | None = None) -> float:
     """Hemisphere integral of an expression in w1, w2, w3 (plus any extra
     bindings); spectrally accurate for smooth integrands."""
     t, phi, w = grid.nodes()
-    bindings = _omega_arrays(t, phi)
+    bindings = dict(zip(_W_NAMES, sphere.omega_values(t, phi)))
     if extra:
         bindings.update(extra)
     vals = ex.evaluate(e, bindings)

@@ -9,6 +9,11 @@ polarization.  The mean curvature uses the normal-coordinate device
 h_ij = -1/2 d/dz s_ij with s_ij the pullback metric along the normal graph,
 which reduces to metric position-derivatives plus tangential derivatives of
 the unit normal.
+
+``second_derivative_terms`` measures the quadrature grid of the expansion
+coefficients instead of taking one: it doubles from FIRST_GRID until no raw
+value moves by more than RECOVER_TOL (at most to LAST_GRID) and reports that
+move with the coefficients it recovers on the final grid.
 """
 
 from __future__ import annotations
@@ -422,6 +427,8 @@ class TermDecomposition:
     case: str
     terms: dict                    # name -> FunctionalValue
     first_derivative: float        # coefficient of H in the lambda-linear term
+    grid: hq.QuadratureGrid        # the grid the values were recovered from
+    grid_change: float             # largest raw-value move of its last doubling
 
     def total(self) -> tuple[hq.CoefficientVector, hq.CoefficientVector]:
         ktot = Fraction(0)
@@ -467,20 +474,20 @@ def _decompose(values: dict) -> FunctionalValue:
 WILLMORE_TERMS = ("D1sq", "D12", "D2sq", "D1_u2", "D2_g2")
 CMC_TERMS = WILLMORE_TERMS
 
+# second_derivative_terms doubles its grid from the first of these until no
+# raw value moves by more than RECOVER_TOL, and stops at the last
+FIRST_GRID = hq.QuadratureGrid(16, 32)
+LAST_GRID = hq.QuadratureGrid(128, 256)
 
-def second_derivative_terms(case: str,
-                            grid: hq.QuadratureGrid = hq.QuadratureGrid(),
-                            dh: float = 0.0) -> TermDecomposition:
-    """The five second-derivative contributions to d^2/dlambda^2 of the
-    Willmore energy (case 'willmore') or area (case 'cmc') along the
-    critical family, each decomposed as K and H^2 coefficients in the
-    pi*(p + q*ln2) algebra.
+
+def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
+    """Raw values on one grid: {term name: {probe pair: value}} for the five
+    terms, and the coefficient of H in the lambda-linear term.
 
     The quadratic-in-(u', g') block comes from one diagonal jet per probe
     pair with polarization; the u'' term from the volume/boundary constraint
     chains; the g'' term from the closed metric-variation integrands.
     """
-    case = case.lower()
     u_dir = lin.uprime_expr(case)
     gprime = metric_first_order()
     gsecond = metric_second_order()
@@ -524,29 +531,55 @@ def second_derivative_terms(case: str,
                        **{n: float(dh) for n in DH_NAMES}})
 
     mixed = {k: 0.5 * (diag[k] - usq[k] - gsq[k]) for k in diag}
-    terms = {
-        "D1sq": _decompose(usq),
-        "D12": _decompose(mixed),
-        "D2sq": _decompose(gsq),
-        "D1_u2": _decompose(u2term),
-        "D2_g2": _decompose(g2term),
-    }
+    raw = {"D1sq": usq, "D12": mixed, "D2sq": gsq,
+           "D1_u2": u2term, "D2_g2": g2term}
     # lambda-linear coefficient: -pi H (Willmore) or -(pi/4) H (CMC)
     h_coef = {}
     for (k1, k2), v in d1.items():
         if abs(k1 + k2) > 1e-12:
             h_coef[(k1, k2)] = v / (k1 + k2)
     first = float(np.mean(list(h_coef.values())))
-    return TermDecomposition(case, terms, first)
+    return raw, first
 
 
-def assemble_expansion(case: str, decomposition: TermDecomposition | None = None,
-                       grid: hq.QuadratureGrid = hq.QuadratureGrid()):
+def _flat(raw: dict, first: float) -> np.ndarray:
+    return np.array([v for values in raw.values() for v in values.values()]
+                    + [first])
+
+
+def second_derivative_terms(case: str, dh: float = 0.0) -> TermDecomposition:
+    """The five second-derivative contributions to d^2/dlambda^2 of the
+    Willmore energy (case 'willmore') or area (case 'cmc') along the
+    critical family, each decomposed as K and H^2 coefficients in the
+    pi*(p + q*ln2) algebra.
+
+    The grid is measured, not chosen: the raw values (five terms at each
+    probe pair, and the lambda-linear coefficient) are computed on
+    FIRST_GRID, then on doubled grids until no value moves by more than
+    RECOVER_TOL, or LAST_GRID is reached.  The coefficients are recovered
+    once, from the values on the final grid; that grid and the largest
+    move of the last doubling are the ``grid`` and ``grid_change`` of the
+    result.
+    """
+    case = case.lower()
+    grid = FIRST_GRID
+    raw, first = _probe_values(case, grid, dh)
+    change = math.inf
+    while grid != LAST_GRID and not change <= RECOVER_TOL:
+        coarse = _flat(raw, first)
+        grid = grid.doubled()
+        raw, first = _probe_values(case, grid, dh)
+        change = float(np.max(np.abs(_flat(raw, first) - coarse)))
+    terms = {name: _decompose(values) for name, values in raw.items()}
+    return TermDecomposition(case, terms, first, grid, change)
+
+
+def assemble_expansion(case: str, decomposition: TermDecomposition | None = None):
     """Expansion coefficients (c0, c1, c2) of the reduced functional:
     c0 = 2 pi, c1 = first-derivative coefficient times H, and
     c2 = (K-part, H^2-part) CoefficientVectors of half the second
     derivative."""
-    dec = decomposition or second_derivative_terms(case, grid)
+    dec = decomposition or second_derivative_terms(case)
     ktot, htot = dec.total()
     c2 = (hq.CoefficientVector(ktot.p / 2, ktot.q / 2),
           hq.CoefficientVector(htot.p / 2, htot.q / 2))

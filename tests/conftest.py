@@ -1,14 +1,13 @@
 import pytest
 
-from hemifol import quadrature as hq
 from hemifol import variational as va
 
 
 @pytest.fixture(scope="session")
 def willmore_terms():
-    return va.second_derivative_terms("willmore", hq.QuadratureGrid())
+    return va.second_derivative_terms("willmore")
 
 
 @pytest.fixture(scope="session")
 def cmc_terms():
-    return va.second_derivative_terms("cmc", hq.QuadratureGrid())
+    return va.second_derivative_terms("cmc")

@@ -262,8 +262,7 @@ class TestFoliate:
 
 class TestVerifyExpansions:
     def test_willmore_all_pass(self, capsys):
-        code = cli.main(["--n-polar", "32", "--n-azimuthal", "64",
-                         "verify-expansions", "--case", "willmore"])
+        code = cli.main(["verify-expansions", "--case", "willmore"])
         out = capsys.readouterr().out
         assert code == 0
         rows = out.strip().splitlines()[1:]
@@ -279,27 +278,54 @@ class TestVerifyExpansions:
         bad["willmore"]["D2_g2"] = (Fraction(-5, 3), Fraction(0),
                                     Fraction(0), Fraction(0))
         monkeypatch.setattr(cli, "_REFERENCE_TERMS", bad)
-        code = cli.main(["--n-polar", "32", "--n-azimuthal", "64",
-                         "verify-expansions", "--case", "willmore"])
+        code = cli.main(["verify-expansions", "--case", "willmore"])
         out = capsys.readouterr().out
         assert code == 1
         fail_rows = [r for r in out.strip().splitlines() if r.endswith("FAIL")]
         assert any(r.startswith("D2_g2") for r in fail_rows)
 
+    def test_abs_err_covers_grid_change(self, capsys, cmc_terms):
+        # every printed error includes the raw-value move of the measured
+        # grid's last doubling; a second run prints the same bytes
+        assert cli.main(["verify-expansions", "--case", "cmc"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(float(r[7]) >= cmc_terms.grid_change for r in rows)
+        assert cli.main(["verify-expansions", "--case", "cmc"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_tolerance_below_errors_fails(self, capsys):
+        code = cli.main(["--tolerance", "1e-16", "verify-expansions", "--case", "cmc"])
+        assert code == 1
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 6
+        assert all(r.endswith(",FAIL") for r in rows)
+
 
 class TestConfig:
     def test_config_file_overrides(self, tmp_path, capsys):
+        # the config's tolerance replaces the default, the flag replaces
+        # the config, and keys nothing reads are ignored
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("n_polar = 32\nn_azimuthal = 64\nseed = 0\n")
-        assert cli.main(["--config", str(cfgfile),
-                         "moments", "--max-degree", "2"]) == 0
-        capsys.readouterr()
+        cfgfile.write_text("tolerance = 1e-16\nseed = 0\n")
+        argv = ["verify-expansions", "--case", "cmc"]
+        assert cli.main(["--config", str(cfgfile)] + argv) == 1
+        assert capsys.readouterr().out.count(",FAIL") == 6
+        assert cli.main(["--config", str(cfgfile), "--tolerance", "1e-7"] + argv) == 0
+        assert capsys.readouterr().out.count(",PASS") == 6
 
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            cli.RunConfig(tolerance=-1.0)
+    def test_bad_tolerance_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("tolerance = -1\n")
+        for argv in (["--tolerance", "-1"], ["--config", str(cfgfile)]):
+            code = cli.main(argv + ["moments", "--max-degree", "2"])
+            assert code == cli.EX_DATAERR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "hemifol: error: tolerance must be positive\n"
 
-    @pytest.mark.parametrize("flag", ["--tolerance", "--n-polar", "--n-azimuthal"])
+    @pytest.mark.parametrize("flag", ["--tolerance"])
     def test_zero_override_rejected(self, capsys, flag):
         # 0 is an invalid value, not a request for the default
         code = cli.main([flag, "0", "verify-expansions", "--case", "cmc"])
@@ -308,6 +334,16 @@ class TestConfig:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("hemifol: error: ")
+
+    @pytest.mark.parametrize("flag", ["--n-polar", "--n-azimuthal"])
+    def test_grid_flags_rejected(self, capsys, flag):
+        # verify-expansions measures its grid; there is no grid to set
+        with pytest.raises(SystemExit) as info:
+            cli.main([flag, "32", "verify-expansions", "--case", "cmc"])
+        assert info.value.code == cli.EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("hemifol: error: ")
 
 
 class TestInputErrors:
@@ -325,6 +361,20 @@ class TestInputErrors:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("hemifol: error: ")
+
+    @pytest.mark.parametrize("body, line", [
+        ("u = x*y\nuu = x^3\n", "uu = x^3"),
+        ("names = bogus\nu = x*y\n", "names = bogus"),
+    ], ids=["uu", "names"])
+    def test_surface_file_unknown_key(self, tmp_path, capsys, body, line):
+        # keys match whole: a key that merely starts with 'u' or 'name'
+        # is not one
+        path = tmp_path / "bad.surf"
+        path.write_text(body)
+        assert cli.main(["analyze", str(path), "--case", "cmc"]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hemifol: error: unrecognized surface-file line: {line!r}\n"
 
     def test_missing_surface_file(self, tmp_path, capsys):
         code = cli.main(["analyze", str(tmp_path / "none.surf"), "--case", "cmc"])
@@ -377,8 +427,7 @@ class TestParserReuse:
             ["linearized", "--case", "cmc", "--k1", "0.5"],
             ["foliate", fam, "--n-lambda", "4"],
             ["analyze", surf],
-            ["--n-polar", "16", "--n-azimuthal", "32",
-             "verify-expansions", "--case", "cmc"],
+            ["--tolerance", "1e-6", "verify-expansions", "--case", "cmc"],
             ["analyze", surf, "--case", "cmc", "--guess", "0.02", "-0.02"],
             ["foliate"],
             ["linearized", "--case", "willmore"],

@@ -392,12 +392,45 @@ class TestSecondDerivativeTerms:
         assert f["W"].d1 == pytest.approx(ww, abs=1e-10)
 
     @pytest.mark.parametrize("case", ["willmore", "cmc"])
-    def test_raw_values_match_public_functionals(self, case):
+    def test_measured_grid(self, request, case):
+        # 16x32 -> 32x64 moves no raw value by more than RECOVER_TOL
+        dec = request.getfixturevalue(f"{case}_terms")
+        assert dec.grid == hq.QuadratureGrid(32, 64)
+        assert 0 < dec.grid_change <= va.RECOVER_TOL
+
+    @pytest.mark.parametrize("offset, want_grids", [
+        # only the first grid is off: one more doubling confirms the second
+        (lambda grid: 1e-6 if grid == va.FIRST_GRID else 0.0, [16, 32, 64]),
+        # every grid is off: doubling stops at LAST_GRID
+        (lambda grid: 1e-6 / grid.n_polar, [16, 32, 64, 128]),
+    ], ids=["settles", "capped"])
+    def test_grid_doubling(self, monkeypatch, offset, want_grids):
+        # the lambda-linear coefficient is read but not recovered, so an
+        # offset on it steers the doubling without touching the recovery
+        probe = va._probe_values
+        seen = []
+
+        def shifted(case, grid, dh):
+            seen.append(grid)
+            raw, first = probe(case, grid, dh)
+            return raw, first + offset(grid)
+
+        monkeypatch.setattr(va, "_probe_values", shifted)
+        dec = va.second_derivative_terms("cmc")
+        assert [g.n_polar for g in seen] == want_grids
+        assert [g.n_azimuthal for g in seen] == [2 * n for n in want_grids]
+        assert dec.grid == seen[-1]
+        prev, last = seen[-2:]
+        assert dec.grid_change == pytest.approx(
+            abs(offset(last) - offset(prev)), abs=1e-13)
+
+    @pytest.mark.parametrize("case", ["willmore", "cmc"])
+    def test_raw_values_match_public_functionals(self, request, case):
         # second_derivative_terms integrates only what it reads; every raw
         # probe value must equal, bit for bit, the one assembled from the
-        # full functionals
-        grid = hq.QuadratureGrid(16, 32)
-        dec = va.second_derivative_terms(case, grid)
+        # full functionals on the grid it measured
+        dec = request.getfixturevalue(f"{case}_terms")
+        grid = dec.grid
         u_dir = lin.uprime_expr(case)
         g1, g2 = va.metric_first_order(), va.metric_second_order()
         key = "W" if case == "willmore" else "A"
