@@ -21,7 +21,8 @@ larger of the row's quadrature residual and the largest raw-value move of
 the grid's last doubling.  The one setting is ``--tolerance``, the largest
 ``abs_err`` that passes: the flag, else the ``tolerance`` key of a
 ``--config`` file of ``key = value`` lines, else 1e-7.  It must be
-positive for every command.
+positive and finite for every command, and a config line with any other
+key, or without ``=``, is an input error.
 
 Input errors print one line to stderr instead of a traceback.  All floats
 print with 17 significant digits and identical configurations produce
@@ -65,7 +66,9 @@ def _load_config(path) -> dict:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
+            key, sep, val = line.partition("=")
+            if not sep or key.strip() != "tolerance":
+                raise ValueError(f"unrecognized config line: {line!r}")
             out[key.strip()] = val.strip()
     return out
 
@@ -393,6 +396,8 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         if args.tolerance is None:
             args.tolerance = float(config.get("tolerance", DEFAULT_TOLERANCE))
+        if not math.isfinite(args.tolerance):
+            raise ValueError("tolerance must be finite")
         if args.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         return args.func(args)

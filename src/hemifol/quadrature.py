@@ -10,6 +10,7 @@ All reductions use a fixed summation order, so results are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,18 +73,27 @@ class QuadratureGrid:
             raise ValueError("n_azimuthal must be even and >= 16")
 
     def nodes(self):
-        """(t, phi, weight) arrays flattened over the product grid."""
-        x, w = np.polynomial.legendre.leggauss(self.n_polar)
-        t = 0.5 * (x + 1.0)
-        wt = 0.5 * w
-        phi = 2.0 * np.pi * np.arange(self.n_azimuthal) / self.n_azimuthal
-        wphi = 2.0 * np.pi / self.n_azimuthal
-        T, P = np.meshgrid(t, phi, indexing="ij")
-        W = np.repeat(wt, self.n_azimuthal) * wphi
-        return T.ravel(), P.ravel(), W
+        """(t, phi, weight) arrays flattened over the product grid; computed
+        once per grid and shared, so they are read-only."""
+        return _product_nodes(self.n_polar, self.n_azimuthal)
 
     def doubled(self):
         return QuadratureGrid(2 * self.n_polar, 2 * self.n_azimuthal)
+
+
+@functools.lru_cache(maxsize=8)
+def _product_nodes(n_polar: int, n_azimuthal: int):
+    x, w = np.polynomial.legendre.leggauss(n_polar)
+    t = 0.5 * (x + 1.0)
+    wt = 0.5 * w
+    phi = 2.0 * np.pi * np.arange(n_azimuthal) / n_azimuthal
+    wphi = 2.0 * np.pi / n_azimuthal
+    T, P = np.meshgrid(t, phi, indexing="ij")
+    W = np.repeat(wt, n_azimuthal) * wphi
+    out = T.ravel(), P.ravel(), W
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _azimuthal_coeff(a: int, b: int) -> Fraction:
@@ -174,62 +184,107 @@ def integrate_boundary_tphi(e: ex.Expr, n: int = 256,
 # constant recognition
 # ---------------------------------------------------------------------------
 
+def _nearest(a: int, b: int) -> int:
+    """The integer nearest to a / b for b > 0, ties to even: exactly
+    ``round(Fraction(a, b))``."""
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q & 1):
+        q += 1
+    return q
+
+
+def _integral_gram(basis):
+    """Integral Gram-Schmidt data of the rows (Cohen, Alg. 2.6.7, step 2).
+
+    With B_i the squared norm of the i-th Gram-Schmidt vector, ``d[i]`` is
+    the product of the nonzero B_j, j <= i, if B_i is nonzero, and 0 if it
+    is zero.  ``lam[i][j]`` is ``d[j] * mu_ij`` for j < i, an integer, and
+    0 against a zero-norm row.  Rows of norm 0 drop out of every
+    projection, so the recursion runs over independent rows, where each
+    division is exact."""
+    n = len(basis)
+    d = [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            if j < k and not d[j]:
+                continue
+            u = sum(x * y for x, y in zip(basis[k], basis[j]))
+            prev = 1
+            for i in range(j):
+                if d[i]:
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // prev
+                    prev = d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k] = u
+    return d, lam
+
+
 def _lll(basis):
     """Integer LLL reduction (delta = 3/4) on a small list of integer rows.
 
-    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3:
-    the Gram-Schmidt coefficients ``mu`` and squared norms ``B`` are exact
-    ``Fraction`` values, computed once and then updated in place by each
-    size reduction (nearest integer, half to even, from j = k-1 down to 0)
-    and each swap.  A coefficient against a zero-norm vector is taken as 0,
-    so dependent rows are reduced too; the updates keep every value equal
-    to a full recomputation."""
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7:
+    the Gram-Schmidt data are the integers ``d`` and ``lam`` of
+    :func:`_integral_gram`, updated in place by each size reduction and
+    each swap.  The steps are those of the rational Alg. 2.6.3 on
+    ``mu_kj = lam[k][j] / d[j]``: size-reduce row k against every j from
+    k-1 down to 0 by the nearest integer, ties to even (:func:`_nearest`,
+    which is ``round`` on a ``Fraction``), then test the Lovasz condition
+    ``B_k >= (3/4 - mu_k,k-1^2) B_k-1``, multiplied through by 4 d[k-1]
+    and the product of the nonzero norms before row k-1 into integers,
+    and swap rows k-1 and k if it fails.  Each integer equals ``d`` times the exact rational it stands
+    for, so every rounding and every comparison has the rational
+    algorithm's outcome and the reduced rows are the same.
+
+    Dependent rows have Gram-Schmidt norm 0.  Such a row takes no part in
+    a projection: ``d`` runs over the nonzero norms only, nothing is
+    reduced against it, and the Lovasz test passes when row k-1 is one.
+    A swap of a row of norm 0 recomputes the data from the rows instead
+    of updating them."""
     basis = [row[:] for row in basis]
     n = len(basis)
+    d, lam = _integral_gram(basis)
 
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    bstar = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = []
-    for i in range(n):
-        v = [Fraction(x) for x in basis[i]]
-        for j in range(i):
-            mu[i][j] = Fraction(dot(basis[i], bstar[j])) / B[j] if B[j] else Fraction(0)
-            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
-        B.append(dot(v, v))
+    def below(i):
+        # product of the nonzero norms of the rows before row i
+        for j in range(i - 1, -1, -1):
+            if d[j]:
+                return d[j]
+        return 1
 
     k = 1
     while k < n:
+        row, lk = basis[k], lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                mu[k][j] -= q
-                for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-        m = mu[k][k - 1]
-        if B[k] >= (Fraction(3, 4) - m ** 2) * B[k - 1]:
+            if d[j]:
+                q = _nearest(lk[j], d[j])
+                if q:
+                    row = [x - q * y for x, y in zip(row, basis[j])]
+                    lk[j] -= q * d[j]
+                    lj = lam[j]
+                    for i in range(j):
+                        lk[i] -= q * lj[i]
+        basis[k] = row
+        m, dk1 = lk[k - 1], d[k - 1]
+        if not dk1 or 4 * d[k] * below(k - 1) >= 3 * dk1 * dk1 - 4 * m * m:
             k += 1
             continue
-        # swap rows k-1 and k; B[k-1] > 0 here, or the test above holds
         basis[k], basis[k - 1] = basis[k - 1], basis[k]
-        for j in range(k - 1):
-            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-        b = B[k] + m * m * B[k - 1]
-        if b:
-            mu[k][k - 1] = m * B[k - 1] / b
-            B[k] = B[k - 1] * B[k] / b
+        if not d[k]:
+            d, lam = _integral_gram(basis)
         else:
-            B[k] = B[k - 1]
-        B[k - 1] = b
-        for i in range(k + 1, n):
-            t = mu[i][k]
-            u = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + mu[k][k - 1] * u
-            mu[i][k] = u if B[k] else Fraction(0)
+            # Cohen's SWAPI: lam[k][k-1] and d[k] are unchanged
+            b = (below(k - 1) * d[k] + m * m) // dk1
+            for i in range(k + 1, n):
+                li = lam[i]
+                t = li[k]
+                li[k] = (d[k] * li[k - 1] - m * t) // dk1
+                li[k - 1] = (b * t + m * li[k]) // d[k]
+            lam[k], lam[k - 1] = lam[k - 1], lk
+            lam[k][k - 1], lk[k - 1] = m, 0
+            d[k - 1] = b
         k = max(k - 1, 1)
     return basis
 

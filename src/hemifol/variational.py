@@ -18,6 +18,7 @@ move with the coefficients it recovers on the final grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -480,6 +481,18 @@ FIRST_GRID = hq.QuadratureGrid(16, 32)
 LAST_GRID = hq.QuadratureGrid(128, 256)
 
 
+@functools.lru_cache(maxsize=2)
+def _closed_integrands(case: str) -> tuple[ex.Expr, ex.Expr]:
+    """The closed-form integrands of the u'' and g'' terms of a case; they
+    do not depend on the probe pair or the grid, so they are built once."""
+    gsecond = metric_second_order()
+    if case == "willmore":
+        return (d2_b1_boundary_integrand(gsecond),
+                d2_willmore_g2_integrand(gsecond))
+    return (sphere.to_tphi(lin.uprime_expr(case)) ** 2,
+            d2_area_g2_integrand(gsecond))
+
+
 def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
     """Raw values on one grid: {term name: {probe pair: value}} for the five
     terms, and the coefficient of H in the lambda-linear term.
@@ -490,7 +503,7 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
     """
     u_dir = lin.uprime_expr(case)
     gprime = metric_first_order()
-    gsecond = metric_second_order()
+    u2_integrand, g2_integrand = _closed_integrands(case)
     # only the functionals read below are integrated: the energy or area
     # density, plus the B1 equator integral for Willmore
     density = "W_density" if case == "willmore" else "density"
@@ -508,27 +521,19 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
         gsq[(k1, k2)] = jg.d2
         d1[(k1, k2)] = jd.d1
 
+        curvatures = {"k1": k1, "k2": k2, **{n: float(dh) for n in DH_NAMES}}
         if case == "willmore":
             # D1 W u'' = equator integral of d^2/deps^2 B1[eps u', delta+eps g']
             # plus the boundary term of g'', which vanishes (odd integrand)
-            odd = hq.integrate_boundary_tphi(
-                d2_b1_boundary_integrand(gsecond),
-                extra={"k1": k1, "k2": k2,
-                       **{n: float(dh) for n in DH_NAMES}})
+            odd = hq.integrate_boundary_tphi(u2_integrand, extra=curvatures)
             u2term[(k1, k2)] = _b1_integral(f_diag, grid, k1, k2, dh).d2 + odd
-            g2term[(k1, k2)] = hq.integrate_tphi(
-                d2_willmore_g2_integrand(gsecond), grid,
-                extra={"k1": k1, "k2": k2,
-                       **{n: float(dh) for n in DH_NAMES}})
         else:
             # D1 A u'' = 2 int u'' = -4 int u'^2 from the volume constraint
             usq_int = hq.integrate_tphi(
-                sphere.to_tphi(u_dir) ** 2, grid, extra={"k1": k1, "k2": k2})
+                u2_integrand, grid, extra={"k1": k1, "k2": k2})
             u2term[(k1, k2)] = -4.0 * usq_int
-            g2term[(k1, k2)] = hq.integrate_tphi(
-                d2_area_g2_integrand(gsecond), grid,
-                extra={"k1": k1, "k2": k2,
-                       **{n: float(dh) for n in DH_NAMES}})
+        g2term[(k1, k2)] = hq.integrate_tphi(g2_integrand, grid,
+                                             extra=curvatures)
 
     mixed = {k: 0.5 * (diag[k] - usq[k] - gsq[k]) for k in diag}
     raw = {"D1sq": usq, "D12": mixed, "D2sq": gsq,

@@ -305,10 +305,10 @@ class TestVerifyExpansions:
 
 class TestConfig:
     def test_config_file_overrides(self, tmp_path, capsys):
-        # the config's tolerance replaces the default, the flag replaces
-        # the config, and keys nothing reads are ignored
+        # the config's tolerance replaces the default, and the flag
+        # replaces the config
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("tolerance = 1e-16\nseed = 0\n")
+        cfgfile.write_text("tolerance = 1e-16\n")
         argv = ["verify-expansions", "--case", "cmc"]
         assert cli.main(["--config", str(cfgfile)] + argv) == 1
         assert capsys.readouterr().out.count(",FAIL") == 6
@@ -324,6 +324,32 @@ class TestConfig:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "hemifol: error: tolerance must be positive\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, value):
+        # NaN passed no row and exited 1, the mismatch code
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"tolerance = {value}\n")
+        # "--tolerance -inf" would read -inf as an option, so "=" joins them
+        for argv in ([f"--tolerance={value}"], ["--config", str(cfgfile)]):
+            code = cli.main(argv + ["verify-expansions", "--case", "cmc"])
+            assert code == cli.EX_DATAERR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "hemifol: error: tolerance must be finite\n"
+
+    @pytest.mark.parametrize("line", [
+        "tolerence = 1e-30", "seed = 0", "n_polar = 32", "tolerance 1e-9",
+        "tolerance_x = 1e-9"])
+    def test_unrecognized_config_line_rejected(self, tmp_path, capsys, line):
+        # a misspelt or retired key used to be ignored without a word
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"# run settings\ntolerance = 1e-7\n{line}\n")
+        code = cli.main(["--config", str(cfgfile), "moments", "--max-degree", "2"])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hemifol: error: unrecognized config line: {line!r}\n"
 
     @pytest.mark.parametrize("flag", ["--tolerance"])
     def test_zero_override_rejected(self, capsys, flag):

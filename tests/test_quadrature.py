@@ -115,6 +115,34 @@ class TestSurfaceQuadrature:
             hq.QuadratureGrid(16, 15)
 
 
+class TestGridNodes:
+    @pytest.mark.parametrize("grid", [hq.QuadratureGrid(), hq.QuadratureGrid(16, 32),
+                                      hq.QuadratureGrid(48, 96)])
+    def test_nodes_match_fresh_product_rule(self, grid):
+        # the shared arrays are bit for bit the ones computed afresh
+        x, w = np.polynomial.legendre.leggauss(grid.n_polar)
+        phi = 2.0 * np.pi * np.arange(grid.n_azimuthal) / grid.n_azimuthal
+        T, P = np.meshgrid(0.5 * (x + 1.0), phi, indexing="ij")
+        W = np.repeat(0.5 * w, grid.n_azimuthal) * (2.0 * np.pi / grid.n_azimuthal)
+        for got, want in zip(grid.nodes(), (T.ravel(), P.ravel(), W)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_nodes_are_read_only(self):
+        for arr in hq.QuadratureGrid(16, 32).nodes():
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr += 1.0
+
+    def test_equal_grids_give_equal_nodes(self):
+        a = hq.QuadratureGrid(16, 32).nodes()
+        b = hq.QuadratureGrid(16, 32).nodes()
+        c = hq.QuadratureGrid(8, 16).doubled().nodes()
+        for x, y, z in zip(a, b, c):
+            assert np.array_equal(x, y) and np.array_equal(x, z)
+
+
 class TestBoundaryQuadrature:
     def test_reference_value(self):
         assert hq.integrate_boundary(ex.parse("w1^2")) == pytest.approx(math.pi)
@@ -219,6 +247,23 @@ def _reference_lll(basis):
     return basis
 
 
+def test_nearest_rounds_half_to_even():
+    # the integer rounding of the LLL is round() on the exact quotient
+    nums = list(range(-41, 42)) + [-(10 ** 30) - 5, 10 ** 30 + 5, 3 * 2 ** 70 + 2 ** 69]
+    dens = [1, 2, 3, 4, 6, 10, 2 ** 70]
+    ties = 0
+    for b in dens:
+        for a in nums:
+            ties += 2 * (a % b) == b
+            assert hq._nearest(a, b) == round(Fraction(a, b)), (a, b)
+    assert ties > 40
+    for half, want in [(Fraction(1, 2), 0), (Fraction(-1, 2), 0),
+                       (Fraction(3, 2), 2), (Fraction(-3, 2), -2),
+                       (Fraction(5, 2), 2), (Fraction(-5, 2), -2)]:
+        assert hq._nearest(half.numerator, half.denominator) == want
+        assert hq._nearest(7 * half.numerator, 7 * half.denominator) == want
+
+
 def _recovery_lattices(values, monkeypatch):
     """(basis, reduced basis) of every _lll call recover_coefficients makes
     for these values."""
@@ -268,6 +313,21 @@ class TestLLL:
     def test_dependent_rows_swap_a_zero_norm(self, rows):
         # recover_coefficients' rows [I_3 | c] are independent, so no
         # Gram-Schmidt norm is ever 0 there; dependent rows reach that case
+        assert hq._lll(rows) == _reference_lll(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 0], [1, 5]],                                # mu 1/2 rounds to 0
+        [[2, 0], [-1, 5]],                               # mu -1/2 rounds to 0
+        [[2, 0], [3, 7]],                                # mu 3/2 rounds to 2
+        [[2, 0], [-3, 7]],                               # mu -3/2 rounds to -2
+        [[2, 0], [5, 9]],                                # mu 5/2 rounds to 2
+        [[2, 0], [-5, 9]],                               # mu -5/2 rounds to -2
+        [[2, 0, 0], [0, 2, 0], [1, -1, 7]],              # ties against two rows
+        [[2, 0, 0], [0, 4, 0], [5, -10, 9]],
+        [[4, 0, 0], [2, 6, 0], [-6, 3, 13]],
+    ])
+    def test_rounding_ties(self, rows):
+        # a coefficient exactly halfway between integers rounds to even
         assert hq._lll(rows) == _reference_lll(rows)
 
     def test_random_small_lattices(self):
