@@ -17,12 +17,13 @@ use codes no verdict uses:
 
 ``verify-expansions`` measures its own quadrature grid (see
 ``variational.second_derivative_terms``); each row's ``abs_err`` is the
-larger of the row's quadrature residual and the largest raw-value move of
-the grid's last doubling.  The one setting is ``--tolerance``, the largest
-``abs_err`` that passes: the flag, else the ``tolerance`` key of a
-``--config`` file of ``key = value`` lines, else 1e-7.  It must be
-positive and finite for every command, and a config line with any other
-key, or without ``=``, is an input error.
+larger of the row's quadrature residual and the largest move of the row's
+own values (the total row: the lambda-linear coefficient) in the grid's
+last doubling.  The one setting is ``--tolerance``, the largest ``abs_err``
+that passes: the flag, else the ``tolerance`` key of a ``--config`` file of
+``key = value`` lines, else 1e-7.  It must be positive and finite for
+every command, and a config line with any other key, or without ``=``, is
+an input error.
 
 Input errors print one line to stderr instead of a traceback.  All floats
 print with 17 significant digits and identical configurations produce
@@ -192,17 +193,14 @@ def cmd_verify(args) -> int:
     for name, want in _REFERENCE_TERMS[case].items():
         tv = dec.terms[name]
         got = (tv.K_coeff.p, tv.K_coeff.q, tv.H2_coeff.p, tv.H2_coeff.q)
-        err = max(
-            abs(raw - (tv.K_coeff.value() * k1 * k2
-                       + tv.H2_coeff.value() * (k1 + k2) ** 2))
-            for (k1, k2), raw in tv.raw.items())
+        ref = va.FunctionalValue(hq.CoefficientVector(*want[:2]),
+                                 hq.CoefficientVector(*want[2:]), {})
+        # the residuals of the recovered and the reference coefficients,
+        # and this term's move in the grid's last doubling
+        abs_err = max([abs(raw - fv.of(k1, k2)) for fv in (tv, ref)
+                       for (k1, k2), raw in tv.raw.items()]
+                      + [dec.grid_change[name]])
         exact = got == want
-        ref_value = hq.CoefficientVector(want[0], want[1]).value()
-        ref_h2 = hq.CoefficientVector(want[2], want[3]).value()
-        quad_err = max(
-            abs(raw - (ref_value * k1 * k2 + ref_h2 * (k1 + k2) ** 2))
-            for (k1, k2), raw in tv.raw.items())
-        abs_err = max(err, quad_err, dec.grid_change)
         status = "PASS" if exact and abs_err < args.tolerance else "FAIL"
         failures += status == "FAIL"
         writer.writerow([
@@ -216,7 +214,7 @@ def cmd_verify(args) -> int:
     tot_ok = (ktot.p == wk_p and ktot.q == wk_q
               and htot.p == wh_p and htot.q == wh_q)
     first_err = max(abs(dec.first_derivative - _REFERENCE_FIRST[case] * math.pi),
-                    dec.grid_change)
+                    dec.grid_change["first"])
     first_ok = first_err < args.tolerance
     writer.writerow(["total", str(ktot.p), str(ktot.q), str(htot.p), str(htot.q),
                      f"pi*({wk_p}+{wk_q}ln2)", f"pi*({wh_p}+{wh_q}ln2)",
@@ -229,7 +227,7 @@ def cmd_verify(args) -> int:
 def cmd_linearized(args) -> int:
     problem = lin.LinearizedProblem(args.case, args.k1, args.k2)
     solution = lin.solve_ode_modes(problem)
-    report = lin.residual_check(problem, solution.u_prime)
+    report = lin.residual_check(problem, lin.uprime_expr(problem.case))
     records = [
         {"field": "interior_pde", "residual": report.interior},
         {"field": "neumann", "residual": report.neumann},

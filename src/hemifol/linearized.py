@@ -13,6 +13,10 @@ with Neumann data du'/deta = -(k1 w1^2 + k2 w2^2) on the equator, the
 third-order condition d(Lap + 2)u'/deta = 7 (k1 w1^2 + k2 w2^2) - H in the
 Willmore case, and the mass/center constraints.
 
+The curvatures are bindings, not constants: every field keeps the symbols
+k1, k2 and each evaluation binds the problem's numbers, so all calls of a
+case evaluate one interned DAG, differentiated once, and add no node.
+
 The ODE mode functions do not depend on the curvatures, which enter only
 the mode coefficients and the -f/2 term.  So :func:`solve_ode_modes`
 solves the modes of a case once per process, reads their dense output as
@@ -77,7 +81,7 @@ class LinearizedProblem:
 
 @dataclass
 class LinearizedSolution:
-    u_prime: ex.Expr                       # closed form over omega
+    u_prime: ex.Expr                       # closed form over omega, k1 and k2 free
     samples: np.ndarray                    # rows (t, phi, u' numeric from ODE modes)
     alpha_prime: float
     beta_prime: np.ndarray
@@ -91,6 +95,8 @@ def _k(x):
 
 _W1, _W2, _W3 = ex.var("w1"), ex.var("w2"), ex.var("w3")
 _K1, _K2 = ex.var("k1"), ex.var("k2")
+_KAPPA_FORM = _K1 * _W1 ** 2 + _K2 * _W2 ** 2
+_H = _K1 + _K2
 
 
 def uprime_expr(case: str) -> ex.Expr:
@@ -100,14 +106,14 @@ def uprime_expr(case: str) -> ex.Expr:
     factored form (2 + w3)/(3 (1 + w3)^2), algebraically equal to
     (2 - 3 w3 + w3^3)/(3 (1 - w3^2)^2) because 2 - 3t + t^3 = (1-t)^2 (t+2).
     """
-    f_part = (_K1 * _W1 ** 2 + _K2 * _W2 ** 2) * _W3 / 2
+    f_part = _KAPPA_FORM * _W3 / 2
     if case.lower() == "cmc":
-        v1 = (_K1 + _K2) / 4 * (ex.const(3) / 4 - _W3)
+        v1 = _H / 4 * (ex.const(3) / 4 - _W3)
         v2 = (_K1 - _K2) / 4 * (_W1 ** 2 - _W2 ** 2) * (2 + _W3) / (3 * (1 + _W3) ** 2)
         return v1 + v2 - f_part
     if case.lower() == "willmore":
-        v1 = (_K1 + _K2) * (1 - ex.ln(ex.const(2)) + ex.ln(1 + _W3) / 2
-                            - ex.const(3) / 4 * _W3)
+        v1 = _H * (1 - ex.ln(ex.const(2)) + ex.ln(1 + _W3) / 2
+                   - ex.const(3) / 4 * _W3)
         v2 = (_K1 - _K2) / 4 * (_W1 ** 2 - _W2 ** 2) / (1 + _W3)
         return v1 + v2 - f_part
     raise ValueError(f"unknown case {case!r}")
@@ -123,7 +129,7 @@ def pde_rhs_expr(case: str) -> ex.Expr:
     """Right-hand side of the linearized PDE over omega (symbolic k1, k2):
     the common field 5 (k1 w1^2 + k2 w2^2) w3 - H w3; the multiplier terms
     are added separately per case."""
-    return (5 * (_K1 * _W1 ** 2 + _K2 * _W2 ** 2) - (_K1 + _K2)) * _W3
+    return (5 * _KAPPA_FORM - _H) * _W3
 
 
 @dataclass
@@ -156,35 +162,31 @@ def _sup(e: ex.Expr, points, kb):
     return float(np.max(np.abs(ex.evaluate(e, dict(kb, t=t, phi=phi)))))
 
 
-def residual_check(p: LinearizedProblem, u: ex.Expr,
-                   grid: hq.QuadratureGrid = hq.QuadratureGrid()) -> ResidualReport:
+def residual_check(p: LinearizedProblem, u: ex.Expr) -> ResidualReport:
     """Sup-norm residuals of the interior PDE, the Neumann data, the
     Willmore third-order condition, and the integral constraints, for any
-    candidate u over omega (or already in (t, phi))."""
+    candidate u over omega (or already in (t, phi)); k1 and k2 are bound
+    to the problem's curvatures, so ``u`` may keep them as symbols."""
     kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
-    H = p.H
     ut = sphere.to_tphi(u) if ex.free_variables(u) & {"w1", "w2", "w3"} else u
-    rhs = sphere.to_tphi(ex.substitute(pde_rhs_expr(p.case),
-                                       {"k1": _k(p.kappa1), "k2": _k(p.kappa2)}))
+    rhs = sphere.to_tphi(pde_rhs_expr(p.case))
     lap2_u = sphere.laplacian(ut) + 2 * ut
-    kappa_form = sphere.to_tphi(
-        ex.substitute(_K1 * _W1 ** 2 + _K2 * _W2 ** 2,
-                      {"k1": _k(p.kappa1), "k2": _k(p.kappa2)}))
+    kappa_form = sphere.to_tphi(_KAPPA_FORM)
     if p.case == "cmc":
-        interior = _sup(lap2_u - rhs - _k(3 * H / 8), _GRID, kb)
+        interior = _sup(lap2_u - rhs - ex.const(3) / 8 * _H, _GRID, kb)
         third = float("nan")
         mass_target = 0.0
     else:
-        interior = _sup(sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + _k(H),
+        interior = _sup(sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + _H,
                         _GRID, kb)
-        third = _sup(sphere.eta_derivative(lap2_u) - 7 * kappa_form + _k(H),
+        third = _sup(sphere.eta_derivative(lap2_u) - 7 * kappa_form + _H,
                      _EQUATOR, kb)
-        mass_target = math.pi / 8.0 * H
+        mass_target = math.pi / 8.0 * p.H
     neumann = _sup(sphere.eta_derivative(ut) + kappa_form, _EQUATOR, kb)
-    mass = abs(hq.integrate_tphi(ut, grid, extra=kb) - mass_target)
+    mass = abs(hq.integrate_tphi(ut, extra=kb) - mass_target)
     center = max(
-        abs(hq.integrate_tphi(ut * sphere.OMEGA[0], grid, extra=kb)),
-        abs(hq.integrate_tphi(ut * sphere.OMEGA[1], grid, extra=kb)),
+        abs(hq.integrate_tphi(ut * sphere.OMEGA[0], extra=kb)),
+        abs(hq.integrate_tphi(ut * sphere.OMEGA[1], extra=kb)),
     )
     return ResidualReport(p.case, interior, neumann, third, mass, center)
 
@@ -201,21 +203,13 @@ def _integrate_mode(rhs, y0, theta0=THETA_START):
     return sol
 
 
-def _mode0_op(c, forcing=None):
-    """g'' + cot(theta) g' + c g = forcing as a first-order system."""
+def _mode_op(cot_coef, c, forcing=None):
+    """g'' + cot_coef cot(theta) g' + c g = forcing as a first-order system:
+    cot_coef is 1 for azimuthal mode 0 and 5 for mode 2."""
     def rhs(theta, y):
         g, dg = y
         f = forcing(theta) if forcing is not None else 0.0
-        return [dg, -dg / math.tan(theta) - c * g + f]
-    return rhs
-
-
-def _mode2_op(c, forcing=None):
-    """g'' + 5 cot(theta) g' + c g = forcing as a first-order system."""
-    def rhs(theta, y):
-        g, dg = y
-        f = forcing(theta) if forcing is not None else 0.0
-        return [dg, -5.0 * dg / math.tan(theta) - c * g + f]
+        return [dg, -cot_coef * dg / math.tan(theta) - c * g + f]
     return rhs
 
 
@@ -226,9 +220,9 @@ def solve_cmc_modes():
     th0 = THETA_START
     # mode 0: g'' + cot g' + 2 g = 3/2, regular start g = g0 + (3/2 - 2 g0)/4 theta^2
     a2 = 1.5 / 4.0
-    part = _integrate_mode(_mode0_op(2.0, forcing=lambda theta: 1.5),
+    part = _integrate_mode(_mode_op(1.0, 2.0, forcing=lambda theta: 1.5),
                            [a2 * th0 ** 2, 2 * a2 * th0])
-    hom = _integrate_mode(_mode0_op(2.0), [1.0 - th0 ** 2 / 2.0, -th0])
+    hom = _integrate_mode(_mode_op(1.0, 2.0), [1.0 - th0 ** 2 / 2.0, -th0])
     # Neumann: g'(pi/2) = 1
     end = math.pi / 2
     g0 = (1.0 - part.sol(end)[1]) / hom.sol(end)[1]
@@ -237,7 +231,7 @@ def solve_cmc_modes():
         return part.sol(theta)[0] + g0 * hom.sol(theta)[0]
 
     # mode 2: g'' + 5 cot g' - 4 g = 0, regular series 1 + theta^2/3; g'(pi/2) = 1
-    reg = _integrate_mode(_mode2_op(-4.0), [1.0 + th0 ** 2 / 3.0, 2 * th0 / 3.0])
+    reg = _integrate_mode(_mode_op(5.0, -4.0), [1.0 + th0 ** 2 / 3.0, 2 * th0 / 3.0])
     scale = 1.0 / reg.sol(end)[1]
 
     def g2(theta):
@@ -256,10 +250,10 @@ def solve_willmore_modes():
     end = math.pi / 2
 
     # mode 0, step 1: Lap w = -1 regular particular, w_p ~ -theta^2/4
-    wp = _integrate_mode(_mode0_op(0.0, forcing=lambda theta: -1.0),
+    wp = _integrate_mode(_mode_op(1.0, 0.0, forcing=lambda theta: -1.0),
                          [-th0 ** 2 / 4.0, -th0 / 2.0])
     # step 2: (Lap + 2) P = w_p with regular series P ~ -theta^4/48
-    P = _integrate_mode(_mode0_op(2.0, forcing=lambda theta: wp.sol(theta)[0]),
+    P = _integrate_mode(_mode_op(1.0, 2.0, forcing=lambda theta: wp.sol(theta)[0]),
                         [-th0 ** 4 / 48.0, -th0 ** 3 / 12.0])
     # v1 = P + C0/2 + c cos(theta); Neumann v1'(pi/2) = 1/4, mass integral pi/4
     c_cos = P.sol(end)[1] - 0.25
@@ -271,16 +265,16 @@ def solve_willmore_modes():
         return P.sol(theta)[0] + 0.5 * C0 + c_cos * _cos(theta)
 
     # mode 2, step 1: homogeneous w'' + 5 cot w' - 6 w = 0 with w'(pi/2) = -4
-    regw = _integrate_mode(_mode2_op(-6.0), [1.0 + th0 ** 2 / 2.0, th0])
+    regw = _integrate_mode(_mode_op(5.0, -6.0), [1.0 + th0 ** 2 / 2.0, th0])
     A = -4.0 / regw.sol(end)[1]
 
     def w2(theta):
         return A * regw.sol(theta)[0]
 
     # step 2: h'' + 5 cot h' - 4 h = w2 with regular particular h ~ w2(0)/12 theta^2
-    part2 = _integrate_mode(_mode2_op(-4.0, forcing=w2),
+    part2 = _integrate_mode(_mode_op(5.0, -4.0, forcing=w2),
                             [A * th0 ** 2 / 12.0, A * th0 / 6.0])
-    regh = _integrate_mode(_mode2_op(-4.0), [1.0 + th0 ** 2 / 3.0, 2 * th0 / 3.0])
+    regh = _integrate_mode(_mode_op(5.0, -4.0), [1.0 + th0 ** 2 / 3.0, 2 * th0 / 3.0])
     B = (1.0 - part2.sol(end)[1]) / regh.sol(end)[1]
 
     def h(theta):
@@ -354,7 +348,8 @@ def solve_ode_modes(p: LinearizedProblem) -> LinearizedSolution:
     """Numerically solve the azimuthal mode-0 and mode-2 problems by
     shooting from a two-term regular series start at theta = 1e-3, discard
     the singular homogeneous solutions, assemble u'(0) = modes - f/2 on a
-    sample grid, and attach the closed form and multipliers.
+    sample grid, and attach the closed form (:func:`uprime_expr`, with the
+    curvatures left to bind) and the multipliers.
 
     The modes do not depend on the curvatures, so they are solved, and
     their dense output read as arrays, once per case per process (see
@@ -375,7 +370,7 @@ def solve_ode_modes(p: LinearizedProblem) -> LinearizedSolution:
     samples = np.column_stack([table.t, table.phi, u_vals])
     alpha, beta = multipliers(p)
     return LinearizedSolution(
-        u_prime=closed_form_uprime(p),
+        u_prime=uprime_expr(p.case),
         samples=samples,
         alpha_prime=alpha,
         beta_prime=beta,
@@ -387,26 +382,25 @@ def solve_ode_modes(p: LinearizedProblem) -> LinearizedSolution:
 # Lagrange multipliers
 # ---------------------------------------------------------------------------
 
-def multipliers(p: LinearizedProblem,
-                grid: hq.QuadratureGrid = hq.QuadratureGrid()) -> tuple[float, np.ndarray]:
+def multipliers(p: LinearizedProblem) -> tuple[float, np.ndarray]:
     """alpha'(0) and beta'(0) re-derived from the closed form by integrating
     the PDE and applying Gauss's theorem as boundary integrals, then
     cross-checked against the closed-form values -(3/8) H (CMC) and H/4
-    (Willmore); beta' = (0, 0) in both cases."""
+    (Willmore); beta' = (0, 0) in both cases.  The curvatures are bound,
+    not substituted, so every call of a case evaluates the same fields."""
     kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
-    ut = sphere.to_tphi(closed_form_uprime(p))
-    rhs = sphere.to_tphi(ex.substitute(
-        pde_rhs_expr(p.case), {"k1": _k(p.kappa1), "k2": _k(p.kappa2)}))
+    ut = sphere.to_tphi(uprime_expr(p.case))
+    rhs = sphere.to_tphi(pde_rhs_expr(p.case))
     du_eta = sphere.eta_derivative(ut)
-    int_rhs = hq.integrate_tphi(rhs, grid, extra=kb)
+    int_rhs = hq.integrate_tphi(rhs, extra=kb)
     bd_du = hq.integrate_boundary_tphi(du_eta, extra=kb)
-    int_u = hq.integrate_tphi(ut, grid, extra=kb)
+    int_u = hq.integrate_tphi(ut, extra=kb)
 
     if p.case == "cmc":
         alpha = (int_rhs + bd_du - 2.0 * int_u) / (2.0 * math.pi)
         beta = np.array([
             -hq.integrate_boundary_tphi(sphere.OMEGA[i] * du_eta, extra=kb)
-            - hq.integrate_tphi(sphere.OMEGA[i] * rhs, grid, extra=kb)
+            - hq.integrate_tphi(sphere.OMEGA[i] * rhs, extra=kb)
             for i in (0, 1)
         ])
         closed = -3.0 / 8.0 * p.H

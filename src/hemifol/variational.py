@@ -251,15 +251,19 @@ _EPS_JET = ex.Jet2(0.0, 1.0, 0.0)
 _GAUSS_S = np.polynomial.legendre.leggauss(32)
 
 
+def _check_radicand(fields: dict, t, phi, k1, k2, dh, eps=None):
+    """Raise DegenerateMetric unless the normal radicand is positive: a
+    sign test, on floats at eps = 0 (a jet's value part) or at ``eps``."""
+    b = _bindings(t, phi, k1, k2, dh, 0.0 if eps is None else float(eps))
+    if np.min(np.asarray(ex.evaluate(fields["radicand"], b))) <= 0:
+        raise DegenerateMetric("normal radicand not positive")
+
+
 def _surface_integrals(fields: dict, names, nodes, k1, k2, dh) -> list:
     """Gauss-grid integrals of the named surface fields as jets, after
-    checking the normal radicand on the grid.  The check reads only the
-    radicand's value at eps = 0, which is a jet's value part, so it
-    evaluates floats."""
+    checking the normal radicand on the grid."""
     t, phi, w = nodes
-    rad = ex.evaluate(fields["radicand"], _bindings(t, phi, k1, k2, dh, 0.0))
-    if np.min(np.asarray(rad)) <= 0:
-        raise DegenerateMetric("normal radicand not positive on the grid")
+    _check_radicand(fields, t, phi, k1, k2, dh)
     b = _bindings(t, phi, k1, k2, dh, _EPS_JET)
     return [_jet_sum(ex.evaluate_jet(fields[name], b), w) for name in names]
 
@@ -338,10 +342,8 @@ def normal_field(u_dir: ex.Expr, metric: MetricPerturbation, t, phi,
     """Interior unit normal as a 3-tuple of jets; -omega at (0, delta).
     Pass a float ``eps`` to probe a finite deformation instead of the jet."""
     fields = _build_fields(u_dir, metric)
+    _check_radicand(fields, t, phi, k1, k2, dh, eps)
     b = _bindings(t, phi, k1, k2, dh, _EPS_JET if eps is None else float(eps))
-    rad = ex.evaluate_jet(fields["radicand"], b)
-    if np.min(np.asarray(rad.f)) <= 0:
-        raise DegenerateMetric("normal radicand not positive")
     return tuple(ex.evaluate_jet(c, b) for c in fields["normal"])
 
 
@@ -351,10 +353,8 @@ def mean_curvature_field(u_dir: ex.Expr, metric: MetricPerturbation, t, phi,
     """Scalar mean curvature as a jet field; equals 2 at (0, delta).
     Pass a float ``eps`` to probe a finite deformation instead of the jet."""
     fields = _build_fields(u_dir, metric)
+    _check_radicand(fields, t, phi, k1, k2, dh, eps)
     b = _bindings(t, phi, k1, k2, dh, _EPS_JET if eps is None else float(eps))
-    rad = ex.evaluate_jet(fields["radicand"], b)
-    if np.min(np.asarray(rad.f)) <= 0:
-        raise DegenerateMetric("normal radicand not positive")
     return ex.evaluate_jet(fields["H"], b)
 
 
@@ -429,7 +429,7 @@ class TermDecomposition:
     terms: dict                    # name -> FunctionalValue
     first_derivative: float        # coefficient of H in the lambda-linear term
     grid: hq.QuadratureGrid        # the grid the values were recovered from
-    grid_change: float             # largest raw-value move of its last doubling
+    grid_change: dict              # term or 'first' -> move of the last doubling
 
     def total(self) -> tuple[hq.CoefficientVector, hq.CoefficientVector]:
         ktot = Fraction(0)
@@ -547,9 +547,14 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
     return raw, first
 
 
-def _flat(raw: dict, first: float) -> np.ndarray:
-    return np.array([v for values in raw.values() for v in values.values()]
-                    + [first])
+def _moves(fine, coarse) -> dict:
+    """Largest move of each term's raw values, and of 'first', between two
+    results of :func:`_probe_values`."""
+    (raw, first), (raw0, first0) = fine, coarse
+    out = {name: max(abs(v - raw0[name][pair]) for pair, v in values.items())
+           for name, values in raw.items()}
+    out["first"] = abs(first - first0)
+    return out
 
 
 def second_derivative_terms(case: str, dh: float = 0.0) -> TermDecomposition:
@@ -562,20 +567,21 @@ def second_derivative_terms(case: str, dh: float = 0.0) -> TermDecomposition:
     probe pair, and the lambda-linear coefficient) are computed on
     FIRST_GRID, then on doubled grids until no value moves by more than
     RECOVER_TOL, or LAST_GRID is reached.  The coefficients are recovered
-    once, from the values on the final grid; that grid and the largest
-    move of the last doubling are the ``grid`` and ``grid_change`` of the
-    result.
+    once, from the values on the final grid; that grid, and each term's
+    (and under 'first' the lambda-linear coefficient's) largest move in the
+    last doubling, are the ``grid`` and ``grid_change`` of the result.
     """
     case = case.lower()
     grid = FIRST_GRID
-    raw, first = _probe_values(case, grid, dh)
-    change = math.inf
-    while grid != LAST_GRID and not change <= RECOVER_TOL:
-        coarse = _flat(raw, first)
+    values = _probe_values(case, grid, dh)
+    change = dict.fromkeys([*values[0], "first"], math.inf)
+    while grid != LAST_GRID and not all(v <= RECOVER_TOL for v in change.values()):
+        coarse = values
         grid = grid.doubled()
-        raw, first = _probe_values(case, grid, dh)
-        change = float(np.max(np.abs(_flat(raw, first) - coarse)))
-    terms = {name: _decompose(values) for name, values in raw.items()}
+        values = _probe_values(case, grid, dh)
+        change = _moves(values, coarse)
+    raw, first = values
+    terms = {name: _decompose(v) for name, v in raw.items()}
     return TermDecomposition(case, terms, first, grid, change)
 
 

@@ -285,13 +285,16 @@ class TestVerifyExpansions:
         assert any(r.startswith("D2_g2") for r in fail_rows)
 
     def test_abs_err_covers_grid_change(self, capsys, cmc_terms):
-        # every printed error includes the raw-value move of the measured
-        # grid's last doubling; a second run prints the same bytes
+        # every printed error includes its own row's move in the measured
+        # grid's last doubling (the total row: the lambda-linear
+        # coefficient's); a second run prints the same bytes
         assert cli.main(["verify-expansions", "--case", "cmc"]) == 0
         out = capsys.readouterr().out
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert len(rows) == 6
-        assert all(float(r[7]) >= cmc_terms.grid_change for r in rows)
+        moves = cmc_terms.grid_change
+        assert all(float(r[7]) >= moves["first" if r[0] == "total" else r[0]]
+                   for r in rows)
         assert cli.main(["verify-expansions", "--case", "cmc"]) == 0
         assert capsys.readouterr().out == out
 

@@ -280,3 +280,24 @@ class TestModeTables:
         assert info.currsize == 2 and info.misses == 2
         table = lin._mode_tables("cmc")
         assert not any(column.flags.writeable for column in table[1:])
+
+
+class TestBoundCurvatures:
+    def test_new_curvatures_add_no_nodes(self, tmp_path):
+        # the curvatures are bound at evaluation, not substituted into the
+        # fields: after one run per case, runs at new curvatures evaluate
+        # the same DAG and intern no node
+        from hemifol import cli
+
+        def run(case, k1, k2):
+            out = str(tmp_path / f"{case}.jsonl")
+            assert cli.main(["linearized", "--case", case, f"--k1={k1!r}",
+                             f"--k2={k2!r}", "--out", out]) == 0
+
+        for case in ("cmc", "willmore"):
+            run(case, 1.0, 0.0)
+        before = len(ex._TABLE)
+        for case in ("cmc", "willmore"):
+            for k1, k2 in ((0.3125, -1.75), (2.5, 0.0625), (-0.875, -0.4375)):
+                run(case, k1, k2)
+        assert len(ex._TABLE) == before

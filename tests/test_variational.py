@@ -396,7 +396,9 @@ class TestSecondDerivativeTerms:
         # 16x32 -> 32x64 moves no raw value by more than RECOVER_TOL
         dec = request.getfixturevalue(f"{case}_terms")
         assert dec.grid == hq.QuadratureGrid(32, 64)
-        assert 0 < dec.grid_change <= va.RECOVER_TOL
+        assert dec.grid_change.keys() == {*va.WILLMORE_TERMS, "first"}
+        assert all(v >= 0 for v in dec.grid_change.values())
+        assert 0 < max(dec.grid_change.values()) <= va.RECOVER_TOL
 
     @pytest.mark.parametrize("offset, want_grids", [
         # only the first grid is off: one more doubling confirms the second
@@ -421,8 +423,11 @@ class TestSecondDerivativeTerms:
         assert [g.n_azimuthal for g in seen] == [2 * n for n in want_grids]
         assert dec.grid == seen[-1]
         prev, last = seen[-2:]
-        assert dec.grid_change == pytest.approx(
+        assert dec.grid_change["first"] == pytest.approx(
             abs(offset(last) - offset(prev)), abs=1e-13)
+        # the offset moves only the lambda-linear coefficient
+        assert all(dec.grid_change[name] <= va.RECOVER_TOL
+                   for name in va.CMC_TERMS)
 
     @pytest.mark.parametrize("case", ["willmore", "cmc"])
     def test_raw_values_match_public_functionals(self, request, case):
