@@ -69,6 +69,8 @@ class LinearizedProblem:
         if self.case.lower() not in ("cmc", "willmore"):
             raise ValueError(f"unknown case {self.case!r}")
         object.__setattr__(self, "case", self.case.lower())
+        if not (math.isfinite(self.kappa1) and math.isfinite(self.kappa2)):
+            raise ValueError("curvatures must be finite")
 
     @property
     def H(self):
@@ -386,8 +388,10 @@ def multipliers(p: LinearizedProblem) -> tuple[float, np.ndarray]:
     """alpha'(0) and beta'(0) re-derived from the closed form by integrating
     the PDE and applying Gauss's theorem as boundary integrals, then
     cross-checked against the closed-form values -(3/8) H (CMC) and H/4
-    (Willmore); beta' = (0, 0) in both cases.  The curvatures are bound,
-    not substituted, so every call of a case evaluates the same fields."""
+    (Willmore), to 1e-8 relative to max(1, |closed form|), since the
+    quadrature error scales with the curvatures; beta' = (0, 0) in both
+    cases.  The curvatures are bound, not substituted, so every call of a
+    case evaluates the same fields."""
     kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
     ut = sphere.to_tphi(uprime_expr(p.case))
     rhs = sphere.to_tphi(pde_rhs_expr(p.case))
@@ -418,7 +422,7 @@ def multipliers(p: LinearizedProblem) -> tuple[float, np.ndarray]:
             for i in (0, 1)
         ])
         closed = p.H / 4.0
-    if abs(alpha - closed) > 1e-8:
+    if abs(alpha - closed) > 1e-8 * max(1.0, abs(closed)):
         raise ConstraintSingular(
             f"numeric alpha'(0) = {alpha} disagrees with closed form {closed}")
     return alpha, beta

@@ -5,7 +5,15 @@ recognition of numeric results as pi*(p + q*ln 2) with rational p, q.
 Parametrization: t = omega_3 in [0, 1] (Gauss-Legendre) and azimuth phi
 (uniform); the round measure is d(mu) = dt dphi, so polynomial-in-t
 integrands are integrated exactly and there is no pole clustering.
-All reductions use a fixed summation order, so results are bit-reproducible.
+
+This module is the one place that builds quadrature nodes and weights and
+sums over them.  Each rule -- the product grid on the hemisphere, the same
+grid times 32 radial shells for the half ball, and the trapezoid rule on
+the equator -- is a :class:`Rule` built once per size and shared
+read-only.  Its nodes bind omega (w1, w2, w3) and (t, phi) alike, and
+:meth:`Rule.sum` is the one weighted sum, for floats and for the parts of
+a ``Jet2``.  All reductions use a fixed summation order, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -21,7 +31,8 @@ from . import expr as ex
 from . import sphere
 
 __all__ = [
-    "Moment", "CoefficientVector", "QuadratureGrid", "NoRationalFit",
+    "Moment", "CoefficientVector", "QuadratureGrid", "Rule", "NoRationalFit",
+    "surface_rule", "shell_rule", "equator_rule",
     "surface_moment", "boundary_moment",
     "integrate_surface", "integrate_boundary",
     "integrate_tphi", "integrate_boundary_tphi",
@@ -73,27 +84,82 @@ class QuadratureGrid:
             raise ValueError("n_azimuthal must be even and >= 16")
 
     def nodes(self):
-        """(t, phi, weight) arrays flattened over the product grid; computed
-        once per grid and shared, so they are read-only."""
-        return _product_nodes(self.n_polar, self.n_azimuthal)
+        """(t, phi, weight) arrays of :func:`surface_rule`, flattened over
+        the product grid; shared, so they are read-only."""
+        rule = surface_rule(self)
+        return rule.bindings["t"], rule.bindings["phi"], rule.weights
 
     def doubled(self):
         return QuadratureGrid(2 * self.n_polar, 2 * self.n_azimuthal)
 
 
+@dataclass(frozen=True, eq=False)
+class Rule:
+    """Nodes and weights of one quadrature rule, built once per size and
+    shared read-only.  ``bindings`` holds the nodes both as omega (w1, w2,
+    w3) and as (t, phi), so a rule integrates expressions in either set of
+    names, or in both.  The equator rule has no weight array: its weights
+    are all 2 pi / n, applied to the sum."""
+    bindings: Mapping[str, np.ndarray]
+    weights: np.ndarray | None
+
+    def sum(self, values):
+        """The weighted sum of ``values`` (broadcast to the nodes): a float,
+        or for a Jet2 the Jet2 of the sums of its parts."""
+        if isinstance(values, ex.Jet2):
+            return ex.Jet2(self.sum(values.f), self.sum(values.d1), self.sum(values.d2))
+        if self.weights is None:
+            n = self.bindings["phi"].size
+            return float(np.sum(np.broadcast_to(values, (n,))) * 2.0 * np.pi / n)
+        return float(np.sum(np.broadcast_to(values, self.weights.shape) * self.weights))
+
+    def integrate(self, e: ex.Expr, extra: dict | None = None) -> float:
+        """The weighted sum of ``e`` evaluated at the nodes, with any extra
+        bindings."""
+        return self.sum(ex.evaluate(e, {**self.bindings, **(extra or {})}))
+
+
+def _rule(weights, **nodes) -> Rule:
+    for arr in (weights, *nodes.values()):
+        if arr is not None:
+            arr.flags.writeable = False
+    return Rule(MappingProxyType(nodes), weights)
+
+
 @functools.lru_cache(maxsize=8)
-def _product_nodes(n_polar: int, n_azimuthal: int):
-    x, w = np.polynomial.legendre.leggauss(n_polar)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    phi = 2.0 * np.pi * np.arange(n_azimuthal) / n_azimuthal
-    wphi = 2.0 * np.pi / n_azimuthal
-    T, P = np.meshgrid(t, phi, indexing="ij")
-    W = np.repeat(wt, n_azimuthal) * wphi
-    out = T.ravel(), P.ravel(), W
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+def surface_rule(grid: QuadratureGrid) -> Rule:
+    """Gauss-Legendre in t on [0, 1] times the uniform rule in phi,
+    flattened over the product grid."""
+    x, w = np.polynomial.legendre.leggauss(grid.n_polar)
+    phi = 2.0 * np.pi * np.arange(grid.n_azimuthal) / grid.n_azimuthal
+    T, P = np.meshgrid(0.5 * (x + 1.0), phi, indexing="ij")
+    t, phi = T.ravel(), P.ravel()
+    W = np.repeat(0.5 * w, grid.n_azimuthal) * (2.0 * np.pi / grid.n_azimuthal)
+    w1, w2, w3 = sphere.omega_values(t, phi)
+    return _rule(W, t=t, phi=phi, w1=w1, w2=w2, w3=w3)
+
+
+@functools.lru_cache(maxsize=8)
+def shell_rule(grid: QuadratureGrid) -> Rule:
+    """The half ball r = s * rho(omega): 32 Gauss-Legendre nodes in s on
+    [0, 1] (shape (32, 1)) times the surface rule (shape (1, N)).  For
+    polynomial metric directions the jet parts of a volume integrand at
+    eps = 0 are polynomials in s of degree below 64, so the radial rule is
+    exact for them."""
+    xs, ws = np.polynomial.legendre.leggauss(32)
+    surface = surface_rule(grid)
+    nodes = {name: arr[None, :] for name, arr in surface.bindings.items()}
+    weights = (0.5 * ws)[:, None] * surface.weights[None, :]
+    return _rule(weights, s=(0.5 * (xs + 1.0))[:, None], **nodes)
+
+
+@functools.lru_cache(maxsize=8)
+def equator_rule(n: int) -> Rule:
+    """The uniform trapezoid rule with n nodes on the equator t = 0
+    (spectral for smooth periodic integrands)."""
+    phi = 2.0 * np.pi * np.arange(n) / n
+    zero = np.zeros(n)
+    return _rule(None, t=zero, phi=phi, w1=np.cos(phi), w2=np.sin(phi), w3=zero)
 
 
 def _azimuthal_coeff(a: int, b: int) -> Fraction:
@@ -131,53 +197,24 @@ def boundary_moment(a: int, b: int) -> Fraction:
     return _azimuthal_coeff(a, b)
 
 
-_W_NAMES = ("w1", "w2", "w3")
-
-
 def integrate_surface(e: ex.Expr, grid: QuadratureGrid = QuadratureGrid(),
                       extra: dict | None = None) -> float:
-    """Hemisphere integral of an expression in w1, w2, w3 (plus any extra
-    bindings); spectrally accurate for smooth integrands."""
-    t, phi, w = grid.nodes()
-    bindings = dict(zip(_W_NAMES, sphere.omega_values(t, phi)))
-    if extra:
-        bindings.update(extra)
-    vals = ex.evaluate(e, bindings)
-    return float(np.sum(np.broadcast_to(vals, w.shape) * w))
+    """Hemisphere integral of an expression in w1, w2, w3, in (t, phi), or
+    in both (plus any extra bindings); spectrally accurate for smooth
+    integrands."""
+    return surface_rule(grid).integrate(e, extra)
 
 
 def integrate_boundary(e: ex.Expr, n: int = 256,
                        extra: dict | None = None) -> float:
-    """Equator line integral via a uniform trapezoid rule (spectral for
-    smooth periodic integrands)."""
-    phi = 2.0 * np.pi * np.arange(n) / n
-    bindings = {"w1": np.cos(phi), "w2": np.sin(phi), "w3": np.zeros_like(phi)}
-    if extra:
-        bindings.update(extra)
-    vals = ex.evaluate(e, bindings)
-    return float(np.sum(np.broadcast_to(vals, phi.shape)) * 2.0 * np.pi / n)
+    """Equator line integral of an expression in w1, w2, w3, in (t, phi),
+    or in both, by the uniform trapezoid rule with n nodes."""
+    return equator_rule(n).integrate(e, extra)
 
 
-def integrate_tphi(e: ex.Expr, grid: QuadratureGrid = QuadratureGrid(),
-                   extra: dict | None = None) -> float:
-    """Hemisphere integral of an expression already in (t, phi) coordinates."""
-    t, phi, w = grid.nodes()
-    bindings = {"t": t, "phi": phi}
-    if extra:
-        bindings.update(extra)
-    vals = ex.evaluate(e, bindings)
-    return float(np.sum(np.broadcast_to(vals, w.shape) * w))
-
-
-def integrate_boundary_tphi(e: ex.Expr, n: int = 256,
-                            extra: dict | None = None) -> float:
-    """Equator integral of a (t, phi)-coordinate expression (t = 0)."""
-    phi = 2.0 * np.pi * np.arange(n) / n
-    bindings = {"t": np.zeros_like(phi), "phi": phi}
-    if extra:
-        bindings.update(extra)
-    vals = ex.evaluate(e, bindings)
-    return float(np.sum(np.broadcast_to(vals, phi.shape)) * 2.0 * np.pi / n)
+# the names of the (t, phi) forms, kept for their callers
+integrate_tphi = integrate_surface
+integrate_boundary_tphi = integrate_boundary
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +389,8 @@ def recover_coefficients(x: float, tol: float = 1e-10) -> CoefficientVector:
 
 def moment_table(max_degree: int, boundary: bool = False):
     """All moments of total degree <= max_degree as (exponents, Fraction)."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     rows = []
     if boundary:
         for a in range(max_degree + 1):

@@ -10,6 +10,12 @@ h_ij = -1/2 d/dz s_ij with s_ij the pullback metric along the normal graph,
 which reduces to metric position-derivatives plus tangential derivatives of
 the unit normal.
 
+The symbolic fields of a direction pair are built once (``_build_fields``).
+``field_jets`` is the one public evaluator of them at given points, as
+jets or at a finite eps, and every integral is one jet evaluation over a
+rule of :mod:`hemifol.quadrature` (hemisphere grid, radial shells,
+equator), summed by that rule.
+
 ``second_derivative_terms`` measures the quadrature grid of the expansion
 coefficients instead of taking one: it doubles from FIRST_GRID until no raw
 value moves by more than RECOVER_TOL (at most to LAST_GRID) and reports that
@@ -33,7 +39,7 @@ from . import sphere
 __all__ = [
     "MetricPerturbation", "FunctionalValue", "TermDecomposition",
     "DegenerateMetric", "InconsistentProbes",
-    "functionals", "normal_field", "mean_curvature_field", "field_jets",
+    "functionals", "field_jets",
     "second_derivative_terms", "assemble_expansion",
     "PROBE_PAIRS", "WILLMORE_TERMS", "CMC_TERMS",
     "metric_first_order", "metric_second_order", "metric_zero",
@@ -84,9 +90,6 @@ class MetricPerturbation:
         return [[[ex.diff(self.entries[m][n], xmu) for n in range(3)]
                  for m in range(3)] for xmu in _X]
 
-    def cache_key(self):
-        return tuple(id(self.entries[m][n]) for m in range(3) for n in range(3))
-
 
 def metric_zero() -> MetricPerturbation:
     z = ex.ZERO
@@ -123,18 +126,14 @@ def metric_second_order() -> MetricPerturbation:
 # symbolic field construction (cached per direction pair)
 # ---------------------------------------------------------------------------
 
-_FIELD_CACHE: dict[tuple, dict] = {}
-
 _DELTA = tuple(tuple(ex.ONE if m == n else ex.ZERO for n in range(3))
                for m in range(3))
 
 
+@functools.lru_cache(maxsize=32)
 def _build_fields(u_dir: ex.Expr, metric: MetricPerturbation) -> dict:
-    key = (id(u_dir),) + metric.cache_key()
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
-
+    """The symbolic fields of one direction pair.  Expressions are interned
+    and compare by identity, so equal pairs share one entry."""
     om = sphere.OMEGA
     u = sphere.to_tphi(u_dir)
     radial = 1 + EPS * u
@@ -214,7 +213,7 @@ def _build_fields(u_dir: ex.Expr, metric: MetricPerturbation) -> dict:
             + gv[0][2] * (gv[1][0] * gv[2][1] - gv[1][1] * gv[2][0]))
     vol_integrand = ex.sqrt(det3) * S ** 2 * radial ** 3
 
-    fields = {
+    return {
         "u": u,
         "density": density,
         "radicand": radicand,
@@ -224,8 +223,6 @@ def _build_fields(u_dir: ex.Expr, metric: MetricPerturbation) -> dict:
         "B1": b1,
         "vol_integrand": vol_integrand,
     }
-    _FIELD_CACHE[key] = fields
-    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +237,7 @@ def _bindings(t, phi, k1, k2, dh, eps):
     return b
 
 
-def _jet_sum(jet: ex.Jet2, w) -> ex.Jet2:
-    def red(part):
-        return float(np.sum(np.broadcast_to(part, w.shape) * w))
-    return ex.Jet2(red(jet.f), red(jet.d1), red(jet.d2))
-
-
 _EPS_JET = ex.Jet2(0.0, 1.0, 0.0)
-
-_GAUSS_S = np.polynomial.legendre.leggauss(32)
 
 
 def _check_radicand(fields: dict, t, phi, k1, k2, dh, eps=None):
@@ -259,37 +248,13 @@ def _check_radicand(fields: dict, t, phi, k1, k2, dh, eps=None):
         raise DegenerateMetric("normal radicand not positive")
 
 
-def _surface_integrals(fields: dict, names, nodes, k1, k2, dh) -> list:
-    """Gauss-grid integrals of the named surface fields as jets, after
-    checking the normal radicand on the grid."""
-    t, phi, w = nodes
+def _integral(fields: dict, name: str, rule: hq.Rule, k1, k2, dh) -> ex.Jet2:
+    """Integral of a named field as a jet over a quadrature rule, after
+    checking the normal radicand at the rule's nodes."""
+    t, phi = rule.bindings["t"], rule.bindings["phi"]
     _check_radicand(fields, t, phi, k1, k2, dh)
-    b = _bindings(t, phi, k1, k2, dh, _EPS_JET)
-    return [_jet_sum(ex.evaluate_jet(fields[name], b), w) for name in names]
-
-
-def _volume_integral(fields: dict, nodes, k1, k2, dh) -> ex.Jet2:
-    """Enclosed volume as a jet: radial Gauss shells over the surface grid;
-    the integrand is polynomial in s for these perturbations, so 32 nodes
-    are exact."""
-    t, phi, w = nodes
-    xs, ws = _GAUSS_S
-    s_nodes = 0.5 * (xs + 1.0)
-    s_w = 0.5 * ws
-    bv = _bindings(t[None, :], phi[None, :], k1, k2, dh, _EPS_JET)
-    bv["s"] = s_nodes[:, None]
-    vol_jet = ex.evaluate_jet(fields["vol_integrand"], bv)
-    w2 = s_w[:, None] * w[None, :]
-    return _jet_sum(vol_jet, w2)
-
-
-def _b1_integral(fields: dict, grid: hq.QuadratureGrid, k1, k2, dh) -> ex.Jet2:
-    """Equator integral of B1 against the round boundary measure."""
-    n_b = 4 * grid.n_azimuthal
-    phib = 2.0 * np.pi * np.arange(n_b) / n_b
-    bb = _bindings(np.zeros_like(phib), phib, k1, k2, dh, _EPS_JET)
-    b1_jet = ex.evaluate_jet(fields["B1"], bb)
-    return _jet_sum(b1_jet, np.full(n_b, 2.0 * np.pi / n_b))
+    b = {**rule.bindings, **_bindings(t, phi, k1, k2, dh, _EPS_JET)}
+    return rule.sum(ex.evaluate_jet(fields[name], b))
 
 
 def functionals(u_dir: ex.Expr, metric: MetricPerturbation,
@@ -298,34 +263,36 @@ def functionals(u_dir: ex.Expr, metric: MetricPerturbation,
     """All functionals of f = (1 + eps*u_dir) omega in delta + eps*metric as
     order-2 jets in eps: area A, volume V, Willmore energy W, linearized
     barycenter components C1, C2, and the equator integral of the first
-    boundary operator B1."""
+    boundary operator B1 (trapezoid rule with 4 n_azimuthal nodes)."""
     fields = _build_fields(u_dir, metric)
-    nodes = grid.nodes()
-    out = dict(zip(("A", "W"), _surface_integrals(
-        fields, ("density", "W_density"), nodes, k1, k2, dh)))
-    out["V"] = _volume_integral(fields, nodes, k1, k2, dh)
+    surface = hq.surface_rule(grid)
+    out = {"A": _integral(fields, "density", surface, k1, k2, dh),
+           "W": _integral(fields, "W_density", surface, k1, k2, dh),
+           "V": _integral(fields, "vol_integrand", hq.shell_rule(grid), k1, k2, dh)}
 
     # linearized barycenter: D1C only, exactly linear in the graph direction
-    t, phi, w = nodes
-    u_vals = ex.evaluate(fields["u"], {"t": t, "phi": phi,
+    u_vals = ex.evaluate(fields["u"], {**surface.bindings,
                                        "k1": float(k1), "k2": float(k2)})
-    w1v, w2v, _ = sphere.omega_values(t, phi)
-    for i, wi in enumerate((w1v, w2v), start=1):
-        d1 = 1.5 / math.pi * float(np.sum(
-            np.broadcast_to(u_vals * wi, w.shape) * w))
+    for i in (1, 2):
+        d1 = 1.5 / math.pi * surface.sum(u_vals * surface.bindings[f"w{i}"])
         out[f"C{i}"] = ex.Jet2(0.0, d1, 0.0)
 
-    out["B1int"] = _b1_integral(fields, grid, k1, k2, dh)
+    out["B1int"] = _integral(fields, "B1", hq.equator_rule(4 * grid.n_azimuthal),
+                             k1, k2, dh)
     return out
 
 
 def field_jets(u_dir: ex.Expr, metric: MetricPerturbation, names,
-               t, phi, k1: float = 1.0, k2: float = 1.0, dh: float = 0.0):
-    """Raw jet values of named symbolic fields ('density', 'H', 'B1',
-    'normal', ...) at given (t, phi) arrays; used by the variation-formula
-    cross checks."""
+               t, phi, k1: float = 1.0, k2: float = 1.0, dh: float = 0.0,
+               eps=None):
+    """Jet values of named symbolic fields at given (t, phi) arrays, after
+    checking that the normal radicand is positive there: 'density', 'H'
+    (the mean curvature, 2 at (0, delta)), 'B1', 'normal' (the interior
+    unit normal as a 3-tuple, -omega at (0, delta)), ...  Pass a float
+    ``eps`` to probe a finite deformation instead of the jet."""
     fields = _build_fields(u_dir, metric)
-    b = _bindings(t, phi, k1, k2, dh, _EPS_JET)
+    _check_radicand(fields, t, phi, k1, k2, dh, eps)
+    b = _bindings(t, phi, k1, k2, dh, _EPS_JET if eps is None else float(eps))
     out = {}
     for name in names:
         fld = fields[name]
@@ -334,28 +301,6 @@ def field_jets(u_dir: ex.Expr, metric: MetricPerturbation, names,
         else:
             out[name] = ex.evaluate_jet(fld, b)
     return out
-
-
-def normal_field(u_dir: ex.Expr, metric: MetricPerturbation, t, phi,
-                 k1: float = 1.0, k2: float = 1.0, dh: float = 0.0,
-                 eps=None):
-    """Interior unit normal as a 3-tuple of jets; -omega at (0, delta).
-    Pass a float ``eps`` to probe a finite deformation instead of the jet."""
-    fields = _build_fields(u_dir, metric)
-    _check_radicand(fields, t, phi, k1, k2, dh, eps)
-    b = _bindings(t, phi, k1, k2, dh, _EPS_JET if eps is None else float(eps))
-    return tuple(ex.evaluate_jet(c, b) for c in fields["normal"])
-
-
-def mean_curvature_field(u_dir: ex.Expr, metric: MetricPerturbation, t, phi,
-                         k1: float = 1.0, k2: float = 1.0, dh: float = 0.0,
-                         eps=None):
-    """Scalar mean curvature as a jet field; equals 2 at (0, delta).
-    Pass a float ``eps`` to probe a finite deformation instead of the jet."""
-    fields = _build_fields(u_dir, metric)
-    _check_radicand(fields, t, phi, k1, k2, dh, eps)
-    b = _bindings(t, phi, k1, k2, dh, _EPS_JET if eps is None else float(eps))
-    return ex.evaluate_jet(fields["H"], b)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +457,10 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
     f_diag = _build_fields(u_dir, gprime)
     f_u = _build_fields(u_dir, metric_zero())
     f_g = _build_fields(ex.ZERO, gprime)
-    nodes = grid.nodes()
+    surface = hq.surface_rule(grid)
+    equator = hq.equator_rule(4 * grid.n_azimuthal)
     for k1, k2 in PROBE_PAIRS:
-        jd, ju, jg = (_surface_integrals(f, (density,), nodes, k1, k2, dh)[0]
+        jd, ju, jg = (_integral(f, density, surface, k1, k2, dh)
                       for f in (f_diag, f_u, f_g))
         diag[(k1, k2)] = jd.d2
         usq[(k1, k2)] = ju.d2
@@ -526,7 +472,7 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
             # D1 W u'' = equator integral of d^2/deps^2 B1[eps u', delta+eps g']
             # plus the boundary term of g'', which vanishes (odd integrand)
             odd = hq.integrate_boundary_tphi(u2_integrand, extra=curvatures)
-            u2term[(k1, k2)] = _b1_integral(f_diag, grid, k1, k2, dh).d2 + odd
+            u2term[(k1, k2)] = _integral(f_diag, "B1", equator, k1, k2, dh).d2 + odd
         else:
             # D1 A u'' = 2 int u'' = -4 int u'^2 from the volume constraint
             usq_int = hq.integrate_tphi(

@@ -45,6 +45,13 @@ class TestMoments:
                 for r in out.strip().splitlines()[1:]}
         assert rows[("2", "0")] == ["1", "1"]
 
+    def test_negative_degree_rejected(self, capsys):
+        # a negative degree is an input error, not an empty table
+        assert cli.main(["moments", "--max-degree", "-1"]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: max_degree must be non-negative\n"
+
     def test_byte_identical_reruns(self, capsys):
         cli.main(["moments", "--max-degree", "6"])
         first = capsys.readouterr().out
@@ -131,6 +138,25 @@ class TestLinearized:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "t,phi,u_prime"
         assert len(lines) > 100
+
+    @pytest.mark.parametrize("case", ["cmc", "willmore"])
+    def test_large_curvatures(self, case, capsys):
+        # the alpha' cross check scales with the curvatures
+        assert cli.main(["linearized", "--case", case,
+                         "--k1", "1e7", "--k2", "1e7"]) == 0
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        alpha = {r["field"]: r for r in records}["alpha_prime"]["value"]
+        assert alpha == pytest.approx(2e7 * (-0.375 if case == "cmc" else 0.25))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_curvature_rejected(self, value, capsys):
+        # a non-finite curvature would print NaN tokens, which are not JSON
+        assert cli.main(["linearized", "--case", "cmc", f"--k1={value}",
+                         "--k2", "1"]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: curvatures must be finite\n"
 
     def test_shared_mode_tables_match_fresh_runs(self, tmp_path, capsys):
         # one process solves each case's modes once; alternating cases and

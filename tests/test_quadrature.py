@@ -96,6 +96,12 @@ class TestSurfaceQuadrature:
                     want = float(hq.surface_moment(hq.Moment(a, b, c))) * math.pi
                     assert abs(got - want) < 1e-12, (a, b, c)
 
+    def test_omega_and_tphi_mixed(self):
+        # the nodes bind omega and (t, phi) alike: w1^2 * t = w1^2 * w3
+        e = ex.parse("w1^2*t")
+        assert abs(hq.integrate_surface(e) - math.pi / 4) < 1e-12
+        assert abs(hq.integrate_tphi(e) - math.pi / 4) < 1e-12
+
     def test_odd_integrand_vanishes(self):
         # odd under (w1, w2) -> (-w1, -w2)
         for text in ["w1*w3", "w2", "w1*w2^2", "w1^3*w3^2"]:
