@@ -2,6 +2,13 @@
 curvature with their derivatives, critical points of H, the foliation
 criterion, and the explicit cubic example family.
 
+H and K are symbolic expressions in x and y; their first and second
+derivatives come from one order-2 jet walk of each along four directions,
+(1, 0), (0, 1), (1, 1) and (1, -1).  The first two give the gradient and the
+diagonal of the Hessian, and the mixed entry comes from polarization,
+H_xy = (D_(1,1)^2 H - D_(1,-1)^2 H) / 4, so the Hessian is symmetric by
+construction (Griewank, Utke & Walther, Math. Comp. 69 (2000)).
+
 Sign convention: H is anchored to the example family's closed-form
 dH/dx = -2(a - a^3 + 3 c1 + 9 a^2 c1 + 6 a^4 c1) / (1 + 2 a^2)^(5/2)
 at the origin, which corresponds to H = (1 + u_y^2) u_xx - 2 u_x u_y u_xy
@@ -54,8 +61,9 @@ def gallery_params(a: float) -> GalleryParams:
 
 
 class GraphSurface:
-    """Immutable graph z = u(x, y) with symbolically derived curvature
-    fields."""
+    """Immutable graph z = u(x, y) with its gradient and its curvatures H
+    and K as symbolic fields; derivatives of H and K are taken by jets at a
+    point (:func:`curvature_at`), not stored."""
 
     def __init__(self, u: ex.Expr, domain=((-1.0, 1.0), (-1.0, 1.0)),
                  name: str = ""):
@@ -75,12 +83,6 @@ class GraphSurface:
         self.H = ((1 + uy ** 2) * uxx - 2 * ux * uy * uxy
                   + (1 + ux ** 2) * uyy) / (w2 * ex.sqrt(w2))
         self.K = (uxx * uyy - uxy ** 2) / w2 ** 2
-        self.gradH = (ex.diff(self.H, "x"), ex.diff(self.H, "y"))
-        self.gradK = (ex.diff(self.K, "x"), ex.diff(self.K, "y"))
-        self.hessH = (
-            (ex.diff(self.gradH[0], "x"), ex.diff(self.gradH[0], "y")),
-            (ex.diff(self.gradH[1], "x"), ex.diff(self.gradH[1], "y")),
-        )
 
     def contains(self, x, y):
         (x0, x1), (y0, y1) = self.domain
@@ -110,25 +112,39 @@ class FoliationVerdict:
     verdict: str                   # 'Foliates' | 'DoesNotFoliate' | 'Inconclusive'
 
 
+# directions (1, 0), (0, 1), (1, 1), (1, -1) as the x and y parts of one jet
+_DX = np.array([1.0, 0.0, 1.0, 1.0])
+_DY = np.array([0.0, 1.0, 1.0, -1.0])
+
+
+def _derivatives(e: ex.Expr, x, y):
+    """Value, gradient and coordinate Hessian of ``e`` at (x, y) from one
+    jet walk along the four directions; the mixed entry is polarized."""
+    j = ex.evaluate_jet(e, {"x": ex.Jet2(x, _DX, 0.0), "y": ex.Jet2(y, _DY, 0.0)})
+    d1 = np.broadcast_to(j.d1, 4)
+    d2 = np.broadcast_to(j.d2, 4)
+    mixed = 0.25 * (d2[2] - d2[3])
+    return j.f, d1[:2].copy(), np.array([[d2[0], mixed], [mixed, d2[1]]])
+
+
 def curvature_at(s: GraphSurface, x: float, y: float) -> CurvatureData:
-    """H, K and their symbolically derived first/second derivatives at a
-    point.  The Hessian of H is reported in coordinates; it is the covariant
-    Hessian only where gradH vanishes."""
+    """H, K, their gradients and the Hessian of H at a point, from one jet
+    walk of H and one of K (see the module docstring).  The Hessian of H is
+    reported in coordinates; it is the covariant Hessian only where gradH
+    vanishes."""
     if not s.contains(x, y):
         raise ValueError(f"({x}, {y}) outside surface domain {s.domain}")
-    vals = ex.evaluate(s.gradH + s.hessH[0] + s.hessH[1] + (s.H, s.K)
-                       + s.gradK + s.grad_u, {"x": float(x), "y": float(y)})
-    gradH = np.array(vals[0:2])
-    hessH = np.array(vals[2:6]).reshape(2, 2)
-    hessH = 0.5 * (hessH + hessH.T)
+    x, y = float(x), float(y)
+    H, gradH, hessH = _derivatives(s.H, x, y)
+    K, gradK, _ = _derivatives(s.K, x, y)
     return CurvatureData(
-        point=(float(x), float(y)),
-        H=vals[6],
-        K=vals[7],
+        point=(x, y),
+        H=H,
+        K=K,
         gradH=gradH,
         hessH=hessH,
-        gradK=np.array(vals[8:10]),
-        grad_u=np.array(vals[10:12]),
+        gradK=gradK,
+        grad_u=np.array(ex.evaluate(s.grad_u, {"x": x, "y": y})),
         hess_is_covariant=bool(np.linalg.norm(gradH) < NEWTON_TOL),
         nondegenerate=bool(abs(np.linalg.det(hessH)) > DEGENERACY_TOL),
     )
@@ -136,19 +152,20 @@ def curvature_at(s: GraphSurface, x: float, y: float) -> CurvatureData:
 
 def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
     """Newton iteration on gradH to |gradH| < 1e-12; raises
+    :class:`ValueError` for a guess that is not finite,
     :class:`DegenerateHessian` when the Hessian determinant drops below
     1e-10 and :class:`NoConvergence` after 50 steps."""
     p = np.asarray(guess, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("guess must be finite")
     for _ in range(NEWTON_MAX_ITER):
-        vals = ex.evaluate(s.gradH + s.hessH[0] + s.hessH[1], {"x": p[0], "y": p[1]})
-        g = np.array(vals[0:2])
+        _, g, h = _derivatives(s.H, p[0], p[1])
         if np.linalg.norm(g) < NEWTON_TOL:
             data = curvature_at(s, p[0], p[1])
             if not data.nondegenerate:
                 raise DegenerateHessian(f"critical point at {tuple(p.tolist())} "
                                         f"has |det hessH| <= {DEGENERACY_TOL}")
             return data
-        h = np.array(vals[2:6]).reshape(2, 2)
         if abs(np.linalg.det(h)) < DEGENERACY_TOL:
             raise DegenerateHessian(f"Hessian of H nearly singular at {tuple(p.tolist())}")
         p = p - np.linalg.solve(h, g)

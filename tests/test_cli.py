@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from hemifol import cli
+from hemifol import expr as ex
 from hemifol import graph_surface as gs
 
 
@@ -93,6 +95,32 @@ class TestAnalyze:
         path.write_text(f"name = deep\nu = x*y + {terms}\n")
         assert cli.main(["analyze", str(path), "--case", "willmore"]) == 0
         assert "verdict: Foliates" in capsys.readouterr().out.splitlines()
+
+    def test_intern_table_growth_per_surface(self, tmp_path, capsys):
+        # each fresh surface interns only u, its five derivatives, H and K:
+        # about 60 nodes for a translated cubic, where differentiating H and
+        # K symbolically took about 240
+        rng = np.random.default_rng(3)
+
+        def analyze(i):
+            a = rng.uniform(0.0, 0.45)
+            x0, y0 = (round(v, 6) for v in rng.uniform(-0.3, 0.3, 2))
+            c = (-a + a ** 3) / (3.0 + 9.0 * a ** 2 + 6.0 * a ** 4)
+            X = f"(x-{x0:.6f})" if x0 >= 0 else f"(x+{-x0:.6f})"
+            Y = f"(y-{y0:.6f})" if y0 >= 0 else f"(y+{-y0:.6f})"
+            path = tmp_path / f"t{i}.surf"
+            path.write_text(f"name = t{i}\n"
+                            f"u = a*{X} + a*{Y} + {X}*{Y} - c1*{X}^3 - c2*{Y}^3\n"
+                            f"params: a={a!r}, c1={c!r}, c2={c!r}\n")
+            return cli.main(["analyze", str(path), "--case", "cmc",
+                             "--guess", f"{x0 + 0.005}", f"{y0 - 0.005}"])
+
+        assert analyze(-1) in (0, 1, 2)
+        before = len(ex._TABLE)
+        codes = [analyze(i) for i in range(50)]
+        assert set(codes) <= {0, 1, 2}
+        assert len(ex._TABLE) - before <= 100 * 50
+        capsys.readouterr()
 
 
 class TestGallery:
@@ -469,6 +497,26 @@ class TestInputErrors:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(message)
+
+    @pytest.mark.parametrize("guess", [["nan", "0"], ["inf", "0"], ["0", "nan"]])
+    def test_guess_not_finite(self, tmp_path, capsys, guess):
+        # -inf cannot be passed: the option parser reads it as a flag
+        path = _surface_file(tmp_path, 0.3)
+        code = cli.main(["analyze", str(path), "--case", "cmc", "--guess", *guess])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: guess must be finite\n"
+
+    def test_guess_outside_square_root_domain(self, tmp_path, capsys):
+        path = tmp_path / "dome.surf"
+        path.write_text("name = dome\nu = sqrt(1 - x^2 - y^2)\n")
+        code = cli.main(["analyze", str(path), "--case", "cmc", "--guess", "2", "2"])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hemifol: error: sqrt of negative value in "
+                                "subexpression 'sqrt(1 - x^2 - y^2)'\n")
 
 
 class TestParserReuse:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,20 @@ from hemifol import graph_surface as gs
 
 
 def _grad_at_origin(surface):
-    b = {"x": 0.0, "y": 0.0}
-    return np.array([ex.evaluate(g, b) for g in surface.gradH])
+    return gs.curvature_at(surface, 0.0, 0.0).gradH
+
+
+def _reference_curvature(s, x, y):
+    """H, K, gradH, the symmetrized hessH and gradK at (x, y) by symbolic
+    differentiation of H and K, the construction the jet walk replaced."""
+    gradH = (ex.diff(s.H, "x"), ex.diff(s.H, "y"))
+    gradK = (ex.diff(s.K, "x"), ex.diff(s.K, "y"))
+    hessH = (ex.diff(gradH[0], "x"), ex.diff(gradH[0], "y"),
+             ex.diff(gradH[1], "x"), ex.diff(gradH[1], "y"))
+    vals = ex.evaluate(gradH + hessH + (s.H, s.K) + gradK, {"x": x, "y": y})
+    hess = np.array(vals[2:6]).reshape(2, 2)
+    return {"H": vals[6], "K": vals[7], "gradH": np.array(vals[0:2]),
+            "hessH": 0.5 * (hess + hess.T), "gradK": np.array(vals[8:10])}
 
 
 class TestCurvatureAt:
@@ -25,7 +38,7 @@ class TestCurvatureAt:
     def test_dHdx_formula_with_free_c1(self):
         # a = 0.3, c1 = 0: evaluate the closed form as the oracle
         s = gs.gallery_surface(0.3, c1=0.0, c2=0.0)
-        got = ex.evaluate(s.gradH[0], {"x": 0.0, "y": 0.0})
+        got = gs.curvature_at(s, 0.0, 0.0).gradH[0]
         a = 0.3
         want = -2 * (a - a ** 3) / (1 + 2 * a ** 2) ** 2.5
         assert got == pytest.approx(want, rel=1e-12)
@@ -74,7 +87,7 @@ class TestClosedFormAnchors:
         s = gs.gallery_surface(0.25)
         h = 1e-4
         for x0, y0 in [(0.0, 0.0), (0.1, -0.05)]:
-            sym = np.array([ex.evaluate(g, {"x": x0, "y": y0}) for g in s.gradH])
+            sym = gs.curvature_at(s, x0, y0).gradH
             fd = np.array([
                 (ex.evaluate(s.H, {"x": x0 + h, "y": y0})
                  - ex.evaluate(s.H, {"x": x0 - h, "y": y0})) / (2 * h),
@@ -82,15 +95,64 @@ class TestClosedFormAnchors:
                  - ex.evaluate(s.H, {"x": x0, "y": y0 - h})) / (2 * h),
             ])
             assert np.max(np.abs(sym - fd)) < 1e-6 * max(1.0, np.max(np.abs(sym)))
-        # second derivatives by FD of the symbolic gradient
-        hess_sym = np.array([[ex.evaluate(hh, {"x": 0.0, "y": 0.0})
-                              for hh in row] for row in s.hessH])
+        # second derivatives by FD of the jet gradient
+        hess_sym = gs.curvature_at(s, 0.0, 0.0).hessH
         fd_hess = np.zeros((2, 2))
         for j, (dx, dy) in enumerate([(h, 0.0), (0.0, h)]):
-            gp = np.array([ex.evaluate(g, {"x": dx, "y": dy}) for g in s.gradH])
-            gm = np.array([ex.evaluate(g, {"x": -dx, "y": -dy}) for g in s.gradH])
+            gp = gs.curvature_at(s, dx, dy).gradH
+            gm = gs.curvature_at(s, -dx, -dy).gradH
             fd_hess[:, j] = (gp - gm) / (2 * h)
         assert np.max(np.abs(hess_sym - fd_hess)) < 1e-6 * np.max(np.abs(hess_sym))
+
+
+def _translated_gallery(a, x0, y0):
+    """The gallery surface moved so that its critical point is (x0, y0)."""
+    shift = {"x": ex.var("x") - ex.const(Fraction(repr(x0))),
+             "y": ex.var("y") - ex.const(Fraction(repr(y0)))}
+    return gs.GraphSurface(ex.substitute(gs.gallery_surface(a).u, shift))
+
+
+class TestJetAgainstSymbolic:
+    """The jet walk against symbolic differentiation: each quantity agrees
+    to 1e-12 of its scale, the largest reference entry or 1 if smaller."""
+
+    @staticmethod
+    def _agree(s, x, y):
+        got = gs.curvature_at(s, x, y)
+        ref = _reference_curvature(s, x, y)
+        for name, want in ref.items():
+            have = np.asarray(getattr(got, name))
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(have - want)) <= 1e-12 * scale, name
+        assert got.hessH[0, 1] == got.hessH[1, 0]
+
+    @pytest.mark.parametrize("a", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_gallery(self, a):
+        self._agree(gs.gallery_surface(a), 0.0, 0.0)
+
+    def test_random_cubic_triples(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            a, c1, c2 = rng.uniform(-0.5, 0.5, 3)
+            x, y = rng.uniform(-0.5, 0.5, 2)
+            self._agree(gs.gallery_surface(a, c1, c2), x, y)
+
+    @pytest.mark.parametrize("a, x0, y0", [(0.1, 0.2, -0.1), (0.35, -0.25, 0.3),
+                                           (0.5, 0.05, 0.05)])
+    def test_translated_cubics(self, a, x0, y0):
+        s = _translated_gallery(a, x0, y0)
+        self._agree(s, x0, y0)
+        self._agree(s, x0 + 0.1, y0 - 0.2)
+
+    @pytest.mark.parametrize("u, x, y", [
+        ("sin(x)*cos(y) + x*y/2", 0.3, -0.2),
+        ("sqrt(2 + x^2 + x*y)", 0.4, 0.1),
+        ("ln(3 + x - y^2) + x^2", -0.2, 0.5),
+    ])
+    def test_non_polynomial(self, u, x, y):
+        s = gs.GraphSurface(ex.parse(u))
+        assert np.linalg.norm(gs.curvature_at(s, x, y).gradH) > 1e-3
+        self._agree(s, x, y)
 
 
 class TestV0:
@@ -129,6 +191,13 @@ class TestFindCriticalPoint:
         h0 = ex.evaluate(s.H, {"x": 0.0, "y": 0.0})
         h1 = ex.evaluate(s.H, {"x": 0.05, "y": 0.0})
         assert h0 > h1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_guess_not_finite(self, bad):
+        s = gs.gallery_surface(0.3)
+        for guess in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="^guess must be finite$"):
+                gs.find_critical_point(s, guess)
 
     def test_tilted_plane_degenerate(self):
         s = gs.GraphSurface(ex.parse("x"))
