@@ -13,7 +13,8 @@ use codes no verdict uses:
     64  usage error: unknown command, missing or malformed option
     65  bad input: unreadable file, expression syntax error, invalid value,
         an expression that cannot be evaluated (unbound variable, domain
-        error), a surface without a nondegenerate critical point in reach
+        error), a surface without a nondegenerate critical point in reach,
+        a family whose leaf fixed points do not converge
 
 ``verify-expansions`` measures its own quadrature grid (see
 ``variational.second_derivative_terms``); each row's ``abs_err`` is the
@@ -400,7 +401,7 @@ def main(argv=None) -> int:
             raise ValueError("tolerance must be positive")
         return args.func(args)
     except (ex.ExprError, gs.NoConvergence, gs.DegenerateHessian,
-            OSError, ValueError) as err:
+            fo.NoConvergence, OSError, ValueError) as err:
         print(f"hemifol: error: {err}", file=sys.stderr)
         return EX_DATAERR
 

@@ -46,6 +46,10 @@ SMOOTHNESS_NOTE = ("leaf-map smoothness is not certified numerically; "
 
 RAY_TOL = 1e-12
 RAY_MAX_ITER = 200
+# leaf points lie within lambda_max (2 + v) of the origin (base center
+# lambda v e1, radius lambda, lambda^2 |f| < lambda); the fixed points and
+# distances add squares of such coordinates, which must stay finite
+SCALE_MAX = 1e150
 E1 = np.array([1.0, 0.0, 0.0])
 
 
@@ -74,10 +78,14 @@ class LeafFamily:
 
     def __init__(self, v: float, f_exprs=(ex.ZERO, ex.ZERO, ex.ZERO),
                  lambda_max: float = 0.1):
+        if not (math.isfinite(v) and math.isfinite(lambda_max)):
+            raise ValueError("v and lambda_max must be finite")
         if v < 0:
             raise ValueError("v must be non-negative")
         if lambda_max <= 0:
             raise ValueError("lambda_max must be positive")
+        if lambda_max * (2.0 + v) > SCALE_MAX:
+            raise ValueError(f"lambda_max * (2 + v) must be at most {SCALE_MAX:g}")
         self.v = float(v)
         self.f_exprs = tuple(f_exprs)
         self.lambda_max = float(lambda_max)
@@ -577,6 +585,10 @@ def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> Foliatio
     lam = sorted(float(x) for x in lambda_grid)
     if not lam or lam[0] <= 0 or lam[-1] > fam.lambda_max:
         raise ValueError("lambda grid must lie in (0, lambda_max]")
+    if len(set(lam)) < 2:
+        # one leaf has no pair to compare, and coverage samples midway
+        # between the innermost and the outermost leaf would lie on it
+        raise ValueError("lambda grid must hold at least two distinct leaves")
 
     pairs = []
     if fam.v > 1.0:

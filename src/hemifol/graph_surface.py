@@ -56,6 +56,13 @@ class GalleryParams:
 
 def gallery_params(a: float) -> GalleryParams:
     """c1 = c2 = (-a + a^3) / (3 + 9 a^2 + 6 a^4) makes the origin critical."""
+    if not math.isfinite(a):
+        raise ValueError("a must be finite")
+    # the curvature fields square w2 = 1 + |grad u|^2 = 1 + 2 a^2 at the
+    # origin (w2^2 in K), which must stay in the double range
+    w2 = 1.0 + 2.0 * a * a
+    if not math.isfinite(w2 * w2):
+        raise ValueError("a is too large: the curvatures at the origin overflow")
     c = (-a + a ** 3) / (3.0 + 9.0 * a ** 2 + 6.0 * a ** 4)
     return GalleryParams(a, c, c)
 

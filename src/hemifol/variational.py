@@ -19,7 +19,14 @@ equator), summed by that rule.
 ``second_derivative_terms`` measures the quadrature grid of the expansion
 coefficients instead of taking one: it doubles from FIRST_GRID until no raw
 value moves by more than RECOVER_TOL (at most to LAST_GRID) and reports that
-move with the coefficients it recovers on the final grid.
+move with the coefficients it recovers on the final grid.  On each grid it
+batches the probe pairs: the curvatures k1, k2 are bound as (P, 1) columns
+over the (N,) nodes, so one walk of a field serves P pairs, and a rule sums
+each pair's row to the bits that pair gives alone.  P is capped so that no
+walk spans more than MAX_WALK_POINTS = 2048 points (all four pairs on
+16x32, one from 32x64 on): a walk holds its live intermediates over every
+point, and larger walks cost more peak memory than they save time.
+``functionals`` and ``field_jets`` bind float curvatures, one pair a call.
 """
 
 from __future__ import annotations
@@ -229,9 +236,15 @@ def _build_fields(u_dir: ex.Expr, metric: MetricPerturbation) -> dict:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _curvature(k):
+    """A probe curvature as bound: a float, or for P batched probe pairs a
+    (P, 1) column of floats that broadcasts against the (N,) nodes."""
+    return float(k) if np.ndim(k) == 0 else np.asarray(k, dtype=float)
+
+
 def _bindings(t, phi, k1, k2, dh, eps):
     b = {"t": t, "phi": phi, "eps": eps,
-         "k1": float(k1), "k2": float(k2)}
+         "k1": _curvature(k1), "k2": _curvature(k2)}
     for name in DH_NAMES:
         b[name] = float(dh)
     return b
@@ -242,7 +255,8 @@ _EPS_JET = ex.Jet2(0.0, 1.0, 0.0)
 
 def _check_radicand(fields: dict, t, phi, k1, k2, dh, eps=None):
     """Raise DegenerateMetric unless the normal radicand is positive: a
-    sign test, on floats at eps = 0 (a jet's value part) or at ``eps``."""
+    sign test, on floats at eps = 0 (a jet's value part) or at ``eps``,
+    over every node of every probe pair the curvatures bind."""
     b = _bindings(t, phi, k1, k2, dh, 0.0 if eps is None else float(eps))
     if np.min(np.asarray(ex.evaluate(fields["radicand"], b))) <= 0:
         raise DegenerateMetric("normal radicand not positive")
@@ -250,11 +264,19 @@ def _check_radicand(fields: dict, t, phi, k1, k2, dh, eps=None):
 
 def _integral(fields: dict, name: str, rule: hq.Rule, k1, k2, dh) -> ex.Jet2:
     """Integral of a named field as a jet over a quadrature rule, after
-    checking the normal radicand at the rule's nodes."""
+    checking the normal radicand at the rule's nodes.  For (P, 1) column
+    curvatures each part is one sum per pair, or one float if no
+    curvature reached it."""
     t, phi = rule.bindings["t"], rule.bindings["phi"]
     _check_radicand(fields, t, phi, k1, k2, dh)
     b = {**rule.bindings, **_bindings(t, phi, k1, k2, dh, _EPS_JET)}
     return rule.sum(ex.evaluate_jet(fields[name], b))
+
+
+def _per_pair(sums, n_pairs: int) -> list:
+    """Sums over a rule as one float per pair; a sum that no curvature
+    reached is one float, shared by every pair."""
+    return [float(v) for v in np.broadcast_to(sums, (n_pairs,))]
 
 
 def functionals(u_dir: ex.Expr, metric: MetricPerturbation,
@@ -425,6 +447,13 @@ CMC_TERMS = WILLMORE_TERMS
 FIRST_GRID = hq.QuadratureGrid(16, 32)
 LAST_GRID = hq.QuadratureGrid(128, 256)
 
+# the most points one walk of a field spans in _probe_values: all four probe
+# pairs on FIRST_GRID (512 nodes), one pair from 32x64 (2048 nodes) on.  A
+# walk holds each intermediate value until its last read, over every point
+# it spans (up to about 108 arrays at once for W_density), so batching more
+# pairs on the larger grids raises the peak memory of a run for little speed
+MAX_WALK_POINTS = 2048
+
 
 @functools.lru_cache(maxsize=2)
 def _closed_integrands(case: str) -> tuple[ex.Expr, ex.Expr]:
@@ -445,6 +474,11 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
     The quadratic-in-(u', g') block comes from one diagonal jet per probe
     pair with polarization; the u'' term from the volume/boundary constraint
     chains; the g'' term from the closed metric-variation integrands.
+
+    The probe pairs are batched: k1 and k2 are bound as (P, 1) columns over
+    the (N,) surface nodes, so one walk of a field covers P pairs, with
+    P = max(1, MAX_WALK_POINTS // N).  Each row is computed and summed as
+    that pair alone would be, so the values keep their bits.
     """
     u_dir = lin.uprime_expr(case)
     gprime = metric_first_order()
@@ -459,27 +493,34 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
     f_g = _build_fields(ex.ZERO, gprime)
     surface = hq.surface_rule(grid)
     equator = hq.equator_rule(4 * grid.n_azimuthal)
-    for k1, k2 in PROBE_PAIRS:
+    batch = max(1, MAX_WALK_POINTS // surface.weights.size)
+    for start in range(0, len(PROBE_PAIRS), batch):
+        pairs = PROBE_PAIRS[start:start + batch]
+        k1, k2 = np.array(pairs).T[:, :, None]
+        n_pairs = len(pairs)
         jd, ju, jg = (_integral(f, density, surface, k1, k2, dh)
                       for f in (f_diag, f_u, f_g))
-        diag[(k1, k2)] = jd.d2
-        usq[(k1, k2)] = ju.d2
-        gsq[(k1, k2)] = jg.d2
-        d1[(k1, k2)] = jd.d1
 
         curvatures = {"k1": k1, "k2": k2, **{n: float(dh) for n in DH_NAMES}}
         if case == "willmore":
             # D1 W u'' = equator integral of d^2/deps^2 B1[eps u', delta+eps g']
             # plus the boundary term of g'', which vanishes (odd integrand)
             odd = hq.integrate_boundary_tphi(u2_integrand, extra=curvatures)
-            u2term[(k1, k2)] = _integral(f_diag, "B1", equator, k1, k2, dh).d2 + odd
+            b1 = _integral(f_diag, "B1", equator, k1, k2, dh).d2
+            u2 = [b + o for b, o in zip(_per_pair(b1, n_pairs),
+                                        _per_pair(odd, n_pairs))]
         else:
             # D1 A u'' = 2 int u'' = -4 int u'^2 from the volume constraint
             usq_int = hq.integrate_tphi(
                 u2_integrand, grid, extra={"k1": k1, "k2": k2})
-            u2term[(k1, k2)] = -4.0 * usq_int
-        g2term[(k1, k2)] = hq.integrate_tphi(g2_integrand, grid,
-                                             extra=curvatures)
+            u2 = [-4.0 * v for v in _per_pair(usq_int, n_pairs)]
+        g2 = _per_pair(hq.integrate_tphi(g2_integrand, grid, extra=curvatures),
+                       n_pairs)
+        rows = zip(pairs, *(_per_pair(v, n_pairs)
+                            for v in (jd.d2, ju.d2, jg.d2, jd.d1)), u2, g2)
+        for pair, vd, vu, vg, v1, vu2, vg2 in rows:
+            diag[pair], usq[pair], gsq[pair], d1[pair] = vd, vu, vg, v1
+            u2term[pair], g2term[pair] = vu2, vg2
 
     mixed = {k: 0.5 * (diag[k] - usq[k] - gsq[k]) for k in diag}
     raw = {"D1sq": usq, "D12": mixed, "D2sq": gsq,

@@ -5,6 +5,7 @@ import pytest
 
 from hemifol import cli
 from hemifol import expr as ex
+from hemifol import foliation as fo
 from hemifol import graph_surface as gs
 
 
@@ -138,6 +139,18 @@ class TestGallery:
         first = capsys.readouterr().out
         cli.main(["gallery", "--a", "0.2", "0.4"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("a, message", [
+        ("nan", "a must be finite"), ("inf", "a must be finite"),
+        # a^4 overflows in the coefficients, and past a = 8e76 the square
+        # of 1 + |grad u|^2 in the curvatures does
+        ("1e100", "a is too large: the curvatures at the origin overflow"),
+        ("1e77", "a is too large: the curvatures at the origin overflow")])
+    def test_a_out_of_range(self, capsys, a, message):
+        assert cli.main(["gallery", "--a", "0.3", a]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hemifol: error: {message}\n"
 
 
 class TestLinearized:
@@ -288,6 +301,57 @@ class TestFoliate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "hemifol: error: lambda grid must lie in (0, lambda_max]\n"
+
+    @pytest.mark.parametrize("v", [0.5, 1.5])
+    @pytest.mark.parametrize("grid", [["--n-lambda", "1"],
+                                      ["--lambda-min", "0.05"]],
+                             ids=["one-point", "lambda-min-at-max"])
+    def test_one_leaf(self, tmp_path, capsys, v, grid):
+        # one distinct leaf has no pair to compare, and the coverage samples
+        # would sit on it: the v = 0.5 family foliates on two leaves, but
+        # one leaf read as Overlaps without a witness pair
+        fam = _family_file(tmp_path, v)
+        assert cli.main(["foliate", str(fam), *grid]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hemifol: error: lambda grid must hold at "
+                                "least two distinct leaves\n")
+        assert cli.main(["foliate", str(fam), "--n-lambda", "2"]) == (v > 1)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("v, lam_max", [
+        ("nan", "0.05"), ("inf", "0.05"), ("0.5", "nan"), ("0.5", "inf")])
+    def test_family_not_finite(self, tmp_path, capsys, v, lam_max):
+        path = tmp_path / "bad.fam"
+        path.write_text(f"v = {v}\nlambda_max = {lam_max}\n")
+        assert cli.main(["foliate", str(path)]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: v and lambda_max must be finite\n"
+
+    def test_family_too_large(self, tmp_path, capsys):
+        # lambda_max = 1e300 is finite, but lambda^2 would overflow in the
+        # leaf fixed points: rejected as it is read, in one line
+        path = tmp_path / "huge.fam"
+        path.write_text("v = 0.5\nlambda_max = 1e300\n")
+        assert cli.main(["foliate", str(path)]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hemifol: error: lambda_max * (2 + v) must "
+                                "be at most 1e+150\n")
+
+    def test_fixed_point_not_converging(self, tmp_path, capsys, monkeypatch):
+        # a leaf fixed point that does not converge is bad input, not the
+        # Overlaps verdict's exit 1
+        def stuck(*args):
+            raise fo.NoConvergence("fixed point not contracting")
+
+        monkeypatch.setattr(fo, "foliation_report", stuck)
+        fam = _family_file(tmp_path, 0.5)
+        assert cli.main(["foliate", str(fam)]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: fixed point not contracting\n"
 
     def test_touching_leaves_inconclusive(self, tmp_path, capsys):
         # v = 1, f = 0: every leaf touches the next at the origin, a radial

@@ -57,6 +57,18 @@ class TestLeafFamily:
         with pytest.raises(ValueError):
             fo.LeafFamily(-0.5)
 
+    @pytest.mark.parametrize("v, lam_max", [
+        (math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf)])
+    def test_not_finite_rejected(self, v, lam_max):
+        with pytest.raises(ValueError, match="must be finite"):
+            fo.LeafFamily(v, lambda_max=lam_max)
+
+    @pytest.mark.parametrize("v, lam_max", [(0.5, 1e300), (2.0, 1.3e154)])
+    def test_scale_beyond_double_range_rejected(self, v, lam_max):
+        # squared leaf coordinates would overflow in the fixed points
+        with pytest.raises(ValueError, match="must be at most"):
+            fo.LeafFamily(v, lambda_max=lam_max)
+
     def test_lambda_max_times_c_bound_below_one(self):
         # the inside test needs every leaf to be a radial graph about its
         # base center, which lambda_max * sup(|f| + |Df|) < 1 certifies
@@ -281,6 +293,12 @@ class TestFoliationReport:
         fam = fo.LeafFamily(0.0, lambda_max=0.05)
         with pytest.raises(ValueError):
             fo.foliation_report(fam, [0.0, 0.05])
+
+    @pytest.mark.parametrize("grid", [[0.05], [0.05, 0.05]])
+    def test_one_distinct_leaf_rejected(self, grid):
+        fam = fo.LeafFamily(0.5, lambda_max=0.05)
+        with pytest.raises(ValueError, match="two distinct leaves"):
+            fo.foliation_report(fam, grid)
 
 
 class TestPairwiseGridInvariant:

@@ -149,6 +149,35 @@ class TestGridNodes:
             assert np.array_equal(x, y) and np.array_equal(x, z)
 
 
+class TestPairRows:
+    @pytest.mark.parametrize("rule", [
+        hq.surface_rule(hq.QuadratureGrid(16, 32)),
+        hq.surface_rule(hq.QuadratureGrid(32, 64)),
+        hq.surface_rule(hq.QuadratureGrid(128, 256)),
+        hq.equator_rule(128), hq.equator_rule(256)],
+        ids=["surface16", "surface32", "surface128", "equator128", "equator256"])
+    def test_rows_sum_like_one_dimensional_values(self, rule):
+        # each row of a batched sum has the bits of the 1-D sum of that
+        # row, also for a row broadcast from a column
+        rng = np.random.default_rng(7)
+        n = rule.bindings["phi"].size
+        for n_pairs in (1, 2, 4):
+            values = rng.standard_normal((n_pairs, n)) * 10.0 ** rng.uniform(
+                -6, 6, (n_pairs, 1))
+            for batch in (values, values[:, :1]):
+                rows = rule.sum(batch)
+                assert rows.shape == (n_pairs,)
+                for row, got in zip(batch, rows):
+                    assert float(got).hex() == rule.sum(row).hex()
+
+    def test_jet_rows(self):
+        rule = hq.surface_rule(hq.QuadratureGrid(16, 32))
+        k = np.array([[1.0], [2.0]])
+        jet = rule.sum(ex.Jet2(k * rule.bindings["t"], 1.0, k))
+        assert jet.f.shape == (2,) and jet.d2.shape == (2,)
+        assert isinstance(jet.d1, float)
+
+
 class TestBoundaryQuadrature:
     def test_reference_value(self):
         assert hq.integrate_boundary(ex.parse("w1^2")) == pytest.approx(math.pi)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hemifol import expr as ex
+from hemifol import graph_surface as gs
 from hemifol import linearized as lin
 from hemifol import quadrature as hq
 from hemifol import sphere
@@ -470,6 +471,44 @@ class TestSecondDerivativeTerms:
             assert bits(dec.terms[name].raw) == bits(values), name
         assert dec.first_derivative.hex() == float(np.mean(d1)).hex()
 
+    @pytest.mark.parametrize("case, walks", [("willmore", 20), ("cmc", 15)])
+    def test_batched_probe_walks(self, request, monkeypatch, case, walks):
+        # all four probe pairs share one walk per field on 16x32, and each
+        # pair has its own on 32x64: 1 + 4 walks per field instead of 4 + 4,
+        # over 4 fields for Willmore (B1 included) and 3 for CMC; no walk
+        # spans more points than one pair on 32x64
+        points = []
+        walk = ex.evaluate_jet
+
+        def counted(e, bindings):
+            shapes = [np.shape(getattr(v, "f", v)) for v in bindings.values()]
+            points.append(int(np.prod(np.broadcast_shapes(*shapes))))
+            return walk(e, bindings)
+
+        monkeypatch.setattr(ex, "evaluate_jet", counted)
+        dec = va.second_derivative_terms(case)
+        assert len(points) == walks
+        assert max(points) == va.MAX_WALK_POINTS == 2048
+        # the batched values are the ones the session fixture measured
+        ref = request.getfixturevalue(f"{case}_terms")
+        assert dec.first_derivative.hex() == ref.first_derivative.hex()
+        for name, tv in dec.terms.items():
+            assert tv.raw == ref.terms[name].raw, name
+
+    @pytest.mark.parametrize("case", ["willmore", "cmc"])
+    @pytest.mark.parametrize("grid", [hq.QuadratureGrid(8, 16),
+                                      hq.QuadratureGrid(16, 32)])
+    def test_batched_pairs_keep_their_bits(self, monkeypatch, case, grid):
+        # a batch of P pairs gives, bit for bit, what the pairs give one at
+        # a time; a cap of one point puts every pair in a walk of its own
+        batched = va._probe_values(case, grid, 1.0)
+        monkeypatch.setattr(va, "MAX_WALK_POINTS", 1)
+        single = va._probe_values(case, grid, 1.0)
+        assert batched[1].hex() == single[1].hex()
+        for name, values in batched[0].items():
+            assert {p: v.hex() for p, v in values.items()} == \
+                {p: v.hex() for p, v in single[0][name].items()}, name
+
     @pytest.mark.parametrize("case", ["willmore", "cmc"])
     def test_radicand_floats_equal_jet_values(self, case):
         # the surface integrals test the radicand's sign on floats at
@@ -504,6 +543,14 @@ class TestAssembleExpansion:
         # kappa1 = 1, kappa2 = 0: c2 = -pi 35/384
         c2 = out["c2_K"].value() * 0.0 + out["c2_H2"].value() * 1.0
         assert c2 == pytest.approx(-math.pi * 35 / 384, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["willmore", "cmc"])
+    def test_criterion_factor_from_expansion(self, request, case):
+        # the centre of the reduced functional's critical point moves by
+        # lambda (c2_K / |c1|) hessH^-1 gradK: the factor analyze applies
+        out = va.assemble_expansion(case, request.getfixturevalue(f"{case}_terms"))
+        factor = out["c2_K"].value() / abs(out["c1_per_H"])
+        assert factor == pytest.approx(gs._CASE_FACTOR[case], abs=1e-12)
 
     def test_flat_boundary(self, cmc_terms):
         out = va.assemble_expansion("cmc", cmc_terms)
