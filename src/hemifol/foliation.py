@@ -562,13 +562,14 @@ def _coverage(lam, p):
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-14:
+        if hi - lo < 1e-14 * max(1.0, hi):
             break
     lam_star = 0.5 * (lo + hi)
-    resid = abs((yield from _ray(lam_star, theta0))[0] - r)
-    return {"point": p, "lambda": lam_star,
-            "hits": 1 if resid < 1e-8 else 0,
-            "status": "unique" if resid < 1e-8 else "ambiguous"}
+    # both stops are relative beyond unit scale, so a family's verdict does
+    # not depend on the size of its leaves
+    hit = abs((yield from _ray(lam_star, theta0))[0] - r) < 1e-8 * max(1.0, r)
+    return {"point": p, "lambda": lam_star, "hits": 1 if hit else 0,
+            "status": "unique" if hit else "ambiguous"}
 
 
 def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> FoliationReport:

@@ -181,7 +181,11 @@ def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
     raise NoConvergence(f"no critical point within {NEWTON_MAX_ITER} Newton steps")
 
 
-_CASE_FACTOR = {"willmore": 0.5, "cmc": 1.0 / 3.0}
+# c2_K / |c1| of the verified expansion (variational.assemble_expansion):
+# Willmore (pi/2) / pi = 1/2 and CMC (pi/12) / (pi/4) = 1/3.  The centre of
+# the reduced functional's critical point moves by lambda times this factor
+# times hessH^-1 gradK
+_CASE_FACTOR = {"willmore": Fraction(1, 2), "cmc": Fraction(1, 3)}
 
 
 def foliation_criterion(s: GraphSurface, data: CurvatureData,
@@ -189,7 +193,7 @@ def foliation_criterion(s: GraphSurface, data: CurvatureData,
     """Scaled criterion vector (1/2 Willmore, 1/3 CMC applied to
     hessH^{-1} gradK), the rigorous coordinate-norm bracket, and the
     verdict.  Inconclusive when the bracket straddles 1."""
-    factor = _CASE_FACTOR[case.lower()]
+    factor = float(_CASE_FACTOR[case.lower()])
     if not data.nondegenerate:
         raise DegenerateHessian("foliation criterion needs a nondegenerate critical point")
     v = factor * np.linalg.solve(data.hessH, data.gradK)

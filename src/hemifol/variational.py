@@ -544,7 +544,7 @@ def _moves(fine, coarse) -> dict:
     return out
 
 
-def second_derivative_terms(case: str, dh: float = 0.0) -> TermDecomposition:
+def second_derivative_terms(case: str) -> TermDecomposition:
     """The five second-derivative contributions to d^2/dlambda^2 of the
     Willmore energy (case 'willmore') or area (case 'cmc') along the
     critical family, each decomposed as K and H^2 coefficients in the
@@ -560,12 +560,12 @@ def second_derivative_terms(case: str, dh: float = 0.0) -> TermDecomposition:
     """
     case = case.lower()
     grid = FIRST_GRID
-    values = _probe_values(case, grid, dh)
+    values = _probe_values(case, grid, 0.0)
     change = dict.fromkeys([*values[0], "first"], math.inf)
     while grid != LAST_GRID and not all(v <= RECOVER_TOL for v in change.values()):
         coarse = values
         grid = grid.doubled()
-        values = _probe_values(case, grid, dh)
+        values = _probe_values(case, grid, 0.0)
         change = _moves(values, coarse)
     raw, first = values
     terms = {name: _decompose(v) for name, v in raw.items()}

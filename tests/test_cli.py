@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ class TestMoments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "hemifol: error: max_degree must be non-negative\n"
+
+    @pytest.mark.parametrize("degree", ["151", "1000000000"])
+    def test_degree_above_bound_rejected(self, capsys, degree):
+        # the table grows as degree^3: a degree above the bound is refused
+        # before any row is built
+        assert cli.main(["moments", "--max-degree", degree]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: max_degree must be at most 150\n"
 
     def test_byte_identical_reruns(self, capsys):
         cli.main(["moments", "--max-degree", "6"])
@@ -290,6 +300,40 @@ class TestFoliate:
         assert captured.out == ""
         assert captured.err == f"hemifol: error: {message}\n"
         assert not rays.exists()
+
+    @pytest.mark.parametrize("n", ["5001", "100000000000"])
+    def test_n_lambda_above_bound_rejected(self, tmp_path, capsys, n):
+        # refused before the grid is built, not a memory error with the
+        # Overlaps exit code
+        fam = _family_file(tmp_path, 0.5)
+        assert cli.main(["foliate", str(fam), "--n-lambda", n]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: n_lambda must be at most 5000\n"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_lambda_min_not_finite(self, tmp_path, capsys, value):
+        # one stderr line, and no numpy warning before it
+        fam = _family_file(tmp_path, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["foliate", str(fam), f"--lambda-min={value}"])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: lambda_min must be finite\n"
+
+    @pytest.mark.parametrize("lam_max", ["1e8", "1e140"])
+    def test_large_family_foliates(self, tmp_path, capsys, lam_max):
+        # the f = 0, v = 0.5 family foliates at every scale: the coverage
+        # bisection and its residual gate are relative beyond unit scale
+        fam = _family_file(tmp_path, 0.5, shift="0", lam_max=lam_max)
+        assert cli.main(["foliate", str(fam)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        coverage = [r for r in records if "hits" in r]
+        assert len(coverage) == 2
+        assert all(r["hits"] == 1 and r["status"] == "unique" for r in coverage)
+        assert records[-1]["verdict"] == "Foliates"
 
     @pytest.mark.parametrize("v", [0.5, 1.5])
     def test_empty_lambda_grid(self, tmp_path, capsys, v):
