@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
 def cmd_linearized(args) -> int:
     problem = lin.LinearizedProblem(args.case, args.k1, args.k2)
     solution = lin.solve_ode_modes(problem)
-    report = lin.residual_check(problem, lin.uprime_expr(problem.case))
+    report = lin.residual_check(problem, solution.u_prime)
     records = [
         {"field": "interior_pde", "residual": report.interior},
         {"field": "neumann", "residual": report.neumann},

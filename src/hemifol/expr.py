@@ -7,6 +7,17 @@ artanh, cot, the constant pi, named variables and exact rational constants.
 Half-integer powers are expressed as sqrt composed with an integer power so
 the differentiation rules stay closed.
 
+The intern table holds its nodes weakly, so a node lives only while something
+uses it, and structural sharing holds among the live nodes (Filliatre &
+Conchon, *Type-Safe Modular Hash-Consing*, ML Workshop 2006).  A live node
+keeps its children alive, so the child ids in its table key stay valid.
+What a node caches lives and dies with it: its derivatives (one per variable
+name, filled by :func:`diff`) and its evaluation order.  These often refer
+back to the node (an order ends with its root; the derivative of sqrt(a)
+contains sqrt(a)), so such nodes are freed by the cyclic garbage collector.
+Whatever a caller reuses across calls, it keeps alive itself.  Interning takes no lock, so the
+module is not thread-safe.
+
 Every walk of the DAG is a loop over one iterative children-first order, so
 no expression is too deep to evaluate, differentiate or print; only the
 parser recurses, and it rejects more than ``MAX_NESTING`` nested groups.
@@ -33,6 +44,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
@@ -105,7 +117,8 @@ class Expr:
     """One interned node of an expression DAG.  Do not construct directly;
     use the module-level constructors (which fold constants and intern)."""
 
-    __slots__ = ("kind", "payload", "args", "value", "order", "frees")
+    __slots__ = ("kind", "payload", "args", "value", "order", "frees",
+                 "derivs", "__weakref__")
 
     def __init__(self, kind, payload, args):
         self.kind = kind          # 'const'|'pi'|'var'|'add'|'sub'|'mul'|'div'|'pow'|<func>
@@ -119,6 +132,7 @@ class Expr:
             self.value = None
         self.order = None         # evaluation order, cached on first evaluation
         self.frees = None         # per position of order: ids last read there
+        self.derivs = None        # variable name -> derivative, filled by diff
 
     # -- operator sugar (used heavily when building formulas in code) -------
     def __add__(self, other):
@@ -158,18 +172,37 @@ class Expr:
         return f"Expr({to_string(self)})"
 
 
-_TABLE: dict[tuple, Expr] = {}
+# (kind, payload, child ids) -> weak reference to the node.  A dead node's
+# entry stays until the next sweep, which runs once the table holds more than
+# _SWEEP_MIN entries and twice the entries the last sweep left.  Plain
+# references without callbacks make interning and freeing about twice as
+# fast as a WeakValueDictionary.
+_TABLE: dict[tuple, weakref.ref] = {}
+_SWEEP_MIN = 4096
+_sweep_at = _SWEEP_MIN
 
 
 def _mk(kind, payload, args=()):
     # children are already interned, so their ids identify them structurally;
-    # the table holds strong references, keeping ids stable for the process.
-    key = (kind, payload, tuple(id(a) for a in args))
-    node = _TABLE.get(key)
+    # a live node keeps its children alive, so the ids in its key are theirs.
+    # A dead entry reads as a miss and is overwritten.
+    key = (kind, payload, tuple(map(id, args)))
+    ref = _TABLE.get(key)
+    node = None if ref is None else ref()
     if node is None:
         node = Expr(kind, payload, args)
-        _TABLE[key] = node
+        _TABLE[key] = weakref.ref(node)
+        if len(_TABLE) > _sweep_at:
+            _sweep()
     return node
+
+
+def _sweep():
+    """Drop the entries of dead nodes."""
+    global _sweep_at
+    for key in [k for k, ref in _TABLE.items() if ref() is None]:
+        del _TABLE[key]
+    _sweep_at = max(_SWEEP_MIN, 2 * len(_TABLE))
 
 
 def const(x) -> Expr:
@@ -307,15 +340,15 @@ _FUNCS = {
 # the walk
 # ---------------------------------------------------------------------------
 
-def _postorder(roots, done=()):
+def _postorder(roots, done=None):
     """Nodes reachable from ``roots``, children first and each once, in the
-    order a left-to-right recursive walk would finish them.  A node whose id
-    is in ``done`` is skipped together with its subtree."""
+    order a left-to-right recursive walk would finish them.  A node for
+    which ``done(node)`` is true is skipped together with its subtree."""
     out, seen = [], set()
     stack = [(None, iter(roots))]    # each node with its unvisited children
     while stack:
         for a in stack[-1][1]:
-            if id(a) not in seen and id(a) not in done:
+            if id(a) not in seen and not (done and done(a)):
                 seen.add(id(a))
                 stack.append((a, iter(a.args)))
                 break
@@ -352,35 +385,39 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # differentiation
 # ---------------------------------------------------------------------------
 
-# variable name -> {id(node): derivative}
-_DIFF_CACHE: dict[str, dict[int, Expr]] = {}
-
-
 def diff(e: Expr, name: str) -> Expr:
-    """Exact symbolic partial derivative with respect to ``name``."""
-    cache = _DIFF_CACHE.setdefault(name, {})
-    for n in _postorder((e,), cache):
+    """Exact symbolic partial derivative with respect to ``name``.  Each
+    node keeps its derivatives, so a subexpression is differentiated once
+    for as long as it lives."""
+    def known(n):
+        return n.derivs is not None and name in n.derivs
+
+    for n in _postorder((e,), known):
         k = n.kind
         if k in ("const", "pi"):
             r = ZERO
         elif k == "var":
             r = ONE if n.payload == name else ZERO
         elif k in ("add", "sub"):
-            r = _BUILD[k](cache[id(n.args[0])], cache[id(n.args[1])])
+            r = _BUILD[k](n.args[0].derivs[name], n.args[1].derivs[name])
         elif k == "mul":
             a, b = n.args
-            r = add(mul(cache[id(a)], b), mul(a, cache[id(b)]))
+            r = add(mul(a.derivs[name], b), mul(a, b.derivs[name]))
         elif k == "div":
             a, b = n.args
-            r = div(sub(mul(cache[id(a)], b), mul(a, cache[id(b)])), powi(b, 2))
+            r = div(sub(mul(a.derivs[name], b), mul(a, b.derivs[name])),
+                    powi(b, 2))
         elif k == "pow":
             (a,) = n.args
-            r = mul(mul(const(n.payload), powi(a, n.payload - 1)), cache[id(a)])
+            r = mul(mul(const(n.payload), powi(a, n.payload - 1)),
+                    a.derivs[name])
         else:
             (a,) = n.args
-            r = _FUNCS[k][3](a, cache[id(a)])
-        cache[id(n)] = r
-    return cache[id(e)]
+            r = _FUNCS[k][3](a, a.derivs[name])
+        if n.derivs is None:
+            n.derivs = {}
+        n.derivs[name] = r
+    return e.derivs[name]
 
 
 # ---------------------------------------------------------------------------

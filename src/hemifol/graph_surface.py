@@ -139,10 +139,20 @@ def curvature_at(s: GraphSurface, x: float, y: float) -> CurvatureData:
     walk of H and one of K (see the module docstring).  The Hessian of H is
     reported in coordinates; it is the covariant Hessian only where gradH
     vanishes."""
+    _check_inside(s, x, y)
+    x, y = float(x), float(y)
+    return _curvature_data(s, x, y, _derivatives(s.H, x, y))
+
+
+def _check_inside(s: GraphSurface, x, y):
     if not s.contains(x, y):
         raise ValueError(f"({x}, {y}) outside surface domain {s.domain}")
-    x, y = float(x), float(y)
-    H, gradH, hessH = _derivatives(s.H, x, y)
+
+
+def _curvature_data(s: GraphSurface, x: float, y: float, jet_H) -> CurvatureData:
+    """:class:`CurvatureData` at (x, y) from the walk of H there, given as
+    (H, gradH, hessH); walks K."""
+    H, gradH, hessH = jet_H
     K, gradK, _ = _derivatives(s.K, x, y)
     return CurvatureData(
         point=(x, y),
@@ -161,14 +171,18 @@ def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
     """Newton iteration on gradH to |gradH| < 1e-12; raises
     :class:`ValueError` for a guess that is not finite,
     :class:`DegenerateHessian` when the Hessian determinant drops below
-    1e-10 and :class:`NoConvergence` after 50 steps."""
+    1e-10 and :class:`NoConvergence` after 50 steps.  The converged walk of
+    H supplies H and its derivatives, so only K is walked again."""
     p = np.asarray(guess, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("guess must be finite")
     for _ in range(NEWTON_MAX_ITER):
-        _, g, h = _derivatives(s.H, p[0], p[1])
+        x, y = float(p[0]), float(p[1])
+        jet_H = _derivatives(s.H, x, y)
+        _, g, h = jet_H
         if np.linalg.norm(g) < NEWTON_TOL:
-            data = curvature_at(s, p[0], p[1])
+            _check_inside(s, x, y)
+            data = _curvature_data(s, x, y, jet_H)
             if not data.nondegenerate:
                 raise DegenerateHessian(f"critical point at {tuple(p.tolist())} "
                                         f"has |det hessH| <= {DEGENERACY_TOL}")

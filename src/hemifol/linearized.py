@@ -15,7 +15,9 @@ Willmore case, and the mass/center constraints.
 
 The curvatures are bindings, not constants: every field keeps the symbols
 k1, k2 and each evaluation binds the problem's numbers, so all calls of a
-case evaluate one interned DAG, differentiated once, and add no node.
+case evaluate one DAG, differentiated once, and add no node.  That DAG is
+held by per-case caches (:func:`_residual_fields`,
+:func:`_multiplier_fields`); the intern table alone keeps no node alive.
 
 The ODE mode functions do not depend on the curvatures, which enter only
 the mode coefficients and the -f/2 term.  So :func:`solve_ode_modes`
@@ -170,27 +172,43 @@ def residual_check(p: LinearizedProblem, u: ex.Expr) -> ResidualReport:
     candidate u over omega (or already in (t, phi)); k1 and k2 are bound
     to the problem's curvatures, so ``u`` may keep them as symbols."""
     kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
-    ut = sphere.to_tphi(u) if ex.free_variables(u) & {"w1", "w2", "w3"} else u
-    rhs = sphere.to_tphi(pde_rhs_expr(p.case))
-    lap2_u = sphere.laplacian(ut) + 2 * ut
-    kappa_form = sphere.to_tphi(_KAPPA_FORM)
+    fields = _residual_fields(p.case, u)
+    interior = _sup(fields["interior"], _GRID, kb)
     if p.case == "cmc":
-        interior = _sup(lap2_u - rhs - ex.const(3) / 8 * _H, _GRID, kb)
         third = float("nan")
         mass_target = 0.0
     else:
-        interior = _sup(sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + _H,
-                        _GRID, kb)
-        third = _sup(sphere.eta_derivative(lap2_u) - 7 * kappa_form + _H,
-                     _EQUATOR, kb)
+        third = _sup(fields["third_order"], _EQUATOR, kb)
         mass_target = math.pi / 8.0 * p.H
-    neumann = _sup(sphere.eta_derivative(ut) + kappa_form, _EQUATOR, kb)
-    mass = abs(hq.integrate_tphi(ut, extra=kb) - mass_target)
+    neumann = _sup(fields["neumann"], _EQUATOR, kb)
+    mass = abs(hq.integrate_tphi(fields["u"], extra=kb) - mass_target)
     center = max(
-        abs(hq.integrate_tphi(ut * sphere.OMEGA[0], extra=kb)),
-        abs(hq.integrate_tphi(ut * sphere.OMEGA[1], extra=kb)),
+        abs(hq.integrate_tphi(fields["w1_u"], extra=kb)),
+        abs(hq.integrate_tphi(fields["w2_u"], extra=kb)),
     )
     return ResidualReport(p.case, interior, neumann, third, mass, center)
+
+
+@functools.lru_cache(maxsize=4)
+def _residual_fields(case: str, u: ex.Expr) -> Mapping[str, ex.Expr]:
+    """The fields :func:`residual_check` evaluates for ``case`` and the
+    candidate ``u``, in (t, phi) with k1 and k2 free.  Building them takes
+    the Laplacian of u twice (Willmore), so they are kept for the last few
+    candidates, the closed form of each case among them."""
+    ut = sphere.to_tphi(u) if ex.free_variables(u) & {"w1", "w2", "w3"} else u
+    rhs = sphere.to_tphi(pde_rhs_expr(case))
+    lap2_u = sphere.laplacian(ut) + 2 * ut
+    kappa_form = sphere.to_tphi(_KAPPA_FORM)
+    if case == "cmc":
+        fields = {"interior": lap2_u - rhs - ex.const(3) / 8 * _H}
+    else:
+        fields = {
+            "interior": sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + _H,
+            "third_order": sphere.eta_derivative(lap2_u) - 7 * kappa_form + _H,
+        }
+    fields.update(neumann=sphere.eta_derivative(ut) + kappa_form, u=ut,
+                  w1_u=ut * sphere.OMEGA[0], w2_u=ut * sphere.OMEGA[1])
+    return MappingProxyType(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -391,38 +409,50 @@ def multipliers(p: LinearizedProblem) -> tuple[float, np.ndarray]:
     (Willmore), to 1e-8 relative to max(1, |closed form|), since the
     quadrature error scales with the curvatures; beta' = (0, 0) in both
     cases.  The curvatures are bound, not substituted, so every call of a
-    case evaluates the same fields."""
+    case evaluates the same fields (:func:`_multiplier_fields`)."""
     kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
-    ut = sphere.to_tphi(uprime_expr(p.case))
-    rhs = sphere.to_tphi(pde_rhs_expr(p.case))
-    du_eta = sphere.eta_derivative(ut)
-    int_rhs = hq.integrate_tphi(rhs, extra=kb)
-    bd_du = hq.integrate_boundary_tphi(du_eta, extra=kb)
-    int_u = hq.integrate_tphi(ut, extra=kb)
+    fields = _multiplier_fields(p.case)
+
+    def surface(name):
+        return hq.integrate_tphi(fields[name], extra=kb)
+
+    def boundary(name):
+        return hq.integrate_boundary_tphi(fields[name], extra=kb)
 
     if p.case == "cmc":
-        alpha = (int_rhs + bd_du - 2.0 * int_u) / (2.0 * math.pi)
-        beta = np.array([
-            -hq.integrate_boundary_tphi(sphere.OMEGA[i] * du_eta, extra=kb)
-            - hq.integrate_tphi(sphere.OMEGA[i] * rhs, extra=kb)
-            for i in (0, 1)
-        ])
+        alpha = ((surface("rhs") + boundary("du_eta") - 2.0 * surface("u"))
+                 / (2.0 * math.pi))
+        beta = np.array([-boundary(f"w{i}_du_eta") - surface(f"w{i}_rhs")
+                         for i in (1, 2)])
         closed = -3.0 / 8.0 * p.H
     else:
-        lap2_u = sphere.laplacian(ut) + 2 * ut
-        bd_third = hq.integrate_boundary_tphi(
-            sphere.eta_derivative(lap2_u), extra=kb)
-        bd_rhs = hq.integrate_boundary_tphi(
-            sphere.eta_derivative(rhs), extra=kb)
-        alpha = (-bd_third + bd_rhs) / (-8.0 * math.pi)
+        alpha = (-boundary("third_order") + boundary("rhs_eta")) / (-8.0 * math.pi)
         beta = np.array([
-            0.5 * (2.0 * hq.integrate_boundary_tphi(sphere.OMEGA[i] * du_eta, extra=kb)
-                   - hq.integrate_boundary_tphi(
-                       sphere.OMEGA[i] * sphere.eta_derivative(lap2_u), extra=kb))
-            for i in (0, 1)
+            0.5 * (2.0 * boundary(f"w{i}_du_eta") - boundary(f"w{i}_third_order"))
+            for i in (1, 2)
         ])
         closed = p.H / 4.0
     if abs(alpha - closed) > 1e-8 * max(1.0, abs(closed)):
         raise ConstraintSingular(
             f"numeric alpha'(0) = {alpha} disagrees with closed form {closed}")
     return alpha, beta
+
+
+@functools.cache
+def _multiplier_fields(case: str) -> Mapping[str, ex.Expr]:
+    """The integrands of :func:`multipliers` for ``case`` ('cmc' or
+    'willmore'), in (t, phi) with k1 and k2 free; built and differentiated
+    once per case for the life of the process."""
+    ut = sphere.to_tphi(uprime_expr(case))
+    rhs = sphere.to_tphi(pde_rhs_expr(case))
+    du_eta = sphere.eta_derivative(ut)
+    w = {i: sphere.OMEGA[i - 1] for i in (1, 2)}
+    fields = {f"w{i}_du_eta": w[i] * du_eta for i in w}
+    if case == "cmc":
+        fields.update(rhs=rhs, du_eta=du_eta, u=ut)
+        fields.update({f"w{i}_rhs": w[i] * rhs for i in w})
+    else:
+        third = sphere.eta_derivative(sphere.laplacian(ut) + 2 * ut)
+        fields.update(third_order=third, rhs_eta=sphere.eta_derivative(rhs))
+        fields.update({f"w{i}_third_order": w[i] * third for i in w})
+    return MappingProxyType(fields)

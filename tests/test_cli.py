@@ -1,5 +1,7 @@
+import gc
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -108,9 +110,8 @@ class TestAnalyze:
         assert "verdict: Foliates" in capsys.readouterr().out.splitlines()
 
     def test_intern_table_growth_per_surface(self, tmp_path, capsys):
-        # each fresh surface interns only u, its five derivatives, H and K:
-        # about 60 nodes for a translated cubic, where differentiating H and
-        # K symbolically took about 240
+        # the intern table holds its nodes weakly: once the cyclic collector
+        # has run, the DAGs of analyzed surfaces are gone
         rng = np.random.default_rng(3)
 
         def analyze(i):
@@ -126,12 +127,32 @@ class TestAnalyze:
             return cli.main(["analyze", str(path), "--case", "cmc",
                              "--guess", f"{x0 + 0.005}", f"{y0 - 0.005}"])
 
+        def live():
+            gc.collect()
+            return sum(ref() is not None for ref in ex._TABLE.values())
+
         assert analyze(-1) in (0, 1, 2)
-        before = len(ex._TABLE)
+        before = live()
         codes = [analyze(i) for i in range(50)]
         assert set(codes) <= {0, 1, 2}
-        assert len(ex._TABLE) - before <= 100 * 50
+        assert live() - before < 100
         capsys.readouterr()
+
+    def test_same_surface_twice_with_dag_freed(self, tmp_path):
+        path = _surface_file(tmp_path, 0.3)
+
+        def analyze(i):
+            out = tmp_path / f"run{i}.txt"
+            assert cli.main(["analyze", str(path), "--case", "willmore",
+                             "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        first = analyze(1)
+        # loading the file again gives the first run's node if it still lives
+        probe = weakref.ref(gs.load_surface_file(path).u)
+        gc.collect()
+        assert probe() is None
+        assert analyze(2) == first
 
 
 class TestGallery:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +201,39 @@ def test_jet_matches_symbolic_derivatives():
         assert jet.d1 == pytest.approx(d1, rel=1e-10, abs=1e-10)
         assert jet.d2 == pytest.approx(d2, rel=1e-10, abs=1e-10)
         checked += 1
+
+
+def test_derivatives_of_freed_and_rebuilt_nodes():
+    # nodes die with their last user, and new nodes may take their ids: the
+    # derivatives are kept on the nodes, so a rebuilt or new expression never
+    # reads a dead node's derivative; each diff must match the jet walk
+    xs, ys = np.linspace(-0.9, 0.9, 13), np.linspace(0.8, -0.7, 13)
+
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        return [e for e in (_random_expr(rng, 4) for _ in range(60))
+                if "x" in ex.free_variables(e)]
+
+    def check(roots):
+        for e in roots:
+            got = ex.evaluate(ex.diff(e, "x"), {"x": xs, "y": ys})
+            want = ex.evaluate_jet(e, {"x": ex.Jet2(xs, 1.0, 0.0), "y": ys}).d1
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-9), ex.to_string(e)
+
+    texts = [ex.to_string(e) for e in build(29)]
+    for seed in (29, 31, 37, 29):
+        roots = build(seed)
+        check(roots)
+        # a small root may also be some module's constant
+        probes = [weakref.ref(e) for e in roots if len(ex._postorder((e,))) > 5]
+        del roots
+        gc.collect()
+        assert probes and all(r() is None for r in probes)
+    roots = [ex.parse(t) for t in texts]
+    check(roots)
+    # interning holds while the first result lives
+    for t, e in zip(texts, roots):
+        assert ex.parse(t) is e
 
 
 def test_substitute():

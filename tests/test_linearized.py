@@ -283,10 +283,10 @@ class TestModeTables:
 
 
 class TestBoundCurvatures:
-    def test_new_curvatures_add_no_nodes(self, tmp_path):
+    def test_new_curvatures_add_no_nodes(self, tmp_path, monkeypatch):
         # the curvatures are bound at evaluation, not substituted into the
         # fields: after one run per case, runs at new curvatures evaluate
-        # the same DAG and intern no node
+        # the same DAG, kept by the per-case caches, and construct no node
         from hemifol import cli
 
         def run(case, k1, k2):
@@ -296,8 +296,15 @@ class TestBoundCurvatures:
 
         for case in ("cmc", "willmore"):
             run(case, 1.0, 0.0)
-        before = len(ex._TABLE)
+        made = []
+        init = ex.Expr.__init__
+
+        def counting_init(node, *args):
+            made.append(args[0])
+            init(node, *args)
+
+        monkeypatch.setattr(ex.Expr, "__init__", counting_init)
         for case in ("cmc", "willmore"):
             for k1, k2 in ((0.3125, -1.75), (2.5, 0.0625), (-0.875, -0.4375)):
                 run(case, k1, k2)
-        assert len(ex._TABLE) == before
+        assert made == []
