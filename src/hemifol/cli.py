@@ -17,15 +17,15 @@ use codes no verdict uses:
         surface without a nondegenerate critical point in reach, a family
         whose leaf fixed points do not converge
 
-``verify-expansions`` measures its own quadrature grid (see
-``variational.second_derivative_terms``); each row's ``abs_err`` is the
-larger of the row's quadrature residual and the largest move of the row's
-own values (the total row: the lambda-linear coefficient) in the grid's
-last doubling.  The one setting is ``--tolerance``, the largest ``abs_err``
-that passes: the flag, else the ``tolerance`` key of a ``--config`` file of
-``key = value`` lines, else 1e-7.  It must be positive and finite for
-every command, and a config line with any other key, or without ``=``, is
-an input error.
+``verify-expansions`` computes the expansion on one fixed quadrature grid
+(``variational.EXPANSION_GRID``); each row's ``abs_err`` is the largest
+residual of the row's raw values against its recovered and its reference
+coefficients (the total row: the distance of the lambda-linear
+coefficient from its reference).  The one setting is ``--tolerance``, the
+largest ``abs_err`` that passes: the flag, else the ``tolerance`` key of a
+``--config`` file of ``key = value`` lines, else 1e-7.  It must be
+positive and finite for every command, and a config line with any other
+key, or without ``=``, is an input error.
 
 Input errors print one line to stderr instead of a traceback.  All floats
 print with 17 significant digits and identical configurations produce
@@ -194,7 +194,7 @@ def cmd_verify(args) -> int:
     try:
         dec = va.second_derivative_terms(case)
     except (hq.NoRationalFit, va.InconsistentProbes) as err:
-        # values the finest grid cannot pin down: flag and exit nonzero
+        # values the grid cannot pin down: flag and exit nonzero
         writer.writerow(["all", "", "", "", "", "", "",
                          f"unrecoverable: {err}", "FAIL"])
         _emit(buf.getvalue(), args.out)
@@ -205,11 +205,9 @@ def cmd_verify(args) -> int:
         got = (tv.K_coeff.p, tv.K_coeff.q, tv.H2_coeff.p, tv.H2_coeff.q)
         ref = va.FunctionalValue(hq.CoefficientVector(*want[:2]),
                                  hq.CoefficientVector(*want[2:]), {})
-        # the residuals of the recovered and the reference coefficients,
-        # and this term's move in the grid's last doubling
-        abs_err = max([abs(raw - fv.of(k1, k2)) for fv in (tv, ref)
-                       for (k1, k2), raw in tv.raw.items()]
-                      + [dec.grid_change[name]])
+        # the residuals of the recovered and the reference coefficients
+        abs_err = max(abs(raw - fv.of(k1, k2)) for fv in (tv, ref)
+                      for (k1, k2), raw in tv.raw.items())
         exact = got == want
         status = "PASS" if exact and abs_err < args.tolerance else "FAIL"
         failures += status == "FAIL"
@@ -223,8 +221,7 @@ def cmd_verify(args) -> int:
     wk_p, wk_q, wh_p, wh_q = _REFERENCE_TOTALS[case]
     tot_ok = (ktot.p == wk_p and ktot.q == wk_q
               and htot.p == wh_p and htot.q == wh_q)
-    first_err = max(abs(dec.first_derivative - _REFERENCE_FIRST[case] * math.pi),
-                    dec.grid_change["first"])
+    first_err = abs(dec.first_derivative - _REFERENCE_FIRST[case] * math.pi)
     first_ok = first_err < args.tolerance
     writer.writerow(["total", str(ktot.p), str(ktot.q), str(htot.p), str(htot.q),
                      f"pi*({wk_p}+{wk_q}ln2)", f"pi*({wh_p}+{wh_q}ln2)",

@@ -73,6 +73,11 @@ class LinearizedProblem:
         object.__setattr__(self, "case", self.case.lower())
         if not (math.isfinite(self.kappa1) and math.isfinite(self.kappa2)):
             raise ValueError("curvatures must be finite")
+        # every field is linear in the curvatures, and at the sample points
+        # and quadrature nodes stays below 1e6 times the larger of them (7.5e5
+        # measured, Willmore), so past 1e300 an evaluation would overflow
+        if max(abs(self.kappa1), abs(self.kappa2)) > 1e300:
+            raise ValueError("curvatures too large: the linearized fields overflow")
 
     @property
     def H(self):

@@ -12,8 +12,7 @@ grid times 32 radial shells for the half ball, and the trapezoid rule on
 the equator -- is a :class:`Rule` built once per size and shared
 read-only.  Its nodes bind omega (w1, w2, w3) and (t, phi) alike, and
 :meth:`Rule.sum` is the one weighted sum, for floats and for the parts of
-a ``Jet2``, and on the surface and equator rules also for rows of batched
-probe pairs.  All reductions use a fixed summation order, so results are
+a ``Jet2``.  All reductions use a fixed summation order, so results are
 bit-reproducible.
 """
 
@@ -90,9 +89,6 @@ class QuadratureGrid:
         rule = surface_rule(self)
         return rule.bindings["t"], rule.bindings["phi"], rule.weights
 
-    def doubled(self):
-        return QuadratureGrid(2 * self.n_polar, 2 * self.n_azimuthal)
-
 
 @dataclass(frozen=True, eq=False)
 class Rule:
@@ -106,29 +102,17 @@ class Rule:
 
     def sum(self, values):
         """The weighted sum of ``values`` (broadcast to the nodes): a float,
-        or for a Jet2 the Jet2 of the sums of its parts.
-
-        On the surface and equator rules ``values`` may carry leading axes
-        (curvatures bound as (P, 1) columns, one row per probe pair); the
-        sum runs over the node axis and gives one float per row.  numpy sums
-        each row of the last axis in the order it sums a 1-D array, so each
-        entry has the bits of the sum of its row alone.  The shell rule
-        takes no leading axes."""
+        or for a Jet2 the Jet2 of the sums of its parts."""
         if isinstance(values, ex.Jet2):
             return ex.Jet2(self.sum(values.f), self.sum(values.d1), self.sum(values.d2))
-        if self.weights is not None and self.weights.ndim > 1:
-            return float(np.sum(np.broadcast_to(values, self.weights.shape) * self.weights))
-        n = self.bindings["phi"].size
-        rows = np.broadcast_to(values, np.shape(values)[:-1] + (n,))
         if self.weights is None:
-            s = np.sum(rows, axis=-1) * 2.0 * np.pi / n
-        else:
-            s = np.sum(rows * self.weights, axis=-1)
-        return float(s) if np.ndim(s) == 0 else s
+            n = self.bindings["phi"].size
+            return float(np.sum(np.broadcast_to(values, (n,))) * 2.0 * np.pi / n)
+        return float(np.sum(np.broadcast_to(values, self.weights.shape) * self.weights))
 
     def integrate(self, e: ex.Expr, extra: dict | None = None) -> float:
         """The weighted sum of ``e`` evaluated at the nodes, with any extra
-        bindings: one float per row when they carry a pair axis."""
+        bindings."""
         return self.sum(ex.evaluate(e, {**self.bindings, **(extra or {})}))
 
 

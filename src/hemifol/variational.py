@@ -16,17 +16,11 @@ jets or at a finite eps, and every integral is one jet evaluation over a
 rule of :mod:`hemifol.quadrature` (hemisphere grid, radial shells,
 equator), summed by that rule.
 
-``second_derivative_terms`` measures the quadrature grid of the expansion
-coefficients instead of taking one: it doubles from FIRST_GRID until no raw
-value moves by more than RECOVER_TOL (at most to LAST_GRID) and reports that
-move with the coefficients it recovers on the final grid.  On each grid it
-batches the probe pairs: the curvatures k1, k2 are bound as (P, 1) columns
-over the (N,) nodes, so one walk of a field serves P pairs, and a rule sums
-each pair's row to the bits that pair gives alone.  P is capped so that no
-walk spans more than MAX_WALK_POINTS = 2048 points (all four pairs on
-16x32, one from 32x64 on): a walk holds its live intermediates over every
-point, and larger walks cost more peak memory than they save time.
-``functionals`` and ``field_jets`` bind float curvatures, one pair a call.
+``second_derivative_terms`` computes the expansion coefficients on one
+fixed grid, EXPANSION_GRID (32 x 64), where no raw value lies more than
+about 3e-14 from its 64 x 128 value: the trapezoid rule in phi and the
+Gauss rule in t converge spectrally on these integrands.  Every field
+binds float curvatures, one probe pair a walk.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ __all__ = [
     "DegenerateMetric", "InconsistentProbes",
     "functionals", "field_jets",
     "second_derivative_terms", "assemble_expansion",
-    "PROBE_PAIRS", "WILLMORE_TERMS", "CMC_TERMS",
+    "PROBE_PAIRS", "EXPANSION_GRID", "WILLMORE_TERMS", "CMC_TERMS",
     "metric_first_order", "metric_second_order", "metric_zero",
 ]
 
@@ -236,15 +230,9 @@ def _build_fields(u_dir: ex.Expr, metric: MetricPerturbation) -> dict:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _curvature(k):
-    """A probe curvature as bound: a float, or for P batched probe pairs a
-    (P, 1) column of floats that broadcasts against the (N,) nodes."""
-    return float(k) if np.ndim(k) == 0 else np.asarray(k, dtype=float)
-
-
 def _bindings(t, phi, k1, k2, dh, eps):
     b = {"t": t, "phi": phi, "eps": eps,
-         "k1": _curvature(k1), "k2": _curvature(k2)}
+         "k1": float(k1), "k2": float(k2)}
     for name in DH_NAMES:
         b[name] = float(dh)
     return b
@@ -255,8 +243,7 @@ _EPS_JET = ex.Jet2(0.0, 1.0, 0.0)
 
 def _check_radicand(fields: dict, t, phi, k1, k2, dh, eps=None):
     """Raise DegenerateMetric unless the normal radicand is positive: a
-    sign test, on floats at eps = 0 (a jet's value part) or at ``eps``,
-    over every node of every probe pair the curvatures bind."""
+    sign test, on floats at eps = 0 (a jet's value part) or at ``eps``."""
     b = _bindings(t, phi, k1, k2, dh, 0.0 if eps is None else float(eps))
     if np.min(np.asarray(ex.evaluate(fields["radicand"], b))) <= 0:
         raise DegenerateMetric("normal radicand not positive")
@@ -264,19 +251,11 @@ def _check_radicand(fields: dict, t, phi, k1, k2, dh, eps=None):
 
 def _integral(fields: dict, name: str, rule: hq.Rule, k1, k2, dh) -> ex.Jet2:
     """Integral of a named field as a jet over a quadrature rule, after
-    checking the normal radicand at the rule's nodes.  For (P, 1) column
-    curvatures each part is one sum per pair, or one float if no
-    curvature reached it."""
+    checking the normal radicand at the rule's nodes."""
     t, phi = rule.bindings["t"], rule.bindings["phi"]
     _check_radicand(fields, t, phi, k1, k2, dh)
     b = {**rule.bindings, **_bindings(t, phi, k1, k2, dh, _EPS_JET)}
     return rule.sum(ex.evaluate_jet(fields[name], b))
-
-
-def _per_pair(sums, n_pairs: int) -> list:
-    """Sums over a rule as one float per pair; a sum that no curvature
-    reached is one float, shared by every pair."""
-    return [float(v) for v in np.broadcast_to(sums, (n_pairs,))]
 
 
 def functionals(u_dir: ex.Expr, metric: MetricPerturbation,
@@ -395,8 +374,6 @@ class TermDecomposition:
     case: str
     terms: dict                    # name -> FunctionalValue
     first_derivative: float        # coefficient of H in the lambda-linear term
-    grid: hq.QuadratureGrid        # the grid the values were recovered from
-    grid_change: dict              # term or 'first' -> move of the last doubling
 
     def total(self) -> tuple[hq.CoefficientVector, hq.CoefficientVector]:
         ktot = Fraction(0)
@@ -442,17 +419,9 @@ def _decompose(values: dict) -> FunctionalValue:
 WILLMORE_TERMS = ("D1sq", "D12", "D2sq", "D1_u2", "D2_g2")
 CMC_TERMS = WILLMORE_TERMS
 
-# second_derivative_terms doubles its grid from the first of these until no
-# raw value moves by more than RECOVER_TOL, and stops at the last
-FIRST_GRID = hq.QuadratureGrid(16, 32)
-LAST_GRID = hq.QuadratureGrid(128, 256)
-
-# the most points one walk of a field spans in _probe_values: all four probe
-# pairs on FIRST_GRID (512 nodes), one pair from 32x64 (2048 nodes) on.  A
-# walk holds each intermediate value until its last read, over every point
-# it spans (up to about 108 arrays at once for W_density), so batching more
-# pairs on the larger grids raises the peak memory of a run for little speed
-MAX_WALK_POINTS = 2048
+# the grid of the expansion coefficients: on it no raw value, and not the
+# lambda-linear coefficient, lies more than about 3e-14 from its 64 x 128 value
+EXPANSION_GRID = hq.QuadratureGrid(32, 64)
 
 
 @functools.lru_cache(maxsize=2)
@@ -474,11 +443,6 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
     The quadratic-in-(u', g') block comes from one diagonal jet per probe
     pair with polarization; the u'' term from the volume/boundary constraint
     chains; the g'' term from the closed metric-variation integrands.
-
-    The probe pairs are batched: k1 and k2 are bound as (P, 1) columns over
-    the (N,) surface nodes, so one walk of a field covers P pairs, with
-    P = max(1, MAX_WALK_POINTS // N).  Each row is computed and summed as
-    that pair alone would be, so the values keep their bits.
     """
     u_dir = lin.uprime_expr(case)
     gprime = metric_first_order()
@@ -493,34 +457,23 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
     f_g = _build_fields(ex.ZERO, gprime)
     surface = hq.surface_rule(grid)
     equator = hq.equator_rule(4 * grid.n_azimuthal)
-    batch = max(1, MAX_WALK_POINTS // surface.weights.size)
-    for start in range(0, len(PROBE_PAIRS), batch):
-        pairs = PROBE_PAIRS[start:start + batch]
-        k1, k2 = np.array(pairs).T[:, :, None]
-        n_pairs = len(pairs)
+    for pair in PROBE_PAIRS:
+        k1, k2 = pair
         jd, ju, jg = (_integral(f, density, surface, k1, k2, dh)
                       for f in (f_diag, f_u, f_g))
+        diag[pair], usq[pair], gsq[pair], d1[pair] = jd.d2, ju.d2, jg.d2, jd.d1
 
         curvatures = {"k1": k1, "k2": k2, **{n: float(dh) for n in DH_NAMES}}
         if case == "willmore":
             # D1 W u'' = equator integral of d^2/deps^2 B1[eps u', delta+eps g']
             # plus the boundary term of g'', which vanishes (odd integrand)
             odd = hq.integrate_boundary_tphi(u2_integrand, extra=curvatures)
-            b1 = _integral(f_diag, "B1", equator, k1, k2, dh).d2
-            u2 = [b + o for b, o in zip(_per_pair(b1, n_pairs),
-                                        _per_pair(odd, n_pairs))]
+            u2term[pair] = _integral(f_diag, "B1", equator, k1, k2, dh).d2 + odd
         else:
             # D1 A u'' = 2 int u'' = -4 int u'^2 from the volume constraint
-            usq_int = hq.integrate_tphi(
+            u2term[pair] = -4.0 * hq.integrate_tphi(
                 u2_integrand, grid, extra={"k1": k1, "k2": k2})
-            u2 = [-4.0 * v for v in _per_pair(usq_int, n_pairs)]
-        g2 = _per_pair(hq.integrate_tphi(g2_integrand, grid, extra=curvatures),
-                       n_pairs)
-        rows = zip(pairs, *(_per_pair(v, n_pairs)
-                            for v in (jd.d2, ju.d2, jg.d2, jd.d1)), u2, g2)
-        for pair, vd, vu, vg, v1, vu2, vg2 in rows:
-            diag[pair], usq[pair], gsq[pair], d1[pair] = vd, vu, vg, v1
-            u2term[pair], g2term[pair] = vu2, vg2
+        g2term[pair] = hq.integrate_tphi(g2_integrand, grid, extra=curvatures)
 
     mixed = {k: 0.5 * (diag[k] - usq[k] - gsq[k]) for k in diag}
     raw = {"D1sq": usq, "D12": mixed, "D2sq": gsq,
@@ -534,42 +487,17 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
     return raw, first
 
 
-def _moves(fine, coarse) -> dict:
-    """Largest move of each term's raw values, and of 'first', between two
-    results of :func:`_probe_values`."""
-    (raw, first), (raw0, first0) = fine, coarse
-    out = {name: max(abs(v - raw0[name][pair]) for pair, v in values.items())
-           for name, values in raw.items()}
-    out["first"] = abs(first - first0)
-    return out
-
-
 def second_derivative_terms(case: str) -> TermDecomposition:
     """The five second-derivative contributions to d^2/dlambda^2 of the
     Willmore energy (case 'willmore') or area (case 'cmc') along the
     critical family, each decomposed as K and H^2 coefficients in the
-    pi*(p + q*ln2) algebra.
-
-    The grid is measured, not chosen: the raw values (five terms at each
-    probe pair, and the lambda-linear coefficient) are computed on
-    FIRST_GRID, then on doubled grids until no value moves by more than
-    RECOVER_TOL, or LAST_GRID is reached.  The coefficients are recovered
-    once, from the values on the final grid; that grid, and each term's
-    (and under 'first' the lambda-linear coefficient's) largest move in the
-    last doubling, are the ``grid`` and ``grid_change`` of the result.
+    pi*(p + q*ln2) algebra, recovered from the raw values (five terms at
+    each probe pair, and the lambda-linear coefficient) on EXPANSION_GRID.
     """
     case = case.lower()
-    grid = FIRST_GRID
-    values = _probe_values(case, grid, 0.0)
-    change = dict.fromkeys([*values[0], "first"], math.inf)
-    while grid != LAST_GRID and not all(v <= RECOVER_TOL for v in change.values()):
-        coarse = values
-        grid = grid.doubled()
-        values = _probe_values(case, grid, 0.0)
-        change = _moves(values, coarse)
-    raw, first = values
+    raw, first = _probe_values(case, EXPANSION_GRID, 0.0)
     terms = {name: _decompose(v) for name, v in raw.items()}
-    return TermDecomposition(case, terms, first, grid, change)
+    return TermDecomposition(case, terms, first)
 
 
 def assemble_expansion(case: str, decomposition: TermDecomposition | None = None):

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import warnings
 import weakref
 
@@ -10,6 +11,8 @@ from hemifol import cli
 from hemifol import expr as ex
 from hemifol import foliation as fo
 from hemifol import graph_surface as gs
+from hemifol import quadrature as hq
+from hemifol import variational as va
 
 
 def _surface_file(tmp_path, a):
@@ -229,6 +232,33 @@ class TestLinearized:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "hemifol: error: curvatures must be finite\n"
+
+    @pytest.mark.parametrize("case", ["cmc", "willmore"])
+    @pytest.mark.parametrize("k1, k2", [("1e308", "1e308"), ("0", "-1e301")])
+    def test_overflowing_curvatures_rejected(self, case, k1, k2, capsys):
+        # the fields are linear in the curvatures, and past 1e300 they would
+        # overflow to inf and NaN; the largest curvatures that ran before
+        # still print finite values, without a floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["linearized", "--case", case, f"--k1={k1}",
+                             f"--k2={k2}"]) == cli.EX_DATAERR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("hemifol: error: curvatures too large: "
+                                    "the linearized fields overflow\n")
+            big = "1e160" if case == "willmore" else "1e200"
+            assert cli.main(["linearized", "--case", case, "--k1", big,
+                             "--k2", big]) == 0
+
+        def finite_only(token):
+            raise AssertionError(f"non-finite value {token}")
+
+        records = [json.loads(line, parse_constant=finite_only)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        alpha = {r["field"]: r for r in records}["alpha_prime"]["value"]
+        assert alpha == pytest.approx(2 * float(big)
+                                      * (-0.375 if case == "cmc" else 0.25))
 
     def test_shared_mode_tables_match_fresh_runs(self, tmp_path, capsys):
         # one process solves each case's modes once; alternating cases and
@@ -467,17 +497,25 @@ class TestVerifyExpansions:
         fail_rows = [r for r in out.strip().splitlines() if r.endswith("FAIL")]
         assert any(r.startswith("D2_g2") for r in fail_rows)
 
-    def test_abs_err_covers_grid_change(self, capsys, cmc_terms):
-        # every printed error includes its own row's move in the measured
-        # grid's last doubling (the total row: the lambda-linear
-        # coefficient's); a second run prints the same bytes
+    def test_abs_err_is_the_largest_residual(self, capsys, cmc_terms):
+        # a term row prints the largest residual of its raw values against
+        # the recovered and the reference coefficients, the total row the
+        # lambda-linear coefficient's distance from -pi/4; a second run
+        # prints the same bytes
         assert cli.main(["verify-expansions", "--case", "cmc"]) == 0
         out = capsys.readouterr().out
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        rows = {line.split(",")[0]: line.split(",")
+                for line in out.strip().splitlines()[1:]}
         assert len(rows) == 6
-        moves = cmc_terms.grid_change
-        assert all(float(r[7]) >= moves["first" if r[0] == "total" else r[0]]
-                   for r in rows)
+        for name, tv in cmc_terms.terms.items():
+            want = cli._REFERENCE_TERMS["cmc"][name]
+            ref = va.FunctionalValue(hq.CoefficientVector(*want[:2]),
+                                     hq.CoefficientVector(*want[2:]), {})
+            err = max(abs(raw - fv.of(k1, k2)) for fv in (tv, ref)
+                      for (k1, k2), raw in tv.raw.items())
+            assert rows[name][7] == cli._f(err), name
+        assert rows["total"][7] == cli._f(
+            abs(cmc_terms.first_derivative + math.pi / 4))
         assert cli.main(["verify-expansions", "--case", "cmc"]) == 0
         assert capsys.readouterr().out == out
 

@@ -394,60 +394,42 @@ class TestSecondDerivativeTerms:
         assert f["W"].d1 == pytest.approx(ww, abs=1e-10)
 
     @pytest.mark.parametrize("case", ["willmore", "cmc"])
-    def test_measured_grid(self, request, case):
-        # 16x32 -> 32x64 moves no raw value by more than RECOVER_TOL
+    def test_expansion_grid_pinned(self, request, case):
+        # on EXPANSION_GRID every raw value, and the lambda-linear
+        # coefficient, lies within 1e-12 of its value on the 64x128 grid
+        # (3.2e-14 at most, Willmore D12), far inside RECOVER_TOL
         dec = request.getfixturevalue(f"{case}_terms")
-        assert dec.grid == hq.QuadratureGrid(32, 64)
-        assert dec.grid_change.keys() == {*va.WILLMORE_TERMS, "first"}
-        assert all(v >= 0 for v in dec.grid_change.values())
-        assert 0 < max(dec.grid_change.values()) <= va.RECOVER_TOL
+        raw, first = va._probe_values(case, hq.QuadratureGrid(64, 128), 0.0)
+        assert abs(dec.first_derivative - first) <= 1e-12
+        for name, tv in dec.terms.items():
+            assert tv.raw.keys() == raw[name].keys()
+            for pair, v in tv.raw.items():
+                assert abs(v - raw[name][pair]) <= 1e-12, (name, pair)
 
-    @pytest.mark.parametrize("offset, want_grids", [
-        # only the first grid is off: one more doubling confirms the second
-        (lambda grid: 1e-6 if grid == va.FIRST_GRID else 0.0, [16, 32, 64]),
-        # every grid is off: doubling stops at LAST_GRID
-        (lambda grid: 1e-6 / grid.n_polar, [16, 32, 64, 128]),
-    ], ids=["settles", "capped"])
-    def test_grid_doubling(self, monkeypatch, offset, want_grids):
-        # the lambda-linear coefficient is read but not recovered, so an
-        # offset on it steers the doubling without touching the recovery
-        probe = va._probe_values
-        seen = []
-
-        def shifted(case, grid, dh):
-            seen.append(grid)
-            raw, first = probe(case, grid, dh)
-            return raw, first + offset(grid)
-
-        monkeypatch.setattr(va, "_probe_values", shifted)
-        dec = va.second_derivative_terms("cmc")
-        assert [g.n_polar for g in seen] == want_grids
-        assert [g.n_azimuthal for g in seen] == [2 * n for n in want_grids]
-        assert dec.grid == seen[-1]
-        prev, last = seen[-2:]
-        assert dec.grid_change["first"] == pytest.approx(
-            abs(offset(last) - offset(prev)), abs=1e-13)
-        # the offset moves only the lambda-linear coefficient
-        assert all(dec.grid_change[name] <= va.RECOVER_TOL
-                   for name in va.CMC_TERMS)
-
-    @pytest.mark.parametrize("case", ["willmore", "cmc"])
-    def test_raw_values_match_public_functionals(self, request, case):
-        # second_derivative_terms integrates only what it reads; every raw
-        # probe value must equal, bit for bit, the one assembled from the
-        # full functionals on the grid it measured
-        dec = request.getfixturevalue(f"{case}_terms")
-        grid = dec.grid
+    @pytest.mark.parametrize("case, dh", [
+        ("willmore", 0.0), ("cmc", 0.0), ("willmore", 1.0), ("cmc", 1.0)],
+        ids=["willmore", "cmc", "willmore-dh1", "cmc-dh1"])
+    def test_raw_values_match_public_functionals(self, request, case, dh):
+        # _probe_values integrates only what it reads; every raw probe
+        # value must equal, bit for bit, the one assembled from the full
+        # one-pair functionals on EXPANSION_GRID, also with the free dh
+        # symbols bound to 1
+        grid = va.EXPANSION_GRID
+        got_raw, got_first = va._probe_values(case, grid, dh)
+        if dh == 0.0:
+            dec = request.getfixturevalue(f"{case}_terms")
+            assert {n: tv.raw for n, tv in dec.terms.items()} == got_raw
+            assert dec.first_derivative.hex() == got_first.hex()
         u_dir = lin.uprime_expr(case)
         g1, g2 = va.metric_first_order(), va.metric_second_order()
         key = "W" if case == "willmore" else "A"
         raw = {name: {} for name in va.WILLMORE_TERMS}
         d1 = []
         for k1, k2 in va.PROBE_PAIRS:
-            extra = {"k1": k1, "k2": k2, **{n: 0.0 for n in va.DH_NAMES}}
-            f_diag = va.functionals(u_dir, g1, grid, k1, k2)
-            f_u = va.functionals(u_dir, va.metric_zero(), grid, k1, k2)
-            f_g = va.functionals(ex.ZERO, g1, grid, k1, k2)
+            extra = {"k1": k1, "k2": k2, **{n: dh for n in va.DH_NAMES}}
+            f_diag = va.functionals(u_dir, g1, grid, k1, k2, dh=dh)
+            f_u = va.functionals(u_dir, va.metric_zero(), grid, k1, k2, dh=dh)
+            f_g = va.functionals(ex.ZERO, g1, grid, k1, k2, dh=dh)
             p = (k1, k2)
             raw["D1sq"][p] = f_u[key].d2
             raw["D2sq"][p] = f_g[key].d2
@@ -468,15 +450,16 @@ class TestSecondDerivativeTerms:
             return {p: float(v).hex() for p, v in values.items()}
 
         for name, values in raw.items():
-            assert bits(dec.terms[name].raw) == bits(values), name
-        assert dec.first_derivative.hex() == float(np.mean(d1)).hex()
+            assert bits(got_raw[name]) == bits(values), name
+        assert got_first.hex() == float(np.mean(d1)).hex()
 
-    @pytest.mark.parametrize("case, walks", [("willmore", 20), ("cmc", 15)])
-    def test_batched_probe_walks(self, request, monkeypatch, case, walks):
-        # all four probe pairs share one walk per field on 16x32, and each
-        # pair has its own on 32x64: 1 + 4 walks per field instead of 4 + 4,
-        # over 4 fields for Willmore (B1 included) and 3 for CMC; no walk
-        # spans more points than one pair on 32x64
+    @pytest.mark.parametrize("case, walks", [
+        ("willmore", [256] * 4 + [2048] * 12), ("cmc", [2048] * 12)],
+        ids=["willmore", "cmc"])
+    def test_probe_walks(self, request, monkeypatch, case, walks):
+        # one walk per field and probe pair on EXPANSION_GRID's 2,048 nodes:
+        # 3 surface fields for both cases, plus B1 on the 256-node equator
+        # for Willmore
         points = []
         walk = ex.evaluate_jet
 
@@ -487,27 +470,11 @@ class TestSecondDerivativeTerms:
 
         monkeypatch.setattr(ex, "evaluate_jet", counted)
         dec = va.second_derivative_terms(case)
-        assert len(points) == walks
-        assert max(points) == va.MAX_WALK_POINTS == 2048
-        # the batched values are the ones the session fixture measured
+        assert sorted(points) == walks
         ref = request.getfixturevalue(f"{case}_terms")
         assert dec.first_derivative.hex() == ref.first_derivative.hex()
         for name, tv in dec.terms.items():
             assert tv.raw == ref.terms[name].raw, name
-
-    @pytest.mark.parametrize("case", ["willmore", "cmc"])
-    @pytest.mark.parametrize("grid", [hq.QuadratureGrid(8, 16),
-                                      hq.QuadratureGrid(16, 32)])
-    def test_batched_pairs_keep_their_bits(self, monkeypatch, case, grid):
-        # a batch of P pairs gives, bit for bit, what the pairs give one at
-        # a time; a cap of one point puts every pair in a walk of its own
-        batched = va._probe_values(case, grid, 1.0)
-        monkeypatch.setattr(va, "MAX_WALK_POINTS", 1)
-        single = va._probe_values(case, grid, 1.0)
-        assert batched[1].hex() == single[1].hex()
-        for name, values in batched[0].items():
-            assert {p: v.hex() for p, v in values.items()} == \
-                {p: v.hex() for p, v in single[0][name].items()}, name
 
     @pytest.mark.parametrize("case", ["willmore", "cmc"])
     def test_radicand_floats_equal_jet_values(self, case):
