@@ -10,7 +10,8 @@ use codes no verdict uses:
         (verify-expansions)
     2   Inconclusive (analyze; foliate when two leaves touch within the
         computed error of their radial gap)
-    64  usage error: unknown command, missing or malformed option
+    64  usage error: unknown command, missing or malformed option, an
+        option the command does not take
     65  bad input: unreadable file, expression syntax error, invalid value
         (a degree or leaf count above its bound included), an expression
         that cannot be evaluated (unbound variable, domain error), a
@@ -21,14 +22,12 @@ use codes no verdict uses:
 (``variational.EXPANSION_GRID``); each row's ``abs_err`` is the largest
 residual of the row's raw values against its recovered and its reference
 coefficients (the total row: the distance of the lambda-linear
-coefficient from its reference).  The one setting is ``--tolerance``, the
-largest ``abs_err`` that passes: the flag, else the ``tolerance`` key of a
-``--config`` file of ``key = value`` lines, else 1e-7.  It must be
-positive and finite for every command, and a config line with any other
-key, or without ``=``, is an input error.
+coefficient from its reference).  Its one setting is ``--tolerance``, the
+largest ``abs_err`` that passes (default 1e-7), which must be positive and
+finite; no other command takes it.
 
 Input errors print one line to stderr instead of a traceback.  All floats
-print with 17 significant digits and identical configurations produce
+print with 17 significant digits and identical arguments produce
 byte-identical output.
 """
 
@@ -66,20 +65,6 @@ DEFAULT_TOLERANCE = 1e-7
 # family, with --rays-csv) on a shared 2-vCPU machine
 MAX_DEGREE = 150
 MAX_N_LAMBDA = 5000
-
-
-def _load_config(path) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep or key.strip() != "tolerance":
-                raise ValueError(f"unrecognized config line: {line!r}")
-            out[key.strip()] = val.strip()
-    return out
 
 
 def _f(x: float) -> str:
@@ -186,6 +171,10 @@ _REFERENCE_FIRST = {"willmore": -1.0, "cmc": -0.25}
 
 
 def cmd_verify(args) -> int:
+    if not math.isfinite(args.tolerance):
+        raise ValueError("tolerance must be finite")
+    if args.tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     case = args.case
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -348,10 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hemifol",
         description="foliation criteria and variational expansions for "
                     "CMC and Willmore half-spheres")
-    parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="largest abs_err verify-expansions passes "
-                             f"(default {DEFAULT_TOLERANCE:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="exact hemisphere moment tables")
@@ -378,6 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-expansions",
                        help="recompute the energy/area expansion terms")
     p.add_argument("--case", choices=["willmore", "cmc"], required=True)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                   help="largest abs_err that passes, positive and finite "
+                        f"(default {DEFAULT_TOLERANCE:g})")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_verify)
 
@@ -405,13 +393,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        if args.tolerance is None:
-            args.tolerance = float(config.get("tolerance", DEFAULT_TOLERANCE))
-        if not math.isfinite(args.tolerance):
-            raise ValueError("tolerance must be finite")
-        if args.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         return args.func(args)
     except (ex.ExprError, gs.NoConvergence, gs.DegenerateHessian,
             fo.NoConvergence, OSError, ValueError) as err:

@@ -36,6 +36,8 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 DEGENERACY_TOL = 1e-10
+# the (x, y) square on which every graph surface is analyzed
+DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
 
 
 class NoConvergence(Exception):
@@ -72,13 +74,11 @@ class GraphSurface:
     and K as symbolic fields; derivatives of H and K are taken by jets at a
     point (:func:`curvature_at`), not stored."""
 
-    def __init__(self, u: ex.Expr, domain=((-1.0, 1.0), (-1.0, 1.0)),
-                 name: str = ""):
+    def __init__(self, u: ex.Expr, name: str = ""):
         extra = ex.free_variables(u) - {"x", "y"}
         if extra:
             raise ValueError(f"unbound surface parameters: {sorted(extra)}")
         self.u = u
-        self.domain = domain
         self.name = name
         ux = ex.diff(u, "x")
         uy = ex.diff(u, "y")
@@ -92,7 +92,7 @@ class GraphSurface:
         self.K = (uxx * uyy - uxy ** 2) / w2 ** 2
 
     def contains(self, x, y):
-        (x0, x1), (y0, y1) = self.domain
+        (x0, x1), (y0, y1) = DOMAIN
         return x0 <= x <= x1 and y0 <= y <= y1
 
 
@@ -146,7 +146,7 @@ def curvature_at(s: GraphSurface, x: float, y: float) -> CurvatureData:
 
 def _check_inside(s: GraphSurface, x, y):
     if not s.contains(x, y):
-        raise ValueError(f"({x}, {y}) outside surface domain {s.domain}")
+        raise ValueError(f"({x}, {y}) outside surface domain {DOMAIN}")
 
 
 def _curvature_data(s: GraphSurface, x: float, y: float, jet_H) -> CurvatureData:

@@ -411,8 +411,9 @@ def multipliers(p: LinearizedProblem) -> tuple[float, np.ndarray]:
     """alpha'(0) and beta'(0) re-derived from the closed form by integrating
     the PDE and applying Gauss's theorem as boundary integrals, then
     cross-checked against the closed-form values -(3/8) H (CMC) and H/4
-    (Willmore), to 1e-8 relative to max(1, |closed form|), since the
-    quadrature error scales with the curvatures; beta' = (0, 0) in both
+    (Willmore), to 1e-8 relative to max(1, |k1| + |k2|): the quadrature's
+    rounding scales with the curvatures, not with H, which vanishes at
+    k2 = -k1 while the fields do not; beta' = (0, 0) in both
     cases.  The curvatures are bound, not substituted, so every call of a
     case evaluates the same fields (:func:`_multiplier_fields`)."""
     kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
@@ -437,7 +438,7 @@ def multipliers(p: LinearizedProblem) -> tuple[float, np.ndarray]:
             for i in (1, 2)
         ])
         closed = p.H / 4.0
-    if abs(alpha - closed) > 1e-8 * max(1.0, abs(closed)):
+    if abs(alpha - closed) > 1e-8 * max(1.0, abs(p.kappa1) + abs(p.kappa2)):
         raise ConstraintSingular(
             f"numeric alpha'(0) = {alpha} disagrees with closed form {closed}")
     return alpha, beta

@@ -42,7 +42,7 @@ __all__ = [
     "DegenerateMetric", "InconsistentProbes",
     "functionals", "field_jets",
     "second_derivative_terms", "assemble_expansion",
-    "PROBE_PAIRS", "EXPANSION_GRID", "WILLMORE_TERMS", "CMC_TERMS",
+    "PROBE_PAIRS", "EXPANSION_GRID", "WILLMORE_TERMS",
     "metric_first_order", "metric_second_order", "metric_zero",
 ]
 
@@ -417,7 +417,6 @@ def _decompose(values: dict) -> FunctionalValue:
 
 
 WILLMORE_TERMS = ("D1sq", "D12", "D2sq", "D1_u2", "D2_g2")
-CMC_TERMS = WILLMORE_TERMS
 
 # the grid of the expansion coefficients: on it no raw value, and not the
 # lambda-linear coefficient, lies more than about 3e-14 from its 64 x 128 value

@@ -214,15 +214,24 @@ class TestLinearized:
         assert lines[0] == "t,phi,u_prime"
         assert len(lines) > 100
 
-    @pytest.mark.parametrize("case", ["cmc", "willmore"])
-    def test_large_curvatures(self, case, capsys):
-        # the alpha' cross check scales with the curvatures
+    @pytest.mark.parametrize("case, k1, k2", [
+        pytest.param("cmc", 1e7, 1e7, id="cmc"),
+        pytest.param("willmore", 1e7, 1e7, id="willmore"),
+        pytest.param("cmc", 1e9, -1e9, id="cmc-1e9-cancelling"),
+        pytest.param("willmore", 1e9, -1e9, id="willmore-1e9-cancelling"),
+        pytest.param("cmc", 1e10, -1e10, id="cmc-1e10-cancelling"),
+        pytest.param("willmore", 1e10, -1e10, id="willmore-1e10-cancelling"),
+    ])
+    def test_large_curvatures(self, case, k1, k2, capsys):
+        # the alpha' cross check scales with the curvatures, not with H: at
+        # k2 = -k1 the closed form is 0 but the quadrature's rounding is not
         assert cli.main(["linearized", "--case", case,
-                         "--k1", "1e7", "--k2", "1e7"]) == 0
+                         f"--k1={k1}", f"--k2={k2}"]) == 0
         records = [json.loads(line)
                    for line in capsys.readouterr().out.strip().splitlines()]
         alpha = {r["field"]: r for r in records}["alpha_prime"]["value"]
-        assert alpha == pytest.approx(2e7 * (-0.375 if case == "cmc" else 0.25))
+        closed = (k1 + k2) * (-0.375 if case == "cmc" else 0.25)
+        assert abs(alpha - closed) <= 1e-8 * (abs(k1) + abs(k2))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_curvature_rejected(self, value, capsys):
@@ -520,7 +529,7 @@ class TestVerifyExpansions:
         assert capsys.readouterr().out == out
 
     def test_tolerance_below_errors_fails(self, capsys):
-        code = cli.main(["--tolerance", "1e-16", "verify-expansions", "--case", "cmc"])
+        code = cli.main(["verify-expansions", "--case", "cmc", "--tolerance", "1e-16"])
         assert code == 1
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == 6
@@ -528,62 +537,64 @@ class TestVerifyExpansions:
 
 
 class TestConfig:
-    def test_config_file_overrides(self, tmp_path, capsys):
-        # the config's tolerance replaces the default, and the flag
-        # replaces the config
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("tolerance = 1e-16\n")
-        argv = ["verify-expansions", "--case", "cmc"]
-        assert cli.main(["--config", str(cfgfile)] + argv) == 1
-        assert capsys.readouterr().out.count(",FAIL") == 6
-        assert cli.main(["--config", str(cfgfile), "--tolerance", "1e-7"] + argv) == 0
-        assert capsys.readouterr().out.count(",PASS") == 6
+    # verify-expansions' --tolerance is the one setting, and no other
+    # command takes it
+    VERIFY = ["verify-expansions", "--case", "cmc"]
 
-    def test_bad_tolerance_rejected(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("tolerance = -1\n")
-        for argv in (["--tolerance", "-1"], ["--config", str(cfgfile)]):
-            code = cli.main(argv + ["moments", "--max-degree", "2"])
-            assert code == cli.EX_DATAERR
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "hemifol: error: tolerance must be positive\n"
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, value):
-        # NaN passed no row and exited 1, the mismatch code
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"tolerance = {value}\n")
-        # "--tolerance -inf" would read -inf as an option, so "=" joins them
-        for argv in ([f"--tolerance={value}"], ["--config", str(cfgfile)]):
-            code = cli.main(argv + ["verify-expansions", "--case", "cmc"])
-            assert code == cli.EX_DATAERR
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "hemifol: error: tolerance must be finite\n"
-
-    @pytest.mark.parametrize("line", [
-        "tolerence = 1e-30", "seed = 0", "n_polar = 32", "tolerance 1e-9",
-        "tolerance_x = 1e-9"])
-    def test_unrecognized_config_line_rejected(self, tmp_path, capsys, line):
-        # a misspelt or retired key used to be ignored without a word
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"# run settings\ntolerance = 1e-7\n{line}\n")
-        code = cli.main(["--config", str(cfgfile), "moments", "--max-degree", "2"])
+    def test_bad_tolerance_rejected(self, capsys):
+        code = cli.main(self.VERIFY + ["--tolerance", "-1"])
         assert code == cli.EX_DATAERR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"hemifol: error: unrecognized config line: {line!r}\n"
+        assert captured.err == "hemifol: error: tolerance must be positive\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, value):
+        # NaN passed no row and exited 1, the mismatch code;
+        # "--tolerance -inf" would read -inf as an option, so "=" joins them
+        code = cli.main(self.VERIFY + [f"--tolerance={value}"])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: tolerance must be finite\n"
 
     @pytest.mark.parametrize("flag", ["--tolerance"])
     def test_zero_override_rejected(self, capsys, flag):
         # 0 is an invalid value, not a request for the default
-        code = cli.main([flag, "0", "verify-expansions", "--case", "cmc"])
+        code = cli.main(self.VERIFY + [flag, "0"])
         assert code == cli.EX_DATAERR
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("hemifol: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--tolerance", "1e-7", "verify-expansions", "--case", "cmc"],
+        ["--config", "run.cfg", "verify-expansions", "--case", "cmc"],
+    ], ids=["global-tolerance", "config"])
+    def test_global_settings_are_usage_errors(self, capsys, argv):
+        # there is no global option and no configuration file
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == cli.EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("hemifol: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["moments"], ["analyze", "u.surf", "--case", "cmc"], ["gallery"],
+        ["linearized", "--case", "cmc"], ["foliate", "f.fam"],
+    ], ids=lambda argv: argv[0])
+    def test_tolerance_on_other_commands_rejected(self, capsys, argv):
+        # only verify-expansions reads a tolerance; the usage error comes
+        # before any file is opened
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--tolerance", "1e-7"])
+        assert info.value.code == cli.EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "hemifol: error: unrecognized arguments: --tolerance 1e-7")
 
     @pytest.mark.parametrize("flag", ["--n-polar", "--n-azimuthal"])
     def test_grid_flags_rejected(self, capsys, flag):
@@ -697,7 +708,7 @@ class TestParserReuse:
             ["linearized", "--case", "cmc", "--k1", "0.5"],
             ["foliate", fam, "--n-lambda", "4"],
             ["analyze", surf],
-            ["--tolerance", "1e-6", "verify-expansions", "--case", "cmc"],
+            ["verify-expansions", "--case", "cmc", "--tolerance", "1e-6"],
             ["analyze", surf, "--case", "cmc", "--guess", "0.02", "-0.02"],
             ["foliate"],
             ["linearized", "--case", "willmore"],

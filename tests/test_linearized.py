@@ -173,6 +173,21 @@ class TestMultipliers:
         assert alpha == pytest.approx(want, abs=1e-10)
         assert np.max(np.abs(beta)) < 1e-10
 
+    @pytest.mark.parametrize("case", ["cmc", "willmore"])
+    def test_cross_check_catches_a_perturbed_field(self, case, monkeypatch):
+        # the right-hand side scaled by 1 + 1e-6 moves alpha' by far more
+        # than the gate's 1e-8 (|k1| + |k2|); the fields are cached per
+        # case, so they are rebuilt with the perturbation and again after
+        rhs = lin.pde_rhs_expr
+        monkeypatch.setattr(lin, "pde_rhs_expr",
+                            lambda c: ex.const("1.000001") * rhs(c))
+        lin._multiplier_fields.cache_clear()
+        try:
+            with pytest.raises(lin.ConstraintSingular):
+                lin.multipliers(lin.LinearizedProblem(case, 1.0, 0.5))
+        finally:
+            lin._multiplier_fields.cache_clear()
+
 
 def _reference_solve_ode_modes(p):
     """solve_ode_modes as it was before the mode tables: the modes solved
