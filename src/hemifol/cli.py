@@ -253,9 +253,8 @@ def cmd_foliate(args) -> int:
     if not math.isfinite(args.lambda_min):
         raise ValueError("lambda_min must be finite")
     fam, meta = fo.load_family_file(args.family)
-    lam_grid = list(np.linspace(args.lambda_min, fam.lambda_max, args.n_lambda))
-    if not lam_grid:
-        raise ValueError("lambda grid must lie in (0, lambda_max]")
+    lam_grid = fo.checked_lambda_grid(
+        fam, np.linspace(args.lambda_min, fam.lambda_max, args.n_lambda))
     samples = []
     if fam.v < 1.0:
         # one point per direction, midway between the innermost and the

@@ -36,8 +36,8 @@ from . import expr as ex
 __all__ = [
     "LeafFamily", "RayIntersection", "PairResult", "FoliationReport",
     "NoIntersection", "NoConvergence", "InconclusiveOverlap",
-    "ray_intersect", "leaves_intersect", "foliation_report",
-    "load_family_file",
+    "ray_intersect", "leaves_intersect", "checked_lambda_grid",
+    "foliation_report", "load_family_file",
 ]
 
 SMOOTHNESS_NOTE = ("leaf-map smoothness is not certified numerically; "
@@ -572,6 +572,19 @@ def _coverage(lam, p):
             "status": "unique" if hit else "ambiguous"}
 
 
+def checked_lambda_grid(fam: LeafFamily, lambda_grid) -> list[float]:
+    """The leaf parameters of a grid, sorted, after checking that they lie
+    in (0, lambda_max] and hold at least two distinct leaves."""
+    lam = sorted(float(x) for x in lambda_grid)
+    if not lam or lam[0] <= 0 or lam[-1] > fam.lambda_max:
+        raise ValueError("lambda grid must lie in (0, lambda_max]")
+    if len(set(lam)) < 2:
+        # one leaf has no pair to compare, and coverage samples midway
+        # between the innermost and the outermost leaf would lie on it
+        raise ValueError("lambda grid must hold at least two distinct leaves")
+    return lam
+
+
 def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> FoliationReport:
     """Verdict 'Foliates' when consecutive-and-skip leaf pairs are disjoint,
     t(lambda, theta0) is strictly increasing on a ray grid, and every sample
@@ -583,14 +596,7 @@ def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> Foliatio
     Every pair, ray and sample is decided in one lockstep run; the first
     error in the order pairs, rays, samples is raised, as a sequential run
     would raise it."""
-    lam = sorted(float(x) for x in lambda_grid)
-    if not lam or lam[0] <= 0 or lam[-1] > fam.lambda_max:
-        raise ValueError("lambda grid must lie in (0, lambda_max]")
-    if len(set(lam)) < 2:
-        # one leaf has no pair to compare, and coverage samples midway
-        # between the innermost and the outermost leaf would lie on it
-        raise ValueError("lambda grid must hold at least two distinct leaves")
-
+    lam = checked_lambda_grid(fam, lambda_grid)
     pairs = []
     if fam.v > 1.0:
         # eps = lambda1/(v-1), i.e. lambda2 = lambda1 * v/(v-1); take grid

@@ -16,6 +16,11 @@ jets or at a finite eps, and every integral is one jet evaluation over a
 rule of :mod:`hemifol.quadrature` (hemisphere grid, radial shells,
 equator), summed by that rule.
 
+The normal radicand |omega|^2_g - g^ij b_i b_j is tested for a positive
+sign only at a finite eps.  Jets are taken at eps = 0, where g = delta and
+f = omega, so b_i = <omega, d_i omega> = 1/2 d_i |omega|^2 = 0 and the
+radicand is 1 at every node, whatever u, q, k1, k2 or dh.
+
 ``second_derivative_terms`` computes the expansion coefficients on one
 fixed grid, EXPANSION_GRID (32 x 64), where no raw value lies more than
 about 3e-14 from its 64 x 128 value: the trapezoid rule in phi and the
@@ -230,31 +235,18 @@ def _build_fields(u_dir: ex.Expr, metric: MetricPerturbation) -> dict:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _bindings(t, phi, k1, k2, dh, eps):
-    b = {"t": t, "phi": phi, "eps": eps,
-         "k1": float(k1), "k2": float(k2)}
-    for name in DH_NAMES:
-        b[name] = float(dh)
-    return b
+def _bindings(k1, k2, dh, eps):
+    return {"eps": eps, "k1": float(k1), "k2": float(k2),
+            **{name: float(dh) for name in DH_NAMES}}
 
 
 _EPS_JET = ex.Jet2(0.0, 1.0, 0.0)
 
 
-def _check_radicand(fields: dict, t, phi, k1, k2, dh, eps=None):
-    """Raise DegenerateMetric unless the normal radicand is positive: a
-    sign test, on floats at eps = 0 (a jet's value part) or at ``eps``."""
-    b = _bindings(t, phi, k1, k2, dh, 0.0 if eps is None else float(eps))
-    if np.min(np.asarray(ex.evaluate(fields["radicand"], b))) <= 0:
-        raise DegenerateMetric("normal radicand not positive")
-
-
 def _integral(fields: dict, name: str, rule: hq.Rule, k1, k2, dh) -> ex.Jet2:
-    """Integral of a named field as a jet over a quadrature rule, after
-    checking the normal radicand at the rule's nodes."""
-    t, phi = rule.bindings["t"], rule.bindings["phi"]
-    _check_radicand(fields, t, phi, k1, k2, dh)
-    b = {**rule.bindings, **_bindings(t, phi, k1, k2, dh, _EPS_JET)}
+    """Integral of a named field as a jet over a quadrature rule: one walk
+    at the rule's nodes, with no radicand test (it is 1 at eps = 0)."""
+    b = {**rule.bindings, **_bindings(k1, k2, dh, _EPS_JET)}
     return rule.sum(ex.evaluate_jet(fields[name], b))
 
 
@@ -286,14 +278,16 @@ def functionals(u_dir: ex.Expr, metric: MetricPerturbation,
 def field_jets(u_dir: ex.Expr, metric: MetricPerturbation, names,
                t, phi, k1: float = 1.0, k2: float = 1.0, dh: float = 0.0,
                eps=None):
-    """Jet values of named symbolic fields at given (t, phi) arrays, after
-    checking that the normal radicand is positive there: 'density', 'H'
-    (the mean curvature, 2 at (0, delta)), 'B1', 'normal' (the interior
-    unit normal as a 3-tuple, -omega at (0, delta)), ...  Pass a float
-    ``eps`` to probe a finite deformation instead of the jet."""
+    """Jet values of named symbolic fields at given (t, phi) arrays:
+    'density', 'H' (the mean curvature, 2 at (0, delta)), 'B1', 'normal'
+    (the interior unit normal as a 3-tuple, -omega at (0, delta)), ...
+    Pass a float ``eps`` to probe a finite deformation instead of the jet;
+    it raises DegenerateMetric where the normal radicand is not positive."""
     fields = _build_fields(u_dir, metric)
-    _check_radicand(fields, t, phi, k1, k2, dh, eps)
-    b = _bindings(t, phi, k1, k2, dh, _EPS_JET if eps is None else float(eps))
+    b = {"t": t, "phi": phi,
+         **_bindings(k1, k2, dh, _EPS_JET if eps is None else float(eps))}
+    if eps is not None and np.min(ex.evaluate(fields["radicand"], b)) <= 0:
+        raise DegenerateMetric("normal radicand not positive")
     out = {}
     for name in names:
         fld = fields[name]
@@ -308,22 +302,24 @@ def field_jets(u_dir: ex.Expr, metric: MetricPerturbation, names,
 # closed-form metric-direction integrands (quadrature side of dual routes)
 # ---------------------------------------------------------------------------
 
-def _omega_subst(metric: MetricPerturbation):
-    return metric.at(sphere.OMEGA)
+def _trace_and_qoo(metric: MetricPerturbation):
+    """tr q and q(omega, omega) at omega, shared by the g'' integrands."""
+    q = metric.at(sphere.OMEGA)
+    om = sphere.OMEGA
+    qoo = ex.ZERO
+    for m in range(3):
+        for n in range(3):
+            qoo = qoo + q[m][n] * om[m] * om[n]
+    return q[0][0] + q[1][1] + q[2][2], qoo
 
 
 def d2_willmore_g2_integrand(metric: MetricPerturbation) -> ex.Expr:
     """Integrand of D2 W [0, delta] q for homogeneous quadratic q:
     tr q / 2 + (5/2) q(omega, omega) - sum_mu d_mu q_{mu nu} omega_nu."""
-    q = _omega_subst(metric)
+    tr, qoo = _trace_and_qoo(metric)
     dq = metric.position_derivatives()
     om = sphere.OMEGA
     subst = {name: pos for name, pos in zip(_X, om)}
-    tr = q[0][0] + q[1][1] + q[2][2]
-    qoo = ex.ZERO
-    for m in range(3):
-        for n in range(3):
-            qoo = qoo + q[m][n] * om[m] * om[n]
     divq = ex.ZERO
     for mu in range(3):
         for nu in range(3):
@@ -333,19 +329,13 @@ def d2_willmore_g2_integrand(metric: MetricPerturbation) -> ex.Expr:
 
 def d2_area_g2_integrand(metric: MetricPerturbation) -> ex.Expr:
     """Integrand of D2 A [0, delta] q: (tr_R3 q - q(omega, omega)) / 2."""
-    q = _omega_subst(metric)
-    om = sphere.OMEGA
-    tr = q[0][0] + q[1][1] + q[2][2]
-    qoo = ex.ZERO
-    for m in range(3):
-        for n in range(3):
-            qoo = qoo + q[m][n] * om[m] * om[n]
+    tr, qoo = _trace_and_qoo(metric)
     return (tr - qoo) / 2
 
 
 def d2_b1_boundary_integrand(metric: MetricPerturbation) -> ex.Expr:
     """D2 B1 [0, delta] q = -q_{a3} omega_a on the equator."""
-    q = _omega_subst(metric)
+    q = metric.at(sphere.OMEGA)
     om = sphere.OMEGA
     return -(q[0][2] * om[0] + q[1][2] * om[1])
 

@@ -190,7 +190,7 @@ def test_criterion_8_invariant_suites(willmore_terms, cmc_terms):
     t, phi, w = grid.nodes()
 
     def area(lam):
-        b = va._bindings(t, phi, 1.0, 0.5, 0.0, float(lam))
+        b = {"t": t, "phi": phi, **va._bindings(1.0, 0.5, 0.0, float(lam))}
         vals = ex.evaluate(fields["density"], b)
         return float(np.sum(np.broadcast_to(vals, w.shape) * w))
 

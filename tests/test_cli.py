@@ -345,20 +345,19 @@ class TestFoliate:
         assert l2 == pytest.approx((v - 1) / (4 * -f1), rel=1e-12)
         assert l1 == pytest.approx(l2 * (v - 1) / v, rel=1e-12)
 
-    @pytest.mark.parametrize("v, message", [
-        (0.5, "lambda must lie in (0, lambda_max]"),
-        (1.5, "lambda grid must lie in (0, lambda_max]")])
-    def test_lambda_min_not_positive(self, tmp_path, capsys, v, message):
-        # v < 1 meets the bad lambda in its sample-radius rays, v > 1 in
-        # the report
+    @pytest.mark.parametrize("v", [0.5, 1.5])
+    @pytest.mark.parametrize("lambda_min", ["0", "0.2"])
+    def test_lambda_min_not_positive(self, tmp_path, capsys, v, lambda_min):
+        # a grid outside (0, lambda_max = 0.05] is refused before any ray,
+        # with one message whether v < 1 (sample-radius rays) or v > 1
         fam = _family_file(tmp_path, v)
         rays = tmp_path / "rays.csv"
-        code = cli.main(["foliate", str(fam), "--lambda-min", "0",
+        code = cli.main(["foliate", str(fam), "--lambda-min", lambda_min,
                          "--rays-csv", str(rays)])
         assert code == cli.EX_DATAERR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"hemifol: error: {message}\n"
+        assert captured.err == "hemifol: error: lambda grid must lie in (0, lambda_max]\n"
         assert not rays.exists()
 
     @pytest.mark.parametrize("n", ["5001", "100000000000"])

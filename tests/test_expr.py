@@ -393,9 +393,10 @@ def test_release_matches_kept_memo_on_variational_fields(case, field_set, name):
     fields = va._build_fields(lin.uprime_expr(case) if with_u else ex.ZERO,
                               va.metric_first_order() if with_g else va.metric_zero())
     t, phi, _ = hq.QuadratureGrid(16, 32).nodes()
-    b = va._bindings(t, phi, 1.0, -0.5, 0.0, va._EPS_JET)
+    b = {"t": t, "phi": phi, **va._bindings(1.0, -0.5, 0.0, va._EPS_JET)}
     if name == "vol_integrand":
-        b = va._bindings(t[None, :], phi[None, :], 1.0, -0.5, 0.0, va._EPS_JET)
+        b = {"t": t[None, :], "phi": phi[None, :],
+             **va._bindings(1.0, -0.5, 0.0, va._EPS_JET)}
         b["s"] = np.linspace(0.0, 1.0, 5)[:, None]
     # names, not the fields, in the assertions: printing a field expands
     # its DAG into a tree of hundreds of MB
@@ -501,7 +502,7 @@ def test_w_density_jet_peak_memory():
 
     fields = va._build_fields(lin.uprime_expr("willmore"), va.metric_first_order())
     t, phi, _ = hq.QuadratureGrid(64, 128).nodes()
-    b = va._bindings(t, phi, 1.0, 1.0, 0.0, va._EPS_JET)
+    b = {"t": t, "phi": phi, **va._bindings(1.0, 1.0, 0.0, va._EPS_JET)}
     tracemalloc.start()
     try:
         ex.evaluate_jet(fields["W_density"], b)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -244,7 +245,7 @@ class TestJetsVsFiniteDifference:
         def value(lam):
             fields = va._build_fields(u_dir, g1)
             t, phi, w = GRID.nodes()
-            b = va._bindings(t, phi, k1, k2, 0.0, float(lam))
+            b = {"t": t, "phi": phi, **va._bindings(k1, k2, 0.0, float(lam))}
             if name == "A":
                 vals = ex.evaluate(fields["density"], b)
                 return float(np.sum(np.broadcast_to(vals, w.shape) * w))
@@ -255,7 +256,8 @@ class TestJetsVsFiniteDifference:
             xs, ws = np.polynomial.legendre.leggauss(32)
             s_nodes = 0.5 * (xs + 1.0)
             s_w = 0.5 * ws
-            bv = va._bindings(t[None, :], phi[None, :], k1, k2, 0.0, float(lam))
+            bv = {"t": t[None, :], "phi": phi[None, :],
+                  **va._bindings(k1, k2, 0.0, float(lam))}
             bv["s"] = s_nodes[:, None]
             vals = ex.evaluate(fields["vol_integrand"], bv)
             w2 = s_w[:, None] * w[None, :]
@@ -453,47 +455,56 @@ class TestSecondDerivativeTerms:
             assert bits(got_raw[name]) == bits(values), name
         assert got_first.hex() == float(np.mean(d1)).hex()
 
-    @pytest.mark.parametrize("case, walks", [
-        ("willmore", [256] * 4 + [2048] * 12), ("cmc", [2048] * 12)],
+    @pytest.mark.parametrize("case, jet_walks, float_walks", [
+        ("willmore", {2048: 12, 256: 4}, {2048: 4, 256: 4}),
+        ("cmc", {2048: 12}, {2048: 8})],
         ids=["willmore", "cmc"])
-    def test_probe_walks(self, request, monkeypatch, case, walks):
-        # one walk per field and probe pair on EXPANSION_GRID's 2,048 nodes:
-        # 3 surface fields for both cases, plus B1 on the 256-node equator
-        # for Willmore
-        points = []
-        walk = ex.evaluate_jet
+    def test_probe_walks(self, request, monkeypatch, case, jet_walks, float_walks):
+        # one jet walk per field and probe pair on EXPANSION_GRID's 2,048
+        # nodes: 3 surface fields for both cases, plus B1 on the 256-node
+        # equator for Willmore; the float walks are the closed u'' and g''
+        # integrands, one each per probe pair, and no radicand sign test
+        walks = {"evaluate_jet": Counter(), "evaluate": Counter()}
 
-        def counted(e, bindings):
-            shapes = [np.shape(getattr(v, "f", v)) for v in bindings.values()]
-            points.append(int(np.prod(np.broadcast_shapes(*shapes))))
-            return walk(e, bindings)
+        def counted(name):
+            walk = getattr(ex, name)
 
-        monkeypatch.setattr(ex, "evaluate_jet", counted)
+            def wrapper(e, bindings):
+                shapes = [np.shape(getattr(v, "f", v)) for v in bindings.values()]
+                walks[name][int(np.prod(np.broadcast_shapes(*shapes)))] += 1
+                return walk(e, bindings)
+            return wrapper
+
+        for name in walks:
+            monkeypatch.setattr(ex, name, counted(name))
         dec = va.second_derivative_terms(case)
-        assert sorted(points) == walks
+        assert walks == {"evaluate_jet": Counter(jet_walks),
+                         "evaluate": Counter(float_walks)}
         ref = request.getfixturevalue(f"{case}_terms")
         assert dec.first_derivative.hex() == ref.first_derivative.hex()
         for name, tv in dec.terms.items():
             assert tv.raw == ref.terms[name].raw, name
 
     @pytest.mark.parametrize("case", ["willmore", "cmc"])
-    def test_radicand_floats_equal_jet_values(self, case):
-        # the surface integrals test the radicand's sign on floats at
-        # eps = 0; on every field set and probe pair of
-        # second_derivative_terms those floats are the jet's value part
-        nodes = hq.QuadratureGrid().nodes()
-        t, phi, _ = nodes
+    def test_radicand_is_one_at_eps_zero(self, case):
+        # the integrals take no sign test of the normal radicand: at eps = 0
+        # the metric is delta and f = omega, so b_i = <omega, d_i omega> = 0
+        # and the radicand is |omega|^2 = 1 on every field set of
+        # second_derivative_terms, whatever the curvatures and dh
+        rules = (hq.surface_rule(va.EXPANSION_GRID),
+                 hq.equator_rule(4 * va.EXPANSION_GRID.n_azimuthal))
         u_dir = lin.uprime_expr(case)
-        g1 = va.metric_first_order()
-        for u, g in ((u_dir, g1), (u_dir, va.metric_zero()), (ex.ZERO, g1)):
+        g1, g2 = va.metric_first_order(), va.metric_second_order()
+        for u, g in ((u_dir, g1), (u_dir, va.metric_zero()), (ex.ZERO, g1),
+                     (ex.ZERO, g2)):
             rad = va._build_fields(u, g)["radicand"]
-            for k1, k2 in va.PROBE_PAIRS:
-                jet = ex.evaluate_jet(rad, va._bindings(t, phi, k1, k2, 0.0,
-                                                        va._EPS_JET))
-                flt = ex.evaluate(rad, va._bindings(t, phi, k1, k2, 0.0, 0.0))
-                want = np.broadcast_to(np.asarray(jet.f), t.shape)
-                got = np.broadcast_to(np.asarray(flt), t.shape)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for rule in rules:
+                for k1, k2 in va.PROBE_PAIRS + ((1e6, -3e5),):
+                    for dh in (0.0, 1.0):
+                        b = {**rule.bindings,
+                             **va._bindings(k1, k2, dh, va._EPS_JET)}
+                        value = ex.evaluate_jet(rad, b).f
+                        assert np.max(np.abs(value - 1.0)) <= 1e-13, (k1, k2, dh)
 
 
 class TestAssembleExpansion:
