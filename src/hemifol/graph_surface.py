@@ -60,10 +60,12 @@ def gallery_params(a: float) -> GalleryParams:
     """c1 = c2 = (-a + a^3) / (3 + 9 a^2 + 6 a^4) makes the origin critical."""
     if not math.isfinite(a):
         raise ValueError("a must be finite")
-    # the curvature fields square w2 = 1 + |grad u|^2 = 1 + 2 a^2 at the
-    # origin (w2^2 in K), which must stay in the double range
+    # w2 = 1 + |grad u|^2 = 1 + 2 a^2 at the origin; the jet of H cubes
+    # its denominator w2^(3/2), so w2^(9/2) must stay in the double range
+    # (and so must w2^2 in K).  The bound 709 on its log leaves a factor
+    # e^0.78 ~ 2.2 below the largest double, exp(709.78).
     w2 = 1.0 + 2.0 * a * a
-    if not math.isfinite(w2 * w2):
+    if not 4.5 * math.log(w2) < 709.0:
         raise ValueError("a is too large: the curvatures at the origin overflow")
     c = (-a + a ** 3) / (3.0 + 9.0 * a ** 2 + 6.0 * a ** 4)
     return GalleryParams(a, c, c)
@@ -106,7 +108,7 @@ class CurvatureData:
     gradK: np.ndarray
     grad_u: np.ndarray
     hess_is_covariant: bool        # true iff |gradH| < Newton tolerance
-    nondegenerate: bool | None = None
+    nondegenerate: bool
 
 
 @dataclass(frozen=True)

@@ -186,10 +186,10 @@ def residual_check(p: LinearizedProblem, u: ex.Expr) -> ResidualReport:
         third = _sup(fields["third_order"], _EQUATOR, kb)
         mass_target = math.pi / 8.0 * p.H
     neumann = _sup(fields["neumann"], _EQUATOR, kb)
-    mass = abs(hq.integrate_tphi(fields["u"], extra=kb) - mass_target)
+    mass = abs(hq.integrate_surface(fields["u"], extra=kb) - mass_target)
     center = max(
-        abs(hq.integrate_tphi(fields["w1_u"], extra=kb)),
-        abs(hq.integrate_tphi(fields["w2_u"], extra=kb)),
+        abs(hq.integrate_surface(fields["w1_u"], extra=kb)),
+        abs(hq.integrate_surface(fields["w2_u"], extra=kb)),
     )
     return ResidualReport(p.case, interior, neumann, third, mass, center)
 
@@ -420,10 +420,10 @@ def multipliers(p: LinearizedProblem) -> tuple[float, np.ndarray]:
     fields = _multiplier_fields(p.case)
 
     def surface(name):
-        return hq.integrate_tphi(fields[name], extra=kb)
+        return hq.integrate_surface(fields[name], extra=kb)
 
     def boundary(name):
-        return hq.integrate_boundary_tphi(fields[name], extra=kb)
+        return hq.integrate_boundary(fields[name], extra=kb)
 
     if p.case == "cmc":
         alpha = ((surface("rhs") + boundary("du_eta") - 2.0 * surface("u"))

@@ -209,7 +209,8 @@ def integrate_boundary(e: ex.Expr, n: int = 256,
     return equator_rule(n).integrate(e, extra)
 
 
-# the names of the (t, phi) forms, kept for their callers
+# the older names of the (t, phi) forms, kept because perfbench/tracing.py
+# wraps them by name; the library calls the names above
 integrate_tphi = integrate_surface
 integrate_boundary_tphi = integrate_boundary
 
@@ -228,97 +229,81 @@ def _nearest(a: int, b: int) -> int:
 
 
 def _integral_gram(basis):
-    """Integral Gram-Schmidt data of the rows (Cohen, Alg. 2.6.7, step 2).
+    """Integral Gram-Schmidt data of linearly independent rows (Cohen,
+    Alg. 2.6.7, step 2).
 
-    With B_i the squared norm of the i-th Gram-Schmidt vector, ``d[i]`` is
-    the product of the nonzero B_j, j <= i, if B_i is nonzero, and 0 if it
-    is zero.  ``lam[i][j]`` is ``d[j] * mu_ij`` for j < i, an integer, and
-    0 against a zero-norm row.  Rows of norm 0 drop out of every
-    projection, so the recursion runs over independent rows, where each
-    division is exact."""
+    With B_i the squared norm of the i-th Gram-Schmidt vector, ``d[0] = 1``
+    and ``d[i + 1] = B_0 * ... * B_i``; ``lam[i][j]`` is ``d[j + 1] * mu_ij``
+    for j < i, an integer.  Each step of the recursion divides exactly by
+    the previous ``d``, so the rows must be independent: a norm of 0 raises
+    :class:`ValueError`."""
     n = len(basis)
-    d = [0] * n
+    d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
         for j in range(k + 1):
-            if j < k and not d[j]:
-                continue
             u = sum(x * y for x, y in zip(basis[k], basis[j]))
-            prev = 1
             for i in range(j):
-                if d[i]:
-                    u = (d[i] * u - lam[k][i] * lam[j][i]) // prev
-                    prev = d[i]
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
             if j < k:
                 lam[k][j] = u
+            elif not u:
+                raise ValueError("rows must be linearly independent")
             else:
-                d[k] = u
+                d[k + 1] = u
     return d, lam
 
 
 def _lll(basis):
-    """Integer LLL reduction (delta = 3/4) on a small list of integer rows.
+    """Integer LLL reduction (delta = 3/4) on a small list of linearly
+    independent integer rows.
 
     Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7:
     the Gram-Schmidt data are the integers ``d`` and ``lam`` of
     :func:`_integral_gram`, updated in place by each size reduction and
     each swap.  The steps are those of the rational Alg. 2.6.3 on
-    ``mu_kj = lam[k][j] / d[j]``: size-reduce row k against every j from
-    k-1 down to 0 by the nearest integer, ties to even (:func:`_nearest`,
-    which is ``round`` on a ``Fraction``), then test the Lovasz condition
-    ``B_k >= (3/4 - mu_k,k-1^2) B_k-1``, multiplied through by 4 d[k-1]
-    and the product of the nonzero norms before row k-1 into integers,
-    and swap rows k-1 and k if it fails.  Each integer equals ``d`` times the exact rational it stands
-    for, so every rounding and every comparison has the rational
-    algorithm's outcome and the reduced rows are the same.
+    ``mu_kj = lam[k][j] / d[j + 1]``: size-reduce row k against every j
+    from k-1 down to 0 by the nearest integer, ties to even
+    (:func:`_nearest`, which is ``round`` on a ``Fraction``), then test the
+    Lovasz condition ``B_k >= (3/4 - mu_k,k-1^2) B_k-1``, multiplied
+    through by 4 d[k] d[k-1] into integers, and swap rows k-1 and k by
+    Cohen's SWAPI if it fails.  Each integer equals ``d`` times the exact
+    rational it stands for, so every rounding and every comparison has
+    the rational algorithm's outcome and the reduced rows are the same.
 
-    Dependent rows have Gram-Schmidt norm 0.  Such a row takes no part in
-    a projection: ``d`` runs over the nonzero norms only, nothing is
-    reduced against it, and the Lovasz test passes when row k-1 is one.
-    A swap of a row of norm 0 recomputes the data from the rows instead
-    of updating them."""
+    Dependent rows raise :class:`ValueError`.  The rows [I_3 | c] of
+    :func:`recover_coefficients` are independent whatever c is, because
+    of the identity block, and size reductions and swaps keep them so."""
     basis = [row[:] for row in basis]
     n = len(basis)
     d, lam = _integral_gram(basis)
-
-    def below(i):
-        # product of the nonzero norms of the rows before row i
-        for j in range(i - 1, -1, -1):
-            if d[j]:
-                return d[j]
-        return 1
-
     k = 1
     while k < n:
         row, lk = basis[k], lam[k]
         for j in range(k - 1, -1, -1):
-            if d[j]:
-                q = _nearest(lk[j], d[j])
-                if q:
-                    row = [x - q * y for x, y in zip(row, basis[j])]
-                    lk[j] -= q * d[j]
-                    lj = lam[j]
-                    for i in range(j):
-                        lk[i] -= q * lj[i]
+            q = _nearest(lk[j], d[j + 1])
+            if q:
+                row = [x - q * y for x, y in zip(row, basis[j])]
+                lk[j] -= q * d[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
         basis[k] = row
-        m, dk1 = lk[k - 1], d[k - 1]
-        if not dk1 or 4 * d[k] * below(k - 1) >= 3 * dk1 * dk1 - 4 * m * m:
+        m = lk[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * m * m:
             k += 1
             continue
-        basis[k], basis[k - 1] = basis[k - 1], basis[k]
-        if not d[k]:
-            d, lam = _integral_gram(basis)
-        else:
-            # Cohen's SWAPI: lam[k][k-1] and d[k] are unchanged
-            b = (below(k - 1) * d[k] + m * m) // dk1
-            for i in range(k + 1, n):
-                li = lam[i]
-                t = li[k]
-                li[k] = (d[k] * li[k - 1] - m * t) // dk1
-                li[k - 1] = (b * t + m * li[k]) // d[k]
-            lam[k], lam[k - 1] = lam[k - 1], lk
-            lam[k][k - 1], lk[k - 1] = m, 0
-            d[k - 1] = b
+        # Cohen's SWAPI: lam[k][k-1] and d[k + 1] are unchanged
+        basis[k], basis[k - 1] = basis[k - 1], row
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+            li[k - 1] = (b * t + m * li[k]) // d[k + 1]
+        lam[k], lam[k - 1] = lam[k - 1], lk
+        lam[k][k - 1], lk[k - 1] = m, 0
+        d[k] = b
         k = max(k - 1, 1)
     return basis
 

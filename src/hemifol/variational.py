@@ -282,11 +282,14 @@ def field_jets(u_dir: ex.Expr, metric: MetricPerturbation, names,
     'density', 'H' (the mean curvature, 2 at (0, delta)), 'B1', 'normal'
     (the interior unit normal as a 3-tuple, -omega at (0, delta)), ...
     Pass a float ``eps`` to probe a finite deformation instead of the jet;
-    it raises DegenerateMetric where the normal radicand is not positive."""
+    it raises DegenerateMetric if ``eps`` is not finite or where the normal
+    radicand is not positive."""
+    if eps is not None and not math.isfinite(eps):
+        raise DegenerateMetric("eps must be finite")
     fields = _build_fields(u_dir, metric)
     b = {"t": t, "phi": phi,
          **_bindings(k1, k2, dh, _EPS_JET if eps is None else float(eps))}
-    if eps is not None and np.min(ex.evaluate(fields["radicand"], b)) <= 0:
+    if eps is not None and not np.min(ex.evaluate(fields["radicand"], b)) > 0:
         raise DegenerateMetric("normal radicand not positive")
     out = {}
     for name in names:
@@ -456,23 +459,19 @@ def _probe_values(case: str, grid: hq.QuadratureGrid, dh: float):
         if case == "willmore":
             # D1 W u'' = equator integral of d^2/deps^2 B1[eps u', delta+eps g']
             # plus the boundary term of g'', which vanishes (odd integrand)
-            odd = hq.integrate_boundary_tphi(u2_integrand, extra=curvatures)
+            odd = hq.integrate_boundary(u2_integrand, extra=curvatures)
             u2term[pair] = _integral(f_diag, "B1", equator, k1, k2, dh).d2 + odd
         else:
             # D1 A u'' = 2 int u'' = -4 int u'^2 from the volume constraint
-            u2term[pair] = -4.0 * hq.integrate_tphi(
+            u2term[pair] = -4.0 * hq.integrate_surface(
                 u2_integrand, grid, extra={"k1": k1, "k2": k2})
-        g2term[pair] = hq.integrate_tphi(g2_integrand, grid, extra=curvatures)
+        g2term[pair] = hq.integrate_surface(g2_integrand, grid, extra=curvatures)
 
     mixed = {k: 0.5 * (diag[k] - usq[k] - gsq[k]) for k in diag}
     raw = {"D1sq": usq, "D12": mixed, "D2sq": gsq,
            "D1_u2": u2term, "D2_g2": g2term}
     # lambda-linear coefficient: -pi H (Willmore) or -(pi/4) H (CMC)
-    h_coef = {}
-    for (k1, k2), v in d1.items():
-        if abs(k1 + k2) > 1e-12:
-            h_coef[(k1, k2)] = v / (k1 + k2)
-    first = float(np.mean(list(h_coef.values())))
+    first = float(np.mean([v / (k1 + k2) for (k1, k2), v in d1.items()]))
     return raw, first
 
 

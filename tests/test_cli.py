@@ -176,10 +176,15 @@ class TestGallery:
 
     @pytest.mark.parametrize("a, message", [
         ("nan", "a must be finite"), ("inf", "a must be finite"),
-        # a^4 overflows in the coefficients, and past a = 8e76 the square
-        # of 1 + |grad u|^2 in the curvatures does
+        # a^4 overflows in the coefficients, and past a = 1.2e34 the jet of
+        # H, which cubes (1 + |grad u|^2)^(3/2), would overflow with a
+        # RuntimeWarning; the warnings filter makes one fail the test
         ("1e100", "a is too large: the curvatures at the origin overflow"),
-        ("1e77", "a is too large: the curvatures at the origin overflow")])
+        ("1e77", "a is too large: the curvatures at the origin overflow"),
+        ("1e76", "a is too large: the curvatures at the origin overflow"),
+        ("1e60", "a is too large: the curvatures at the origin overflow"),
+        ("1e35", "a is too large: the curvatures at the origin overflow")])
+    @pytest.mark.filterwarnings("error")
     def test_a_out_of_range(self, capsys, a, message):
         assert cli.main(["gallery", "--a", "0.3", a]) == cli.EX_DATAERR
         captured = capsys.readouterr()

@@ -255,6 +255,21 @@ def _reference_lll(basis):
     return basis
 
 
+def _dependent(rows):
+    """Whether some Gram-Schmidt vector of the rows, as _reference_lll
+    computes them, has norm 0."""
+    bstar = []
+    for row in rows:
+        v = [Fraction(x) for x in row]
+        for b in bstar:
+            mu = sum(x * y for x, y in zip(row, b)) / sum(y * y for y in b)
+            v = [x - mu * y for x, y in zip(v, b)]
+        if not any(v):
+            return True
+        bstar.append(v)
+    return False
+
+
 def test_nearest_rounds_half_to_even():
     # the integer rounding of the LLL is round() on the exact quotient
     nums = list(range(-41, 42)) + [-(10 ** 30) - 5, 10 ** 30 + 5, 3 * 2 ** 70 + 2 ** 69]
@@ -318,10 +333,11 @@ class TestLLL:
         [[3, 1], [0, 0], [1, 1]],
         [[2, 0, 1], [1, 0, 0], [0, 3, 1], [1, 1, 1]],
     ])
-    def test_dependent_rows_swap_a_zero_norm(self, rows):
-        # recover_coefficients' rows [I_3 | c] are independent, so no
-        # Gram-Schmidt norm is ever 0 there; dependent rows reach that case
-        assert hq._lll(rows) == _reference_lll(rows)
+    def test_dependent_rows_rejected(self, rows):
+        # the LLL takes independent rows only, as recover_coefficients'
+        # rows [I_3 | c] always are; a Gram-Schmidt norm of 0 is an error
+        with pytest.raises(ValueError, match="linearly independent"):
+            hq._lll(rows)
 
     @pytest.mark.parametrize("rows", [
         [[2, 0], [1, 5]],                                # mu 1/2 rounds to 0
@@ -346,7 +362,11 @@ class TestLLL:
             if rng.random() < 0.5:
                 a, b = rng.sample(range(n), 2)
                 rows[a] = [rng.randint(-2, 2) * x for x in rows[b]]
-            assert hq._lll(rows) == _reference_lll(rows), rows
+            if _dependent(rows):
+                with pytest.raises(ValueError):
+                    hq._lll(rows)
+            else:
+                assert hq._lll(rows) == _reference_lll(rows), rows
 
 
 def test_moment_table_sizes():

@@ -226,11 +226,12 @@ class TestMetricDirectionJets:
         # the eps-jet at 0 sees the round metric and stays fine
         nu = va.field_jets(ex.ZERO, q, ["normal"], t, phi)["normal"]
         assert np.max(np.abs(nu[2].f + t)) < 1e-12
-        # a finite deformation with delta - 2 eps delta flips the radicand
-        with pytest.raises(va.DegenerateMetric):
-            va.field_jets(ex.ZERO, q, ["normal"], t, phi, eps=1.0)
-        with pytest.raises(va.DegenerateMetric):
-            va.field_jets(ex.ZERO, q, ["H"], t, phi, eps=1.0)
+        # a finite deformation with delta - 2 eps delta flips the radicand,
+        # and a non-finite eps has no radicand to test
+        for eps in (1.0, math.nan, math.inf):
+            for name in ("normal", "H"):
+                with pytest.raises(va.DegenerateMetric):
+                    va.field_jets(ex.ZERO, q, [name], t, phi, eps=eps)
 
 
 class TestJetsVsFiniteDifference:
