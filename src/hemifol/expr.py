@@ -15,7 +15,9 @@ What a node caches lives and dies with it: its derivatives (one per variable
 name, filled by :func:`diff`) and its evaluation order.  These often refer
 back to the node (an order ends with its root; the derivative of sqrt(a)
 contains sqrt(a)), so such nodes are freed by the cyclic garbage collector.
-Whatever a caller reuses across calls, it keeps alive itself.  Interning takes no lock, so the
+Whatever a caller reuses across calls, it keeps alive itself.  A constant is
+keyed by its numerator and denominator, two ints, not by its ``Fraction``,
+whose hash takes a modular inverse.  Interning takes no lock, so the
 module is not thread-safe.
 
 Every walk of the DAG is a loop over one iterative children-first order, so
@@ -35,9 +37,21 @@ derivative work only where a jet is present.  Its value parts equal those of
 lifting every binding to a jet, because a plain quotient inside a jet walk
 is taken as a * (1/b), as a jet with zero derivative parts divides; its
 derivative parts are equal after broadcasting, apart from the sign of exact
-zeros and the NaN that a skipped ``f * 0.0`` made of a non-finite ``f``.  No
-simplification is performed beyond constant folding; correctness of
-rewrites is semantic (evaluation equality), not syntactic.
+zeros and the NaN that a skipped ``f * 0.0`` made of a non-finite ``f``.
+:class:`LaneJet2` carries the derivative parts of several directions as
+four float lanes, bit for bit the values of a :class:`Jet2` with length-4
+array parts and cheaper on so few elements; :mod:`graph_surface` walks
+point jets with it.  No simplification is performed beyond constant
+folding; correctness of rewrites is semantic (evaluation equality), not
+syntactic.
+
+At a float point a walk computes in Python floats: an elementary function
+of a float returns a float, and its domain check and the divisor checks
+test the float directly.  A float operation that overflows (a power) or
+divides by zero (the reciprocal of a jet whose square underflowed, the
+derivative of ``sqrt`` or ``ln`` at 0) raises :class:`DomainError` on its
+node; numpy arrays overflow to inf as before.  Products past the float
+range are inf without a warning.
 """
 
 from __future__ import annotations
@@ -52,7 +66,7 @@ from itertools import repeat
 import numpy as np
 
 __all__ = [
-    "Expr", "Jet2",
+    "Expr", "Jet2", "LaneJet2",
     "ExprError", "ParseError", "ReservedNameError",
     "EvalError", "UnboundVariableError", "DomainError",
     "const", "var", "pi", "add", "sub", "mul", "div", "powi",
@@ -182,11 +196,13 @@ _SWEEP_MIN = 4096
 _sweep_at = _SWEEP_MIN
 
 
-def _mk(kind, payload, args=()):
+def _mk(kind, payload, args=(), key=None):
     # children are already interned, so their ids identify them structurally;
     # a live node keeps its children alive, so the ids in its key are theirs.
-    # A dead entry reads as a miss and is overwritten.
-    key = (kind, payload, tuple(map(id, args)))
+    # A constant passes its own key, see const().  A dead entry reads as a
+    # miss and is overwritten.
+    if key is None:
+        key = (kind, payload, tuple(map(id, args)))
     ref = _TABLE.get(key)
     node = None if ref is None else ref()
     if node is None:
@@ -208,9 +224,12 @@ def _sweep():
 def const(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, float) and not x.is_integer():
-        raise TypeError("float constants are not exact; pass a Fraction or string")
-    return _mk("const", Fraction(x))
+    if not isinstance(x, Fraction):
+        if isinstance(x, float) and not x.is_integer():
+            raise TypeError("float constants are not exact; pass a Fraction or string")
+        x = Fraction(x)
+    # keyed by two ints: hashing a Fraction takes a modular inverse
+    return _mk("const", x, key=("const", x.numerator, x.denominator))
 
 
 def var(name: str) -> Expr:
@@ -328,7 +347,7 @@ _FUNCS = {
     "cos": (np.cos, lambda b, y: (-np.sin(b), -y), None,
             lambda a, da: mul(const(-1), mul(sin(a), da))),
     "artanh": (np.arctanh, _artanh_derivs,
-               (lambda b: np.abs(b) >= 1, "artanh outside (-1, 1)"),
+               (lambda b: abs(b) >= 1, "artanh outside (-1, 1)"),
                lambda a, da: div(da, sub(ONE, powi(a, 2)))),
     "cot": (lambda b: np.cos(b) / np.sin(b),
             lambda b, y: (-(1.0 + y * y), 2.0 * y * (1.0 + y * y)), None,
@@ -503,14 +522,106 @@ class Jet2:
     __pow__ = powi
 
 
+class LaneJet2(Jet2):
+    """A :class:`Jet2` along four directions at once: ``f`` is a float and
+    ``d1`` and ``d2`` are 4-tuples of floats, one lane per direction.
+
+    Each lane takes the same IEEE operations, in the same order, as
+    :class:`Jet2` takes for one element of length-4 array parts, so the
+    lanes equal that jet's arrays bit for bit; on four elements the
+    interpreter's float operations cost less than numpy's ufunc calls.  The
+    other operand is a plain float or a LaneJet2.  Reciprocal, powers and
+    both divisions are inherited: they go through :meth:`_chain` and
+    ``*``."""
+
+    __slots__ = ()
+
+    def __add__(self, o):
+        if not isinstance(o, Jet2):
+            return LaneJet2(self.f + o, self.d1, self.d2)
+        a0, a1, a2, a3 = self.d1
+        b0, b1, b2, b3 = o.d1
+        c0, c1, c2, c3 = self.d2
+        e0, e1, e2, e3 = o.d2
+        return LaneJet2(self.f + o.f, (a0 + b0, a1 + b1, a2 + b2, a3 + b3),
+                        (c0 + e0, c1 + e1, c2 + e2, c3 + e3))
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if not isinstance(o, Jet2):
+            return LaneJet2(self.f - o, self.d1, self.d2)
+        a0, a1, a2, a3 = self.d1
+        b0, b1, b2, b3 = o.d1
+        c0, c1, c2, c3 = self.d2
+        e0, e1, e2, e3 = o.d2
+        return LaneJet2(self.f - o.f, (a0 - b0, a1 - b1, a2 - b2, a3 - b3),
+                        (c0 - e0, c1 - e1, c2 - e2, c3 - e3))
+
+    def __rsub__(self, o):
+        a0, a1, a2, a3 = self.d1
+        c0, c1, c2, c3 = self.d2
+        return LaneJet2(o - self.f, (0.0 - a0, 0.0 - a1, 0.0 - a2, 0.0 - a3),
+                        (0.0 - c0, 0.0 - c1, 0.0 - c2, 0.0 - c3))
+
+    def __mul__(self, o):
+        f = self.f
+        a0, a1, a2, a3 = self.d1
+        c0, c1, c2, c3 = self.d2
+        if not isinstance(o, Jet2):
+            return LaneJet2(f * o, (a0 * o, a1 * o, a2 * o, a3 * o),
+                            (c0 * o, c1 * o, c2 * o, c3 * o))
+        g = o.f
+        b0, b1, b2, b3 = o.d1
+        e0, e1, e2, e3 = o.d2
+        return LaneJet2(
+            f * g,
+            (f * b0 + a0 * g, f * b1 + a1 * g, f * b2 + a2 * g, f * b3 + a3 * g),
+            (f * e0 + 2.0 * a0 * b0 + c0 * g, f * e1 + 2.0 * a1 * b1 + c1 * g,
+             f * e2 + 2.0 * a2 * b2 + c2 * g, f * e3 + 2.0 * a3 * b3 + c3 * g),
+        )
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        a0, a1, a2, a3 = self.d1
+        c0, c1, c2, c3 = self.d2
+        return LaneJet2(-self.f, (-a0, -a1, -a2, -a3), (-c0, -c1, -c2, -c3))
+
+    def _chain(self, f0, f1, f2):
+        a0, a1, a2, a3 = self.d1
+        c0, c1, c2, c3 = self.d2
+        return LaneJet2(f0, (f1 * a0, f1 * a1, f1 * a2, f1 * a3),
+                        (f2 * a0 * a0 + f1 * c0, f2 * a1 * a1 + f1 * c1,
+                         f2 * a2 * a2 + f1 * c2, f2 * a3 * a3 + f1 * c3))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
 def _check_nonzero(v, e):
     bad = v.f if isinstance(v, Jet2) else v
-    if np.any(np.asarray(bad) == 0):
+    if bad == 0 if isinstance(bad, float) else np.any(np.asarray(bad) == 0):
         raise DomainError("division by zero", e)
+
+
+def _function(n, a):
+    """The ``_FUNCS`` function of node ``n`` at ``a``.  A float argument
+    gives Python floats, so a point walk does no numpy scalar arithmetic."""
+    fn, derivs, check, _ = _FUNCS[n.kind]
+    b = a.f if isinstance(a, Jet2) else a
+    if isinstance(b, float):
+        if check is not None and check[0](b):
+            raise DomainError(check[1], n)
+        y = float(fn(b))
+        if isinstance(a, Jet2):
+            return a._chain(y, *map(float, derivs(b, y)))
+        return y
+    if check is not None and np.any(check[0](np.asarray(b))):
+        raise DomainError(check[1], n)
+    y = fn(b)
+    return a._chain(y, *derivs(b, y)) if isinstance(a, Jet2) else y
 
 
 def _last_reads(order):
@@ -546,39 +657,39 @@ def _eval(roots, bindings, release=False, jet=False):
             i = id(n)
             if i in memo:
                 continue
-            if n.value is not None:
-                r = n.value
-            elif n.kind == "add":
-                r = memo[id(n.args[0])] + memo[id(n.args[1])]
-            elif n.kind == "mul":
-                r = memo[id(n.args[0])] * memo[id(n.args[1])]
-            elif n.kind == "sub":
-                r = memo[id(n.args[0])] - memo[id(n.args[1])]
-            elif n.kind == "var":
-                try:
-                    r = bindings[n.payload]
-                except KeyError:
-                    raise UnboundVariableError(n.payload) from None
-            elif n.kind == "div":
-                b = memo[id(n.args[1])]
-                _check_nonzero(b, n)
-                a = memo[id(n.args[0])]
-                r = a * (1.0 / b) if jet and not isinstance(b, Jet2) else a / b
-            elif n.kind == "const":
-                raise DomainError("constant outside the float range", n)
-            elif n.kind == "pow":
-                a = memo[id(n.args[0])]
-                if n.payload < 0:
-                    _check_nonzero(a, n)
-                r = a ** n.payload
-            else:
-                a = memo[id(n.args[0])]
-                fn, derivs, check, _ = _FUNCS[n.kind]
-                b = a.f if isinstance(a, Jet2) else a
-                if check is not None and np.any(check[0](np.asarray(b))):
-                    raise DomainError(check[1], n)
-                y = fn(b)
-                r = a._chain(y, *derivs(b, y)) if isinstance(a, Jet2) else y
+            # Python floats raise where numpy arrays overflow to inf
+            try:
+                if n.value is not None:
+                    r = n.value
+                elif n.kind == "add":
+                    r = memo[id(n.args[0])] + memo[id(n.args[1])]
+                elif n.kind == "mul":
+                    r = memo[id(n.args[0])] * memo[id(n.args[1])]
+                elif n.kind == "sub":
+                    r = memo[id(n.args[0])] - memo[id(n.args[1])]
+                elif n.kind == "var":
+                    try:
+                        r = bindings[n.payload]
+                    except KeyError:
+                        raise UnboundVariableError(n.payload) from None
+                elif n.kind == "div":
+                    b = memo[id(n.args[1])]
+                    _check_nonzero(b, n)
+                    a = memo[id(n.args[0])]
+                    r = a * (1.0 / b) if jet and not isinstance(b, Jet2) else a / b
+                elif n.kind == "const":
+                    raise DomainError("constant outside the float range", n)
+                elif n.kind == "pow":
+                    a = memo[id(n.args[0])]
+                    if n.payload < 0:
+                        _check_nonzero(a, n)
+                    r = a ** n.payload
+                else:
+                    r = _function(n, memo[id(n.args[0])])
+            except ZeroDivisionError:
+                raise DomainError("division by zero", n) from None
+            except OverflowError:
+                raise DomainError("value outside the float range", n) from None
             memo[i] = r
             if drop:
                 for j in drop:

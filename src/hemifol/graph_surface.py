@@ -7,7 +7,11 @@ derivatives come from one order-2 jet walk of each along four directions,
 (1, 0), (0, 1), (1, 1) and (1, -1).  The first two give the gradient and the
 diagonal of the Hessian, and the mixed entry comes from polarization,
 H_xy = (D_(1,1)^2 H - D_(1,-1)^2 H) / 4, so the Hessian is symmetric by
-construction (Griewank, Utke & Walther, Math. Comp. 69 (2000)).
+construction (Griewank, Utke & Walther, Math. Comp. 69 (2000)).  The four
+directions are the float lanes of one :class:`expr.LaneJet2`, which equal
+numpy length-4 arrays bit for bit.  A power or a quotient that leaves the
+double range raises :class:`expr.DomainError`, an input error; a product
+past the range is inf, with no numpy warning.
 
 Sign convention: H is anchored to the example family's closed-form
 dH/dx = -2(a - a^3 + 3 c1 + 9 a^2 c1 + 6 a^4 c1) / (1 + 2 a^2)^(5/2)
@@ -121,19 +125,22 @@ class FoliationVerdict:
     verdict: str                   # 'Foliates' | 'DoesNotFoliate' | 'Inconclusive'
 
 
-# directions (1, 0), (0, 1), (1, 1), (1, -1) as the x and y parts of one jet
-_DX = np.array([1.0, 0.0, 1.0, 1.0])
-_DY = np.array([0.0, 1.0, 1.0, -1.0])
+# directions (1, 0), (0, 1), (1, 1), (1, -1) as the x and y lanes of one jet
+_X_LANES = (1.0, 0.0, 1.0, 1.0)
+_Y_LANES = (0.0, 1.0, 1.0, -1.0)
+_ZERO_LANES = (0.0, 0.0, 0.0, 0.0)
 
 
 def _derivatives(e: ex.Expr, x, y):
     """Value, gradient and coordinate Hessian of ``e`` at (x, y) from one
-    jet walk along the four directions; the mixed entry is polarized."""
-    j = ex.evaluate_jet(e, {"x": ex.Jet2(x, _DX, 0.0), "y": ex.Jet2(y, _DY, 0.0)})
-    d1 = np.broadcast_to(j.d1, 4)
-    d2 = np.broadcast_to(j.d2, 4)
+    jet walk along the four directions; the mixed entry is polarized.  A
+    constant ``e`` comes back as a plain jet, with zero derivatives."""
+    j = ex.evaluate_jet(e, {"x": ex.LaneJet2(x, _X_LANES, _ZERO_LANES),
+                            "y": ex.LaneJet2(y, _Y_LANES, _ZERO_LANES)})
+    d1, d2 = ((j.d1, j.d2) if isinstance(j, ex.LaneJet2)
+              else (_ZERO_LANES, _ZERO_LANES))
     mixed = 0.25 * (d2[2] - d2[3])
-    return j.f, d1[:2].copy(), np.array([[d2[0], mixed], [mixed, d2[1]]])
+    return j.f, np.array(d1[:2]), np.array([[d2[0], mixed], [mixed, d2[1]]])
 
 
 def curvature_at(s: GraphSurface, x: float, y: float) -> CurvatureData:

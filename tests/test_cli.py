@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,48 @@ class TestAnalyze:
         assert set(codes) <= {0, 1, 2}
         assert live() - before < 100
         capsys.readouterr()
+
+    def test_constants_of_analyzed_surfaces_swept(self, tmp_path, capsys):
+        # constants are interned by numerator and denominator; a freed
+        # surface's entries leave the table at the next sweep
+        rng = np.random.default_rng(5)
+        keys, surfaces = [], []
+        for i in range(5):
+            a = float(rng.uniform(0.0, 0.45))
+            c = (-a + a ** 3) / (3.0 + 9.0 * a ** 2 + 6.0 * a ** 4)
+            path = tmp_path / f"s{i}.surf"
+            path.write_text(f"name = s{i}\nu = a*x + a*y + x*y - c1*x^3 - c2*y^3\n"
+                            f"params: a={a!r}, c1={c!r}, c2={c!r}\n")
+            assert cli.main(["analyze", str(path), "--case", "willmore"]) in (0, 1, 2)
+            surfaces.append(gs.load_surface_file(path))
+            keys += [("const", f.numerator, f.denominator)
+                     for f in (Fraction(repr(a)), Fraction(repr(c)))]
+        assert all(ex._TABLE[k]() is not None for k in keys)
+        del surfaces
+        gc.collect()
+        ex._sweep()
+        assert not set(keys) & set(ex._TABLE)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("u, params, message", [
+        # Jet2.powi's x^2 overflows a Python float
+        ("a*x^2 + x*y + y^2", "a=1e200",
+         "value outside the float range in 'pow' subexpression of 213 characters"),
+        # the reciprocal of a jet squares its divisor, which underflows to 0
+        ("x*y + x^2 + y^2 + c/(a*(x + 2))", "a=1e-100, c=1e-200",
+         "division by zero in subexpression '0/(1/1" + "0" * 100 + "*(x + 2))^2'"),
+        # the jet of H cubes (1 + |grad u|^2)^(3/2), past the float range
+        ("a*x + a*y + x*y", "a=1e40",
+         "critical point at (0.01, -0.01) has |det hessH| <= 1e-10"),
+    ], ids=["overflow", "underflow", "steep"])
+    @pytest.mark.filterwarnings("error")
+    def test_arithmetic_out_of_range(self, tmp_path, capsys, u, params, message):
+        path = tmp_path / "s.surf"
+        path.write_text(f"name = s\nu = {u}\nparams: {params}\n")
+        assert cli.main(["analyze", str(path), "--case", "cmc"]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hemifol: error: {message}\n"
 
     def test_same_surface_twice_with_dag_freed(self, tmp_path):
         path = _surface_file(tmp_path, 0.3)

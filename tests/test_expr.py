@@ -593,6 +593,71 @@ def test_constant_beyond_float_range_is_a_domain_error():
     assert "constant outside the float range" in str(err.value)
 
 
+def test_constants_interned_by_value():
+    half = ex.const(Fraction(1, 2))
+    assert ex.const(Fraction(2, 4)) is half
+    assert ex.parse("0.5") is half
+    assert ex.const("1/2") is half
+    assert ex.const(2) is ex.const(Fraction(2))
+    assert ex.const(2.0) is ex.const(2)
+    assert ex.const(Fraction(-3, 6)) is not half
+    assert ex.const(Fraction(-3, 6)).payload == Fraction(-1, 2)
+
+
+def test_dropped_constant_is_freed_and_swept():
+    c = ex.const(Fraction(123457, 987653))
+    key = ("const", 123457, 987653)
+    assert ex._TABLE[key]() is c
+    probe = weakref.ref(c)
+    del c
+    gc.collect()
+    assert probe() is None
+    ex._sweep()
+    assert key not in ex._TABLE
+
+
+def test_float_overflow_is_a_domain_error():
+    e = ex.parse("x^2")
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(e, {"x": 1e200})
+    assert str(err.value) == "value outside the float range in subexpression 'x^2'"
+    assert err.value.subtree is e
+    # arrays overflow to inf, as before
+    with np.errstate(over="ignore"):
+        assert ex.evaluate(e, {"x": np.array([1e200])})[0] == math.inf
+    for jet in (ex.Jet2(1e200, 1.0, 0.0), ex.LaneJet2(1e200, (1.0,) * 4, (0.0,) * 4)):
+        with pytest.raises(ex.DomainError) as err:
+            ex.evaluate_jet(e, {"x": jet})
+        assert err.value.subtree is e
+
+
+def test_underflowed_jet_divisor_is_a_domain_error():
+    # 1/x of a jet divides by x*x, which underflows to 0 at x = 1e-200
+    e = ex.parse("1 + 1/x")
+    for jet in (ex.Jet2(1e-200, 1.0, 0.0), ex.LaneJet2(1e-200, (1.0,) * 4, (0.0,) * 4)):
+        with pytest.raises(ex.DomainError) as err:
+            ex.evaluate_jet(e, {"x": jet})
+        assert str(err.value) == "division by zero in subexpression '1/x'"
+    assert ex.evaluate(e, {"x": 1e-200}) == 1e200
+    # the derivative of sqrt at an exact 0
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate_jet(ex.parse("sqrt(x)"), {"x": ex.Jet2(0.0, 1.0, 0.0)})
+    assert str(err.value) == "division by zero in subexpression 'sqrt(x)'"
+
+
+@pytest.mark.filterwarnings("error")
+def test_point_walks_return_python_floats():
+    e = ex.parse("sin(x)*ln(x) + sqrt(x)*cos(x) - artanh(x/2) + cot(x)")
+    assert type(ex.evaluate(e, {"x": 0.5})) is float
+    j = ex.evaluate_jet(e, {"x": ex.LaneJet2(0.5, (1.0, 0.0, 1.0, 1.0), (0.0,) * 4)})
+    assert type(j.f) is float
+    assert {type(v) for v in j.d1 + j.d2} == {float}
+    # products past the float range are inf, with no numpy warning
+    big = ex.evaluate_jet(ex.parse("(sqrt(x)*x)*(sqrt(x)*x)*(sqrt(x)*x)"),
+                          {"x": ex.LaneJet2(1e80, (1.0,) * 4, (0.0,) * 4)})
+    assert big.f == math.inf
+
+
 def test_domain_error_message_is_bounded():
     # n doublings of w3 print as 2^n copies of it, 5 * 2^n - 3 characters,
     # inside ln(0 - (...)): quoted when short, measured when long

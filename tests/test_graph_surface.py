@@ -155,6 +155,145 @@ class TestJetAgainstSymbolic:
         self._agree(s, x, y)
 
 
+# The four-direction walk as numpy Jet2s with length-4 array parts, as
+# _derivatives made it before its jets carried float lanes: the reference
+# that the lanes must equal bit for bit.
+_REF_DX = np.array([1.0, 0.0, 1.0, 1.0])
+_REF_DY = np.array([0.0, 1.0, 1.0, -1.0])
+
+
+def _array_lane_jet(e, x, y):
+    return ex.evaluate_jet(e, {"x": ex.Jet2(x, _REF_DX, 0.0),
+                               "y": ex.Jet2(y, _REF_DY, 0.0)})
+
+
+def _array_lane_derivatives(e, x, y):
+    j = _array_lane_jet(e, x, y)
+    d1 = np.broadcast_to(j.d1, 4)
+    d2 = np.broadcast_to(j.d2, 4)
+    mixed = 0.25 * (d2[2] - d2[3])
+    return j.f, d1[:2].copy(), np.array([[d2[0], mixed], [mixed, d2[1]]])
+
+
+def _lane_bits(j):
+    """Bytes of f, d1 and d2 with d1 and d2 as four lanes; signed zeros
+    and NaN payloads count."""
+    return tuple(np.broadcast_to(np.asarray(p, dtype=float), s).tobytes()
+                 for p, s in ((j.f, ()), (j.d1, 4), (j.d2, 4)))
+
+
+def _lane_walk(e, x, y):
+    return ex.evaluate_jet(e, {"x": ex.LaneJet2(x, gs._X_LANES, gs._ZERO_LANES),
+                               "y": ex.LaneJet2(y, gs._Y_LANES, gs._ZERO_LANES)})
+
+
+def _assert_lanes_equal_arrays(e, x, y):
+    assert _lane_bits(_lane_walk(e, x, y)) == _lane_bits(_array_lane_jet(e, x, y)), \
+        (ex.to_string(e), x, y)
+
+
+def _data_bits(d):
+    return {name: (value if isinstance(value, bool)
+                   else np.asarray(value, dtype=float).tobytes())
+            for name, value in vars(d).items()}
+
+
+class TestLanesBitIdentical:
+    """The float-lane jet of :func:`gs._derivatives` against the numpy
+    Jet2 walk with length-4 arrays, compared byte for byte."""
+
+    def test_gallery_grid(self):
+        for a in np.linspace(0.0, 0.7, 29):
+            s = gs.gallery_surface(float(a))
+            for x, y in ((0.0, 0.0), (0.25, -0.4), (-0.9, 0.7)):
+                _assert_lanes_equal_arrays(s.H, x, y)
+                _assert_lanes_equal_arrays(s.K, x, y)
+
+    def test_analysis_cubics_at_random_points(self):
+        rng = np.random.default_rng(26)
+        for _ in range(12):
+            a = float(rng.uniform(0.0, 0.55))
+            x0, y0 = (round(float(v), 6) for v in rng.uniform(-0.3, 0.3, 2))
+            s = _translated_gallery(a, x0, y0)
+            for x, y in [(x0, y0)] + [tuple(map(float, p))
+                                      for p in rng.uniform(-1.0, 1.0, (4, 2))]:
+                _assert_lanes_equal_arrays(s.H, x, y)
+                _assert_lanes_equal_arrays(s.K, x, y)
+
+    def test_every_node_kind(self):
+        corpus = [
+            "ln(2 + x*y) * sqrt(3 + x - y^2)",
+            "sin(x*y) + cos(x - 2*y)",
+            "cos(x)", "cos(y)/3",                 # -0.0 in the lanes of the other variable
+            "artanh(x*y/4) - cot(1 + x/3 + y/5)",
+            "(x + y)/3 + x/(1 + y^2)",            # plain and jet divisors
+            "(1 + x^2 + y^2)^-2 * x^3",           # negative and positive powers
+            "1 - x*y",                            # constant minus jet
+            "pi/(2 + sin(x)) - 0/(1 + x^2)",
+            "x", "y", "7/3",                      # a binding and a constant root
+        ]
+        rng = np.random.default_rng(7)
+        points = [(0.0, 0.0), (-0.0, 0.5), (0.3, -0.0)] + [
+            tuple(map(float, p)) for p in rng.uniform(-0.9, 0.9, (6, 2))]
+        for text in corpus:
+            e = ex.parse(text)
+            for x, y in points:
+                _assert_lanes_equal_arrays(e, x, y)
+            for name in ("x", "y"):
+                d = ex.diff(e, name)
+                for x, y in points:
+                    _assert_lanes_equal_arrays(d, x, y)
+        # operators, unary minus included, on jets with signed zeros and a
+        # non-finite part, and plain operands (nonzero divisors: a walk
+        # checks those before it divides)
+        ops = (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a * b, lambda a, b: a / b)
+        parts = [(0.7, (0.5, -0.0, 3.0, -2.5), (0.0, 1e300, -1e-300, math.inf)),
+                 (-0.0, (0.0, 1e300, -1e-300, math.inf), (-0.0, 2.0, 0.5, -1.0)),
+                 (-2.0, (1.0, -1.0, 0.0, 4.0), (0.5, -0.0, 3.0, -2.5))]
+        jets = [(ex.LaneJet2(f, d1, d2), ex.Jet2(f, np.array(d1), np.array(d2)))
+                for f, d1, d2 in parts]
+        with np.errstate(all="ignore"):
+            for p, pr in jets:
+                assert _lane_bits(-p) == _lane_bits(-pr)
+                assert _lane_bits(p ** 3) == _lane_bits(pr ** 3)
+                for q, qr in jets[::2]:
+                    for op in ops:
+                        assert _lane_bits(op(p, q)) == _lane_bits(op(pr, qr))
+                for c in (2.0, -0.0, -3.25):
+                    for op in ops[:3]:
+                        assert _lane_bits(op(p, c)) == _lane_bits(op(pr, c))
+                        assert _lane_bits(op(c, p)) == _lane_bits(op(c, pr))
+                for c in (2.0, -3.25):
+                    assert _lane_bits(p / c) == _lane_bits(pr / c)
+            for q, qr in jets[::2]:
+                assert _lane_bits(1.5 / q) == _lane_bits(1.5 / qr)
+                assert _lane_bits(q ** -2) == _lane_bits(qr ** -2)
+
+    def test_constant_has_zero_derivatives(self):
+        f, grad, hess = gs._derivatives(ex.parse("5/2"), 0.1, 0.2)
+        assert f == 2.5
+        assert grad.tobytes() == np.zeros(2).tobytes()
+        assert hess.tobytes() == np.zeros((2, 2)).tobytes()
+
+    def test_curvature_data_and_newton(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(6):
+            a = float(rng.uniform(0.0, 0.45))
+            x0, y0 = (round(float(v), 6) for v in rng.uniform(-0.3, 0.3, 2))
+            cases.append((_translated_gallery(a, x0, y0), (x0 + 0.005, y0 - 0.005)))
+        for u in ("x*y + sqrt(4 + x^2) - cos(y)/3",
+                  "x*y + x^2*sqrt(1 + y^2)/3 + artanh(x/2)*y"):
+            cases.append((gs.GraphSurface(ex.parse(u)), (0.05, -0.05)))
+        got = [(_data_bits(gs.curvature_at(s, *p)), _data_bits(gs.find_critical_point(s, p)))
+               for s, p in cases]
+        monkeypatch.setattr(gs, "_derivatives", _array_lane_derivatives)
+        want = [(_data_bits(gs.curvature_at(s, *p)), _data_bits(gs.find_critical_point(s, p)))
+                for s, p in cases]
+        assert got == want
+
+
 class TestV0:
     @pytest.mark.parametrize("a", [0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.5])
     def test_matrix_solve_matches_closed_form(self, a):
