@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -221,13 +222,29 @@ def _sweep():
     _sweep_at = max(_SWEEP_MIN, 2 * len(_TABLE))
 
 
+_LOG2_10 = math.log2(10)
+# Python's limit on the digits of an int converted to text (0: none)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def const(x) -> Expr:
     if isinstance(x, Expr):
         return x
+    limit = _digit_limit()
     if not isinstance(x, Fraction):
         if isinstance(x, float) and not x.is_integer():
             raise TypeError("float constants are not exact; pass a Fraction or string")
+        # Fraction builds 10^exponent of a text such as 1e999999: an exponent
+        # past the digit limit, with the text's digits to spare, is refused
+        exponent = isinstance(x, str) and re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*$", x)
+        if limit and exponent and int(exponent[1]) > limit + len(x):
+            raise ExprError(f"constant of more than {limit} digits")
         x = Fraction(x)
+    # a constant past the digit limit could not be printed, not even in an
+    # error message, so it is refused
+    big = max(abs(x.numerator), x.denominator)
+    if limit and big.bit_length() > limit * _LOG2_10 and big >= 10 ** limit:
+        raise ExprError(f"constant of more than {limit} digits")
     # keyed by two ints: hashing a Fraction takes a modular inverse
     return _mk("const", x, key=("const", x.numerator, x.denominator))
 
@@ -305,8 +322,14 @@ def powi(a, n: int) -> Expr:
         return ONE
     if n == 1:
         return a
-    if _is_const(a):
-        return const(a.payload ** n)
+    # 0^-n is left to evaluation, as a division by a constant zero is; as
+    # |p|^|n| >= 2^(|n| (bits(p) - 1)), a power far past the limit is refused
+    if _is_const(a) and (a.payload or n > 0):
+        limit, x = _digit_limit(), a.payload
+        bits = max(abs(x.numerator), x.denominator).bit_length() - 1
+        if limit and abs(n) * bits >= limit * _LOG2_10:
+            raise DomainError(f"constant of more than {limit} digits", _mk("pow", n, (a,)))
+        return const(x ** n)
     return _mk("pow", n, (a,))
 
 

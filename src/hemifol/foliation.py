@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
+from . import quadrature as hq
 
 __all__ = [
     "LeafFamily", "RayIntersection", "PairResult", "FoliationReport",
@@ -94,35 +95,29 @@ class LeafFamily:
                          for w in ("w1", "w2", "w3"))
         self._check_boundary_condition()
         self.c_bound = self._estimate_bound()
-        if self.lambda_max * self.c_bound >= 1:
+        if not self.lambda_max * self.c_bound < 1:
             raise ValueError("lambda_max * sup(|f| + |Df|) must be below 1")
 
+    # both checks bind lambda as a column against a row of points, so one
+    # walk covers every lambda; a NaN fails them
     def _check_boundary_condition(self):
-        phi = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        for lam in np.linspace(0.0, self.lambda_max, 5):
-            vals = ex.evaluate(self.f_exprs[2], {
-                "lambda": np.full_like(phi, lam),
-                "w1": np.cos(phi), "w2": np.sin(phi),
-                "w3": np.zeros_like(phi)})
-            if np.max(np.abs(np.asarray(vals, dtype=float))) > 1e-12:
-                raise ValueError("f3 must vanish on the equator")
+        lam = np.linspace(0.0, self.lambda_max, 5)[:, None]
+        vals = ex.evaluate(self.f_exprs[2], {**hq.equator_rule(64).bindings, "lambda": lam})
+        if not np.max(np.abs(np.asarray(vals, dtype=float))) <= 1e-12:
+            raise ValueError("f3 must vanish on the equator")
 
     def _estimate_bound(self):
         t = np.linspace(0.0, 1.0, 12)
         phi = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
         tt, pp = np.meshgrid(t, phi, indexing="ij")
         s = np.sqrt(np.clip(1 - tt ** 2, 0.0, None))
-        b = {"w1": (s * np.cos(pp)).ravel(), "w2": (s * np.sin(pp)).ravel(),
-             "w3": tt.ravel()}
-        sup = 0.0
-        for lam in np.linspace(0.0, self.lambda_max, 4):
-            bl = dict(b, **{"lambda": np.full_like(b["w3"], lam)})
-            zero = np.zeros_like(b["w3"])
-            sq = [np.broadcast_to(np.asarray(val, dtype=float), zero.shape) ** 2
-                  for val in ex.evaluate(self.f_exprs + self._df, bl)]
-            sup = max(sup, float(np.max(np.sqrt(sum(sq[:3], zero))
-                                        + np.sqrt(sum(sq[3:], zero)))))
-        return sup
+        lam = np.linspace(0.0, self.lambda_max, 4)[:, None]
+        b = {"lambda": lam, "w1": (s * np.cos(pp)).ravel(),
+             "w2": (s * np.sin(pp)).ravel(), "w3": tt.ravel()}
+        zero = np.zeros((lam.size, tt.size))
+        sq = [np.broadcast_to(np.asarray(val, dtype=float), zero.shape) ** 2
+              for val in ex.evaluate(self.f_exprs + self._df, b)]
+        return float(np.max(np.sqrt(sum(sq[:3], zero)) + np.sqrt(sum(sq[3:], zero))))
 
     def f(self, lam, omega):
         """Perturbation at points omega (shape (..., 3)) -> same shape."""

@@ -315,7 +315,11 @@ def load_surface_file(path) -> GraphSurface:
             if line.startswith("params:"):
                 for item in line[len("params:"):].split(","):
                     key, _, val = item.partition("=")
-                    params[key.strip()] = ex.const(Fraction(val.strip()))
+                    try:
+                        params[key.strip()] = ex.const(val.strip())
+                    except (ZeroDivisionError, ex.ExprError) as err:
+                        why = "zero denominator" if isinstance(err, ZeroDivisionError) else err
+                        raise ValueError(f"params item '{item.strip()}': {why}") from None
                 continue
             key, _, val = line.partition("=")
             key = key.strip()

@@ -16,8 +16,8 @@ Willmore case, and the mass/center constraints.
 The curvatures are bindings, not constants: every field keeps the symbols
 k1, k2 and each evaluation binds the problem's numbers, so all calls of a
 case evaluate one DAG, differentiated once, and add no node.  That DAG is
-held by per-case caches (:func:`_residual_fields`,
-:func:`_multiplier_fields`); the intern table alone keeps no node alive.
+held by one field table (:func:`_fields`), and each set of points gets one
+walk over the fields read there; the intern table alone keeps no node alive.
 
 The ODE mode functions do not depend on the curvatures, which enter only
 the mode coefficients and the -f/2 term.  So :func:`solve_ode_modes`
@@ -159,16 +159,11 @@ class ResidualReport:
 
 
 # residual sample points (t, phi): a grid of the hemisphere short of the
-# pole, where the (t, phi) chart is singular, and the equator
-_GRID = tuple(a.ravel() for a in np.meshgrid(
+# pole, where the (t, phi) chart is singular; the equator's are the nodes
+# of the boundary rule
+_GRID = dict(zip(("t", "phi"), (a.ravel() for a in np.meshgrid(
     np.linspace(0.0, 0.95, 97), np.linspace(0.0, 2 * np.pi, 64, endpoint=False),
-    indexing="ij"))
-_EQUATOR = (np.zeros(256), np.linspace(0.0, 2 * np.pi, 256, endpoint=False))
-
-
-def _sup(e: ex.Expr, points, kb):
-    t, phi = points
-    return float(np.max(np.abs(ex.evaluate(e, dict(kb, t=t, phi=phi)))))
+    indexing="ij"))))
 
 
 def residual_check(p: LinearizedProblem, u: ex.Expr) -> ResidualReport:
@@ -177,42 +172,43 @@ def residual_check(p: LinearizedProblem, u: ex.Expr) -> ResidualReport:
     candidate u over omega (or already in (t, phi)); k1 and k2 are bound
     to the problem's curvatures, so ``u`` may keep them as symbols."""
     kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
-    fields = _residual_fields(p.case, u)
-    interior = _sup(fields["interior"], _GRID, kb)
-    if p.case == "cmc":
-        third = float("nan")
-        mass_target = 0.0
-    else:
-        third = _sup(fields["third_order"], _EQUATOR, kb)
-        mass_target = math.pi / 8.0 * p.H
-    neumann = _sup(fields["neumann"], _EQUATOR, kb)
-    mass = abs(hq.integrate_surface(fields["u"], extra=kb) - mass_target)
-    center = max(
-        abs(hq.integrate_surface(fields["w1_u"], extra=kb)),
-        abs(hq.integrate_surface(fields["w2_u"], extra=kb)),
-    )
-    return ResidualReport(p.case, interior, neumann, third, mass, center)
+    fields = _fields(p.case, u)
+    values = [ex.evaluate(fields["interior"], dict(_GRID, **kb)), *ex.evaluate(
+        [fields[k] for k in ("third_order", "neumann") if k in fields],
+        {**hq.equator_rule(256).bindings, **kb})]
+    interior, *third, neumann = (float(np.max(np.abs(v))) for v in values)
+    mass, w1_u, w2_u = hq.integrate_surface(
+        [fields["u"], fields["w1_u"], fields["w2_u"]], extra=kb)
+    mass_target = math.pi / 8.0 * p.H if p.case == "willmore" else 0.0
+    return ResidualReport(p.case, interior, neumann, third[0] if third else float("nan"),
+                          abs(mass - mass_target), max(abs(w1_u), abs(w2_u)))
 
 
 @functools.lru_cache(maxsize=4)
-def _residual_fields(case: str, u: ex.Expr) -> Mapping[str, ex.Expr]:
-    """The fields :func:`residual_check` evaluates for ``case`` and the
-    candidate ``u``, in (t, phi) with k1 and k2 free.  Building them takes
-    the Laplacian of u twice (Willmore), so they are kept for the last few
-    candidates, the closed form of each case among them."""
+def _fields(case: str, u: ex.Expr) -> Mapping[str, ex.Expr]:
+    """Every field evaluated for ``case`` and the candidate ``u``, in
+    (t, phi) with k1 and k2 free: the residuals of :func:`residual_check`
+    and, at ``u = uprime_expr(case)``, the integrands of
+    :func:`multipliers`, their shared parts one set of nodes.  Building
+    them takes the Laplacian of u twice (Willmore), so they are kept for
+    the last few candidates, the closed form of each case among them."""
     ut = sphere.to_tphi(u) if ex.free_variables(u) & {"w1", "w2", "w3"} else u
     rhs = sphere.to_tphi(pde_rhs_expr(case))
     lap2_u = sphere.laplacian(ut) + 2 * ut
+    du_eta = sphere.eta_derivative(ut)
     kappa_form = sphere.to_tphi(_KAPPA_FORM)
     if case == "cmc":
-        fields = {"interior": lap2_u - rhs - ex.const(3) / 8 * _H}
+        fields = {"interior": lap2_u - rhs - ex.const(3) / 8 * _H, "rhs": rhs}
     else:
-        fields = {
-            "interior": sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + _H,
-            "third_order": sphere.eta_derivative(lap2_u) - 7 * kappa_form + _H,
-        }
-    fields.update(neumann=sphere.eta_derivative(ut) + kappa_form, u=ut,
-                  w1_u=ut * sphere.OMEGA[0], w2_u=ut * sphere.OMEGA[1])
+        # lap2_u_eta is the third-order residual less its data
+        fields = {"interior": sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + _H,
+                  "lap2_u_eta": sphere.eta_derivative(lap2_u),
+                  "rhs_eta": sphere.eta_derivative(rhs)}
+        fields["third_order"] = fields["lap2_u_eta"] - 7 * kappa_form + _H
+    fields.update(neumann=du_eta + kappa_form, u=ut, du_eta=du_eta)
+    for i in (1, 2):
+        fields.update({f"w{i}_{k}": sphere.OMEGA[i - 1] * fields[k]
+                       for k in ("u", "du_eta", "rhs" if case == "cmc" else "lap2_u_eta")})
     return MappingProxyType(fields)
 
 
@@ -415,50 +411,27 @@ def multipliers(p: LinearizedProblem) -> tuple[float, np.ndarray]:
     rounding scales with the curvatures, not with H, which vanishes at
     k2 = -k1 while the fields do not; beta' = (0, 0) in both
     cases.  The curvatures are bound, not substituted, so every call of a
-    case evaluates the same fields (:func:`_multiplier_fields`)."""
+    case evaluates the same fields (:func:`_fields` of the closed form)."""
     kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
-    fields = _multiplier_fields(p.case)
+    fields = _fields(p.case, uprime_expr(p.case))
 
-    def surface(name):
-        return hq.integrate_surface(fields[name], extra=kb)
-
-    def boundary(name):
-        return hq.integrate_boundary(fields[name], extra=kb)
+    def integrals(integrate, *names):
+        return dict(zip(names, integrate([fields[n] for n in names], extra=kb)))
 
     if p.case == "cmc":
-        alpha = ((surface("rhs") + boundary("du_eta") - 2.0 * surface("u"))
-                 / (2.0 * math.pi))
-        beta = np.array([-boundary(f"w{i}_du_eta") - surface(f"w{i}_rhs")
-                         for i in (1, 2)])
+        s = integrals(hq.integrate_surface, "rhs", "u", "w1_rhs", "w2_rhs")
+        b = integrals(hq.integrate_boundary, "du_eta", "w1_du_eta", "w2_du_eta")
+        alpha = (s["rhs"] + b["du_eta"] - 2.0 * s["u"]) / (2.0 * math.pi)
+        beta = np.array([-b[f"w{i}_du_eta"] - s[f"w{i}_rhs"] for i in (1, 2)])
         closed = -3.0 / 8.0 * p.H
     else:
-        alpha = (-boundary("third_order") + boundary("rhs_eta")) / (-8.0 * math.pi)
-        beta = np.array([
-            0.5 * (2.0 * boundary(f"w{i}_du_eta") - boundary(f"w{i}_third_order"))
-            for i in (1, 2)
-        ])
+        b = integrals(hq.integrate_boundary, "lap2_u_eta", "rhs_eta", "w1_du_eta",
+                      "w2_du_eta", "w1_lap2_u_eta", "w2_lap2_u_eta")
+        alpha = (-b["lap2_u_eta"] + b["rhs_eta"]) / (-8.0 * math.pi)
+        beta = np.array([0.5 * (2.0 * b[f"w{i}_du_eta"] - b[f"w{i}_lap2_u_eta"])
+                         for i in (1, 2)])
         closed = p.H / 4.0
     if abs(alpha - closed) > 1e-8 * max(1.0, abs(p.kappa1) + abs(p.kappa2)):
         raise ConstraintSingular(
             f"numeric alpha'(0) = {alpha} disagrees with closed form {closed}")
     return alpha, beta
-
-
-@functools.cache
-def _multiplier_fields(case: str) -> Mapping[str, ex.Expr]:
-    """The integrands of :func:`multipliers` for ``case`` ('cmc' or
-    'willmore'), in (t, phi) with k1 and k2 free; built and differentiated
-    once per case for the life of the process."""
-    ut = sphere.to_tphi(uprime_expr(case))
-    rhs = sphere.to_tphi(pde_rhs_expr(case))
-    du_eta = sphere.eta_derivative(ut)
-    w = {i: sphere.OMEGA[i - 1] for i in (1, 2)}
-    fields = {f"w{i}_du_eta": w[i] * du_eta for i in w}
-    if case == "cmc":
-        fields.update(rhs=rhs, du_eta=du_eta, u=ut)
-        fields.update({f"w{i}_rhs": w[i] * rhs for i in w})
-    else:
-        third = sphere.eta_derivative(sphere.laplacian(ut) + 2 * ut)
-        fields.update(third_order=third, rhs_eta=sphere.eta_derivative(rhs))
-        fields.update({f"w{i}_third_order": w[i] * third for i in w})
-    return MappingProxyType(fields)

@@ -12,7 +12,8 @@ grid times 32 radial shells for the half ball, and the trapezoid rule on
 the equator -- is a :class:`Rule` built once per size and shared
 read-only.  Its nodes bind omega (w1, w2, w3) and (t, phi) alike, and
 :meth:`Rule.sum` is the one weighted sum, for floats and for the parts of
-a ``Jet2``.  All reductions use a fixed summation order, so results are
+a ``Jet2``; :meth:`Rule.integrate` walks one expression or a sequence of
+them once.  All reductions use a fixed summation order, so results are
 bit-reproducible.
 """
 
@@ -110,10 +111,12 @@ class Rule:
             return float(np.sum(np.broadcast_to(values, (n,))) * 2.0 * np.pi / n)
         return float(np.sum(np.broadcast_to(values, self.weights.shape) * self.weights))
 
-    def integrate(self, e: ex.Expr, extra: dict | None = None) -> float:
+    def integrate(self, e, extra: dict | None = None):
         """The weighted sum of ``e`` evaluated at the nodes, with any extra
-        bindings."""
-        return self.sum(ex.evaluate(e, {**self.bindings, **(extra or {})}))
+        bindings; a sequence of expressions gives the list of their sums,
+        from one walk over one memo."""
+        values = ex.evaluate(e, {**self.bindings, **(extra or {})})
+        return self.sum(values) if isinstance(e, ex.Expr) else list(map(self.sum, values))
 
 
 def _rule(weights, **nodes) -> Rule:
@@ -194,18 +197,18 @@ def boundary_moment(a: int, b: int) -> Fraction:
     return _azimuthal_coeff(a, b)
 
 
-def integrate_surface(e: ex.Expr, grid: QuadratureGrid = QuadratureGrid(),
-                      extra: dict | None = None) -> float:
+def integrate_surface(e, grid: QuadratureGrid = QuadratureGrid(),
+                      extra: dict | None = None):
     """Hemisphere integral of an expression in w1, w2, w3, in (t, phi), or
     in both (plus any extra bindings); spectrally accurate for smooth
-    integrands."""
+    integrands.  A sequence of expressions gives a list from one walk."""
     return surface_rule(grid).integrate(e, extra)
 
 
-def integrate_boundary(e: ex.Expr, n: int = 256,
-                       extra: dict | None = None) -> float:
+def integrate_boundary(e, n: int = 256, extra: dict | None = None):
     """Equator line integral of an expression in w1, w2, w3, in (t, phi),
-    or in both, by the uniform trapezoid rule with n nodes."""
+    or in both, by the uniform trapezoid rule with n nodes; a sequence of
+    expressions gives a list from one walk."""
     return equator_rule(n).integrate(e, extra)
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import sys
 import warnings
 import weakref
 from fractions import Fraction
@@ -183,6 +184,28 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"hemifol: error: {message}\n"
+
+    @pytest.mark.parametrize("u, params, message", [
+        # Fraction(1, 0) raised ZeroDivisionError, exit 1
+        ("a*x + x*y + x^2 + y^2", "a=1/0", "params item 'a=1/0': zero denominator"),
+        # a literal or a folded power past str()'s digit limit could not be
+        # printed in the message; both are refused before being built
+        ("a*x + x*y + x^2 + y^2", "a=1e999999",
+         "params item 'a=1e999999': constant of more than {limit} digits"),
+        ("x*y + 3^999999*x^2 + y^2", "",
+         "constant of more than {limit} digits in subexpression '3^999999'"),
+        ("x*y + x^2 + 2^-999999*y^2", "a=1",
+         "constant of more than {limit} digits in subexpression '1/2^999999'"),
+    ], ids=["zero-denominator", "long-param", "long-power", "long-inverse-power"])
+    @pytest.mark.filterwarnings("error")
+    def test_bad_constant(self, tmp_path, capsys, u, params, message):
+        path = tmp_path / "s.surf"
+        path.write_text(f"name = s\nu = {u}\n" + (f"params: {params}\n" if params else ""))
+        assert cli.main(["analyze", str(path), "--case", "cmc"]) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"hemifol: error: {message.format(limit=limit)}\n"
 
     def test_same_surface_twice_with_dag_freed(self, tmp_path):
         path = _surface_file(tmp_path, 0.3)

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import weakref
 from fractions import Fraction
 
@@ -591,6 +592,72 @@ def test_constant_beyond_float_range_is_a_domain_error():
     with pytest.raises(ex.DomainError) as err:
         ex.evaluate(e, {"x": 1.0})
     assert "constant outside the float range" in str(err.value)
+
+
+def test_constants_within_the_digit_limit():
+    # a constant whose numerator or denominator has more digits than str()
+    # of an int allows is refused, exactly past the limit
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** limit
+    for x in (Fraction(big - 1), Fraction(1, big - 1), Fraction(-(big - 1), 7)):
+        assert ex.to_string(ex.const(x))
+    for x in (Fraction(big), Fraction(1, big), Fraction(-big, 7), big):
+        with pytest.raises(ex.ExprError) as err:
+            ex.const(x)
+        assert str(err.value) == f"constant of more than {limit} digits"
+    # a product of two folded constants is checked too
+    with pytest.raises(ex.ExprError):
+        ex.parse(f"{'9' * (limit // 2 + 1)}*{'9' * (limit // 2 + 1)}*x")
+    # a text's exponent is checked before Fraction builds its power of ten
+    for text in ("1e999999", "-2.5e-999_999", f"1e{limit}", "7E+99999 "):
+        with pytest.raises(ex.ExprError) as err:
+            ex.const(text)
+        assert str(err.value) == f"constant of more than {limit} digits"
+    assert ex.const(f"0.001e{limit + 2}").payload == 10 ** (limit - 1)
+
+
+@pytest.mark.parametrize("text, power", [
+    ("3^999999*x", "3^999999"), ("x + 2^-999999", "1/2^999999"),
+    ("(1/3)^999999 - x", "(1/3)^999999"), ("(0-7)^999999*x", "(0 - 7)^999999")],
+    ids=["3", "2", "1/3", "-7"])
+def test_power_past_the_digit_limit_refused(text, power):
+    # refused from the bit lengths, before the power is computed
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ex.DomainError) as err:
+        ex.parse(text)
+    assert str(err.value) == (f"constant of more than {limit} digits in "
+                              f"subexpression '{power}'")
+
+
+def test_power_just_past_the_digit_limit_refused():
+    # 10^limit is computed, and const() refuses it
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ex.ExprError) as err:
+        ex.parse(f"10^{limit}*x")
+    assert str(err.value) == f"constant of more than {limit} digits"
+    assert ex.parse(f"10^{limit - 1}*x").args[0].payload == 10 ** (limit - 1)
+
+
+def test_digit_limit_follows_the_interpreter():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert ex.const(Fraction(10 ** 5000)).payload == 10 ** 5000
+        assert ex.parse("7^6000*x") is not None
+        sys.set_int_max_str_digits(1000)
+        with pytest.raises(ex.ExprError, match="more than 1000 digits in subexpression '7"):
+            ex.parse("7^2000*x")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_zero_to_a_negative_power_is_not_folded():
+    # like a division by a constant zero, left to evaluation
+    e = ex.parse("0^-1*x")
+    with pytest.raises(ex.DomainError) as err:
+        ex.evaluate(e, {"x": 1.0})
+    assert str(err.value) == "division by zero in subexpression '1/0'"
+    assert ex.parse("0^3") is ex.ZERO
 
 
 def test_constants_interned_by_value():

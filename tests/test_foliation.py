@@ -665,3 +665,99 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+def _ref_boundary_condition_holds(f3, lambda_max):
+    """LeafFamily's equator check with one walk per lambda."""
+    phi = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    for lam in np.linspace(0.0, lambda_max, 5):
+        vals = ex.evaluate(f3, {"lambda": np.full_like(phi, lam), "w1": np.cos(phi),
+                                "w2": np.sin(phi), "w3": np.zeros_like(phi)})
+        if np.max(np.abs(np.asarray(vals, dtype=float))) > 1e-12:
+            return False
+    return True
+
+
+def _ref_bound(fam):
+    """LeafFamily's sup of |f| + |Df| with one walk per lambda."""
+    t = np.linspace(0.0, 1.0, 12)
+    phi = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+    tt, pp = np.meshgrid(t, phi, indexing="ij")
+    s = np.sqrt(np.clip(1 - tt ** 2, 0.0, None))
+    b = {"w1": (s * np.cos(pp)).ravel(), "w2": (s * np.sin(pp)).ravel(),
+         "w3": tt.ravel()}
+    sup = 0.0
+    for lam in np.linspace(0.0, fam.lambda_max, 4):
+        bl = dict(b, **{"lambda": np.full_like(b["w3"], lam)})
+        zero = np.zeros_like(b["w3"])
+        sq = [np.broadcast_to(np.asarray(val, dtype=float), zero.shape) ** 2
+              for val in ex.evaluate(fam.f_exprs + fam._df, bl)]
+        sup = max(sup, float(np.max(np.sqrt(sum(sq[:3], zero))
+                                    + np.sqrt(sum(sq[3:], zero)))))
+    return sup
+
+
+def _lambda_families():
+    """Families whose perturbation depends on lambda, through sin, cos, ln
+    and powers."""
+    rng = np.random.default_rng(27)
+    fams = []
+    for i in range(12):
+        a, b, c = (f"{x:.4f}" for x in rng.uniform(0.05, 0.3, 3))
+        f = (ex.parse(f"{a}*sin(lambda)*w1*w3 + {b}*cos(3*lambda) + lambda^2*w2"),
+             ex.parse(f"{c}*w2*ln(1 + lambda) + {b}*sqrt(1 + lambda*w1^2)"),
+             ex.parse(f"{a}*w3*(1 - w3)*sin(5*lambda + {c})"))
+        fams.append(fo.LeafFamily(float(rng.uniform(0.0, 2.5)), f,
+                                  lambda_max=float(rng.uniform(0.01, 0.5))))
+    return fams
+
+
+class TestLambdaColumn:
+    def test_bound_matches_per_lambda_walks(self):
+        # lambda bound as a column gives every element of the per-lambda
+        # walks, so the sup is bit for bit the max of their maxima
+        for fam in _seeded_families() + _lambda_families():
+            assert fam.c_bound.hex() == _ref_bound(fam).hex()
+            assert _ref_boundary_condition_holds(fam.f_exprs[2], fam.lambda_max)
+
+    @pytest.mark.parametrize("f3", [
+        "lambda*w1", "(lambda - 1/20)*w1", "sin(lambda)^2*w2/1000000000",
+        "w1/10000000000000", "lambda*w3", "sin(3*lambda)*(w1^2 - w2^2)/100000000000",
+        "(1 - w3)*w3*cos(lambda)"])
+    def test_boundary_check_matches_per_lambda_walks(self, f3):
+        e = ex.parse(f3)
+        holds = _ref_boundary_condition_holds(e, 0.05)
+        try:
+            fo.LeafFamily(0.5, (ex.ZERO, ex.ZERO, e), lambda_max=0.05)
+        except ValueError as err:
+            assert str(err) == "f3 must vanish on the equator"
+            assert not holds
+        else:
+            assert holds
+
+    def test_one_walk_per_check(self, monkeypatch):
+        calls = []
+        evaluate = ex.evaluate
+
+        def counted(e, bindings):
+            calls.append(np.broadcast_shapes(*map(np.shape, bindings.values())))
+            return evaluate(e, bindings)
+
+        monkeypatch.setattr(ex, "evaluate", counted)
+        fo.LeafFamily(0.5, (ex.parse("0.2*sin(lambda)*w1*w3"), ex.parse("0.1*w2"),
+                            ex.parse("0.1*w3*(1-w3)*lambda")), lambda_max=0.05)
+        assert calls == [(5, 64), (4, 288)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("index, message", [
+        (0, "lambda_max * sup(|f| + |Df|) must be below 1"),
+        (2, "f3 must vanish on the equator")])
+    def test_nan_perturbation_rejected(self, index, message):
+        # both powers overflow to inf, and inf - inf is NaN: a NaN fails
+        # both checks instead of being passed over
+        nan = ex.parse("(w1 + 3)^1000 - (w1 + 4)^1000")
+        f = [ex.ZERO, ex.ZERO, ex.ZERO]
+        f[index] = nan * ex.var("w3") if index == 2 else nan
+        with pytest.raises(ValueError) as err:
+            fo.LeafFamily(0.5, tuple(f), lambda_max=0.05)
+        assert str(err.value) == message

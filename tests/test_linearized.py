@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -181,12 +182,12 @@ class TestMultipliers:
         rhs = lin.pde_rhs_expr
         monkeypatch.setattr(lin, "pde_rhs_expr",
                             lambda c: ex.const("1.000001") * rhs(c))
-        lin._multiplier_fields.cache_clear()
+        lin._fields.cache_clear()
         try:
             with pytest.raises(lin.ConstraintSingular):
                 lin.multipliers(lin.LinearizedProblem(case, 1.0, 0.5))
         finally:
-            lin._multiplier_fields.cache_clear()
+            lin._fields.cache_clear()
 
 
 def _reference_solve_ode_modes(p):
@@ -323,3 +324,151 @@ class TestBoundCurvatures:
             for k1, k2 in ((0.3125, -1.75), (2.5, 0.0625), (-0.875, -0.4375)):
                 run(case, k1, k2)
         assert made == []
+
+
+def _reference_fields(case, u):
+    """The residual fields and the multiplier integrands of each case,
+    built as two separate tables."""
+    ut = sphere.to_tphi(u) if ex.free_variables(u) & {"w1", "w2", "w3"} else u
+    rhs = sphere.to_tphi(lin.pde_rhs_expr(case))
+    lap2_u = sphere.laplacian(ut) + 2 * ut
+    kappa_form = sphere.to_tphi(lin._KAPPA_FORM)
+    du_eta = sphere.eta_derivative(ut)
+    w = {i: sphere.OMEGA[i - 1] for i in (1, 2)}
+    res = {"neumann": du_eta + kappa_form, "u": ut,
+           "w1_u": ut * sphere.OMEGA[0], "w2_u": ut * sphere.OMEGA[1]}
+    mul = {f"w{i}_du_eta": w[i] * du_eta for i in w}
+    if case == "cmc":
+        res["interior"] = lap2_u - rhs - ex.const(3) / 8 * lin._H
+        mul.update(rhs=rhs, du_eta=du_eta, u=ut)
+        mul.update({f"w{i}_rhs": w[i] * rhs for i in w})
+    else:
+        res["interior"] = sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + lin._H
+        res["third_order"] = sphere.eta_derivative(lap2_u) - 7 * kappa_form + lin._H
+        third = sphere.eta_derivative(lap2_u)
+        mul.update(third_order=third, rhs_eta=sphere.eta_derivative(rhs))
+        mul.update({f"w{i}_third_order": w[i] * third for i in w})
+    return res, mul
+
+
+def _reference_residuals(p, u):
+    """residual_check field by field: one walk per field and per sup, and
+    the equator as its own linspace."""
+    kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
+    fields, _ = _reference_fields(p.case, u)
+    equator = (np.zeros(256), np.linspace(0.0, 2 * np.pi, 256, endpoint=False))
+
+    def sup(name, points):
+        t, phi = points
+        return float(np.max(np.abs(ex.evaluate(fields[name], dict(kb, t=t, phi=phi)))))
+
+    interior = sup("interior", (lin._GRID["t"], lin._GRID["phi"]))
+    third = float("nan") if p.case == "cmc" else sup("third_order", equator)
+    target = 0.0 if p.case == "cmc" else math.pi / 8.0 * p.H
+    mass = abs(hq.integrate_surface(fields["u"], extra=kb) - target)
+    center = max(abs(hq.integrate_surface(fields["w1_u"], extra=kb)),
+                 abs(hq.integrate_surface(fields["w2_u"], extra=kb)))
+    return [interior, sup("neumann", equator), third, mass, center]
+
+
+def _reference_multipliers(p):
+    """multipliers with one integral per field."""
+    kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
+    _, fields = _reference_fields(p.case, lin.uprime_expr(p.case))
+
+    def surface(name):
+        return hq.integrate_surface(fields[name], extra=kb)
+
+    def boundary(name):
+        return hq.integrate_boundary(fields[name], extra=kb)
+
+    if p.case == "cmc":
+        alpha = ((surface("rhs") + boundary("du_eta") - 2.0 * surface("u"))
+                 / (2.0 * math.pi))
+        beta = [-boundary(f"w{i}_du_eta") - surface(f"w{i}_rhs") for i in (1, 2)]
+    else:
+        alpha = (-boundary("third_order") + boundary("rhs_eta")) / (-8.0 * math.pi)
+        beta = [0.5 * (2.0 * boundary(f"w{i}_du_eta") - boundary(f"w{i}_third_order"))
+                for i in (1, 2)]
+    return [alpha, *beta]
+
+
+_PAIRS = [(1.0, 1.0), (1.0, 0.0), (2.0, -1.0), (0.0, 0.0), (0.75, -0.75),
+          (-2.5, 2.5), (0.3125, -1.75), (1e7, 1e7), (1e9, -1e9), (1e300, 1e300)]
+
+
+def _walks(monkeypatch):
+    """Counter of ex.evaluate walks by the number of points bound."""
+    walks = Counter()
+    evaluate = ex.evaluate
+
+    def counted(e, bindings):
+        walks[int(np.prod(np.broadcast_shapes(*map(np.shape, bindings.values()))))] += 1
+        return evaluate(e, bindings)
+
+    monkeypatch.setattr(ex, "evaluate", counted)
+    return walks
+
+
+class TestOneWalkPerPointSet:
+    @pytest.mark.parametrize("case", ["cmc", "willmore"])
+    def test_same_bits_as_field_by_field(self, case):
+        # the grouped walks of residual_check and multipliers give exactly
+        # the floats of walking and integrating each field alone
+        for k1, k2 in _PAIRS:
+            p = lin.LinearizedProblem(case, k1, k2)
+            rep = lin.residual_check(p, lin.uprime_expr(case))
+            got = [rep.interior, rep.neumann, rep.third_order,
+                   rep.mass_constraint, rep.center_constraint]
+            want = _reference_residuals(p, lin.uprime_expr(case))
+            assert [x.hex() for x in got] == [x.hex() for x in want], (k1, k2)
+            alpha, beta = lin.multipliers(p)
+            got = [float(alpha), *map(float, beta)]
+            assert [x.hex() for x in got] == [x.hex() for x in _reference_multipliers(p)]
+
+    def test_other_candidates_same_bits(self):
+        # a candidate other than the closed form, over omega and in (t, phi)
+        for case in ("cmc", "willmore"):
+            for u in (ex.ZERO, ex.parse("k1*w1^2*w3 + w2/3"),
+                      sphere.to_tphi(ex.parse("k2*w3^2 - w1"))):
+                p = lin.LinearizedProblem(case, 1.5, -0.25)
+                rep = lin.residual_check(p, u)
+                got = [rep.interior, rep.neumann, rep.third_order,
+                       rep.mass_constraint, rep.center_constraint]
+                want = _reference_residuals(p, u)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("case, want", [
+        ("cmc", {8192: 2, 256: 2, 6208: 1}),
+        ("willmore", {8192: 1, 256: 2, 6208: 1})], ids=["cmc", "willmore"])
+    def test_walks_per_command(self, monkeypatch, case, want):
+        # one linearized command: the multipliers (inside solve_ode_modes)
+        # walk the surface rule (CMC) and the equator once each, and
+        # residual_check walks the residual grid, the equator and the
+        # surface rule once each (the 6,208-point grid is 97 x 64)
+        p = lin.LinearizedProblem(case, 1.0, 0.0)
+        lin.solve_ode_modes(p)
+        walks = _walks(monkeypatch)
+        sol = lin.solve_ode_modes(p)
+        lin.residual_check(p, sol.u_prime)
+        assert walks == Counter(want)
+
+    def test_one_field_table(self):
+        # the multipliers read the table of the closed-form candidate: its
+        # multiplier integrands are interned with its residuals, and the
+        # third-order integrand is the residual's eta derivative
+        lin._fields.cache_clear()
+        for case in ("cmc", "willmore"):
+            p = lin.LinearizedProblem(case, 1.0, 0.5)
+            lin.residual_check(p, lin.uprime_expr(case))
+            lin.multipliers(p)
+        info = lin._fields.cache_info()
+        assert info.currsize == 2 and info.misses == 2
+        for case in ("cmc", "willmore"):
+            fields = lin._fields(case, lin.uprime_expr(case))
+            res, mul = _reference_fields(case, lin.uprime_expr(case))
+            for name in set(res) & {"interior", "third_order", "neumann", "u"}:
+                assert res[name] is fields[name]
+            for name in set(mul) & {"rhs", "du_eta", "rhs_eta", "u"}:
+                assert mul[name] is fields[name]
+        assert mul["third_order"] is fields["lap2_u_eta"]

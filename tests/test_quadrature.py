@@ -163,6 +163,46 @@ class TestBoundaryQuadrature:
         assert hq.integrate_boundary(e) == pytest.approx(2 * math.pi)
 
 
+class TestIntegrateSequence:
+    TEXTS = ["w1^2*w3", "ln(1+w3)*w1^2 + sqrt(1+w2^2)", "k*t*cos(phi)^2", "w1*w3",
+             "1", "k", "k*w1^2*w3 + ln(1+w3)*w1^2"]
+
+    @pytest.mark.parametrize("rule", [
+        hq.surface_rule(hq.QuadratureGrid()), hq.surface_rule(hq.QuadratureGrid(16, 32)),
+        hq.shell_rule(hq.QuadratureGrid(16, 32)), hq.equator_rule(256),
+        hq.equator_rule(64)], ids=["surface", "surface-16", "shell", "equator", "equator-64"])
+    def test_sequence_equals_each_expression(self, rule, monkeypatch):
+        # one walk over every expression, each sum bit for bit the sum of
+        # integrating that expression alone
+        exprs = [ex.parse(text) for text in self.TEXTS]
+        extra = {"k": 0.7}
+        want = [rule.integrate(e, extra) for e in exprs]
+        walks = []
+        evaluate = ex.evaluate
+
+        def counted(e, bindings):
+            walks.append(e)
+            return evaluate(e, bindings)
+
+        monkeypatch.setattr(ex, "evaluate", counted)
+        got = rule.integrate(exprs, extra)
+        assert len(walks) == 1
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert rule.integrate(tuple(exprs), extra) == got
+        assert rule.integrate([], extra) == []
+
+    def test_integrate_surface_and_boundary_take_sequences(self):
+        exprs = [ex.parse(text) for text in self.TEXTS]
+        extra = {"k": -1.25}
+        grid = hq.QuadratureGrid(32, 64)
+        got = hq.integrate_surface(exprs, grid, extra=extra)
+        want = [hq.integrate_surface(e, grid, extra=extra) for e in exprs]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        got = hq.integrate_boundary(exprs, n=128, extra=extra)
+        want = [hq.integrate_boundary(e, n=128, extra=extra) for e in exprs]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 COEFFICIENT_LIBRARY = [
     (Fraction(-8, 7), Fraction(0)), (Fraction(863, 280), Fraction(-3)),
     (Fraction(23, 14), Fraction(0)), (Fraction(-291, 560), Fraction(0)),
