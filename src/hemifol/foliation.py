@@ -49,8 +49,10 @@ RAY_TOL = 1e-12
 RAY_MAX_ITER = 200
 # leaf points lie within lambda_max (2 + v) of the origin (base center
 # lambda v e1, radius lambda, lambda^2 |f| < lambda); the fixed points and
-# distances add squares of such coordinates, which must stay finite
+# distances add squares of such coordinates, which must stay finite; below
+# SCALE_MIN those squares leave the normal doubles
 SCALE_MAX = 1e150
+SCALE_MIN = 1e-150
 E1 = np.array([1.0, 0.0, 0.0])
 
 
@@ -569,10 +571,13 @@ def _coverage(lam, p):
 
 def checked_lambda_grid(fam: LeafFamily, lambda_grid) -> list[float]:
     """The leaf parameters of a grid, sorted, after checking that they lie
-    in (0, lambda_max] and hold at least two distinct leaves."""
+    in [SCALE_MIN, lambda_max] and hold at least two distinct leaves."""
     lam = sorted(float(x) for x in lambda_grid)
     if not lam or lam[0] <= 0 or lam[-1] > fam.lambda_max:
         raise ValueError("lambda grid must lie in (0, lambda_max]")
+    if lam[0] < SCALE_MIN:
+        raise ValueError(f"smallest lambda {lam[0]:g} is below {SCALE_MIN:g}, "
+                         "where squares of leaf coordinates leave the normal doubles")
     if len(set(lam)) < 2:
         # one leaf has no pair to compare, and coverage samples midway
         # between the innermost and the outermost leaf would lie on it

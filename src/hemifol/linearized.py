@@ -1,6 +1,6 @@
 """Linearized CMC and Willmore boundary-value problems on the hemisphere:
 closed-form first-order graph functions, residual verification, an
-independent mode-by-mode ODE solver, and the Lagrange multipliers.
+independent mode-by-mode collocation solver, and the Lagrange multipliers.
 
 With principal curvatures kappa_1, kappa_2 of the boundary at the
 attachment point (H = kappa_1 + kappa_2), the first-order deviation u' of
@@ -19,11 +19,16 @@ case evaluate one DAG, differentiated once, and add no node.  That DAG is
 held by one field table (:func:`_fields`), and each set of points gets one
 walk over the fields read there; the intern table alone keeps no node alive.
 
-The ODE mode functions do not depend on the curvatures, which enter only
-the mode coefficients and the -f/2 term.  So :func:`solve_ode_modes`
-solves the modes of a case once per process, reads their dense output as
-arrays at the sup-error and sample points, and keeps those tables; each
-call then only scales the mode columns.
+The independent check solves each azimuthal mode numerically.  In
+t = cos(theta) every mode operator g'' + c cot(theta) g' + k g becomes
+(1 - t^2) g_tt - (1 + c) t g_t + k g, whose coefficients are polynomials,
+so a Chebyshev series of degree 32 in t on [0, 1] solves a mode with one
+small linear solve (collocation at the Chebyshev points, the equator
+conditions in place of the last rows).  A series is regular at the pole,
+which needs no special treatment, and each Willmore mode is one
+fourth-order solve.  The modes do not depend on the curvatures, which
+only scale them; a solve costs well under a millisecond, so nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -31,11 +36,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from numpy.polynomial import chebyshev as C
 
 from . import expr as ex
 from . import quadrature as hq
@@ -43,19 +49,10 @@ from . import sphere
 
 __all__ = [
     "LinearizedProblem", "LinearizedSolution", "ResidualReport",
-    "ShootingDiverged", "ConstraintSingular",
+    "ConstraintSingular",
     "closed_form_uprime", "uprime_expr", "pde_rhs_expr",
     "residual_check", "solve_ode_modes", "multipliers",
 ]
-
-ODE_RTOL = 1e-11
-ODE_ATOL = 1e-13
-THETA_START = 1e-3
-
-
-class ShootingDiverged(Exception):
-    pass
-
 
 class ConstraintSingular(Exception):
     pass
@@ -98,7 +95,6 @@ class LinearizedSolution:
 
 
 def _k(x):
-    from fractions import Fraction
     return ex.const(Fraction(repr(float(x))))
 
 
@@ -213,189 +209,113 @@ def _fields(case: str, u: ex.Expr) -> Mapping[str, ex.Expr]:
 
 
 # ---------------------------------------------------------------------------
-# independent ODE-mode solver
+# independent mode solver: Chebyshev collocation in t = cos(theta)
 # ---------------------------------------------------------------------------
 
-def _integrate_mode(rhs, y0, theta0=THETA_START):
-    sol = solve_ivp(rhs, (theta0, np.pi / 2), y0, method="DOP853",
-                    rtol=ODE_RTOL, atol=ODE_ATOL, dense_output=True)
-    if not sol.success:
-        raise ShootingDiverged(sol.message)
-    return sol
+# A mode is a Chebyshev series of degree _DEGREE in x = 2 t - 1.  On its
+# coefficients, _D is d/dt and _T multiplication by t = (1 + x)/2, from
+# x T_0 = T_1 and x T_j = (T_(j-1) + T_(j+1))/2, truncated at that degree,
+# which loses nothing where _T multiplies a derivative.
+_DEGREE = 32
+_D = np.vstack([C.chebder(np.eye(_DEGREE + 1), scl=2.0), np.zeros(_DEGREE + 1)])
+_T = 0.5 * np.eye(_DEGREE + 1) + 0.25 * (np.eye(_DEGREE + 1, k=1) + np.eye(_DEGREE + 1, k=-1))
+_T[1, 0] = 0.5
+# values at the Chebyshev points, from the pole (t = 1) to the equator (t = 0)
+_COLLOCATION = C.chebvander(np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE), _DEGREE)
+# rows of the equator conditions: g_theta(pi/2) = -g_t(0), and the mass
+# integral of g over the hemisphere's t in [0, 1]
+_NEUMANN = -C.chebval(-1.0, _D)
+_MASS = C.chebval(1.0, C.chebint(np.eye(_DEGREE + 1), lbnd=-1.0, scl=0.5))
 
 
-def _mode_op(cot_coef, c, forcing=None):
-    """g'' + cot_coef cot(theta) g' + c g = forcing as a first-order system:
-    cot_coef is 1 for azimuthal mode 0 and 5 for mode 2."""
-    def rhs(theta, y):
-        g, dg = y
-        f = forcing(theta) if forcing is not None else 0.0
-        return [dg, -cot_coef * dg / math.tan(theta) - c * g + f]
-    return rhs
+def _mode_op(c, k):
+    """g'' + c cot(theta) g' + k g in t = cos(theta), where it is
+    (1 - t^2) g_tt - (1 + c) t g_t + k g, on coefficients: c is 1 for
+    azimuthal mode 0 and 5 for mode 2."""
+    eye = np.eye(_DEGREE + 1)
+    return (eye - _T @ _T) @ _D @ _D - (1.0 + c) * _T @ _D + k * eye
+
+
+def _collocate(op, rhs, conditions):
+    """The mode g with op g = rhs (a constant) at the Chebyshev points, the
+    equator conditions (row, value) in place of the last rows; a series is
+    regular at the pole, so no condition is needed there.  The result takes
+    a scalar or an array of t."""
+    a = _COLLOCATION @ op
+    b = np.full(_DEGREE + 1, float(rhs))
+    for i, (row, value) in enumerate(conditions, _DEGREE + 1 - len(conditions)):
+        a[i], b[i] = row, value
+    return C.Chebyshev(np.linalg.solve(a, b), domain=[0.0, 1.0])
 
 
 def solve_cmc_modes():
-    """CMC mode functions g1(theta), g2(theta) of u' = (k1+k2)/4 v1 +
-    (k1-k2)/4 v2 - f/2 with v1 = g1, v2 = (w1^2 - w2^2) g2.  Both take a
-    scalar or a 1-D array of theta."""
-    th0 = THETA_START
-    # mode 0: g'' + cot g' + 2 g = 3/2, regular start g = g0 + (3/2 - 2 g0)/4 theta^2
-    a2 = 1.5 / 4.0
-    part = _integrate_mode(_mode_op(1.0, 2.0, forcing=lambda theta: 1.5),
-                           [a2 * th0 ** 2, 2 * a2 * th0])
-    hom = _integrate_mode(_mode_op(1.0, 2.0), [1.0 - th0 ** 2 / 2.0, -th0])
-    # Neumann: g'(pi/2) = 1
-    end = math.pi / 2
-    g0 = (1.0 - part.sol(end)[1]) / hom.sol(end)[1]
-
-    def g1(theta):
-        return part.sol(theta)[0] + g0 * hom.sol(theta)[0]
-
-    # mode 2: g'' + 5 cot g' - 4 g = 0, regular series 1 + theta^2/3; g'(pi/2) = 1
-    reg = _integrate_mode(_mode_op(5.0, -4.0), [1.0 + th0 ** 2 / 3.0, 2 * th0 / 3.0])
-    scale = 1.0 / reg.sol(end)[1]
-
-    def g2(theta):
-        return scale * reg.sol(theta)[0]
-
+    """CMC mode functions g1(t), g2(t) of u' = (k1+k2)/4 v1 +
+    (k1-k2)/4 v2 - f/2 with v1 = g1, v2 = (w1^2 - w2^2) g2:
+    (Lap + 2) g1 = 3/2 and the mode-2 (Lap + 2) g2 = 0, each with
+    g_theta(pi/2) = 1."""
+    g1 = _collocate(_mode_op(1.0, 2.0), 1.5, [(_NEUMANN, 1.0)])
+    g2 = _collocate(_mode_op(5.0, -4.0), 0.0, [(_NEUMANN, 1.0)])
     return g1, g2
 
 
 def solve_willmore_modes():
-    """Willmore mode functions v1(theta) and h(theta) of
-    u' = (k1+k2) v1 + (k1-k2)/4 (w1^2 - w2^2) h - f/2, via the chained pair
-    w = (Lap + 2)v (Poisson step) then the Helmholtz step, with the kernel
-    constants fixed by the Neumann and mass constraints.  Both functions
-    take a scalar or a 1-D array of theta."""
-    th0 = THETA_START
-    end = math.pi / 2
-
-    # mode 0, step 1: Lap w = -1 regular particular, w_p ~ -theta^2/4
-    wp = _integrate_mode(_mode_op(1.0, 0.0, forcing=lambda theta: -1.0),
-                         [-th0 ** 2 / 4.0, -th0 / 2.0])
-    # step 2: (Lap + 2) P = w_p with regular series P ~ -theta^4/48
-    P = _integrate_mode(_mode_op(1.0, 2.0, forcing=lambda theta: wp.sol(theta)[0]),
-                        [-th0 ** 4 / 48.0, -th0 ** 3 / 12.0])
-    # v1 = P + C0/2 + c cos(theta); Neumann v1'(pi/2) = 1/4, mass integral pi/4
-    c_cos = P.sol(end)[1] - 0.25
-    integral_P, _ = quad(lambda th: P.sol(th)[0] * math.sin(th), th0, end,
-                         epsabs=1e-13, epsrel=1e-13)
-    C0 = 2.0 * (0.125 - 0.5 * c_cos - integral_P)
-
-    def v1(theta):
-        return P.sol(theta)[0] + 0.5 * C0 + c_cos * _cos(theta)
-
-    # mode 2, step 1: homogeneous w'' + 5 cot w' - 6 w = 0 with w'(pi/2) = -4
-    regw = _integrate_mode(_mode_op(5.0, -6.0), [1.0 + th0 ** 2 / 2.0, th0])
-    A = -4.0 / regw.sol(end)[1]
-
-    def w2(theta):
-        return A * regw.sol(theta)[0]
-
-    # step 2: h'' + 5 cot h' - 4 h = w2 with regular particular h ~ w2(0)/12 theta^2
-    part2 = _integrate_mode(_mode_op(5.0, -4.0, forcing=w2),
-                            [A * th0 ** 2 / 12.0, A * th0 / 6.0])
-    regh = _integrate_mode(_mode_op(5.0, -4.0), [1.0 + th0 ** 2 / 3.0, 2 * th0 / 3.0])
-    B = (1.0 - part2.sol(end)[1]) / regh.sol(end)[1]
-
-    def h(theta):
-        return part2.sol(theta)[0] + B * regh.sol(theta)[0]
-
+    """Willmore mode functions v1(t) and h(t) of
+    u' = (k1+k2) v1 + (k1-k2)/4 (w1^2 - w2^2) h - f/2, each one
+    fourth-order solve: Lap (Lap + 2) v1 = -1 with v1_theta(pi/2) = 1/4
+    and mass integral pi/4 (1/8 in t), and the mode-2 Lap (Lap + 2) h = 0
+    with h_theta(pi/2) = 1 and w_theta(pi/2) = -4 on w = (Lap + 2) h."""
+    helmholtz0 = _mode_op(1.0, 2.0)
+    v1 = _collocate(_mode_op(1.0, 0.0) @ helmholtz0, -1.0,
+                    [(_NEUMANN, 0.25), (_MASS, 0.125)])
+    helmholtz2 = _mode_op(5.0, -4.0)
+    h = _collocate(_mode_op(5.0, -6.0) @ helmholtz2, 0.0,
+                   [(_NEUMANN, 1.0), (_NEUMANN @ helmholtz2, -4.0)])
     return v1, h
 
 
-def _cos(theta):
-    """``math.cos`` of a scalar or of each entry of a 1-D array, so that the
-    bits do not depend on the SIMD cosine numpy was built with."""
-    if np.ndim(theta) == 0:
-        return math.cos(theta)
-    return np.fromiter(map(math.cos, theta), float, len(theta))
-
-
 def _mode_sup_error(numeric, closed):
-    t = np.linspace(0.0, 0.999, 400)
-    theta = np.arccos(t)
-    theta = np.clip(theta, THETA_START, None)
-    got = numeric(theta)
-    want = closed(np.cos(theta))
-    return float(np.max(np.abs(got - want)))
+    t = np.linspace(0.0, 1.0, 400)
+    return float(np.max(np.abs(numeric(t) - closed(t))))
 
 
-class _ModeTable(NamedTuple):
-    """The curvature-free part of :func:`solve_ode_modes` for one case: the
-    modes' sup errors against their closed forms, and the sample points
-    (t, phi), omega there, and both mode columns, each raveled; all of it
-    read-only, since every call shares it."""
-    sup_errors: Mapping[str, float]
-    t: np.ndarray
-    phi: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
-    mode0: np.ndarray
-    mode2: np.ndarray
-
-
-@functools.cache
-def _mode_tables(case: str) -> _ModeTable:
-    """Solve the modes of ``case`` ('cmc' or 'willmore') and read their
-    dense output at the sup-error points and on the 40 x 32 sample grid;
-    one entry per case for the life of the process."""
-    if case == "cmc":
+def solve_ode_modes(p: LinearizedProblem) -> LinearizedSolution:
+    """Solve the azimuthal mode-0 and mode-2 problems by Chebyshev
+    collocation in t (:func:`solve_cmc_modes`, :func:`solve_willmore_modes`),
+    measure each mode's sup error against its closed form on t in [0, 1],
+    assemble u'(0) = modes - f/2 on a 40 x 32 sample grid of (t, phi) from
+    the equator to theta = 1e-3, and attach the closed form
+    (:func:`uprime_expr`, with the curvatures left to bind) and the
+    multipliers.  Every call solves its modes afresh."""
+    if p.case == "cmc":
         m0, m2 = solve_cmc_modes()
+        coef0 = (p.kappa1 + p.kappa2) / 4.0
         errs = {
             "mode0": _mode_sup_error(m0, lambda t: 0.75 - t),
             "mode2": _mode_sup_error(m2, lambda t: (2.0 + t) / (3.0 * (1.0 + t) ** 2)),
         }
     else:
         m0, m2 = solve_willmore_modes()
+        coef0 = p.kappa1 + p.kappa2
         errs = {
             "mode0": _mode_sup_error(
                 m0, lambda t: 1.0 - math.log(2.0) + 0.5 * np.log(1.0 + t) - 0.75 * t),
             "mode2": _mode_sup_error(m2, lambda t: 1.0 / (1.0 + t)),
         }
-    t = np.linspace(0.0, math.cos(THETA_START), 40)
-    phi = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
-    tt, pp = (a.ravel() for a in np.meshgrid(t, phi, indexing="ij"))
-    theta = np.arccos(np.clip(tt, -1.0, 1.0))
-    table = _ModeTable(MappingProxyType(errs), tt, pp, *sphere.omega_values(tt, pp),
-                       m0(theta), m2(theta))
-    for column in table[1:]:
-        column.flags.writeable = False
-    return table
-
-
-def solve_ode_modes(p: LinearizedProblem) -> LinearizedSolution:
-    """Numerically solve the azimuthal mode-0 and mode-2 problems by
-    shooting from a two-term regular series start at theta = 1e-3, discard
-    the singular homogeneous solutions, assemble u'(0) = modes - f/2 on a
-    sample grid, and attach the closed form (:func:`uprime_expr`, with the
-    curvatures left to bind) and the multipliers.
-
-    The modes do not depend on the curvatures, so they are solved, and
-    their dense output read as arrays, once per case per process (see
-    :func:`_mode_tables`); each call scales the cached mode columns and
-    returns its own ``samples`` array and ``mode_sup_errors`` dict."""
-    table = _mode_tables(p.case)
-    if p.case == "cmc":
-        coef0 = (p.kappa1 + p.kappa2) / 4.0
-    else:
-        coef0 = p.kappa1 + p.kappa2
     coef2 = (p.kappa1 - p.kappa2) / 4.0
 
-    w1, w2_, w3 = table.w1, table.w2, table.w3
+    t, phi = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.0, math.cos(1e-3), 40),
+        np.linspace(0.0, 2 * np.pi, 32, endpoint=False), indexing="ij"))
+    w1, w2_, w3 = sphere.omega_values(t, phi)
     f_half = 0.5 * (p.kappa1 * w1 ** 2 + p.kappa2 * w2_ ** 2) * w3
-    u_vals = (coef0 * table.mode0
-              + coef2 * (w1 ** 2 - w2_ ** 2) * table.mode2
-              - f_half)
-    samples = np.column_stack([table.t, table.phi, u_vals])
+    u_vals = coef0 * m0(t) + coef2 * (w1 ** 2 - w2_ ** 2) * m2(t) - f_half
     alpha, beta = multipliers(p)
     return LinearizedSolution(
         u_prime=uprime_expr(p.case),
-        samples=samples,
+        samples=np.column_stack([t, phi, u_vals]),
         alpha_prime=alpha,
         beta_prime=beta,
-        mode_sup_errors=dict(table.sup_errors),
+        mode_sup_errors=errs,
     )
 
 

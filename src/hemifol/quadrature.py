@@ -1,5 +1,5 @@
 """Exact monomial moments on the upper unit hemisphere and its equator,
-adaptive spectral quadrature for general hemisphere expressions, and
+fixed-grid spectral quadrature for general hemisphere expressions, and
 recognition of numeric results as pi*(p + q*ln 2) with rational p, q.
 
 Parametrization: t = omega_3 in [0, 1] (Gauss-Legendre) and azimuth phi

@@ -341,9 +341,8 @@ class TestLinearized:
                                       * (-0.375 if case == "cmc" else 0.25))
 
     def test_shared_mode_tables_match_fresh_runs(self, tmp_path, capsys):
-        # one process solves each case's modes once; alternating cases and
-        # curvatures must print what a run with no tables yet prints
-        from hemifol import linearized as lin
+        # alternating cases and curvatures in one process print what the
+        # same runs print in the reverse order
         runs = [("cmc", "1", "0"), ("willmore", "0.5", "-2"), ("cmc", "-1.25", "3"),
                 ("willmore", "0", "0"), ("cmc", "0", "0"), ("willmore", "1", "1")]
 
@@ -353,13 +352,8 @@ class TestLinearized:
                              "--k2", k2, "--dump-csv", str(csv_path)]) == 0
             return capsys.readouterr().out, csv_path.read_bytes()
 
-        lin._mode_tables.cache_clear()
         shared = [run(*args) for args in runs]
-        assert lin._mode_tables.cache_info().misses == 2
-        fresh = []
-        for args in reversed(runs):
-            lin._mode_tables.cache_clear()
-            fresh.append(run(*args))
+        fresh = [run(*args) for args in reversed(runs)]
         assert shared == fresh[::-1]
 
 
@@ -430,6 +424,28 @@ class TestFoliate:
         assert captured.out == ""
         assert captured.err == "hemifol: error: lambda grid must lie in (0, lambda_max]\n"
         assert not rays.exists()
+
+    @pytest.mark.parametrize("lam_max, lambda_min", [
+        ("1e-200", "1e-201"), ("1e-140", "1e-160"), ("1e-140", "9.99e-151")])
+    def test_lambda_min_below_scale_min(self, tmp_path, capsys, lam_max, lambda_min):
+        # below SCALE_MIN squares of leaf coordinates are subnormal: one
+        # stderr line and no numpy warning, where the rays would divide by
+        # zero or fail to contract
+        fam = _family_file(tmp_path, 0.5, shift="0", lam_max=lam_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["foliate", str(fam), "--lambda-min", lambda_min])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"hemifol: error: smallest lambda {float(lambda_min):g} is below 1e-150, "
+            "where squares of leaf coordinates leave the normal doubles\n")
+        if float(lam_max) >= 1e-150:
+            # the bound itself is a grid the rays run on
+            code = cli.main(["foliate", str(fam), "--lambda-min", "1e-150"])
+            assert code != cli.EX_DATAERR
+            capsys.readouterr()
 
     @pytest.mark.parametrize("n", ["5001", "100000000000"])
     def test_n_lambda_above_bound_rejected(self, tmp_path, capsys, n):

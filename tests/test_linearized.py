@@ -79,22 +79,53 @@ class TestResiduals:
         assert abs(hq.integrate_tphi(u)) < 1e-10
 
 
+def _mode_op(g, c, k):
+    """g'' + c cot(theta) g' + k g of a Chebyshev series g in t = cos(theta),
+    by the series' own arithmetic."""
+    t = np.polynomial.Chebyshev.identity(domain=[0.0, 1.0])
+    return (1.0 - t ** 2) * g.deriv(2) - (1.0 + c) * t * g.deriv() + k * g
+
+
 class TestOdeModes:
     def test_cmc_modes_match_closed_forms(self):
         g1, g2 = lin.solve_cmc_modes()
-        # v1 = 3/4 - cos(theta)
-        theta = np.linspace(lin.THETA_START, math.pi / 2, 300)
-        err1 = max(abs(g1(th) - (0.75 - math.cos(th))) for th in theta)
-        assert err1 < 1e-8
-        # v2 factor (2 + t)/(3 (1 + t)^2) on t in [0, 0.999]
+        # v1 = 3/4 - t, point by point on t in [0, 1]
+        t = np.linspace(0.0, 1.0, 300)
+        err1 = max(abs(g1(x) - (0.75 - x)) for x in t)
+        assert err1 < 1e-13
+        # v2 factor (2 + t)/(3 (1 + t)^2) on t in [0, 1]
         sol = lin.solve_ode_modes(lin.LinearizedProblem("cmc", 1.0, 0.0))
-        assert sol.mode_sup_errors["mode0"] < 1e-8
-        assert sol.mode_sup_errors["mode2"] < 1e-7
+        assert sol.mode_sup_errors["mode0"] < 1e-13
+        assert sol.mode_sup_errors["mode2"] < 1e-13
 
     def test_willmore_modes_match_closed_forms(self):
         sol = lin.solve_ode_modes(lin.LinearizedProblem("willmore", 1.0, 1.0))
-        assert sol.mode_sup_errors["mode0"] < 1e-8
-        assert sol.mode_sup_errors["mode2"] < 1e-7
+        assert sol.mode_sup_errors["mode0"] < 1e-13
+        assert sol.mode_sup_errors["mode2"] < 1e-13
+
+    def test_equator_conditions(self):
+        # g_theta(pi/2) = -g_t(0); the Willmore mass integral is taken by
+        # Gauss-Legendre on [0, 1], not by the solver's own integral row
+        g1, g2 = lin.solve_cmc_modes()
+        v1, h = lin.solve_willmore_modes()
+        for mode, want in ((g1, 1.0), (g2, 1.0), (v1, 0.25), (h, 1.0)):
+            assert abs(-mode.deriv()(0.0) - want) < 1e-13
+        x, w = np.polynomial.legendre.leggauss(40)
+        assert abs(0.5 * w @ v1(0.5 * (x + 1.0)) - 0.125) < 1e-13
+        # w = (Lap + 2) h has w_theta(pi/2) = -4
+        assert abs(-_mode_op(h, 5.0, -4.0).deriv()(0.0) - (-4.0)) < 1e-13
+
+    def test_modes_meet_their_odes_between_nodes(self):
+        # 50 points of [0, 1], none a Chebyshev point of the collocation
+        t = (np.arange(50) + 0.5) / 50
+        nodes = 0.5 * (1.0 + np.cos(np.pi * np.arange(33) / 32))
+        assert np.min(np.abs(t[:, None] - nodes)) > 1e-4
+        g1, g2 = lin.solve_cmc_modes()
+        v1, h = lin.solve_willmore_modes()
+        for residual in (_mode_op(g1, 1.0, 2.0) - 1.5, _mode_op(g2, 5.0, -4.0),
+                         _mode_op(_mode_op(v1, 1.0, 2.0), 1.0, 0.0) + 1.0,
+                         _mode_op(_mode_op(h, 5.0, -4.0), 5.0, -6.0)):
+            assert np.max(np.abs(residual(t))) < 1e-12
 
     @pytest.mark.parametrize("case,k1,k2", [
         ("cmc", 1.0, 0.0), ("cmc", 2.0, -1.0),
@@ -191,15 +222,11 @@ class TestMultipliers:
 
 
 def _reference_solve_ode_modes(p):
-    """solve_ode_modes as it was before the mode tables: the modes solved
-    on every call and their dense output read one point at a time."""
+    """solve_ode_modes with the modes read one point at a time."""
     def sup_error(numeric, closed):
-        t = np.linspace(0.0, 0.999, 400)
-        theta = np.arccos(t)
-        theta = np.clip(theta, lin.THETA_START, None)
-        got = np.array([numeric(th) for th in theta])
-        want = closed(np.cos(theta))
-        return float(np.max(np.abs(got - want)))
+        t = np.linspace(0.0, 1.0, 400)
+        got = np.array([numeric(x) for x in t])
+        return float(np.max(np.abs(got - closed(t))))
 
     if p.case == "cmc":
         m0, m2 = lin.solve_cmc_modes()
@@ -218,13 +245,12 @@ def _reference_solve_ode_modes(p):
         }
     coef2 = (p.kappa1 - p.kappa2) / 4.0
 
-    t = np.linspace(0.0, math.cos(lin.THETA_START), 40)
+    t = np.linspace(0.0, math.cos(1e-3), 40)
     phi = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
     tt, pp = np.meshgrid(t, phi, indexing="ij")
-    theta = np.arccos(np.clip(tt, -1.0, 1.0))
     w1, w2_, w3 = sphere.omega_values(tt, pp)
-    mode0_vals = np.array([m0(th) for th in theta.ravel()]).reshape(theta.shape)
-    mode2_vals = np.array([m2(th) for th in theta.ravel()]).reshape(theta.shape)
+    mode0_vals = np.array([m0(x) for x in tt.ravel()]).reshape(tt.shape)
+    mode2_vals = np.array([m2(x) for x in tt.ravel()]).reshape(tt.shape)
     f_half = 0.5 * (p.kappa1 * w1 ** 2 + p.kappa2 * w2_ ** 2) * w3
     u_vals = (coef0 * mode0_vals
               + coef2 * (w1 ** 2 - w2_ ** 2) * mode2_vals
@@ -256,23 +282,20 @@ def _same_bytes(a, b):
 class TestModeTables:
     @pytest.mark.parametrize("case", ["cmc", "willmore"])
     def test_same_bytes_as_per_point_reference(self, case):
-        # the modes solved once per case and read as arrays give exactly the
-        # samples, sup errors and multipliers of solving and reading them
-        # point by point, on a cache miss and on a hit
+        # the modes read as arrays give exactly the samples, sup errors and
+        # multipliers of reading them point by point, on every call
         for k1, k2 in _curvatures():
             p = lin.LinearizedProblem(case, k1, k2)
             want = _reference_solve_ode_modes(p)
-            lin._mode_tables.cache_clear()
             _same_bytes(lin.solve_ode_modes(p), want)
             _same_bytes(lin.solve_ode_modes(p), want)
-            assert lin._mode_tables.cache_info().hits >= 1
 
     def test_array_reads_match_point_reads(self):
-        theta = np.linspace(lin.THETA_START, math.pi / 2, 97)
+        t = np.linspace(0.0, 1.0, 97)
         for modes in (lin.solve_cmc_modes(), lin.solve_willmore_modes()):
             for mode in modes:
-                each = np.array([mode(th) for th in theta])
-                assert mode(theta).tobytes() == each.tobytes()
+                each = np.array([mode(x) for x in t])
+                assert mode(t).tobytes() == each.tobytes()
 
     def test_callers_cannot_change_the_tables(self):
         p = lin.LinearizedProblem("willmore", 0.7, -1.3)
@@ -287,15 +310,6 @@ class TestModeTables:
         assert second.mode_sup_errors == want_errors
         assert second.samples is not first.samples
         assert second.mode_sup_errors is not first.mode_sup_errors
-
-    def test_one_entry_per_case(self):
-        lin._mode_tables.cache_clear()
-        for case in ("cmc", "willmore", "CMC", "Willmore"):
-            lin.solve_ode_modes(lin.LinearizedProblem(case, 1.0, 0.5))
-        info = lin._mode_tables.cache_info()
-        assert info.currsize == 2 and info.misses == 2
-        table = lin._mode_tables("cmc")
-        assert not any(column.flags.writeable for column in table[1:])
 
 
 class TestBoundCurvatures:
