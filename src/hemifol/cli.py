@@ -255,23 +255,7 @@ def cmd_foliate(args) -> int:
     fam, meta = fo.load_family_file(args.family)
     lam_grid = fo.checked_lambda_grid(
         fam, np.linspace(args.lambda_min, fam.lambda_max, args.n_lambda))
-    samples = []
-    if fam.v < 1.0:
-        # one point per direction, midway between the innermost and the
-        # outermost leaf along it; where the ray misses a leaf the point sits
-        # at the mean radius and the report says ray-misses.  All four rays
-        # run at once; their outcomes are read in the order of a ray at a time
-        dirs = [np.array(d) / np.linalg.norm(d)
-                for d in ([0.0, 0.0, 1.0], [1 / 2, 1 / 3, 1 / 2])]
-        ends = (lam_grid[0], lam_grid[-1])
-        outcomes = iter(fo._ray_outcomes(fam, [(lam, d) for d in dirs for lam in ends]))
-        for d in dirs:
-            inner, outer = next(outcomes), next(outcomes)
-            try:
-                r = 0.5 * (fo._unwrap(inner) + fo._unwrap(outer))
-            except fo.NoIntersection:
-                r = 0.5 * (lam_grid[0] + lam_grid[-1])
-            samples.append(r * d)
+    samples = fo.midway_samples(fam, lam_grid)
     try:
         report = fo.foliation_report(fam, lam_grid, samples)
     except fo.InconclusiveOverlap as err:
@@ -304,11 +288,12 @@ def cmd_foliate(args) -> int:
         rays = [(lamv, theta0) for theta0 in
                 ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
                 for lamv in lam_grid]
-        for (lamv, theta0), outcome in zip(rays, fo._ray_outcomes(fam, rays)):
-            try:
-                t = fo._unwrap(outcome)
-            except (fo.NoIntersection, fo.NoConvergence):
+        for (lamv, theta0), t in zip(rays, fo.ray_outcomes(fam, rays)):
+            # a ray that misses its leaf or does not converge has no row
+            if isinstance(t, (fo.NoIntersection, fo.NoConvergence)):
                 continue
+            if isinstance(t, Exception):
+                raise t
             writer.writerow([_f(lamv), _f(theta0[0]), _f(theta0[1]),
                              _f(theta0[2]), _f(t)])
         _emit(buf.getvalue(), args.rays_csv)

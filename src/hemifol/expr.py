@@ -373,7 +373,8 @@ _FUNCS = {
                (lambda b: abs(b) >= 1, "artanh outside (-1, 1)"),
                lambda a, da: div(da, sub(ONE, powi(a, 2)))),
     "cot": (lambda b: np.cos(b) / np.sin(b),
-            lambda b, y: (-(1.0 + y * y), 2.0 * y * (1.0 + y * y)), None,
+            lambda b, y: (-(1.0 + y * y), 2.0 * y * (1.0 + y * y)),
+            (lambda b: np.sin(b) == 0, "cot at a pole"),
             lambda a, da: mul(const(-1), mul(add(ONE, powi(cot(a), 2)), da))),
 }
 

@@ -5,21 +5,21 @@ coverage of a deleted neighborhood, and the v < 1 / v > 1 dichotomy.
 Inside/outside queries reflect the leaf across the boundary plane z = 0 to
 a closed surface, the reflection device of the abstract foliation
 argument, and decide against it exactly: the doubled leaf is a radial graph
-about its base center, so the signed radial gap of a point (its distance
-from that center minus the leaf's along the same ray, found by the
-ray-intersection fixed point) is negative exactly inside.  Two leaves meet
-when that gap, taken over the points of the smaller leaf, changes sign.
-Smoothness of the leaf map is not certified, only injectivity, monotonicity
-and coverage; reports say so.
+about its base center lambda v e1 (:meth:`LeafFamily.center`), so the
+signed radial gap r - t of a point, r its distance from that center and t
+the leaf's along the ray from the center through it, is negative exactly
+inside.  Two leaves meet when that gap, taken over the points of the
+smaller leaf, changes sign.  Smoothness of the leaf map is not certified,
+only injectivity, monotonicity and coverage; reports say so.
 
-Every ray intersection and radial gap is a request to one vectorised fixed
-point, :func:`_fixed_points`, in which each request iterates until its own
-step is below ``RAY_TOL``.  The pair test and the coverage bisection are
-generators that yield requests; :func:`_lockstep` drives many of them at
-once, evaluating the pending requests of all in one batch, so a report
-pays numpy's per-call overhead once per round instead of once per pair or
-ray.  Results and errors are those of running the generators one after
-another.
+Every request is a set of rays from an origin (0, or a leaf's center) to
+one leaf, answered by one vectorised fixed point, :func:`_fixed_points`,
+in which each request iterates until its own step is below ``RAY_TOL``.
+The pair test and the coverage bisection are generators that yield
+requests; :func:`_lockstep` drives many of them at once, evaluating the
+pending requests of all in one batch, so a report pays numpy's per-call
+overhead once per round instead of once per pair or ray.  Results and
+errors are those of running the generators one after another.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ import numpy as np
 
 from . import expr as ex
 from . import quadrature as hq
+from . import sphere
 
 __all__ = [
     "LeafFamily", "RayIntersection", "PairResult", "FoliationReport",
     "NoIntersection", "NoConvergence", "InconclusiveOverlap",
-    "ray_intersect", "leaves_intersect", "checked_lambda_grid",
-    "foliation_report", "load_family_file",
+    "ray_intersect", "ray_outcomes", "point_inside_leaf", "leaves_intersect",
+    "checked_lambda_grid", "midway_samples", "foliation_report",
+    "load_family_file",
 ]
 
 SMOOTHNESS_NOTE = ("leaf-map smoothness is not certified numerically; "
@@ -76,8 +78,9 @@ class LeafFamily:
 
     ``c_bound`` is the sampled sup of |f| + |Df|; ``lambda_max * c_bound``
     must be below 1.  With g = lambda f that gives |g| + |Dg| < 1, so every
-    leaf is transverse to each ray from its base center lambda v e1 and the
-    doubled leaf is a radial graph about it, as the inside test assumes."""
+    leaf is transverse to each ray from its base center (:meth:`center`)
+    and the doubled leaf is a radial graph about it, as the inside test
+    assumes."""
 
     def __init__(self, v: float, f_exprs=(ex.ZERO, ex.ZERO, ex.ZERO),
                  lambda_max: float = 0.1):
@@ -112,10 +115,9 @@ class LeafFamily:
         t = np.linspace(0.0, 1.0, 12)
         phi = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
         tt, pp = np.meshgrid(t, phi, indexing="ij")
-        s = np.sqrt(np.clip(1 - tt ** 2, 0.0, None))
         lam = np.linspace(0.0, self.lambda_max, 4)[:, None]
-        b = {"lambda": lam, "w1": (s * np.cos(pp)).ravel(),
-             "w2": (s * np.sin(pp)).ravel(), "w3": tt.ravel()}
+        w = sphere.omega_values(tt.ravel(), pp.ravel())
+        b = {"lambda": lam, "w1": w[0], "w2": w[1], "w3": w[2]}
         zero = np.zeros((lam.size, tt.size))
         sq = [np.broadcast_to(np.asarray(val, dtype=float), zero.shape) ** 2
               for val in ex.evaluate(self.f_exprs + self._df, b)]
@@ -131,10 +133,15 @@ class LeafFamily:
             out[..., i] = val
         return out
 
+    def center(self, lam):
+        """Base center lambda v e1 of leaf ``lam``: shape (3,) for a scalar
+        lambda, one row per lambda for an array."""
+        return np.multiply.outer(np.asarray(lam, dtype=float) * self.v, E1)
+
     def leaf(self, lam, omega):
         """phi_lambda(omega) for points omega (..., 3)."""
         omega = np.asarray(omega, dtype=float)
-        return lam * self.v * E1 + lam * omega + lam ** 2 * self.f(lam, omega)
+        return self.center(lam) + lam * omega + lam ** 2 * self.f(lam, omega)
 
 
 @dataclass(frozen=True)
@@ -172,11 +179,11 @@ class FoliationReport:
 def _fixed_points(fam: LeafFamily, lam, shift, theta0, sizes):
     """Coupled fixed points (t, omega) of origin + t theta0 = phi_lam(omega)
     for many independent requests at once.  Request i has leaf ``lam[i]``,
-    ``shift[i]`` = lam v e1 - origin and the next ``sizes[i]`` columns of
-    the unit directions ``theta0`` (shape (3, N)).  t comes from the
-    quadratic |origin + t theta0 - center|^2 = lambda^2 (larger root) with
-    center = lambda v e1 + lambda^2 f(lambda, omega), omega from
-    renormalizing the pullback; contraction for small lambda.  Each request
+    ``shift[i]`` = ``fam.center(lam[i])`` - origin and the next
+    ``sizes[i]`` columns of the unit directions ``theta0`` (shape (3, N)).
+    t comes from the quadratic |origin + t theta0 - c|^2 = lambda^2 (larger
+    root) with c = ``fam.center(lambda)`` + lambda^2 f(lambda, omega),
+    omega from renormalizing the pullback; contraction for small lambda.  Each request
     iterates until the largest step over its own directions is below
     ``RAY_TOL`` and then freezes, so its values do not depend on the rest
     of the batch.
@@ -259,33 +266,32 @@ def _unit(theta0):
 # ---------------------------------------------------------------------------
 
 class _Ray(NamedTuple):
-    """Where the ray from the origin along the unit vector ``theta0`` meets
-    leaf ``lam``.  Reply: (t, omega)."""
+    """Where the ray from ``origin`` (None: 0) along the unit vector
+    ``theta0`` meets leaf ``lam``.  Reply: (t, omega)."""
     lam: float
     theta0: np.ndarray
+    origin: np.ndarray | None = None
 
     def size(self):
         return 1
 
 
 class _Gap(NamedTuple):
-    """Signed radial gap to leaf ``lam`` of points, doubling the leaf by
+    """Signed radial gap to leaf ``lam`` of leaf ``lam1``'s points at polar
+    angles ``theta`` and azimuths ``phi``, doubling leaf ``lam`` by
     reflection across z = 0: each point, reflected to z >= 0, has its
-    distance from the base center lambda v e1 less the leaf's distance from
-    that center along the same ray.  The doubled leaf is a radial graph
-    about the center (see :class:`LeafFamily`), so the gap is negative
-    exactly inside it.  The points are ``points`` (shape (n, 3)) or, when
-    that is None, leaf ``lam1``'s points at polar angles ``theta`` and
-    azimuths ``phi``.  Reply, flattened in C order: (gap, the leaf's point
-    on each ray, the points)."""
+    distance r from the center of leaf ``lam`` less the distance t at which
+    the ray from that center through it meets the leaf.  The doubled leaf
+    is a radial graph about the center (see :class:`LeafFamily`), so r - t
+    is negative exactly inside it.  Reply, flattened in C order: (gap, the
+    leaf's point on each ray, the points)."""
     lam: float
-    lam1: float | None = None
-    theta: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    points: np.ndarray | None = None
+    lam1: float
+    theta: np.ndarray
+    phi: np.ndarray
 
     def size(self):
-        return len(self.points) if self.lam1 is None else self.theta.size
+        return self.theta.size
 
 
 def _answer(fam: LeafFamily, reqs) -> list:
@@ -295,37 +301,32 @@ def _answer(fam: LeafFamily, reqs) -> list:
     gaps = [i for i, r in enumerate(reqs) if isinstance(r, _Gap)]
     rays = [i for i, r in enumerate(reqs) if not isinstance(r, _Gap)]
     lam = [reqs[i].lam for i in gaps + rays]
-    lv = np.array([x * fam.v for x in lam])          # lambda v of each request
     sizes = [reqs[i].size() for i in gaps + rays]
-    # lambda v e1 - origin: zero for a gap, whose origin is the base center
-    shift = np.zeros((len(lam), 3))
-    shift[len(gaps):, 0] = lv[len(gaps):]
+    center = fam.center(lam)
+    # center - origin: zero for a gap, whose rays leave the center of its leaf
+    shift = center.copy()
+    shift[:len(gaps)] = 0.0
+    for k, i in enumerate(rays, len(gaps)):
+        if reqs[i].origin is not None:
+            shift[k] -= reqs[i].origin
     dirs = [np.array([reqs[i].theta0 for i in rays]).reshape(-1, 3).T]
     if gaps:
-        n_gap = sum(sizes[:len(gaps)])
-        points = np.empty((3, n_gap))
-        angled = np.array([reqs[i].lam1 is not None for i in gaps])
-        leaf = np.repeat(angled, sizes[:len(gaps)])
-        src = [reqs[i] for i in gaps if reqs[i].lam1 is not None]
-        if src:
-            n = [r.theta.size for r in src]
-            om = _half_sphere(np.concatenate([r.theta.ravel() for r in src]),
-                              np.concatenate([r.phi.ravel() for r in src]))
-            l1 = np.repeat([r.lam1 for r in src], n)
-            # LeafFamily.leaf, with lambda v and lambda^2 formed per request
-            points[:, leaf] = (E1[:, None] * np.repeat([r.lam1 * fam.v for r in src], n)
-                               + l1 * om
-                               + np.repeat([r.lam1 ** 2 for r in src], n)
-                               * fam.f(l1, om.T).T)
-        if not angled.all():
-            points[:, ~leaf] = np.concatenate(
-                [reqs[i].points for i in gaps if reqs[i].lam1 is None]).T
-        base = E1[:, None] * np.repeat(lv[:len(gaps)], sizes[:len(gaps)])
+        src = [reqs[i] for i in gaps]
+        n = sizes[:len(gaps)]
+        om = _half_sphere(np.concatenate([r.theta.ravel() for r in src]),
+                          np.concatenate([r.phi.ravel() for r in src]))
+        l1 = [r.lam1 for r in src]
+        lp = np.repeat(l1, n)
+        # LeafFamily.leaf, with lambda^2 formed per request
+        points = (np.repeat(fam.center(l1).T, n, axis=1) + lp * om
+                  + np.repeat([x ** 2 for x in l1], n) * fam.f(lp, om.T).T)
+        base = np.repeat(center[:len(gaps)].T, n, axis=1)
         dist, u = _radial(base, points)
         dirs.insert(0, u)
     t_val, omega, errors = _fixed_points(fam, lam, shift,
                                          np.concatenate(dirs, axis=1), sizes)
     if gaps:
+        n_gap = dist.size
         g, q = dist - t_val[:n_gap], base + t_val[:n_gap] * u
     out = [None] * len(reqs)
     a = 0
@@ -437,11 +438,10 @@ def ray_intersect(fam: LeafFamily, lam: float, theta0) -> RayIntersection:
     return RayIntersection(t_val, omega, residual)
 
 
-def _ray_outcomes(fam: LeafFamily, rays) -> list:
+def ray_outcomes(fam: LeafFamily, rays) -> list:
     """t of many rays, answered in one lockstep run: per (lambda, theta0)
     of ``rays``, the ``ray_intersect(fam, lambda, theta0).t`` it would
-    return, or the error it would raise (:func:`_unwrap` returns the one
-    and raises the other)."""
+    return, or the error it would raise, as a value."""
     def one(lam, theta0):
         _check_lambda(fam, lam)
         return (yield from _ray(lam, _unit(theta0)))[0]
@@ -450,9 +450,12 @@ def _ray_outcomes(fam: LeafFamily, rays) -> list:
 
 def point_inside_leaf(fam: LeafFamily, lam: float, point) -> bool:
     """Inside the leaf doubled by reflection across z = 0: the radial gap
-    (:class:`_Gap`) at one point is negative."""
-    points = np.asarray(point, dtype=float).reshape(1, 3)
-    return bool(_run(fam, _reply(_Gap(lam, points=points)))[0][0] < 0)
+    r - t of the point (:class:`_Gap`) is negative, t from the ray that
+    leaves the leaf's center towards the point."""
+    c = fam.center(lam)
+    r, u = _radial(c[:, None], np.asarray(point, dtype=float).reshape(3, 1))
+    t_val = _run(fam, _reply(_Ray(lam, u[:, 0], c)))[0]
+    return bool(r[0] - t_val < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +588,29 @@ def checked_lambda_grid(fam: LeafFamily, lambda_grid) -> list[float]:
     return lam
 
 
+def midway_samples(fam: LeafFamily, lam) -> list:
+    """Coverage sample points for :func:`foliation_report` on a checked
+    leaf grid ``lam``: none for v >= 1; for v < 1 one point along each of
+    e3 and (1/2, 1/3, 1/2), midway between the innermost and the outermost
+    leaf, or at the mean of their radii where the ray misses either (the
+    report then says ray-misses).  The four rays run in one lockstep run."""
+    if not fam.v < 1.0:
+        return []
+    dirs = [np.array(d) / np.linalg.norm(d)
+            for d in ([0.0, 0.0, 1.0], [1 / 2, 1 / 3, 1 / 2])]
+    ends = (lam[0], lam[-1])
+    outcomes = iter(ray_outcomes(fam, [(x, d) for d in dirs for x in ends]))
+    samples = []
+    for d in dirs:
+        inner, outer = next(outcomes), next(outcomes)
+        try:
+            r = 0.5 * (_unwrap(inner) + _unwrap(outer))
+        except NoIntersection:
+            r = 0.5 * (lam[0] + lam[-1])
+        samples.append(r * d)
+    return samples
+
+
 def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> FoliationReport:
     """Verdict 'Foliates' when consecutive-and-skip leaf pairs are disjoint,
     t(lambda, theta0) is strictly increasing on a ray grid, and every sample
@@ -626,13 +652,9 @@ def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> Foliatio
     pair_out = [next(outcomes) for _ in pairs]
     ray_out = [[next(outcomes) for _ in lam] for _ in thetas]
 
-    pair_results = []
-    witness_pair = None
-    for (l1, l2), res in zip(pairs, pair_out):
-        res = _unwrap(res)
-        pair_results.append(res)
-        if res.intersects and witness_pair is None:
-            witness_pair = (l1, l2, res)
+    pair_results = [_unwrap(res) for res in pair_out]
+    witness_pair = next(((l1, l2, res) for (l1, l2), res in zip(pairs, pair_results)
+                         if res.intersects), None)
 
     monotone = True
     mono_witness = None
@@ -649,44 +671,30 @@ def foliation_report(fam: LeafFamily, lambda_grid, sample_points=()) -> Foliatio
             break
 
     coverage = [_unwrap(c) for c in outcomes]
-    covered = all(c["hits"] == 1 for c in coverage)
-    if witness_pair is None and monotone and covered:
-        verdict = "Foliates"
-    else:
-        verdict = "Overlaps"
+    foliates = witness_pair is None and monotone and all(c["hits"] == 1 for c in coverage)
     return FoliationReport(
-        verdict=verdict,
-        witness_pair=witness_pair,
-        pair_results=pair_results,
-        monotone=monotone,
-        monotone_witness=mono_witness,
-        coverage=coverage,
-    )
+        verdict="Foliates" if foliates else "Overlaps", witness_pair=witness_pair,
+        pair_results=pair_results, monotone=monotone,
+        monotone_witness=mono_witness, coverage=coverage)
 
 
 def load_family_file(path) -> tuple[LeafFamily, dict]:
     """Family description file: lines ``v = <real>``, ``f1|f2|f3 = <expr in
-    lambda, w1, w2, w3>``, ``lambda_max = <real>``."""
-    v = None
-    lam_max = None
-    fs = {"f1": ex.ZERO, "f2": ex.ZERO, "f3": ex.ZERO}
+    lambda, w1, w2, w3>``, ``lambda_max = <real>``, each key at most once."""
+    vals = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key == "v":
-                v = float(val)
-            elif key == "lambda_max":
-                lam_max = float(val)
-            elif key in fs:
-                fs[key] = ex.parse(val)
-            else:
+            key, _, val = (x.strip() for x in line.partition("="))
+            if key not in ("v", "lambda_max", "f1", "f2", "f3"):
                 raise ValueError(f"unrecognized family-file key {key!r}")
-    if v is None or lam_max is None:
+            if key in vals:
+                raise ValueError(f"repeated family-file key {key!r}")
+            vals[key] = float(val) if key in ("v", "lambda_max") else ex.parse(val)
+    if "v" not in vals or "lambda_max" not in vals:
         raise ValueError("family file needs 'v' and 'lambda_max'")
-    fam = LeafFamily(v, (fs["f1"], fs["f2"], fs["f3"]), lam_max)
-    return fam, {"v": v, "lambda_max": lam_max}
+    meta = {"v": vals["v"], "lambda_max": vals["lambda_max"]}
+    fs = tuple(vals.get(k, ex.ZERO) for k in ("f1", "f2", "f3"))
+    return LeafFamily(meta["v"], fs, meta["lambda_max"]), meta

@@ -180,15 +180,19 @@ def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
     """Newton iteration on gradH to |gradH| < 1e-12; raises
     :class:`ValueError` for a guess that is not finite,
     :class:`DegenerateHessian` when the Hessian determinant drops below
-    1e-10 and :class:`NoConvergence` after 50 steps.  The converged walk of
-    H supplies H and its derivatives, so only K is walked again."""
+    1e-10 and :class:`NoConvergence` at an iterate where H, gradH or hessH
+    is not finite and after 50 steps.  The converged walk of H supplies H
+    and its derivatives, so only K is walked again."""
     p = np.asarray(guess, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("guess must be finite")
     for _ in range(NEWTON_MAX_ITER):
         x, y = float(p[0]), float(p[1])
         jet_H = _derivatives(s.H, x, y)
-        _, g, h = jet_H
+        H, g, h = jet_H
+        if not (math.isfinite(H) and np.isfinite(g).all() and np.isfinite(h).all()):
+            raise NoConvergence(
+                f"H or its derivatives not finite at Newton iterate {(x, y)}")
         if np.linalg.norm(g) < NEWTON_TOL:
             _check_inside(s, x, y)
             data = _curvature_data(s, x, y, jet_H)
@@ -303,9 +307,8 @@ def gallery_root() -> float:
 def load_surface_file(path) -> GraphSurface:
     """Text format: lines ``name = <string>``, ``u = <expr>`` and optional
     ``params: a=..., c1=...``; params are substituted into u before
-    analysis."""
-    name = ""
-    u_text = None
+    analysis.  Each key and each parameter name may appear once."""
+    fields: dict[str, str] = {}
     params: dict[str, ex.Expr] = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -314,22 +317,22 @@ def load_surface_file(path) -> GraphSurface:
                 continue
             if line.startswith("params:"):
                 for item in line[len("params:"):].split(","):
-                    key, _, val = item.partition("=")
+                    key, _, val = (x.strip() for x in item.partition("="))
                     try:
-                        params[key.strip()] = ex.const(val.strip())
-                    except (ZeroDivisionError, ex.ExprError) as err:
+                        if key in params:
+                            raise ValueError(f"repeated name '{key}'")
+                        params[key] = ex.const(val)
+                    except (ValueError, ZeroDivisionError, ex.ExprError) as err:
                         why = "zero denominator" if isinstance(err, ZeroDivisionError) else err
                         raise ValueError(f"params item '{item.strip()}': {why}") from None
                 continue
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key == "name":
-                name = val.strip()
-            elif key == "u":
-                u_text = val.strip()
-            else:
+            key, _, val = (x.strip() for x in line.partition("="))
+            if key not in ("name", "u"):
                 raise ValueError(f"unrecognized surface-file line: {line!r}")
-    if u_text is None:
+            if key in fields:
+                raise ValueError(f"repeated surface-file key '{key}'")
+            fields[key] = val
+    if "u" not in fields:
         raise ValueError("surface file has no 'u = <expr>' line")
-    u = ex.substitute(ex.parse(u_text), params)
-    return GraphSurface(u, name=name)
+    u = ex.substitute(ex.parse(fields["u"]), params)
+    return GraphSurface(u, name=fields.get("name", ""))

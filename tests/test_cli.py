@@ -614,6 +614,18 @@ class TestVerifyExpansions:
         assert cli.main(["verify-expansions", "--case", "cmc"]) == 0
         assert capsys.readouterr().out == out
 
+    def test_unrecoverable_values_fail(self, capsys, monkeypatch):
+        # values the grid cannot pin down are one FAIL row and exit 1
+        def no_fit(case):
+            raise hq.NoRationalFit("no rational fit of 0.123")
+
+        monkeypatch.setattr(va, "second_derivative_terms", no_fit)
+        assert cli.main(["verify-expansions", "--case", "cmc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            "all,,,,,,,unrecoverable: no rational fit of 0.123,FAIL"]
+
     def test_tolerance_below_errors_fails(self, capsys):
         code = cli.main(["verify-expansions", "--case", "cmc", "--tolerance", "1e-16"])
         assert code == 1
@@ -722,6 +734,31 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"hemifol: error: unrecognized surface-file line: {line!r}\n"
+
+    @pytest.mark.parametrize("command, name, body, message", [
+        ("analyze", "s.surf", "name = s\nu = x*y + x^2 + cot(x - 1/100)\n",
+         "cot at a pole in subexpression 'cot(x - 1/100)'"),
+        ("analyze", "s.surf", "name = s\nu = x*y + x^2 + y^2 + (x+3)^600*(x+3)^600\n",
+         "H or its derivatives not finite at Newton iterate (0.01, -0.01)"),
+        ("analyze", "s.surf", "name = s\nu = x*y + x^2 + y^2\nu = x*y + 2*x^2 + y^2\n",
+         "repeated surface-file key 'u'"),
+        ("analyze", "s.surf", "name = s\nu = a*x + x*y + x^2 + y^2\nparams: a=\n",
+         "params item 'a=': Invalid literal for Fraction: ''"),
+        ("foliate", "f.fam", "v = 0.5\nf1 = cot(w3)/100\nlambda_max = 0.05\n",
+         "cot at a pole in subexpression 'cot(w3)'"),
+        ("foliate", "f.fam", "v = 0.5\nv = 1.5\nlambda_max = 0.05\n",
+         "repeated family-file key 'v'"),
+    ], ids=["cot-surface", "non-finite-jet", "two-u", "empty-param", "cot-family", "two-v"])
+    @pytest.mark.filterwarnings("error")
+    def test_one_line_without_numpy_warning(self, tmp_path, capsys, command, name,
+                                            body, message):
+        path = tmp_path / name
+        path.write_text(body)
+        argv = [command, str(path)] + (["--case", "cmc"] if command == "analyze" else [])
+        assert cli.main(argv) == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hemifol: error: {message}\n"
 
     def test_missing_surface_file(self, tmp_path, capsys):
         code = cli.main(["analyze", str(tmp_path / "none.surf"), "--case", "cmc"])

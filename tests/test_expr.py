@@ -42,6 +42,18 @@ def test_parse_errors_carry_offset():
         ex.parse("a + (b")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x $ y", "unexpected character '$' (at offset 2)"),
+    ("x y", "trailing input 'y' (at offset 2)"),
+    ("x^y", "expected integer exponent (at offset 2)"),
+    ("x^1.5", "expected integer exponent (at offset 2)"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse(text)
+    assert str(err.value) == message
+
+
 def test_diff_power():
     d = ex.diff(ex.parse("x^3"), "x")
     for x in (0.3, -1.2, 2.0):
@@ -723,6 +735,21 @@ def test_point_walks_return_python_floats():
     big = ex.evaluate_jet(ex.parse("(sqrt(x)*x)*(sqrt(x)*x)*(sqrt(x)*x)"),
                           {"x": ex.LaneJet2(1e80, (1.0,) * 4, (0.0,) * 4)})
     assert big.f == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_cot_pole_is_a_domain_error():
+    # cos/sin at sin = 0 gave numpy warnings and inf/NaN; every number type
+    # gets the domain check
+    e = ex.parse("1 + cot(x - 1/100)")
+    for x in (0.01, np.array([0.5, 0.01]), ex.Jet2(0.01, 1.0, 0.0),
+              ex.LaneJet2(0.01, (1.0,) * 4, (0.0,) * 4)):
+        with pytest.raises(ex.DomainError) as err:
+            ex.evaluate_jet(e, {"x": x})
+        assert str(err.value) == "cot at a pole in subexpression 'cot(x - 1/100)'"
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(e, {"x": 0.01})
+    assert math.isfinite(ex.evaluate(e, {"x": 0.5}))
 
 
 def test_domain_error_message_is_bounded():

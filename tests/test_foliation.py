@@ -176,6 +176,79 @@ class TestInsideOutside:
         assert not wrong
 
 
+    def test_center_and_plane_points_match_closed_form_gap(self):
+        # the gap at the center is minus the leaf's distance along e3, and
+        # points on z = 0 sit on their own reflection
+        fam = fo.LeafFamily(0.7, (ex.parse("0.2*w1*w3"), ex.ZERO,
+                                  ex.parse("0.1*w3*(1-w3)")), lambda_max=0.05)
+        lam = 0.04
+        c = fam.center(lam)
+        assert fo.point_inside_leaf(fam, lam, c)
+        assert _ref_radial_gap(fam, lam, c)[0] < 0
+        for dx, dy in ((0.5, 0.0), (-0.9, 0.2), (0.0, -0.99), (1.01, 0.0), (0.3, 1.2)):
+            p = c + lam * np.array([dx, dy, 0.0])
+            want = _ref_radial_gap(fam, lam, p)[0] < 0
+            assert want == (math.hypot(dx, dy) < 1)
+            assert fo.point_inside_leaf(fam, lam, p) == want
+
+
+class TestCenter:
+    def test_scalar_and_array(self):
+        fam = fo.LeafFamily(0.7, CONST_03, lambda_max=0.05)
+        assert fam.center(0.03).tolist() == [0.03 * 0.7, 0.0, 0.0]
+        lam = [0.01, 0.02, 0.05]
+        assert fam.center(np.array(lam)).tolist() == [[x * 0.7, 0.0, 0.0] for x in lam]
+        assert fam.center(lam).shape == (3, 3)
+
+    def test_leaf_is_center_plus_scaled_sphere(self):
+        fam = fo.LeafFamily(1.3, (ex.parse("0.2*w1*w3"), ex.ZERO,
+                                  ex.parse("0.1*w3*(1-w3)")), lambda_max=0.05)
+        om = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
+        want = 0.04 * 1.3 * fo.E1 + 0.04 * om + 0.04 ** 2 * fam.f(0.04, om)
+        assert fam.leaf(0.04, om).tobytes() == want.tobytes()
+
+
+def _ref_midway_samples(fam, lam_grid):
+    """The coverage samples foliate built in its command before
+    midway_samples existed."""
+    samples = []
+    if fam.v < 1.0:
+        dirs = [np.array(d) / np.linalg.norm(d)
+                for d in ([0.0, 0.0, 1.0], [1 / 2, 1 / 3, 1 / 2])]
+        ends = (lam_grid[0], lam_grid[-1])
+        outcomes = iter(fo.ray_outcomes(fam, [(lam, d) for d in dirs for lam in ends]))
+
+        def unwrap(outcome):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        for d in dirs:
+            inner, outer = next(outcomes), next(outcomes)
+            try:
+                r = 0.5 * (unwrap(inner) + unwrap(outer))
+            except fo.NoIntersection:
+                r = 0.5 * (lam_grid[0] + lam_grid[-1])
+            samples.append(r * d)
+    return samples
+
+
+@pytest.mark.parametrize("v, f1, lam_max, n", [
+    (0.5, "0", 0.05, 10), (0.6, "0.2*w1*w3", 0.05, 7), (0.999, "0", 0.05, 10),
+    (0.9, "0.3", 1.0, 10), (1.0, "0", 0.05, 10), (1.7, "0.3", 0.05, 10),
+], ids=["flat", "curved", "near-one", "ray-misses", "one", "fast"])
+def test_midway_samples_match_command_construction(v, f1, lam_max, n):
+    fam = fo.LeafFamily(v, (ex.parse(f1), ex.ZERO, ex.ZERO), lambda_max=lam_max)
+    grid = fo.checked_lambda_grid(fam, np.linspace(0.005, lam_max, n))
+    got = fo.midway_samples(fam, grid)
+    assert _bits(got) == _bits(_ref_midway_samples(fam, grid))
+    assert len(got) == (2 if v < 1 else 0)
+    if f1 == "0.3" and v < 1:
+        # leaves past lambda = 1/3 leave the origin outside: the vertical
+        # ray misses them and its sample sits at the mean radius
+        assert got[0].tolist() == [0.0, 0.0, 0.5 * (grid[0] + grid[-1])]
+
+
 class TestLeavesIntersect:
     def test_nested_disjoint(self):
         fam = fo.LeafFamily(0.0, lambda_max=0.3)
@@ -312,6 +385,24 @@ class TestPairwiseGridInvariant:
                 res = fo.leaves_intersect(fam, grid[i], grid[j])
                 assert not res.intersects
                 assert res.min_distance > 0
+
+
+@pytest.mark.parametrize("body, message", [
+    ("v = 0.5\nspeed = 1\nlambda_max = 0.05\n", "unrecognized family-file key 'speed'"),
+    ("lambda_max = 0.05\n", "family file needs 'v' and 'lambda_max'"),
+    ("v = 0.5\nf1 = 0.3\n", "family file needs 'v' and 'lambda_max'"),
+    ("v = 0.5\nv = 1.5\nlambda_max = 0.05\n", "repeated family-file key 'v'"),
+    ("v = 0.5\nlambda_max = 0.05\nlambda_max = 0.04\n",
+     "repeated family-file key 'lambda_max'"),
+    ("v = 0.5\nf3 = 0\nf3 = w3*(1-w3)\nlambda_max = 0.05\n", "repeated family-file key 'f3'"),
+], ids=["unknown", "no-v", "no-lambda-max", "two-v", "two-lambda-max", "two-f3"])
+def test_family_file_errors(tmp_path, body, message):
+    # a repeated key is ambiguous: the last one no longer wins
+    path = tmp_path / "f.fam"
+    path.write_text(body)
+    with pytest.raises(ValueError) as err:
+        fo.load_family_file(path)
+    assert str(err.value) == message
 
 
 def test_family_file_roundtrip(tmp_path):
@@ -595,7 +686,7 @@ class TestLockstep:
         rays = [(0.02, [1.0, 0.1, 0.2]), (0.03, [-1.0, 0.0, 0.0]),
                 (0.0, [1.0, 0.0, 0.0]), (0.05, [0.95, 0.2, 0.1]),
                 (0.06, [0.0, 0.0, 1.0]), (0.04, [1.0, 0.0, 0.0])]
-        out = fo._ray_outcomes(fam, rays)
+        out = fo.ray_outcomes(fam, rays)
         assert [type(o).__name__ for o in out] == [
             "float", "NoIntersection", "ValueError", "float", "ValueError", "float"]
         for (lam, d), got in zip(rays, out):
@@ -605,6 +696,15 @@ class TestLockstep:
                 assert str(got) == str(info.value)
             else:
                 assert _bits(got) == _bits(fo.ray_intersect(fam, lam, d).t)
+
+    def test_fixed_point_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(fo, "RAY_MAX_ITER", 1)
+        fam = fo.LeafFamily(0.5, CONST_03, lambda_max=0.05)
+        with pytest.raises(fo.NoConvergence,
+                           match="^fixed point not contracting after 1 iterations$"):
+            fo.ray_intersect(fam, 0.03, [1.0, 0.2, 0.3])
+        out = fo.ray_outcomes(fam, [(0.03, [1.0, 0.2, 0.3]), (0.02, [0.0, 0.5, 1.0])])
+        assert [type(o) for o in out] == [fo.NoConvergence] * 2
 
     def test_domain_error_stays_with_its_request(self):
         # f1 leaves its domain near the horizontal direction at azimuth

@@ -338,6 +338,21 @@ class TestFindCriticalPoint:
             with pytest.raises(ValueError, match="^guess must be finite$"):
                 gs.find_critical_point(s, guess)
 
+    def test_step_limit(self, monkeypatch):
+        monkeypatch.setattr(gs, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(gs.NoConvergence, match="^no critical point within 1 Newton steps$"):
+            gs.find_critical_point(gs.gallery_surface(0.3), (0.01, -0.01))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_jet_refused(self):
+        # the products overflow to inf and inf - inf is NaN, which numpy's
+        # det warned about before the iterate left the domain as (nan, nan)
+        s = gs.GraphSurface(ex.parse("x*y + x^2 + y^2 + (x+3)^600*(x+3)^600"))
+        with pytest.raises(gs.NoConvergence) as err:
+            gs.find_critical_point(s, (0.01, -0.01))
+        assert str(err.value) == ("H or its derivatives not finite at "
+                                  "Newton iterate (0.01, -0.01)")
+
     def test_tilted_plane_degenerate(self):
         s = gs.GraphSurface(ex.parse("x"))
         with pytest.raises((gs.DegenerateHessian, gs.NoConvergence)):
@@ -416,3 +431,22 @@ def test_surface_file_roundtrip(tmp_path):
     assert s.name == "test"
     data = gs.find_critical_point(s, (0.01, -0.01))
     assert np.max(np.abs(data.point)) < 1e-10
+
+
+@pytest.mark.parametrize("body, message", [
+    ("name = s\n", "surface file has no 'u = <expr>' line"),
+    ("u = x*y + x^2\nu = x*y + 2*x^2\n", "repeated surface-file key 'u'"),
+    ("name = a\nname = b\nu = x*y\n", "repeated surface-file key 'name'"),
+    ("u = a*x*y\nparams: a=1\nparams: a=2\n", "params item 'a=2': repeated name 'a'"),
+    ("u = a*x*y\nparams: a=1, a=1\n", "params item 'a=1': repeated name 'a'"),
+    ("u = a*x*y\nparams: a=\n", "params item 'a=': Invalid literal for Fraction: ''"),
+    ("u = a*x*y\nparams: a=x\n", "params item 'a=x': Invalid literal for Fraction: 'x'"),
+], ids=["no-u", "two-u", "two-names", "param-two-lines", "param-one-line",
+        "param-empty", "param-letter"])
+def test_surface_file_errors(tmp_path, body, message):
+    # a repeated key is ambiguous, and every malformed params item names itself
+    path = tmp_path / "s.surf"
+    path.write_text(body)
+    with pytest.raises(ValueError) as err:
+        gs.load_surface_file(path)
+    assert str(err.value) == message
