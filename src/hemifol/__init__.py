@@ -14,9 +14,10 @@ Subpackages:
   energy/area expansions
 - ``foliation``: executable leaf families and the v < 1 / v > 1 dichotomy
 - ``cli``: command-line front end
-"""
 
-from . import expr, foliation, graph_surface, linearized, quadrature, sphere, variational
+``import hemifol`` imports none of them: each is imported on first use,
+as an attribute (PEP 562) or by ``from hemifol import ...``.
+"""
 
 __version__ = "0.1.0"
 
@@ -24,3 +25,12 @@ __all__ = [
     "expr", "quadrature", "sphere", "graph_surface", "linearized",
     "variational", "foliation",
 ]
+
+
+def __getattr__(name):
+    # only for a name not bound yet, as the import binds it; the builtin
+    # __import__ takes the path that -X importtime reports
+    if name in __all__ or name == "cli":
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -45,11 +45,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
-from . import foliation as fo
-from . import graph_surface as gs
-from . import linearized as lin
-from . import quadrature as hq
-from . import variational as va
 
 __all__ = ["main"]
 
@@ -80,10 +75,11 @@ def _emit(text: str, out):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the modules it runs, and a process loads no other
 # ---------------------------------------------------------------------------
 
 def cmd_moments(args) -> int:
+    from . import quadrature as hq
     if args.max_degree > MAX_DEGREE:
         raise ValueError(f"max_degree must be at most {MAX_DEGREE}")
     buf = io.StringIO()
@@ -105,6 +101,7 @@ _EXIT_BY_VERDICT = {"Foliates": 0, "DoesNotFoliate": 1, "Overlaps": 1,
 
 
 def cmd_analyze(args) -> int:
+    from . import graph_surface as gs
     surface = gs.load_surface_file(args.surface)
     data = gs.find_critical_point(surface, tuple(args.guess))
     verdict = gs.foliation_criterion(surface, data, args.case)
@@ -128,6 +125,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gallery(args) -> int:
+    from . import graph_surface as gs
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["a", "v0x", "v0y", "v0norm", "verdict"])
@@ -171,6 +169,8 @@ _REFERENCE_FIRST = {"willmore": -1.0, "cmc": -0.25}
 
 
 def cmd_verify(args) -> int:
+    from . import quadrature as hq
+    from . import variational as va
     if not math.isfinite(args.tolerance):
         raise ValueError("tolerance must be finite")
     if args.tolerance <= 0:
@@ -221,6 +221,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_linearized(args) -> int:
+    from . import linearized as lin
     problem = lin.LinearizedProblem(args.case, args.k1, args.k2)
     solution = lin.solve_ode_modes(problem)
     report = lin.residual_check(problem, solution.u_prime)
@@ -248,6 +249,7 @@ def cmd_linearized(args) -> int:
 
 
 def cmd_foliate(args) -> int:
+    from . import foliation as fo
     if args.n_lambda > MAX_N_LAMBDA:
         raise ValueError(f"n_lambda must be at most {MAX_N_LAMBDA}")
     if not math.isfinite(args.lambda_min):
@@ -373,13 +375,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple:
+    """The exceptions :func:`main` reports as bad input (exit 65); a module's
+    own errors can be raised only once it is loaded."""
+    gs = sys.modules.get(f"{__package__}.graph_surface")
+    fo = sys.modules.get(f"{__package__}.foliation")
+    return ((ex.ExprError, OSError, ValueError)
+            + ((gs.NoConvergence, gs.DegenerateHessian) if gs else ())
+            + ((fo.NoConvergence,) if fo else ()))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ex.ExprError, gs.NoConvergence, gs.DegenerateHessian,
-            fo.NoConvergence, OSError, ValueError) as err:
+    # the tuple is built only when an exception reaches this clause
+    except _input_errors() as err:
         print(f"hemifol: error: {err}", file=sys.stderr)
         return EX_DATAERR
 

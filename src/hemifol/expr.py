@@ -17,8 +17,10 @@ back to the node (an order ends with its root; the derivative of sqrt(a)
 contains sqrt(a)), so such nodes are freed by the cyclic garbage collector.
 Whatever a caller reuses across calls, it keeps alive itself.  A constant is
 keyed by its numerator and denominator, two ints, not by its ``Fraction``,
-whose hash takes a modular inverse.  Interning takes no lock, so the
-module is not thread-safe.
+whose hash takes a modular inverse.  An interned constant is returned
+before any check, and ``add``, ``sub`` and ``mul`` test ``ZERO`` and ``ONE``
+before folding two constants: the same node, with no ``Fraction`` work.
+Interning takes no lock, so the module is not thread-safe.
 
 Every walk of the DAG is a loop over one iterative children-first order, so
 no expression is too deep to evaluate, differentiate or print; only the
@@ -230,6 +232,12 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 def const(x) -> Expr:
     if isinstance(x, Expr):
         return x
+    # an interned constant passed the checks below when it was made
+    if isinstance(x, (int, Fraction)):
+        ref = _TABLE.get(("const", x.numerator, x.denominator))
+        node = None if ref is None else ref()
+        if node is not None:
+            return node
     limit = _digit_limit()
     if not isinstance(x, Fraction):
         if isinstance(x, float) and not x.is_integer():
@@ -270,36 +278,36 @@ def _is_const(e):
 
 def add(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
-    if _is_const(a) and _is_const(b):
-        return const(a.payload + b.payload)
     if a is ZERO:
         return b
     if b is ZERO:
         return a
+    if _is_const(a) and _is_const(b):
+        return const(a.payload + b.payload)
     return _mk("add", None, (a, b))
 
 
 def sub(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
-    if _is_const(a) and _is_const(b):
-        return const(a.payload - b.payload)
     if b is ZERO:
         return a
     if a is b:
         return ZERO
+    if _is_const(a) and _is_const(b):
+        return const(a.payload - b.payload)
     return _mk("sub", None, (a, b))
 
 
 def mul(a, b) -> Expr:
     a, b = _coerce(a), _coerce(b)
-    if _is_const(a) and _is_const(b):
-        return const(a.payload * b.payload)
     if a is ZERO or b is ZERO:
         return ZERO
     if a is ONE:
         return b
     if b is ONE:
         return a
+    if _is_const(a) and _is_const(b):
+        return const(a.payload * b.payload)
     return _mk("mul", None, (a, b))
 
 
@@ -355,6 +363,8 @@ def _artanh_derivs(b, y):
     return 1.0 / d, 2.0 * b / (d * d)
 
 
+# cos(b) / sin(b) overflows where |sin(b)| <= 1 / max float
+_COT_POLE = 1.0 / sys.float_info.max
 # The elementary functions of float, Jet2 and symbolic code: kind -> (phi,
 # (b, phi(b)) -> (phi'(b), phi''(b)), None or (mask of the points of b
 # outside the domain, message), (a, da) -> d phi(a) as an expression).
@@ -374,7 +384,7 @@ _FUNCS = {
                lambda a, da: div(da, sub(ONE, powi(a, 2)))),
     "cot": (lambda b: np.cos(b) / np.sin(b),
             lambda b, y: (-(1.0 + y * y), 2.0 * y * (1.0 + y * y)),
-            (lambda b: np.sin(b) == 0, "cot at a pole"),
+            (lambda b: abs(np.sin(b)) <= _COT_POLE, "cot at a pole"),
             lambda a, da: mul(const(-1), mul(add(ONE, powi(cot(a), 2)), da))),
 }
 

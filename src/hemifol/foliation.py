@@ -692,7 +692,13 @@ def load_family_file(path) -> tuple[LeafFamily, dict]:
                 raise ValueError(f"unrecognized family-file key {key!r}")
             if key in vals:
                 raise ValueError(f"repeated family-file key {key!r}")
-            vals[key] = float(val) if key in ("v", "lambda_max") else ex.parse(val)
+            if key in ("f1", "f2", "f3"):
+                vals[key] = ex.parse(val)
+                continue
+            try:
+                vals[key] = float(val)
+            except ValueError:
+                raise ValueError(f"family-file key {key!r} is not a number: {val!r}") from None
     if "v" not in vals or "lambda_max" not in vals:
         raise ValueError("family file needs 'v' and 'lambda_max'")
     meta = {"v": vals["v"], "lambda_max": vals["lambda_max"]}

@@ -319,6 +319,8 @@ def load_surface_file(path) -> GraphSurface:
                 for item in line[len("params:"):].split(","):
                     key, _, val = (x.strip() for x in item.partition("="))
                     try:
+                        if not key:
+                            raise ValueError("empty name")
                         if key in params:
                             raise ValueError(f"repeated name '{key}'")
                         params[key] = ex.const(val)

@@ -748,7 +748,17 @@ class TestInputErrors:
          "cot at a pole in subexpression 'cot(w3)'"),
         ("foliate", "f.fam", "v = 0.5\nv = 1.5\nlambda_max = 0.05\n",
          "repeated family-file key 'v'"),
-    ], ids=["cot-surface", "non-finite-jet", "two-u", "empty-param", "cot-family", "two-v"])
+        ("analyze", "s.surf", "name = s\nu = a*x + x*y + x^2 + y^2\nparams: a=1, =3\n",
+         "params item '=3': empty name"),
+        ("foliate", "f.fam", "v = abc\nlambda_max = 0.05\n",
+         "family-file key 'v' is not a number: 'abc'"),
+        ("foliate", "f.fam", "v = 0.5\nlambda_max = 5e-2x\n",
+         "family-file key 'lambda_max' is not a number: '5e-2x'"),
+        # 0.01^155 = 1e-310 at the Newton guess: cos/sin would overflow
+        ("analyze", "s.surf", "name = s\nu = x*y + x^2 + y^2 + cot(x^155)\n",
+         "cot at a pole in subexpression 'cot(x^155)'"),
+    ], ids=["cot-surface", "non-finite-jet", "two-u", "empty-param", "cot-family", "two-v",
+            "empty-param-name", "v-not-a-number", "lambda-max-not-a-number", "cot-overflow"])
     @pytest.mark.filterwarnings("error")
     def test_one_line_without_numpy_warning(self, tmp_path, capsys, command, name,
                                             body, message):

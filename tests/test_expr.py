@@ -790,3 +790,62 @@ def test_parse_nesting_cap():
             ex.parse(text)
         assert err.value.offset == offset
         assert f"more than {n} nested groups" in str(err.value)
+
+
+def test_interned_constant_returned_at_once(monkeypatch):
+    # const() finds an int or Fraction constant in the intern table before
+    # it checks the digit limit or builds a Fraction
+    c = ex.const("3/7")
+    assert ex.const(Fraction(3, 7)) is c
+    assert ex.const(Fraction(6, 14)) is c
+    two = ex.const(2)
+
+    def checked():
+        raise AssertionError("digit limit read")
+    monkeypatch.setattr(ex, "_digit_limit", checked)
+    assert ex.const(Fraction(3, 7)) is c
+    assert ex.const(2) is two and ex.const(Fraction(2)) is two
+    assert ex.const(0) is ex.ZERO and ex.const(Fraction(1)) is ex.ONE
+
+
+def test_constant_past_the_digit_limit_still_refused():
+    limit = sys.get_int_max_str_digits()
+    kept = ex.const(10 ** limit - 1)
+    for x in (10 ** limit, Fraction(10 ** limit, 3), Fraction(1, 10 ** limit)):
+        with pytest.raises(ex.ExprError) as err:
+            ex.const(x)
+        assert str(err.value) == f"constant of more than {limit} digits"
+    assert ex.const(10 ** limit - 1) is kept
+
+
+def test_identities_tested_before_constants_fold(monkeypatch):
+    # ZERO and ONE give the interned operand without Fraction arithmetic
+    c = ex.const(Fraction(3, 7))
+    with monkeypatch.context() as m:
+        m.setattr(ex, "const", None)
+        assert ex.add(ex.ZERO, c) is c and ex.add(c, ex.ZERO) is c
+        assert ex.mul(ex.ONE, c) is c and ex.mul(c, ex.ONE) is c
+        assert ex.mul(ex.ZERO, c) is ex.ZERO and ex.mul(c, ex.ZERO) is ex.ZERO
+        assert ex.sub(c, ex.ZERO) is c and ex.sub(c, c) is ex.ZERO
+    assert ex.add(c, c) is ex.const(Fraction(6, 7))
+    assert ex.sub(ex.ZERO, c) is ex.const(Fraction(-3, 7))
+    assert ex.mul(c, c) is ex.const(Fraction(9, 49))
+
+
+@pytest.mark.filterwarnings("error")
+def test_cot_next_to_its_pole_is_a_domain_error():
+    # at a nonzero |sin(b)| <= 1/max float, cos(b)/sin(b) overflows
+    e = ex.parse("cot(x)")
+    tiny = 1e-310
+    for x in (tiny, np.array([0.5, tiny]), ex.Jet2(tiny, 1.0, 0.0),
+              ex.Jet2(np.array([0.5, -tiny]), 1.0, 0.0),
+              ex.LaneJet2(tiny, (1.0,) * 4, (0.0,) * 4)):
+        for walk in (ex.evaluate, ex.evaluate_jet):
+            with pytest.raises(ex.DomainError) as err:
+                walk(e, {"x": x})
+            assert str(err.value) == "cot at a pole in subexpression 'cot(x)'"
+    edge = 1 / sys.float_info.max
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(e, {"x": edge})
+    assert ex.evaluate(e, {"x": float(np.nextafter(edge, 1.0))}) == pytest.approx(
+        sys.float_info.max, rel=1e-15)
