@@ -27,6 +27,11 @@ no expression is too deep to evaluate, differentiate or print; only the
 parser recurses, and it rejects more than ``MAX_NESTING`` nested groups.
 Evaluating one root drops each intermediate value as soon as its last
 consumer has been computed, so a walk keeps only the values still to be read.
+An evaluation visits, of two operands, the one whose subtree holds more
+values at once first (Sethi-Ullman numbers, kept on each node as ``need``),
+which lowers how many arrays a walk holds at a time; no value depends on
+the order, and a failed walk is repeated left to right, so the
+subexpression that a :class:`DomainError` names does not either.
 :func:`evaluate` also takes a sequence of roots and evaluates them over one
 memo kept to the end, so subexpressions shared between fields are computed
 once.
@@ -134,7 +139,7 @@ class Expr:
     """One interned node of an expression DAG.  Do not construct directly;
     use the module-level constructors (which fold constants and intern)."""
 
-    __slots__ = ("kind", "payload", "args", "value", "order", "frees",
+    __slots__ = ("kind", "payload", "args", "value", "need", "order", "frees",
                  "derivs", "__weakref__")
 
     def __init__(self, kind, payload, args):
@@ -147,6 +152,14 @@ class Expr:
                           else math.pi if kind == "pi" else None)
         except OverflowError:
             self.value = None
+        # values a walk of this subtree holds at once in its evaluation order
+        # (exact for a tree, an estimate where subtrees are shared); a
+        # leaf's value is a constant or a binding, allocated elsewhere
+        if len(args) == 2:
+            a, b = args[0].need, args[1].need
+            self.need = a + 1 if a == b else max(a, b)
+        else:
+            self.need = max(args[0].need, 1) if args else 0
         self.order = None         # evaluation order, cached on first evaluation
         self.frees = None         # per position of order: ids last read there
         self.derivs = None        # variable name -> derivative, filled by diff
@@ -365,6 +378,19 @@ def _artanh_derivs(b, y):
 
 # cos(b) / sin(b) overflows where |sin(b)| <= 1 / max float
 _COT_POLE = 1.0 / sys.float_info.max
+# cot's second derivative 2 y (1 + y^2), y = cot(b), is finite exactly
+# while |y| < 2^341, and its first derivative -(1 + y^2) with it
+_COT_DERIV_MAX = 2.0 ** 341
+
+
+def _cot_derivs(b, y):
+    # raised before the products, so an array part warns of no overflow;
+    # the walk makes it a DomainError on the cot node
+    if np.any(abs(y) >= _COT_DERIV_MAX):
+        raise OverflowError
+    s = 1.0 + y * y
+    return -s, 2.0 * y * s
+
 # The elementary functions of float, Jet2 and symbolic code: kind -> (phi,
 # (b, phi(b)) -> (phi'(b), phi''(b)), None or (mask of the points of b
 # outside the domain, message), (a, da) -> d phi(a) as an expression).
@@ -382,8 +408,7 @@ _FUNCS = {
     "artanh": (np.arctanh, _artanh_derivs,
                (lambda b: abs(b) >= 1, "artanh outside (-1, 1)"),
                lambda a, da: div(da, sub(ONE, powi(a, 2)))),
-    "cot": (lambda b: np.cos(b) / np.sin(b),
-            lambda b, y: (-(1.0 + y * y), 2.0 * y * (1.0 + y * y)),
+    "cot": (lambda b: np.cos(b) / np.sin(b), _cot_derivs,
             (lambda b: abs(np.sin(b)) <= _COT_POLE, "cot at a pole"),
             lambda a, da: mul(const(-1), mul(add(ONE, powi(cot(a), 2)), da))),
 }
@@ -393,17 +418,26 @@ _FUNCS = {
 # the walk
 # ---------------------------------------------------------------------------
 
-def _postorder(roots, done=None):
+def _postorder(roots, done=None, by_need=False):
     """Nodes reachable from ``roots``, children first and each once, in the
     order a left-to-right recursive walk would finish them.  A node for
-    which ``done(node)`` is true is skipped together with its subtree."""
+    which ``done(node)`` is true is skipped together with its subtree.
+
+    With ``by_need``, of two children the one whose subtree holds more
+    values at once is walked first (Sethi & Ullman, J. ACM 17, 1970): the
+    evaluation order, in which a walk that drops each value after its last
+    read holds fewer arrays at a time.  No value depends on the order;
+    which of two failing subexpressions raises first does."""
     out, seen = [], set()
     stack = [(None, iter(roots))]    # each node with its unvisited children
     while stack:
         for a in stack[-1][1]:
             if id(a) not in seen and not (done and done(a)):
                 seen.add(id(a))
-                stack.append((a, iter(a.args)))
+                args = a.args
+                if by_need and len(args) == 2 and args[1].need > args[0].need:
+                    args = args[::-1]
+                stack.append((a, iter(args)))
                 break
         else:
             out.append(stack.pop()[0])
@@ -672,15 +706,28 @@ def _last_reads(order):
 
 
 def _eval(roots, bindings, release=False, jet=False):
-    """Values of ``roots`` over one memo.  With ``release`` (one root) each
-    value is dropped once its last consumer has been computed.  With
-    ``jet`` a quotient by a plain value is taken as a * (1/b), as a jet
-    with zero derivative parts divides."""
+    """Values of ``roots`` over one memo, each in its evaluation order
+    (:func:`_postorder` by need).  With ``release`` (one root) each value
+    is dropped once its last consumer has been computed.  With ``jet`` a
+    quotient by a plain value is taken as a * (1/b), as a jet with zero
+    derivative parts divides.  Of several failing subexpressions, the one
+    a left-to-right walk meets first raises: a failed walk is repeated in
+    that order."""
+    try:
+        return _walk(roots, bindings, release, jet, True)
+    except EvalError:
+        _walk(roots, bindings, False, jet, False)
+        raise
+
+
+def _walk(roots, bindings, release, jet, by_need):
+    """The walk of :func:`_eval`, in each root's cached evaluation order,
+    or else in a fresh left-to-right :func:`_postorder`."""
     memo = {}
     for root in roots:
-        order = root.order
+        order = root.order if by_need else _postorder((root,))
         if order is None:
-            order = root.order = _postorder((root,))
+            order = root.order = _postorder((root,), by_need=True)
         if release:
             frees = root.frees
             if frees is None:

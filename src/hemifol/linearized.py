@@ -154,12 +154,12 @@ class ResidualReport:
         return max(vals)
 
 
-# residual sample points (t, phi): a grid of the hemisphere short of the
-# pole, where the (t, phi) chart is singular; the equator's are the nodes
-# of the boundary rule
-_GRID = dict(zip(("t", "phi"), (a.ravel() for a in np.meshgrid(
-    np.linspace(0.0, 0.95, 97), np.linspace(0.0, 2 * np.pi, 64, endpoint=False),
-    indexing="ij"))))
+# residual sample points (t, phi): a 97 x 64 grid of the hemisphere short
+# of the pole, where the (t, phi) chart is singular, bound as its factors
+# (t a column, phi a row) so that a subexpression of t alone is computed
+# once per row; the equator's are the nodes of the boundary rule
+_GRID = {"t": np.linspace(0.0, 0.95, 97)[:, None],
+         "phi": np.linspace(0.0, 2 * np.pi, 64, endpoint=False)[None, :]}
 
 
 def residual_check(p: LinearizedProblem, u: ex.Expr) -> ResidualReport:
@@ -303,16 +303,17 @@ def solve_ode_modes(p: LinearizedProblem) -> LinearizedSolution:
         }
     coef2 = (p.kappa1 - p.kappa2) / 4.0
 
-    t, phi = (a.ravel() for a in np.meshgrid(
-        np.linspace(0.0, math.cos(1e-3), 40),
-        np.linspace(0.0, 2 * np.pi, 32, endpoint=False), indexing="ij"))
+    # the grid's factors: the modes are read once per t
+    t = np.linspace(0.0, math.cos(1e-3), 40)[:, None]
+    phi = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)[None, :]
     w1, w2_, w3 = sphere.omega_values(t, phi)
     f_half = 0.5 * (p.kappa1 * w1 ** 2 + p.kappa2 * w2_ ** 2) * w3
     u_vals = coef0 * m0(t) + coef2 * (w1 ** 2 - w2_ ** 2) * m2(t) - f_half
     alpha, beta = multipliers(p)
     return LinearizedSolution(
         u_prime=uprime_expr(p.case),
-        samples=np.column_stack([t, phi, u_vals]),
+        samples=np.column_stack([np.broadcast_to(a, u_vals.shape).ravel()
+                                 for a in (t, phi, u_vals)]),
         alpha_prime=alpha,
         beta_prime=beta,
         mode_sup_errors=errs,

@@ -13,8 +13,16 @@ the equator -- is a :class:`Rule` built once per size and shared
 read-only.  Its nodes bind omega (w1, w2, w3) and (t, phi) alike, and
 :meth:`Rule.sum` is the one weighted sum, for floats and for the parts of
 a ``Jet2``; :meth:`Rule.integrate` walks one expression or a sequence of
-them once.  All reductions use a fixed summation order, so results are
-bit-reproducible.
+them once.
+
+A product rule binds its factors, not a meshgrid: t is a column and phi a
+row, which numpy broadcasts to the grid, so a subexpression of t alone is
+computed once per row and one of phi alone once per column.  Each grid
+point still takes the same IEEE operations, so its value is bit for bit
+the meshgrid's.  All reductions use a fixed summation order: a sum runs
+over the C-contiguous product of the broadcast values and the weights,
+which numpy adds as it adds their ravel, so results are bit-reproducible
+and equal those of the flattened grid.
 """
 
 from __future__ import annotations
@@ -85,10 +93,15 @@ class QuadratureGrid:
             raise ValueError("n_azimuthal must be even and >= 16")
 
     def nodes(self):
-        """(t, phi, weight) arrays of :func:`surface_rule`, flattened over
-        the product grid; shared, so they are read-only."""
+        """(t, phi, weight) at every point of :func:`surface_rule`'s grid,
+        as flat read-only arrays in row-major order (t slowest)."""
         rule = surface_rule(self)
-        return rule.bindings["t"], rule.bindings["phi"], rule.weights
+        shape = rule.weights.shape
+        out = tuple(np.broadcast_to(a, shape).ravel()
+                    for a in (rule.bindings["t"], rule.bindings["phi"], rule.weights))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +109,10 @@ class Rule:
     """Nodes and weights of one quadrature rule, built once per size and
     shared read-only.  ``bindings`` holds the nodes both as omega (w1, w2,
     w3) and as (t, phi), so a rule integrates expressions in either set of
-    names, or in both.  The equator rule has no weight array: its weights
-    are all 2 pi / n, applied to the sum."""
+    names, or in both.  Each binding has the shape of its own factor of
+    the product grid (t a column, phi a row) and broadcasts to the shape of
+    ``weights``.  The equator rule has no weight array: its weights are all
+    2 pi / n, applied to the sum."""
     bindings: Mapping[str, np.ndarray]
     weights: np.ndarray | None
 
@@ -128,13 +143,14 @@ def _rule(weights, **nodes) -> Rule:
 
 @functools.lru_cache(maxsize=8)
 def surface_rule(grid: QuadratureGrid) -> Rule:
-    """Gauss-Legendre in t on [0, 1] times the uniform rule in phi,
-    flattened over the product grid."""
+    """Gauss-Legendre in t on [0, 1] times the uniform rule in phi: t and
+    w3 are a column (n_polar, 1), phi a row (1, n_azimuthal), and w1, w2
+    and the weights are (n_polar, n_azimuthal)."""
     x, w = np.polynomial.legendre.leggauss(grid.n_polar)
-    phi = 2.0 * np.pi * np.arange(grid.n_azimuthal) / grid.n_azimuthal
-    T, P = np.meshgrid(0.5 * (x + 1.0), phi, indexing="ij")
-    t, phi = T.ravel(), P.ravel()
-    W = np.repeat(0.5 * w, grid.n_azimuthal) * (2.0 * np.pi / grid.n_azimuthal)
+    t = (0.5 * (x + 1.0))[:, None]
+    phi = (2.0 * np.pi * np.arange(grid.n_azimuthal) / grid.n_azimuthal)[None, :]
+    W = np.repeat(0.5 * w, grid.n_azimuthal).reshape(grid.n_polar, grid.n_azimuthal)
+    W *= 2.0 * np.pi / grid.n_azimuthal
     w1, w2, w3 = sphere.omega_values(t, phi)
     return _rule(W, t=t, phi=phi, w1=w1, w2=w2, w3=w3)
 
@@ -142,23 +158,23 @@ def surface_rule(grid: QuadratureGrid) -> Rule:
 @functools.lru_cache(maxsize=8)
 def shell_rule(grid: QuadratureGrid) -> Rule:
     """The half ball r = s * rho(omega): 32 Gauss-Legendre nodes in s on
-    [0, 1] (shape (32, 1)) times the surface rule (shape (1, N)).  For
+    [0, 1] (shape (32, 1, 1)) in front of the surface rule's factors.  For
     polynomial metric directions the jet parts of a volume integrand at
     eps = 0 are polynomials in s of degree below 64, so the radial rule is
     exact for them."""
     xs, ws = np.polynomial.legendre.leggauss(32)
     surface = surface_rule(grid)
-    nodes = {name: arr[None, :] for name, arr in surface.bindings.items()}
-    weights = (0.5 * ws)[:, None] * surface.weights[None, :]
-    return _rule(weights, s=(0.5 * (xs + 1.0))[:, None], **nodes)
+    weights = (0.5 * ws)[:, None, None] * surface.weights
+    return _rule(weights, s=(0.5 * (xs + 1.0))[:, None, None], **surface.bindings)
 
 
 @functools.lru_cache(maxsize=8)
 def equator_rule(n: int) -> Rule:
     """The uniform trapezoid rule with n nodes on the equator t = 0
-    (spectral for smooth periodic integrands)."""
+    (spectral for smooth periodic integrands); t and w3 are one-element
+    zero arrays."""
     phi = 2.0 * np.pi * np.arange(n) / n
-    zero = np.zeros(n)
+    zero = np.zeros(1)
     return _rule(None, t=zero, phi=phi, w1=np.cos(phi), w2=np.sin(phi), w3=zero)
 
 

@@ -849,3 +849,76 @@ def test_cot_next_to_its_pole_is_a_domain_error():
         ex.evaluate(e, {"x": edge})
     assert ex.evaluate(e, {"x": float(np.nextafter(edge, 1.0))}) == pytest.approx(
         sys.float_info.max, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cot_jet_whose_derivatives_overflow_is_a_domain_error():
+    # past the pole bound cot(b) is finite, but its derivatives -(1 + y^2)
+    # and 2 y (1 + y^2) overflow once |y| >= 2^341: a jet raised no error
+    # and gave Jet2(1e+200, -inf, nan), with numpy warnings on array parts
+    e = ex.parse("cot(x)")
+    for x in (ex.Jet2(1e-200, 1.0, 0.0), ex.Jet2(np.array([0.5, 1e-200]), 1.0, 0.0),
+              ex.Jet2(-1e-200, 1.0, 0.0), ex.LaneJet2(1e-200, (1.0,) * 4, (0.0,) * 4)):
+        with pytest.raises(ex.DomainError) as err:
+            ex.evaluate_jet(e, {"x": x})
+        assert str(err.value) == "value outside the float range in subexpression 'cot(x)'"
+    # the plain value stays finite, and so does the symbolic derivative's
+    # refusal: (1 + cot^2) as an expression overflows in its power
+    assert ex.evaluate(e, {"x": 1e-200}) == 1e200
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(ex.diff(e, "x"), {"x": 1e-200})
+    # at b = 2^-341, cot(b) = 1/b = 2^341 exactly; one float up it is below
+    edge = 2.0 ** -341
+    with pytest.raises(ex.DomainError):
+        ex.evaluate_jet(e, {"x": ex.Jet2(edge, 1.0, 0.0)})
+    inside = ex.evaluate_jet(e, {"x": ex.Jet2(float(np.nextafter(edge, 1.0)), 1.0, 0.0)})
+    assert all(math.isfinite(part) for part in (inside.f, inside.d1, inside.d2))
+    assert inside.d2 == pytest.approx(sys.float_info.max, rel=1e-14)
+
+
+def test_need_counts_values_held_at_once():
+    # Sethi-Ullman numbers: a leaf allocates nothing, an operation its value
+    x, y, z, w = (ex.var(n) for n in "xyzw")
+    assert x.need == 0 and ex.const(3).need == 0
+    assert ex.sin(x).need == 1 and (x * y).need == 1
+    assert ((x * y) + (z * w)).need == 2
+    assert ((x * y) + z).need == 1
+    assert (ex.sin((x * y) + (z * w)) * x).need == 2
+
+
+def test_evaluation_order_visits_the_larger_need_first():
+    # the right operand needs 2 values at once, the left 1: the right
+    # subtree is walked first, and the order is children-first, each once
+    x, y, z, w = (ex.var(n) for n in "xyzw")
+    left, right = x * y, (x * z) + (w * y)
+    e = left - right
+    order = ex._postorder((e,), by_need=True)
+    assert len(order) == len({id(n) for n in order}) == len(ex._postorder((e,)))
+    pos = {id(n): i for i, n in enumerate(order)}
+    assert all(pos[id(a)] < pos[id(n)] for n in order for a in n.args)
+    assert pos[id(right)] < pos[id(left)]
+    assert ex._postorder((e,)).index(left) < ex._postorder((e,)).index(right)
+    b = {n: np.linspace(0.1, 0.9, 5) * (i + 1) for i, n in enumerate("xyzw")}
+    want = b["x"] * b["y"] - (b["x"] * b["z"] + b["w"] * b["y"])
+    assert _bits(ex.evaluate(e, b)) == _bits(want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_failing_walk_names_the_leftmost_failure():
+    # the walk visits ln(w2 - 8)'s larger subtree first and fails there;
+    # the left-to-right walk repeated after it names ln(w1 - 5), as the
+    # error always did
+    e = ex.parse("w1^2*(ln(w1 - 5) + w2^3*ln(w2 - 8))")
+    left, right = e.args[1].args
+    order = ex._postorder((e,), by_need=True)
+    assert right.need > left.need and order.index(right) < order.index(left)
+    for b in ({"w1": 0.5, "w2": 0.5},
+              {"w1": np.linspace(0.1, 0.9, 5), "w2": np.linspace(0.2, 0.8, 5)}):
+        for walk in (ex.evaluate, ex.evaluate_jet, lambda e, b: ex.evaluate([e], b)):
+            with pytest.raises(ex.DomainError) as err:
+                walk(e, b)
+            assert str(err.value) == ("ln of non-positive value in subexpression "
+                                      "'ln(w1 - 5)'")
+    with pytest.raises(ex.UnboundVariableError) as err:
+        ex.evaluate(ex.parse("a*(b + c*d)"), {})
+    assert "'a'" in str(err.value)

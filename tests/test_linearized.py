@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -486,3 +487,27 @@ class TestOneWalkPerPointSet:
             for name in set(mul) & {"rhs", "du_eta", "rhs_eta", "u"}:
                 assert mul[name] is fields[name]
         assert mul["third_order"] is fields["lap2_u_eta"]
+
+
+class TestMemory:
+    # the most memory traced at once by one linearized command's solve and
+    # residual check, after a first call has built the fields; traced
+    # allocations do not depend on the machine.  Bound as flattened
+    # meshgrids the grids took 4.60 MiB (Willmore) and 2.01 MiB (CMC); as
+    # broadcast factors 3.11 and 1.31 MiB, and with the walk visiting the
+    # operand of larger need first 2.24 and 1.31 MiB
+    @pytest.mark.parametrize("case, bound_mib", [("willmore", 2.6), ("cmc", 1.6)])
+    def test_traced_peak(self, case, bound_mib):
+        p = lin.LinearizedProblem(case, 0.7, -1.3)
+
+        def run():
+            lin.residual_check(p, lin.solve_ode_modes(p).u_prime)
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20
