@@ -12,39 +12,48 @@ uses it, and structural sharing holds among the live nodes (Filliatre &
 Conchon, *Type-Safe Modular Hash-Consing*, ML Workshop 2006).  A live node
 keeps its children alive, so the child ids in its table key stay valid.
 What a node caches lives and dies with it: its derivatives (one per variable
-name, filled by :func:`diff`) and its evaluation order.  These often refer
-back to the node (an order ends with its root; the derivative of sqrt(a)
-contains sqrt(a)), so such nodes are freed by the cyclic garbage collector.
-Whatever a caller reuses across calls, it keeps alive itself.  A constant is
-keyed by its numerator and denominator, two ints, not by its ``Fraction``,
-whose hash takes a modular inverse.  An interned constant is returned
-before any check, and ``add``, ``sub`` and ``mul`` test ``ZERO`` and ``ONE``
-before folding two constants: the same node, with no ``Fraction`` work.
-Interning takes no lock, so the module is not thread-safe.
+name, filled by :func:`diff`) and its compiled evaluation program.  A
+program holds no node, and it refers to the other roots it was compiled
+for only weakly, so it forms no reference cycle: a DAG that nothing uses is
+freed at once by reference counting.  A derivative can refer back to its
+node (the derivative of sqrt(a) contains sqrt(a)); a DAG with such a cycle
+waits for the cyclic garbage collector.  Whatever a caller reuses across
+calls, it keeps alive itself.  A constant is keyed by its numerator and
+denominator, two ints, not by its ``Fraction``, whose hash takes a modular
+inverse, and any other node by its kind, its payload and the ids of its
+children.  An interned constant is returned before any check, and ``add``,
+``sub`` and ``mul`` test ``ZERO`` and ``ONE`` before folding two constants:
+the same node, with no ``Fraction`` work.  Interning takes no lock, so the
+module is not thread-safe.
 
 Every walk of the DAG is a loop over one iterative children-first order, so
 no expression is too deep to evaluate, differentiate or print; only the
 parser recurses, and it rejects more than ``MAX_NESTING`` nested groups.
-Evaluating one root drops each intermediate value as soon as its last
-consumer has been computed, so a walk keeps only the values still to be read.
-An evaluation visits, of two operands, the one whose subtree holds more
+An evaluation runs a program compiled once per tuple of roots, an
+evaluation tape (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+SIAM 2008, ch. 3-4): one instruction per computed node, each naming its
+operands and the values last read there by slot position, so a run indexes
+a list instead of looking nodes up, and drops each intermediate value after
+its last read, keeping only the roots' values and those still to be read.
+The program lists, of two operands, the one whose subtree holds more
 values at once first (Sethi-Ullman numbers, kept on each node as ``need``),
-which lowers how many arrays a walk holds at a time; no value depends on
-the order, and a failed walk is repeated left to right, so the
-subexpression that a :class:`DomainError` names does not either.
-:func:`evaluate` also takes a sequence of roots and evaluates them over one
-memo kept to the end, so subexpressions shared between fields are computed
-once.
+which lowers how many arrays a run holds at a time.  No value depends on
+the order; a failed run is repeated on a left-to-right program that keeps
+its nodes, so the subexpression that a :class:`DomainError` names does not
+either.  :func:`evaluate` takes one root or a sequence of roots; a
+subexpression shared between roots is computed once.
 
 Evaluation is generic over the scalar type: plain floats / numpy arrays, or
 :class:`Jet2` values carrying (f, f', f'') in one shared deformation
-parameter.  A jet walk (:func:`evaluate_jet`) keeps every subexpression that
-does not depend on a jet binding as a plain float or array, and does
-derivative work only where a jet is present.  Its value parts equal those of
-lifting every binding to a jet, because a plain quotient inside a jet walk
-is taken as a * (1/b), as a jet with zero derivative parts divides; its
-derivative parts are equal after broadcasting, apart from the sign of exact
-zeros and the NaN that a skipped ``f * 0.0`` made of a non-finite ``f``.
+parameter.  A walk with a jet binding keeps every subexpression that does
+not depend on a jet as a plain float or array, and does derivative work
+only where a jet is present.  Its value parts equal those of lifting every
+binding to a jet, because a plain quotient in such a walk is taken as
+a * (1/b), as a jet with zero derivative parts divides; its derivative
+parts are equal after broadcasting, apart from the sign of exact zeros and
+the NaN that a skipped ``f * 0.0`` made of a non-finite ``f``.
+:func:`evaluate` takes that rule whenever a binding is a jet, and
+:func:`evaluate_jet` always, lifting its one root to a jet.
 :class:`LaneJet2` carries the derivative parts of several directions as
 four float lanes, bit for bit the values of a :class:`Jet2` with length-4
 array parts and cheaper on so few elements; :mod:`graph_surface` walks
@@ -69,7 +78,6 @@ import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -139,19 +147,14 @@ class Expr:
     """One interned node of an expression DAG.  Do not construct directly;
     use the module-level constructors (which fold constants and intern)."""
 
-    __slots__ = ("kind", "payload", "args", "value", "need", "order", "frees",
+    __slots__ = ("kind", "payload", "args", "value", "need", "program",
                  "derivs", "__weakref__")
 
-    def __init__(self, kind, payload, args):
+    def __init__(self, kind, payload, args, value=None):
         self.kind = kind          # 'const'|'pi'|'var'|'add'|'sub'|'mul'|'div'|'pow'|<func>
         self.payload = payload    # Fraction for 'const', str for 'var', int for 'pow'
         self.args = args          # tuple of child Expr nodes
-        # float of a 'pi' or 'const' node (None beyond the float range)
-        try:
-            self.value = (float(payload) if kind == "const"
-                          else math.pi if kind == "pi" else None)
-        except OverflowError:
-            self.value = None
+        self.value = value        # float of a 'pi' or 'const' node (None beyond the float range)
         # values a walk of this subtree holds at once in its evaluation order
         # (exact for a tree, an estimate where subtrees are shared); a
         # leaf's value is a constant or a binding, allocated elsewhere
@@ -160,34 +163,35 @@ class Expr:
             self.need = a + 1 if a == b else max(a, b)
         else:
             self.need = max(args[0].need, 1) if args else 0
-        self.order = None         # evaluation order, cached on first evaluation
-        self.frees = None         # per position of order: ids last read there
+        # (weak references to the other roots, program) of the last
+        # evaluation with this node as its first root, see _program()
+        self.program = None
         self.derivs = None        # variable name -> derivative, filled by diff
 
     # -- operator sugar (used heavily when building formulas in code) -------
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, _coerce(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_coerce(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_coerce(other), self)
+        return div(other, self)
 
     def __pow__(self, n):
         return powi(self, n)
@@ -202,7 +206,9 @@ class Expr:
         return f"Expr({to_string(self)})"
 
 
-# (kind, payload, child ids) -> weak reference to the node.  A dead node's
+# key -> weak reference to the node: ("const", numerator, denominator),
+# ("var", name), ("pi",), (kind, child id) for a function, ("pow", exponent,
+# child id) and (kind, left id, right id) for a binary node.  A dead node's
 # entry stays until the next sweep, which runs once the table holds more than
 # _SWEEP_MIN entries and twice the entries the last sweep left.  Plain
 # references without callbacks make interning and freeing about twice as
@@ -212,17 +218,14 @@ _SWEEP_MIN = 4096
 _sweep_at = _SWEEP_MIN
 
 
-def _mk(kind, payload, args=(), key=None):
+def _mk(key, kind, payload, args=(), value=None):
     # children are already interned, so their ids identify them structurally;
     # a live node keeps its children alive, so the ids in its key are theirs.
-    # A constant passes its own key, see const().  A dead entry reads as a
-    # miss and is overwritten.
-    if key is None:
-        key = (kind, payload, tuple(map(id, args)))
+    # A dead entry reads as a miss and is overwritten.
     ref = _TABLE.get(key)
     node = None if ref is None else ref()
     if node is None:
-        node = Expr(kind, payload, args)
+        node = Expr(kind, payload, args, value)
         _TABLE[key] = weakref.ref(node)
         if len(_TABLE) > _sweep_at:
             _sweep()
@@ -266,27 +269,35 @@ def const(x) -> Expr:
     big = max(abs(x.numerator), x.denominator)
     if limit and big.bit_length() > limit * _LOG2_10 and big >= 10 ** limit:
         raise ExprError(f"constant of more than {limit} digits")
+    try:
+        value = float(x)
+    except OverflowError:
+        value = None
     # keyed by two ints: hashing a Fraction takes a modular inverse
-    return _mk("const", x, key=("const", x.numerator, x.denominator))
+    return _mk(("const", x.numerator, x.denominator), "const", x, value=value)
 
 
 def var(name: str) -> Expr:
     if name in RESERVED:
         raise ValueError(f"'{name}' is reserved")
-    return _mk("var", name)
+    return _mk(("var", name), "var", name)
 
 
 def _coerce(x) -> Expr:
     return x if isinstance(x, Expr) else const(x)
 
 
-pi = _mk("pi", None)
+pi = _mk(("pi",), "pi", None, value=math.pi)
 ZERO = const(0)
 ONE = const(1)
 
 
 def _is_const(e):
     return e.kind == "const"
+
+
+def _binary(kind, a, b):
+    return _mk((kind, id(a), id(b)), kind, None, (a, b))
 
 
 def add(a, b) -> Expr:
@@ -297,7 +308,7 @@ def add(a, b) -> Expr:
         return a
     if _is_const(a) and _is_const(b):
         return const(a.payload + b.payload)
-    return _mk("add", None, (a, b))
+    return _binary("add", a, b)
 
 
 def sub(a, b) -> Expr:
@@ -308,7 +319,7 @@ def sub(a, b) -> Expr:
         return ZERO
     if _is_const(a) and _is_const(b):
         return const(a.payload - b.payload)
-    return _mk("sub", None, (a, b))
+    return _binary("sub", a, b)
 
 
 def mul(a, b) -> Expr:
@@ -321,7 +332,7 @@ def mul(a, b) -> Expr:
         return a
     if _is_const(a) and _is_const(b):
         return const(a.payload * b.payload)
-    return _mk("mul", None, (a, b))
+    return _binary("mul", a, b)
 
 
 def div(a, b) -> Expr:
@@ -333,7 +344,7 @@ def div(a, b) -> Expr:
             return a
         if a is ZERO:
             return ZERO
-    return _mk("div", None, (a, b))
+    return _binary("div", a, b)
 
 
 def powi(a, n: int) -> Expr:
@@ -349,14 +360,19 @@ def powi(a, n: int) -> Expr:
         limit, x = _digit_limit(), a.payload
         bits = max(abs(x.numerator), x.denominator).bit_length() - 1
         if limit and abs(n) * bits >= limit * _LOG2_10:
-            raise DomainError(f"constant of more than {limit} digits", _mk("pow", n, (a,)))
+            raise DomainError(f"constant of more than {limit} digits", _power(a, n))
         return const(x ** n)
-    return _mk("pow", n, (a,))
+    return _power(a, n)
+
+
+def _power(a, n):
+    return _mk(("pow", n, id(a)), "pow", n, (a,))
 
 
 def _unary(kind):
     def f(a):
-        return _mk(kind, None, (_coerce(a),))
+        a = _coerce(a)
+        return _mk((kind, id(a)), kind, None, (a,))
     f.__name__ = kind
     return f
 
@@ -429,19 +445,28 @@ def _postorder(roots, done=None, by_need=False):
     read holds fewer arrays at a time.  No value depends on the order;
     which of two failing subexpressions raises first does."""
     out, seen = [], set()
-    stack = [(None, iter(roots))]    # each node with its unvisited children
+    # nodes still to visit, the next on top; None marks that the node
+    # below it has had its children finished
+    stack = list(reversed(roots))
     while stack:
-        for a in stack[-1][1]:
-            if id(a) not in seen and not (done and done(a)):
-                seen.add(id(a))
-                args = a.args
-                if by_need and len(args) == 2 and args[1].need > args[0].need:
-                    args = args[::-1]
-                stack.append((a, iter(args)))
-                break
+        n = stack.pop()
+        if n is None:
+            out.append(stack.pop())
+            continue
+        if id(n) in seen or (done is not None and done(n)):
+            continue
+        seen.add(id(n))
+        args = n.args
+        if not args:
+            out.append(n)
+            continue
+        stack += (n, None)
+        if len(args) == 1:
+            stack.append(args[0])
+        elif by_need and args[1].need > args[0].need:
+            stack += args
         else:
-            out.append(stack.pop()[0])
-    out.pop()                        # the frame of the roots
+            stack += (args[1], args[0])
     return out
 
 
@@ -668,136 +693,191 @@ class LaneJet2(Jet2):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _check_nonzero(v, e):
+class _Fault(Exception):
+    """A failure of a run whose program keeps no nodes; the run is repeated
+    on one that does, which raises the :class:`DomainError`."""
+
+
+def _check_nonzero(v):
     bad = v.f if isinstance(v, Jet2) else v
     if bad == 0 if isinstance(bad, float) else np.any(np.asarray(bad) == 0):
-        raise DomainError("division by zero", e)
+        raise ZeroDivisionError
 
 
-def _function(n, a):
-    """The ``_FUNCS`` function of node ``n`` at ``a``.  A float argument
+def _function(rules, a):
+    """The ``_FUNCS`` function with ``rules`` at ``a``.  A float argument
     gives Python floats, so a point walk does no numpy scalar arithmetic."""
-    fn, derivs, check, _ = _FUNCS[n.kind]
+    fn, derivs, check, _ = rules
     b = a.f if isinstance(a, Jet2) else a
     if isinstance(b, float):
         if check is not None and check[0](b):
-            raise DomainError(check[1], n)
+            raise _Fault(check[1])
         y = float(fn(b))
         if isinstance(a, Jet2):
             return a._chain(y, *map(float, derivs(b, y)))
         return y
     if check is not None and np.any(check[0](np.asarray(b))):
-        raise DomainError(check[1], n)
+        raise _Fault(check[1])
     y = fn(b)
     return a._chain(y, *derivs(b, y)) if isinstance(a, Jet2) else y
 
 
-def _last_reads(order):
-    """Per position of ``order``: None, or the ids of the nodes whose last
-    consumer sits at that position."""
-    last = {}
-    for pos, n in enumerate(order):
-        for a in n.args:
-            last[id(a)] = pos
-    frees = [None] * len(order)
-    for i, pos in last.items():
-        frees[pos] = (frees[pos] or ()) + (i,)
-    return frees
+# opcodes of a program's instructions, the most frequent first
+_MUL, _ADD, _SUB, _POW, _DIV, _FUNC, _VAR, _FAIL = range(8)
+_BINARY = {"mul": _MUL, "add": _ADD, "sub": _SUB, "div": _DIV}
 
 
-def _eval(roots, bindings, release=False, jet=False):
-    """Values of ``roots`` over one memo, each in its evaluation order
-    (:func:`_postorder` by need).  With ``release`` (one root) each value
-    is dropped once its last consumer has been computed.  With ``jet`` a
-    quotient by a plain value is taken as a * (1/b), as a jet with zero
-    derivative parts divides.  Of several failing subexpressions, the one
-    a left-to-right walk meets first raises: a failed walk is repeated in
-    that order."""
+def _compile(roots, by_need=True):
+    """The program of ``roots`` and the nodes of its positions, in
+    :func:`_postorder` order (by need, or left to right).
+
+    A program is (slots, code, outs).  ``slots`` holds the first value of
+    each position: the float of a constant or ``pi``, else None.  ``code``
+    has one instruction for each other position, in order: (opcode,
+    position, a, b, drops).  a and b are the operands' positions; a power
+    has its exponent as b, a function its ``_FUNCS`` rules as b, a variable
+    its name as a, and a constant past the float range its message as a.
+    drops are the positions of computed values last read there, or None;
+    the roots' values are kept.  ``outs`` are the roots' positions."""
+    order = _postorder(roots, by_need=by_need)
+    pos = {id(n): i for i, n in enumerate(order)}
+    outs = tuple(pos[id(r)] for r in roots)
+    slots, code = [None] * len(order), []
+    # backwards, so that the first read met is the last one
+    read = set(outs)
+    for i in range(len(order) - 1, -1, -1):
+        n = order[i]
+        if n.value is not None:
+            slots[i] = n.value
+            continue
+        k, args = n.kind, n.args
+        if not args:
+            code.append((_VAR, i, n.payload, None, None) if k == "var" else
+                        (_FAIL, i, "constant outside the float range", None, None))
+            continue
+        x = args[0]
+        a = pos[id(x)]
+        drops = None
+        if x.args and a not in read:
+            read.add(a)
+            drops = (a,)
+        if len(args) == 1:
+            code.append((_POW, i, a, n.payload, drops) if k == "pow" else
+                        (_FUNC, i, a, _FUNCS[k], drops))
+            continue
+        y = args[1]
+        b = pos[id(y)]
+        if y.args and b not in read:
+            read.add(b)
+            drops = (b,) if drops is None else (a, b)
+        code.append((_BINARY[k], i, a, b, drops))
+    code.reverse()
+    return (slots, code, outs), order
+
+
+def _program(roots):
+    """The by-need program of ``roots``, cached on the first root and keyed
+    by weak references to the others, so a root that dies invalidates it
+    and no cache keeps a root alive."""
+    head, rest = roots[0], roots[1:]
+    cached = head.program
+    if cached is not None:
+        refs, program = cached
+        if len(refs) == len(rest) and all(r() is e for r, e in zip(refs, rest)):
+            return program
+    program = _compile(roots)[0]
+    head.program = (tuple(map(weakref.ref, rest)), program)
+    return program
+
+
+def _run(program, bindings, jet, nodes=None):
+    """The values of a program's roots.  With ``jet`` a quotient by a plain
+    value is taken as a * (1/b), as a jet with zero derivative parts
+    divides.  A failure raises :class:`DomainError` on its node from
+    ``nodes``, or :class:`_Fault` without them."""
+    slots, code, outs = program
+    v = slots.copy()
+    # Python floats raise where numpy arrays overflow to inf
     try:
-        return _walk(roots, bindings, release, jet, True)
-    except EvalError:
-        _walk(roots, bindings, False, jet, False)
-        raise
+        for op, out, a, b, drops in code:
+            if op == _MUL:
+                r = v[a] * v[b]
+            elif op == _ADD:
+                r = v[a] + v[b]
+            elif op == _SUB:
+                r = v[a] - v[b]
+            elif op == _POW:
+                r = v[a]
+                if b < 0:
+                    _check_nonzero(r)
+                r = r ** b
+            elif op == _DIV:
+                r = v[b]
+                _check_nonzero(r)
+                r = v[a] * (1.0 / r) if jet and not isinstance(r, Jet2) else v[a] / r
+            elif op == _FUNC:
+                r = _function(b, v[a])
+            elif op == _VAR:
+                try:
+                    r = bindings[a]
+                except KeyError:
+                    raise UnboundVariableError(a) from None
+            else:
+                raise _Fault(a)
+            v[out] = r
+            if drops:
+                for k in drops:
+                    v[k] = None
+    except (_Fault, ZeroDivisionError, OverflowError) as err:
+        if nodes is None:
+            raise _Fault from None
+        message = (err.args[0] if isinstance(err, _Fault)
+                   else "division by zero" if isinstance(err, ZeroDivisionError)
+                   else "value outside the float range")
+        raise DomainError(message, nodes[out]) from None
+    return [v[k] for k in outs]
 
 
-def _walk(roots, bindings, release, jet, by_need):
-    """The walk of :func:`_eval`, in each root's cached evaluation order,
-    or else in a fresh left-to-right :func:`_postorder`."""
-    memo = {}
-    for root in roots:
-        order = root.order if by_need else _postorder((root,))
-        if order is None:
-            order = root.order = _postorder((root,), by_need=True)
-        if release:
-            frees = root.frees
-            if frees is None:
-                frees = root.frees = _last_reads(order)
-        else:
-            frees = repeat(None)
-        for n, drop in zip(order, frees):
-            i = id(n)
-            if i in memo:
-                continue
-            # Python floats raise where numpy arrays overflow to inf
-            try:
-                if n.value is not None:
-                    r = n.value
-                elif n.kind == "add":
-                    r = memo[id(n.args[0])] + memo[id(n.args[1])]
-                elif n.kind == "mul":
-                    r = memo[id(n.args[0])] * memo[id(n.args[1])]
-                elif n.kind == "sub":
-                    r = memo[id(n.args[0])] - memo[id(n.args[1])]
-                elif n.kind == "var":
-                    try:
-                        r = bindings[n.payload]
-                    except KeyError:
-                        raise UnboundVariableError(n.payload) from None
-                elif n.kind == "div":
-                    b = memo[id(n.args[1])]
-                    _check_nonzero(b, n)
-                    a = memo[id(n.args[0])]
-                    r = a * (1.0 / b) if jet and not isinstance(b, Jet2) else a / b
-                elif n.kind == "const":
-                    raise DomainError("constant outside the float range", n)
-                elif n.kind == "pow":
-                    a = memo[id(n.args[0])]
-                    if n.payload < 0:
-                        _check_nonzero(a, n)
-                    r = a ** n.payload
-                else:
-                    r = _function(n, memo[id(n.args[0])])
-            except ZeroDivisionError:
-                raise DomainError("division by zero", n) from None
-            except OverflowError:
-                raise DomainError("value outside the float range", n) from None
-            memo[i] = r
-            if drop:
-                for j in drop:
-                    del memo[j]
-    return [memo[id(root)] for root in roots]
+def _eval(roots, bindings, jet):
+    """Values of ``roots`` from their cached program, with the jet quotient
+    rule when ``jet`` is set (:func:`evaluate` sets it when a binding is a
+    jet, :func:`evaluate_jet` always).  Of several failing subexpressions,
+    the one a left-to-right walk meets first raises: a failed run is
+    repeated on that order's program."""
+    if not roots:
+        return []
+    try:
+        return _run(_program(roots), bindings, jet)
+    except (_Fault, UnboundVariableError):
+        pass
+    program, nodes = _compile(roots, by_need=False)
+    return _run(program, bindings, jet, nodes)
 
 
-def evaluate(e, bindings: dict[str, float]):
-    """IEEE-double evaluation; values may be floats or numpy arrays.  ``e``
-    is one expression, evaluated keeping only the values still to be read,
-    or a sequence of expressions evaluated over one memo into a list of
-    values."""
+def evaluate(e, bindings: dict):
+    """IEEE-double evaluation of one expression, or of a sequence of
+    expressions into a list of values; each intermediate value is dropped
+    after its last read.  Values may be floats or numpy arrays, or jets:
+    with any :class:`Jet2` binding a quotient by a plain value is taken as
+    a * (1/b), as in :func:`evaluate_jet`, and a root that no jet binding
+    reaches stays plain."""
+    jet = any(isinstance(v, Jet2) for v in bindings.values())
     if isinstance(e, Expr):
-        return _eval((e,), bindings, release=True)[0]
-    return _eval(e, bindings)
+        return _eval((e,), bindings, jet)[0]
+    return _eval(tuple(e), bindings, jet)
 
 
 def evaluate_jet(e: Expr, bindings: dict) -> Jet2:
-    """Evaluate with order-2 jets sharing one deformation parameter; each
-    intermediate value is dropped after its last read.  Bindings are jets
-    or plain floats and arrays.  A subexpression that does not depend on a
-    jet stays plain and only the root is lifted, so derivative work is done
-    only where a jet is present.  Against lifting every binding, the value
-    part is equal and the derivative parts are equal after broadcasting
-    (they may be scalars where lifting gave arrays), apart from the sign of
-    exact zeros and NaN from non-finite values."""
-    return Jet2.lift(_eval((e,), bindings, release=True, jet=True)[0])
+    """Evaluate one expression with order-2 jets sharing one deformation
+    parameter; each intermediate value is dropped after its last read.
+    Bindings are jets or plain floats and arrays.  A subexpression that
+    does not depend on a jet stays plain and only the root is lifted, so
+    derivative work is done only where a jet is present.  Against lifting
+    every binding, the value part is equal and the derivative parts are
+    equal after broadcasting (they may be scalars where lifting gave
+    arrays), apart from the sign of exact zeros and NaN from non-finite
+    values."""
+    return Jet2.lift(_eval((e,), bindings, True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +923,9 @@ class _Parser:
     Groups (parentheses and function calls) nest at most ``MAX_NESTING``
     deep."""
 
-    def __init__(self, text):
+    def __init__(self, text, names):
         self.tokens = _tokenize(text)
+        self.names = names
         self.i = 0
         self.depth = 0
 
@@ -914,11 +995,17 @@ class _Parser:
     def base(self):
         kind, val, off = self.next()
         if kind == "num":
-            return const(Fraction(val))
+            # Fraction(val) would match the text against a pattern first
+            whole, _, digits = val.partition(".")
+            if not digits:
+                return const(int(whole))
+            scale = 10 ** len(digits)
+            return const(Fraction(int(whole or "0") * scale + int(digits), scale))
         if kind == "ident" and val == "pi":
             return pi
         if kind == "ident" and val not in FUNCTIONS:
-            return var(val)
+            bound = self.names.get(val)
+            return var(val) if bound is None else bound
         if kind == "ident":
             k2, v2, _ = self.peek()
             if not (k2 == "op" and v2 == "("):
@@ -937,10 +1024,12 @@ class _Parser:
         return _BUILD[val](e) if kind == "ident" else e
 
 
-def parse(text: str) -> Expr:
-    """Parse the grammar above.  Unknown identifiers become free variables;
-    'pi' is the constant and function names may not be used as variables."""
-    return _Parser(text).parse()
+def parse(text: str, names: dict[str, Expr] | None = None) -> Expr:
+    """Parse the grammar above.  An identifier that ``names`` maps to an
+    expression is that expression, built into the tree as it is read, and
+    any other becomes a free variable; 'pi' is the constant and function
+    names may not be used as variables."""
+    return _Parser(text, names or {}).parse()
 
 
 # Each node prints as a text and a threshold: the text is parenthesized where

@@ -3,7 +3,7 @@ curvature with their derivatives, critical points of H, the foliation
 criterion, and the explicit cubic example family.
 
 H and K are symbolic expressions in x and y; their first and second
-derivatives come from one order-2 jet walk of each along four directions,
+derivatives come from one order-2 jet walk of both along four directions,
 (1, 0), (0, 1), (1, 1) and (1, -1).  The first two give the gradient and the
 diagonal of the Hessian, and the mixed entry comes from polarization,
 H_xy = (D_(1,1)^2 H - D_(1,-1)^2 H) / 4, so the Hessian is symmetric by
@@ -131,26 +131,39 @@ _Y_LANES = (0.0, 1.0, 1.0, -1.0)
 _ZERO_LANES = (0.0, 0.0, 0.0, 0.0)
 
 
-def _derivatives(e: ex.Expr, x, y):
-    """Value, gradient and coordinate Hessian of ``e`` at (x, y) from one
-    jet walk along the four directions; the mixed entry is polarized.  A
-    constant ``e`` comes back as a plain jet, with zero derivatives."""
-    j = ex.evaluate_jet(e, {"x": ex.LaneJet2(x, _X_LANES, _ZERO_LANES),
-                            "y": ex.LaneJet2(y, _Y_LANES, _ZERO_LANES)})
-    d1, d2 = ((j.d1, j.d2) if isinstance(j, ex.LaneJet2)
-              else (_ZERO_LANES, _ZERO_LANES))
-    mixed = 0.25 * (d2[2] - d2[3])
-    return j.f, np.array(d1[:2]), np.array([[d2[0], mixed], [mixed, d2[1]]])
+def _derivatives(roots, x, y):
+    """Value, gradient and coordinate Hessian of each of ``roots`` at
+    (x, y), from one jet walk of them all along the four directions; the
+    mixed entry is polarized.  A constant root comes back as a plain float,
+    with zero derivatives."""
+    out = []
+    for j in ex.evaluate(roots, {"x": ex.LaneJet2(x, _X_LANES, _ZERO_LANES),
+                                 "y": ex.LaneJet2(y, _Y_LANES, _ZERO_LANES)}):
+        f, d1, d2 = ((j.f, j.d1, j.d2) if isinstance(j, ex.LaneJet2)
+                     else (j, _ZERO_LANES, _ZERO_LANES))
+        mixed = 0.25 * (d2[2] - d2[3])
+        out.append((f, np.array(d1[:2]), np.array([[d2[0], mixed], [mixed, d2[1]]])))
+    return out
+
+
+def _jets_H_K(s: GraphSurface, x, y):
+    """The :func:`_derivatives` of H and of K at (x, y), from one walk of
+    both.  Where only K's part fails, K's is None: K is read only at the
+    critical point, where :func:`_curvature_data` walks it alone."""
+    try:
+        return _derivatives((s.H, s.K), x, y)
+    except ex.EvalError:
+        return _derivatives((s.H,), x, y) + [None]
 
 
 def curvature_at(s: GraphSurface, x: float, y: float) -> CurvatureData:
     """H, K, their gradients and the Hessian of H at a point, from one jet
-    walk of H and one of K (see the module docstring).  The Hessian of H is
+    walk of H and K (see the module docstring).  The Hessian of H is
     reported in coordinates; it is the covariant Hessian only where gradH
     vanishes."""
     _check_inside(s, x, y)
     x, y = float(x), float(y)
-    return _curvature_data(s, x, y, _derivatives(s.H, x, y))
+    return _curvature_data(s, x, y, *_jets_H_K(s, x, y))
 
 
 def _check_inside(s: GraphSurface, x, y):
@@ -158,11 +171,12 @@ def _check_inside(s: GraphSurface, x, y):
         raise ValueError(f"({x}, {y}) outside surface domain {DOMAIN}")
 
 
-def _curvature_data(s: GraphSurface, x: float, y: float, jet_H) -> CurvatureData:
-    """:class:`CurvatureData` at (x, y) from the walk of H there, given as
-    (H, gradH, hessH); walks K."""
+def _curvature_data(s: GraphSurface, x: float, y: float, jet_H, jet_K) -> CurvatureData:
+    """:class:`CurvatureData` at (x, y) from the walks of H and K there,
+    each given as (value, gradient, Hessian); K is walked alone if its jet
+    is None."""
     H, gradH, hessH = jet_H
-    K, gradK, _ = _derivatives(s.K, x, y)
+    K, gradK, _ = jet_K or _derivatives((s.K,), x, y)[0]
     return CurvatureData(
         point=(x, y),
         H=H,
@@ -181,21 +195,21 @@ def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
     :class:`ValueError` for a guess that is not finite,
     :class:`DegenerateHessian` when the Hessian determinant drops below
     1e-10 and :class:`NoConvergence` at an iterate where H, gradH or hessH
-    is not finite and after 50 steps.  The converged walk of H supplies H
-    and its derivatives, so only K is walked again."""
+    is not finite and after 50 steps.  Each iterate walks H and K together,
+    so the converged walk supplies both."""
     p = np.asarray(guess, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("guess must be finite")
     for _ in range(NEWTON_MAX_ITER):
         x, y = float(p[0]), float(p[1])
-        jet_H = _derivatives(s.H, x, y)
+        jet_H, jet_K = _jets_H_K(s, x, y)
         H, g, h = jet_H
         if not (math.isfinite(H) and np.isfinite(g).all() and np.isfinite(h).all()):
             raise NoConvergence(
                 f"H or its derivatives not finite at Newton iterate {(x, y)}")
         if np.linalg.norm(g) < NEWTON_TOL:
             _check_inside(s, x, y)
-            data = _curvature_data(s, x, y, jet_H)
+            data = _curvature_data(s, x, y, jet_H, jet_K)
             if not data.nondegenerate:
                 raise DegenerateHessian(f"critical point at {tuple(p.tolist())} "
                                         f"has |det hessH| <= {DEGENERACY_TOL}")
@@ -250,7 +264,7 @@ def gallery_surface(a: float, c1: float | None = None,
         params = gallery_params(a)
         c1 = params.c1 if c1 is None else c1
         c2 = params.c2 if c2 is None else c2
-    u = ex.substitute(ex.parse(_GALLERY_U), {
+    u = ex.parse(_GALLERY_U, {
         "a": ex.const(Fraction(repr(float(a)))),
         "c1": ex.const(Fraction(repr(float(c1)))),
         "c2": ex.const(Fraction(repr(float(c2)))),
@@ -306,8 +320,8 @@ def gallery_root() -> float:
 
 def load_surface_file(path) -> GraphSurface:
     """Text format: lines ``name = <string>``, ``u = <expr>`` and optional
-    ``params: a=..., c1=...``; params are substituted into u before
-    analysis.  Each key and each parameter name may appear once."""
+    ``params: a=..., c1=...``; params are bound as constants while u is
+    parsed.  Each key and each parameter name may appear once."""
     fields: dict[str, str] = {}
     params: dict[str, ex.Expr] = {}
     with open(path, encoding="utf-8") as fh:
@@ -336,5 +350,5 @@ def load_surface_file(path) -> GraphSurface:
             fields[key] = val
     if "u" not in fields:
         raise ValueError("surface file has no 'u = <expr>' line")
-    u = ex.substitute(ex.parse(fields["u"]), params)
+    u = ex.parse(fields["u"], params)
     return GraphSurface(u, name=fields.get("name", ""))

@@ -143,6 +143,43 @@ class TestAnalyze:
         assert live() - before < 100
         capsys.readouterr()
 
+    def test_analyzed_surfaces_leave_no_cyclic_garbage(self, tmp_path, capsys):
+        # no cache forms a reference cycle: with the cyclic collector off,
+        # each analyzed surface's DAG is freed by reference counting alone
+        rng = np.random.default_rng(3)
+        paths = []
+        for i in range(21):
+            a = rng.uniform(0.0, 0.45)
+            x0, y0 = (round(v, 6) for v in rng.uniform(-0.3, 0.3, 2))
+            c = (-a + a ** 3) / (3.0 + 9.0 * a ** 2 + 6.0 * a ** 4)
+            X = f"(x-{x0:.6f})" if x0 >= 0 else f"(x+{-x0:.6f})"
+            Y = f"(y-{y0:.6f})" if y0 >= 0 else f"(y+{-y0:.6f})"
+            path = tmp_path / f"t{i}.surf"
+            path.write_text(f"name = t{i}\n"
+                            f"u = a*{X} + a*{Y} + {X}*{Y} - c1*{X}^3 - c2*{Y}^3\n"
+                            f"params: a={a!r}, c1={c!r}, c2={c!r}\n")
+            paths.append((path, f"{x0 + 0.005}", f"{y0 - 0.005}"))
+
+        def analyze(path, gx, gy):
+            return cli.main(["analyze", str(path), "--case", "cmc", "--guess", gx, gy])
+
+        def live():
+            return sum(ref() is not None for ref in ex._TABLE.values())
+
+        assert analyze(*paths[0]) in (0, 1, 2)
+        gc.collect()
+        before = live()
+        gc.disable()
+        try:
+            codes = [analyze(*p) for p in paths[1:]]
+            after = live()
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert set(codes) <= {0, 1, 2}
+        assert (after, garbage) == (before, 0)
+        capsys.readouterr()
+
     def test_constants_of_analyzed_surfaces_swept(self, tmp_path, capsys):
         # constants are interned by numerator and denominator; a freed
         # surface's entries leave the table at the next sweep

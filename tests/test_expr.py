@@ -356,19 +356,19 @@ def test_multi_root_evaluate_matches_single_roots():
 
 
 # ---------------------------------------------------------------------------
-# one root: values are dropped after their last read (on the random corpus,
-# test_multi_root_evaluate_matches_single_roots compares the two paths)
+# values are dropped after their last read, against a walk that keeps them
 # ---------------------------------------------------------------------------
 
 def _kept(e, b):
-    """``e`` evaluated by the multi-root path, which keeps every value."""
-    return ex.evaluate([e], b)[0]
+    """``e`` evaluated with every node of its DAG a root, so that every
+    value is kept to the end of the walk."""
+    return ex.evaluate(ex._postorder((e,)), b)[-1]
 
 
 def _kept_jet(e, b):
-    """``evaluate_jet`` through the multi-root path with every binding
-    lifted to a jet, so that every node reading a variable, eps-free or
-    not, does jet arithmetic."""
+    """``evaluate_jet`` by :func:`_kept` with every binding lifted to a
+    jet, so that every node reading a variable, eps-free or not, does jet
+    arithmetic."""
     return ex.Jet2.lift(_kept(e, {k: ex.Jet2.lift(v) for k, v in b.items()}))
 
 
@@ -447,8 +447,10 @@ def test_plain_bindings_match_lifted_on_random_corpus():
             got, want = _broadcast_bits(ex.evaluate_jet(e, {"x": x, "y": y}),
                                         ex.evaluate_jet(e, {"x": x, "y": ex.Jet2(y)}))
             assert got == want, ex.to_string(e)
-        plain_quotients += sum(n.kind == "div" and "x" not in ex.free_variables(n.args[1])
-                               for e in roots for n in e.order)
+        for e in roots:
+            (_, code, _), nodes = ex._compile((e,))
+            plain_quotients += sum(op == ex._DIV and "x" not in ex.free_variables(nodes[b])
+                                   for op, _, _, b, _ in code)
     assert plain_quotients > 0
     # numpy defers to the jet's reflected operators
     j = ex.Jet2(xs, 1.0, 0.5)
@@ -473,15 +475,19 @@ def test_release_edge_cases():
     # a bare variable is its own value
     assert ex.evaluate(x, b) is xs
     assert ex.evaluate_jet(x, {"x": ex.Jet2(xs, 1.0, 0.0)}).f is xs
-    # a second evaluation reuses the cached free list
+    # the program drops each computed value but the root's once, holds no
+    # node, and serves a second evaluation
     e = ex.ln(sq + y) * ex.cos(a) - a / (y + ex.ONE)
     first = ex.evaluate(e, b)
-    frees = e.frees
-    assert len(frees) == len(e.order)
-    assert sum(len(drop or ()) for drop in frees) == len(e.order) - 1
+    refs, program = e.program
+    (slots, code, outs), nodes = ex._compile((e,))
+    assert refs == () and program == (slots, code, outs) and outs == (len(nodes) - 1,)
+    drops = sorted(k for *_, d in code for k in d or ())
+    assert drops == [i for i, n in enumerate(nodes) if n.args and n is not e]
+    assert not any(isinstance(x, ex.Expr) for part in (slots, *code) for x in part)
     assert _bits(first) == _bits(_kept(e, b))
     assert _bits(ex.evaluate(e, b)) == _bits(first)
-    assert e.frees is frees
+    assert e.program[1] is program
     # a root evaluated alone, then as a subtree of a later root
     later = ex.sqrt(e * e + ex.ONE) + e
     want = _kept(later, b)
@@ -489,6 +495,62 @@ def test_release_edge_cases():
     together = ex.evaluate([e, later], b)
     assert _bits(together[0]) == _bits(first)
     assert _bits(together[1]) == _bits(want)
+
+
+def test_multi_root_drops_all_but_the_roots():
+    x, y = ex.var("x"), ex.var("y")
+    shared = ex.sin(x * y) + ex.ONE
+    first, second = shared * shared, ex.sqrt(shared + y * y) - x
+    (_, code, outs), nodes = ex._compile((first, second))
+    drops = sorted(k for *_, d in code for k in d or ())
+    assert drops == [i for i, n in enumerate(nodes)
+                     if n.args and n is not first and n is not second]
+    b = {"x": np.linspace(0.1, 0.9, 7), "y": 0.5}
+    got = ex.evaluate([first, second, first], b)
+    assert [_bits(v) for v in got] == [_bits(ex.evaluate(e, b)) for e in (first, second, first)]
+    assert ex.evaluate([], b) == []
+
+
+def test_program_rebuilt_when_a_co_root_dies():
+    # keyed weakly by the other roots: a co-root rebuilt after it died, at
+    # whatever address, gets a new program, and the cache keeps no co-root
+    x, y = ex.var("x"), ex.var("y")
+    head = ex.cos(x) * y
+    b = {"x": 0.25, "y": -1.5}
+    text = "sqrt(1 + x^2) / (2 + y) + 3*x"
+    co = ex.parse(text)
+    probe = weakref.ref(co)
+    want = ex.evaluate([head, co], b)
+    program = head.program[1]
+    assert ex.evaluate([head, co], b) == want and head.program[1] is program
+    del co
+    assert probe() is None
+    co = ex.parse(text)
+    assert ex.evaluate([head, co], b) == want
+    assert head.program[1] is not program
+    program = head.program[1]
+    # another co-root, and the head alone, each replace the program
+    assert ex.evaluate([head, ex.sin(y)], b)[1] == ex.evaluate(ex.sin(y), b)
+    assert head.program[1] is not program
+    assert ex.evaluate(head, b) == want[0] and head.program[0] == ()
+
+
+def test_jet_bindings_take_the_jet_quotient_rule():
+    # evaluate with a jet binding gives, per root, the bits of evaluate_jet,
+    # a plain quotient taken as a * (1/b) (pi/13 is where that shows)
+    rng = np.random.default_rng(23)
+    roots = [_random_expr(rng) for _ in range(30)]
+    roots += [ex.parse(t) for t in ("pi/3", "pi/13", "x*(pi/13) + 1/(2 + y^2)", "7/3")]
+    xs, ys = rng.uniform(-1.5, 1.5, 64), rng.uniform(-1.5, 1.5, 64)
+    for b in ({"x": ex.Jet2(xs, 1.0, 0.0), "y": ys},
+              {"x": ex.Jet2(0.3, 1.0, -0.5), "y": ex.Jet2(-0.7, 0.5, 0.0)},
+              {"x": ex.LaneJet2(0.3, (1.0, 0.0, 1.0, 1.0), (0.0,) * 4), "y": -0.7}):
+        together = ex.evaluate(roots, b)
+        for e, got in zip(roots, together):
+            assert _bits(ex.Jet2.lift(got)) == _bits(ex.evaluate_jet(e, b)), ex.to_string(e)
+    pi13 = ex.parse("pi/13")
+    assert ex.evaluate(pi13, {"x": ex.Jet2(0.5, 1.0, 0.0)}) == math.pi * (1.0 / 13)
+    assert ex.evaluate(pi13, {"x": 0.5}) == math.pi / 13 != math.pi * (1.0 / 13)
 
 
 def test_release_domain_error_names_its_node():
@@ -500,7 +562,7 @@ def test_release_domain_error_names_its_node():
         ex.evaluate(e, {"x": np.array([1.0, 3.0])})
     assert err.value.subtree is bad
     assert str(err.value) == "ln of non-positive value in subexpression 'ln(x - 2)'"
-    # the free list cached by the failed walk serves the next one
+    # the program cached by the failed run serves the next one
     assert ex.evaluate(e, {"x": 3.0}) == ex.evaluate([e], {"x": 3.0})[0]
 
 

@@ -167,12 +167,15 @@ def _array_lane_jet(e, x, y):
                                "y": ex.Jet2(y, _REF_DY, 0.0)})
 
 
-def _array_lane_derivatives(e, x, y):
-    j = _array_lane_jet(e, x, y)
-    d1 = np.broadcast_to(j.d1, 4)
-    d2 = np.broadcast_to(j.d2, 4)
-    mixed = 0.25 * (d2[2] - d2[3])
-    return j.f, d1[:2].copy(), np.array([[d2[0], mixed], [mixed, d2[1]]])
+def _array_lane_derivatives(roots, x, y):
+    out = []
+    for e in roots:
+        j = _array_lane_jet(e, x, y)
+        d1 = np.broadcast_to(j.d1, 4)
+        d2 = np.broadcast_to(j.d2, 4)
+        mixed = 0.25 * (d2[2] - d2[3])
+        out.append((j.f, d1[:2].copy(), np.array([[d2[0], mixed], [mixed, d2[1]]])))
+    return out
 
 
 def _lane_bits(j):
@@ -271,10 +274,15 @@ class TestLanesBitIdentical:
                 assert _lane_bits(q ** -2) == _lane_bits(qr ** -2)
 
     def test_constant_has_zero_derivatives(self):
-        f, grad, hess = gs._derivatives(ex.parse("5/2"), 0.1, 0.2)
+        e = ex.parse("x*y - cos(x)/3")
+        got = gs._derivatives((ex.parse("5/2"), e), 0.1, 0.2)
+        f, grad, hess = got[0]
         assert f == 2.5
         assert grad.tobytes() == np.zeros(2).tobytes()
         assert hess.tobytes() == np.zeros((2, 2)).tobytes()
+        # the root walked beside it has the lanes of the array walk
+        assert ([np.asarray(p).tobytes() for p in got[1]]
+                == [np.asarray(p).tobytes() for p in _array_lane_derivatives((e,), 0.1, 0.2)[0]])
 
     def test_curvature_data_and_newton(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -288,10 +296,46 @@ class TestLanesBitIdentical:
             cases.append((gs.GraphSurface(ex.parse(u)), (0.05, -0.05)))
         got = [(_data_bits(gs.curvature_at(s, *p)), _data_bits(gs.find_critical_point(s, p)))
                for s, p in cases]
+        # the reference walks H and K apart, each with length-4 array lanes
         monkeypatch.setattr(gs, "_derivatives", _array_lane_derivatives)
         want = [(_data_bits(gs.curvature_at(s, *p)), _data_bits(gs.find_critical_point(s, p)))
                 for s, p in cases]
         assert got == want
+
+
+class TestJointWalk:
+    """Each Newton iterate walks H and K together; K is read only at the
+    critical point."""
+
+    def test_k_failing_off_the_critical_point(self):
+        # a K that fails at the guess, but not where Newton stops, does
+        # not stop Newton; at the critical point its own walk is read
+        s = gs.gallery_surface(0.3)
+        guess = (0.005, -0.005)
+        want = gs.find_critical_point(s, guess)
+        s.K = s.K + ex.ln(ex.parse("1/1000 - x"))
+        with pytest.raises(ex.DomainError):
+            ex.evaluate(s.K, {"x": guess[0], "y": guess[1]})
+        got = gs.find_critical_point(s, guess)
+        assert got.point == want.point
+        assert got.H == want.H and got.hessH.tobytes() == want.hessH.tobytes()
+        x, y = got.point
+        K = ex.evaluate_jet(s.K, {"x": ex.LaneJet2(x, gs._X_LANES, gs._ZERO_LANES),
+                                  "y": ex.LaneJet2(y, gs._Y_LANES, gs._ZERO_LANES)})
+        assert got.K == K.f and got.gradK.tobytes() == np.array(K.d1[:2]).tobytes()
+        # at a point where K fails, so does curvature_at, naming K's node
+        with pytest.raises(ex.DomainError, match="ln of non-positive value"):
+            gs.curvature_at(s, *guess)
+
+    def test_h_failure_named_as_before(self):
+        # H fails first in the joint walk's left-to-right repeat, as it
+        # failed alone
+        s = gs.GraphSurface(ex.parse("x*y + x^2 + y^2 + ln(x + 1/2)^3"))
+        with pytest.raises(ex.DomainError) as joint:
+            gs.find_critical_point(s, (-0.75, 0.0))
+        with pytest.raises(ex.DomainError) as alone:
+            ex.evaluate(s.H, {"x": -0.75, "y": 0.0})
+        assert str(joint.value) == str(alone.value)
 
 
 class TestV0:

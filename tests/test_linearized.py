@@ -494,20 +494,31 @@ class TestMemory:
     # residual check, after a first call has built the fields; traced
     # allocations do not depend on the machine.  Bound as flattened
     # meshgrids the grids took 4.60 MiB (Willmore) and 2.01 MiB (CMC); as
-    # broadcast factors 3.11 and 1.31 MiB, and with the walk visiting the
-    # operand of larger need first 2.24 and 1.31 MiB
-    @pytest.mark.parametrize("case, bound_mib", [("willmore", 2.6), ("cmc", 1.6)])
+    # broadcast factors 3.11 and 1.31 MiB, with the walk visiting the
+    # operand of larger need first 2.24 and 1.31 MiB, and with a walk of
+    # several fields dropping each value after its last read 2.21 and
+    # 0.63 MiB
+    @pytest.mark.parametrize("case, bound_mib", [("willmore", 2.6), ("cmc", 0.8)])
     def test_traced_peak(self, case, bound_mib):
         p = lin.LinearizedProblem(case, 0.7, -1.3)
+        assert _traced_peak(lambda: lin.residual_check(p, lin.solve_ode_modes(p).u_prime)) \
+            <= bound_mib * 2 ** 20
 
-        def run():
-            lin.residual_check(p, lin.solve_ode_modes(p).u_prime)
+    # the multiplier integrals walk several fields at once: keeping every
+    # value to the end took 0.47 MiB (Willmore) and 1.27 MiB (CMC), and
+    # dropping each after its last read takes 0.05 and 0.50 MiB
+    @pytest.mark.parametrize("case, bound_mib", [("willmore", 0.2), ("cmc", 0.8)])
+    def test_multipliers_traced_peak(self, case, bound_mib):
+        p = lin.LinearizedProblem(case, 0.7, -1.3)
+        assert _traced_peak(lambda: lin.multipliers(p)) <= bound_mib * 2 ** 20
 
+
+def _traced_peak(run):
+    """The most memory traced at once by a second call of ``run``."""
+    run()
+    tracemalloc.start()
+    try:
         run()
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound_mib * 2 ** 20
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
