@@ -11,20 +11,19 @@ The intern table holds its nodes weakly, so a node lives only while something
 uses it, and structural sharing holds among the live nodes (Filliatre &
 Conchon, *Type-Safe Modular Hash-Consing*, ML Workshop 2006).  A live node
 keeps its children alive, so the child ids in its table key stay valid.
-What a node caches lives and dies with it: its derivatives (one per variable
-name, filled by :func:`diff`) and its compiled evaluation program.  A
-program holds no node, and it refers to the other roots it was compiled
-for only weakly, so it forms no reference cycle: a DAG that nothing uses is
-freed at once by reference counting.  A derivative can refer back to its
-node (the derivative of sqrt(a) contains sqrt(a)); a DAG with such a cycle
-waits for the cyclic garbage collector.  Whatever a caller reuses across
-calls, it keeps alive itself.  A constant is keyed by its numerator and
-denominator, two ints, not by its ``Fraction``, whose hash takes a modular
-inverse, and any other node by its kind, its payload and the ids of its
-children.  An interned constant is returned before any check, and ``add``,
-``sub`` and ``mul`` test ``ZERO`` and ``ONE`` before folding two constants:
-the same node, with no ``Fraction`` work.  Interning takes no lock, so the
-module is not thread-safe.
+A node caches only its compiled evaluation program, which lives and dies
+with it.  A program holds no node, and it refers to the other roots it was
+compiled for only weakly, so it forms no reference cycle.  No node keeps a
+derivative: the derivative of sqrt(a) contains sqrt(a), so a cached one
+would form a cycle; each :func:`diff` call keeps its own memo instead.  So
+a DAG that nothing uses is freed at once by reference counting.  Whatever
+a caller reuses across calls, it keeps alive itself.  A constant is keyed
+by its numerator and denominator, two ints, not by its ``Fraction``, whose
+hash takes a modular inverse, and any other node by its kind, its payload
+and the ids of its children.  An interned constant is returned before any
+check, and ``add``, ``sub`` and ``mul`` test ``ZERO`` and ``ONE`` before
+folding two constants: the same node, with no ``Fraction`` work.
+Interning takes no lock, so the module is not thread-safe.
 
 Every walk of the DAG is a loop over one iterative children-first order, so
 no expression is too deep to evaluate, differentiate or print; only the
@@ -148,7 +147,7 @@ class Expr:
     use the module-level constructors (which fold constants and intern)."""
 
     __slots__ = ("kind", "payload", "args", "value", "need", "program",
-                 "derivs", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, kind, payload, args, value=None):
         self.kind = kind          # 'const'|'pi'|'var'|'add'|'sub'|'mul'|'div'|'pow'|<func>
@@ -166,7 +165,6 @@ class Expr:
         # (weak references to the other roots, program) of the last
         # evaluation with this node as its first root, see _program()
         self.program = None
-        self.derivs = None        # variable name -> derivative, filled by diff
 
     # -- operator sugar (used heavily when building formulas in code) -------
     def __add__(self, other):
@@ -434,10 +432,9 @@ _FUNCS = {
 # the walk
 # ---------------------------------------------------------------------------
 
-def _postorder(roots, done=None, by_need=False):
+def _postorder(roots, by_need=False):
     """Nodes reachable from ``roots``, children first and each once, in the
-    order a left-to-right recursive walk would finish them.  A node for
-    which ``done(node)`` is true is skipped together with its subtree.
+    order a left-to-right recursive walk would finish them.
 
     With ``by_need``, of two children the one whose subtree holds more
     values at once is walked first (Sethi & Ullman, J. ACM 17, 1970): the
@@ -453,7 +450,7 @@ def _postorder(roots, done=None, by_need=False):
         if n is None:
             out.append(stack.pop())
             continue
-        if id(n) in seen or (done is not None and done(n)):
+        if id(n) in seen:
             continue
         seen.add(id(n))
         args = n.args
@@ -497,39 +494,33 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # differentiation
 # ---------------------------------------------------------------------------
 
-def diff(e: Expr, name: str) -> Expr:
-    """Exact symbolic partial derivative with respect to ``name``.  Each
-    node keeps its derivatives, so a subexpression is differentiated once
-    for as long as it lives."""
-    def known(n):
-        return n.derivs is not None and name in n.derivs
-
-    for n in _postorder((e,), known):
-        k = n.kind
-        if k in ("const", "pi"):
-            r = ZERO
-        elif k == "var":
-            r = ONE if n.payload == name else ZERO
-        elif k in ("add", "sub"):
-            r = _BUILD[k](n.args[0].derivs[name], n.args[1].derivs[name])
-        elif k == "mul":
-            a, b = n.args
-            r = add(mul(a.derivs[name], b), mul(a, b.derivs[name]))
-        elif k == "div":
-            a, b = n.args
-            r = div(sub(mul(a.derivs[name], b), mul(a, b.derivs[name])),
-                    powi(b, 2))
-        elif k == "pow":
-            (a,) = n.args
-            r = mul(mul(const(n.payload), powi(a, n.payload - 1)),
-                    a.derivs[name])
+def diff(e, name: str):
+    """Exact symbolic partial derivative with respect to ``name`` of one
+    expression, or of a sequence of expressions into a list.  The memo
+    lives for the call, so a subexpression shared between roots is
+    differentiated once and no node keeps a derivative."""
+    roots = (e,) if isinstance(e, Expr) else tuple(e)
+    memo: dict[int, Expr] = {}
+    for n in _postorder(roots):
+        k, args = n.kind, n.args
+        if not args:
+            r = ONE if k == "var" and n.payload == name else ZERO
+        elif len(args) == 1:
+            (a,) = args
+            da = memo[id(a)]
+            r = (mul(mul(const(n.payload), powi(a, n.payload - 1)), da)
+                 if k == "pow" else _FUNCS[k][3](a, da))
         else:
-            (a,) = n.args
-            r = _FUNCS[k][3](a, a.derivs[name])
-        if n.derivs is None:
-            n.derivs = {}
-        n.derivs[name] = r
-    return e.derivs[name]
+            a, b = args
+            da, db = memo[id(a)], memo[id(b)]
+            if k == "mul":
+                r = add(mul(da, b), mul(a, db))
+            elif k == "div":
+                r = div(sub(mul(da, b), mul(a, db)), powi(b, 2))
+            else:
+                r = _BUILD[k](da, db)
+        memo[id(n)] = r
+    return memo[id(e)] if isinstance(e, Expr) else [memo[id(r)] for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +1004,8 @@ class _Parser:
                     f"reserved function name '{val}' used as a variable", off)
             self.next()
         elif not (kind == "op" and val == "("):
-            raise ParseError(f"unexpected token {val!r}", off)
+            raise ParseError("unexpected end of input" if kind == "eof"
+                             else f"unexpected token {val!r}", off)
         # a group: parenthesized expression or function call opened at off
         self.depth += 1
         if self.depth > MAX_NESTING:

@@ -96,8 +96,8 @@ class LeafFamily:
         self.f_exprs = tuple(f_exprs)
         self.lambda_max = float(lambda_max)
         # row-major: _df[3 i + j] = d f_i / d w_j
-        self._df = tuple(ex.diff(c, w) for c in self.f_exprs
-                         for w in ("w1", "w2", "w3"))
+        columns = [ex.diff(self.f_exprs, w) for w in ("w1", "w2", "w3")]
+        self._df = tuple(d for row in zip(*columns) for d in row)
         self._check_boundary_condition()
         self.c_bound = self._estimate_bound()
         if not self.lambda_max * self.c_bound < 1:

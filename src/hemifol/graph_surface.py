@@ -89,8 +89,7 @@ class GraphSurface:
         ux = ex.diff(u, "x")
         uy = ex.diff(u, "y")
         uxx = ex.diff(ux, "x")
-        uxy = ex.diff(ux, "y")
-        uyy = ex.diff(uy, "y")
+        uxy, uyy = ex.diff((ux, uy), "y")
         w2 = 1 + ux ** 2 + uy ** 2
         self.grad_u = (ux, uy)
         self.H = ((1 + uy ** 2) * uxx - 2 * ux * uy * uxy

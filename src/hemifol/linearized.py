@@ -191,16 +191,16 @@ def _fields(case: str, u: ex.Expr) -> Mapping[str, ex.Expr]:
     ut = sphere.to_tphi(u) if ex.free_variables(u) & {"w1", "w2", "w3"} else u
     rhs = sphere.to_tphi(pde_rhs_expr(case))
     lap2_u = sphere.laplacian(ut) + 2 * ut
-    du_eta = sphere.eta_derivative(ut)
     kappa_form = sphere.to_tphi(_KAPPA_FORM)
     if case == "cmc":
+        du_eta = sphere.eta_derivative(ut)
         fields = {"interior": lap2_u - rhs - ex.const(3) / 8 * _H, "rhs": rhs}
     else:
-        # lap2_u_eta is the third-order residual less its data
-        fields = {"interior": sphere.laplacian(lap2_u) - sphere.laplacian(rhs) + _H,
-                  "lap2_u_eta": sphere.eta_derivative(lap2_u),
-                  "rhs_eta": sphere.eta_derivative(rhs)}
-        fields["third_order"] = fields["lap2_u_eta"] - 7 * kappa_form + _H
+        # lap2_u_eta is the third-order residual less its data; lap2_u holds ut
+        lap_lap2_u, lap_rhs = sphere.laplacian((lap2_u, rhs))
+        du_eta, lap2_u_eta, rhs_eta = sphere.eta_derivative((ut, lap2_u, rhs))
+        fields = {"interior": lap_lap2_u - lap_rhs + _H, "lap2_u_eta": lap2_u_eta,
+                  "rhs_eta": rhs_eta, "third_order": lap2_u_eta - 7 * kappa_form + _H}
     fields.update(neumann=du_eta + kappa_form, u=ut, du_eta=du_eta)
     for i in (1, 2):
         fields.update({f"w{i}_{k}": sphere.OMEGA[i - 1] * fields[k]

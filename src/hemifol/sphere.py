@@ -38,13 +38,15 @@ def to_tphi(e: ex.Expr) -> ex.Expr:
     return ex.substitute(e, _SUBST)
 
 
-def laplacian(f: ex.Expr) -> ex.Expr:
+def laplacian(f):
     """Spherical Laplacian d_t((1-t^2) d_t f) + (1-t^2)^{-1} d_phi^2 f of a
-    (t, phi)-coordinate expression."""
-    ft = ex.diff(f, "t")
-    radial = ex.diff((1 - T ** 2) * ft, "t")
-    azimuthal = ex.diff(ex.diff(f, "phi"), "phi") / (1 - T ** 2)
-    return radial + azimuthal
+    (t, phi)-coordinate expression, or of a sequence of them into a list,
+    whose derivatives in each variable are taken in one :func:`ex.diff`."""
+    fs = (f,) if isinstance(f, ex.Expr) else f
+    radial = ex.diff([(1 - T ** 2) * ft for ft in ex.diff(fs, "t")], "t")
+    azimuthal = ex.diff(ex.diff(fs, "phi"), "phi")
+    out = [r + a / (1 - T ** 2) for r, a in zip(radial, azimuthal)]
+    return out[0] if isinstance(f, ex.Expr) else out
 
 
 def grad_norm_sq(f: ex.Expr) -> ex.Expr:
@@ -54,11 +56,11 @@ def grad_norm_sq(f: ex.Expr) -> ex.Expr:
     return (1 - T ** 2) * ft ** 2 + fp ** 2 / (1 - T ** 2)
 
 
-def eta_derivative(f: ex.Expr) -> ex.Expr:
+def eta_derivative(f):
     """Derivative along the interior conormal of the equator: equals
     d_t f evaluated at t = 0 (eta points from the equator toward the pole,
     and dt/ds = sin(theta) = 1 there).  The returned expression is the field
-    d_t f; evaluate it at t = 0."""
+    d_t f, or a list of them for a sequence; evaluate it at t = 0."""
     return ex.diff(f, "t")
 
 

@@ -93,8 +93,8 @@ class MetricPerturbation:
 
     def position_derivatives(self):
         """d q_{mn} / d x_mu as symbolic entries (before substitution)."""
-        return [[[ex.diff(self.entries[m][n], xmu) for n in range(3)]
-                 for m in range(3)] for xmu in _X]
+        d = [ex.diff([q for row in self.entries for q in row], xmu) for xmu in _X]
+        return [[dx[3 * m:3 * m + 3] for m in range(3)] for dx in d]
 
 
 def metric_zero() -> MetricPerturbation:
@@ -149,7 +149,7 @@ def _build_fields(u_dir: ex.Expr, metric: MetricPerturbation) -> dict:
     gt = [[_DELTA[m][n] + EPS * q_at_f[m][n] for n in range(3)] for m in range(3)]
 
     params = ("t", "phi")
-    df = [[ex.diff(f[m], v) for m in range(3)] for v in params]
+    df = [ex.diff(f, v) for v in params]
 
     def pair(vec_a, vec_b):
         total = ex.ZERO
@@ -177,7 +177,7 @@ def _build_fields(u_dir: ex.Expr, metric: MetricPerturbation) -> dict:
             for j in range(2):
                 tangential = tangential + ginv[i][j] * b[i] * df[j][m]
         nu.append(-((om[m] - tangential) / norm))
-    dnu = [[ex.diff(nu[m], v) for m in range(3)] for v in params]
+    dnu = [ex.diff(nu, v) for v in params]
 
     dq_sym = metric.position_derivatives()
     subst_f = {name: pos for name, pos in zip(_X, f)}

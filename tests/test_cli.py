@@ -144,8 +144,9 @@ class TestAnalyze:
         capsys.readouterr()
 
     def test_analyzed_surfaces_leave_no_cyclic_garbage(self, tmp_path, capsys):
-        # no cache forms a reference cycle: with the cyclic collector off,
-        # each analyzed surface's DAG is freed by reference counting alone
+        # no cache forms a reference cycle, whatever the surface: with the
+        # cyclic collector off, each analyzed surface's DAG is freed by
+        # reference counting alone
         rng = np.random.default_rng(3)
         paths = []
         for i in range(21):
@@ -159,6 +160,10 @@ class TestAnalyze:
                             f"u = a*{X} + a*{Y} + {X}*{Y} - c1*{X}^3 - c2*{Y}^3\n"
                             f"params: a={a!r}, c1={c!r}, c2={c!r}\n")
             paths.append((path, f"{x0 + 0.005}", f"{y0 - 0.005}"))
+        # d sqrt(a) holds sqrt(a), and d sin(a) and d cos(a) hold each other
+        path = tmp_path / "sqrt.surf"
+        path.write_text("u = x*y + sqrt(4 + x^2) - cos(y)/3 + x^2/5\n")
+        paths += [(path, "0", "0")] * 5
 
         def analyze(path, gx, gy):
             return cli.main(["analyze", str(path), "--case", "cmc", "--guess", gx, gy])

@@ -47,6 +47,10 @@ def test_parse_errors_carry_offset():
     ("x y", "trailing input 'y' (at offset 2)"),
     ("x^y", "expected integer exponent (at offset 2)"),
     ("x^1.5", "expected integer exponent (at offset 2)"),
+    ("", "unexpected end of input (at offset 0)"),
+    ("x+", "unexpected end of input (at offset 2)"),
+    ("2*", "unexpected end of input (at offset 2)"),
+    ("sin(", "unexpected end of input (at offset 4)"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(ex.ParseError) as err:
@@ -69,6 +73,21 @@ def test_diff_ln():
 def test_diff_of_constant_is_zero():
     assert ex.diff(ex.parse("3/7"), "x") is ex.ZERO
     assert ex.diff(ex.pi, "x") is ex.ZERO
+
+
+def test_derivative_that_holds_its_node_is_freed_by_refcount():
+    # d sqrt(a) contains sqrt(a); no node keeps its derivative, so neither
+    # waits for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        e = ex.sqrt(ex.parse("x^2 + 7"))
+        d = ex.diff(e, "x")
+        probes = [weakref.ref(e), weakref.ref(d)]
+        del e, d
+        assert [r() for r in probes] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_eval_direct_arithmetic():
@@ -217,9 +236,9 @@ def test_jet_matches_symbolic_derivatives():
 
 
 def test_derivatives_of_freed_and_rebuilt_nodes():
-    # nodes die with their last user, and new nodes may take their ids: the
-    # derivatives are kept on the nodes, so a rebuilt or new expression never
-    # reads a dead node's derivative; each diff must match the jet walk
+    # nodes die with their last user, and new nodes may take their ids: each
+    # diff keeps its memo for the call only, so a rebuilt or new expression
+    # never reads a dead node's derivative; each diff must match the jet walk
     xs, ys = np.linspace(-0.9, 0.9, 13), np.linspace(0.8, -0.7, 13)
 
     def build(seed):
@@ -247,6 +266,16 @@ def test_derivatives_of_freed_and_rebuilt_nodes():
     # interning holds while the first result lives
     for t, e in zip(texts, roots):
         assert ex.parse(t) is e
+
+
+def test_diff_of_a_sequence_is_the_list_of_single_diffs():
+    rng = np.random.default_rng(17)
+    roots = [_random_expr(rng, 4) for _ in range(40)]
+    for name in ("x", "y"):
+        got = ex.diff(roots, name)
+        assert isinstance(got, list) and len(got) == len(roots)
+        assert all(g is ex.diff(r, name) for g, r in zip(got, roots))
+    assert ex.diff((), "x") == []
 
 
 def test_substitute():

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -76,6 +77,33 @@ class TestLeafFamily:
             fo.LeafFamily(0.0, (ex.const(30), ex.ZERO, ex.ZERO), lambda_max=0.05)
         fam = fo.LeafFamily(0.0, (ex.const(30), ex.ZERO, ex.ZERO), lambda_max=0.03)
         assert fam.lambda_max * fam.c_bound < 1
+
+    def test_df_is_row_major(self):
+        f = (ex.parse("sqrt(4 + w1*w2)/50"), ex.parse("w2*w3^2"), ex.parse("w3*sin(w1)"))
+        fam = fo.LeafFamily(0.5, f, lambda_max=0.1)
+        assert len(fam._df) == 9
+        for i in range(3):
+            for j in range(3):
+                assert fam._df[3 * i + j] is ex.diff(f[i], f"w{j + 1}")
+
+    def test_families_leave_no_cyclic_garbage(self):
+        # d sqrt(a) contains sqrt(a), and no node keeps its derivative: with
+        # the cyclic collector off, each family's DAG is freed by reference
+        # counting alone
+        def family():
+            f1 = ex.parse("sqrt(4 + w1*w2)/50")
+            return fo.LeafFamily(0.5, (f1, ex.ZERO, ex.ZERO), lambda_max=0.1).c_bound
+
+        family()
+        gc.collect()
+        gc.disable()
+        try:
+            bounds = [family() for _ in range(5)]
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert all(b > 0 for b in bounds)
+        assert garbage == 0
 
 
 class TestRayIntersect:
