@@ -3,7 +3,8 @@ expansions for CMC and Willmore half-spheres on a domain boundary.
 
 Subpackages:
 
-- ``expr``: symbolic expression trees, parsing, differentiation, order-2 jets
+- ``expr``: symbolic expression trees, parsing, differentiation, and an
+  evaluation tape that also carries order-2 jets
 - ``quadrature``: exact hemisphere moments, spectral quadrature,
   pi*(p + q*ln2) constant recognition
 - ``sphere``: hemisphere calculus in (t, phi) coordinates

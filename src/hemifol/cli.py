@@ -250,6 +250,8 @@ def cmd_linearized(args) -> int:
 
 def cmd_foliate(args) -> int:
     from . import foliation as fo
+    if args.n_lambda < 0:
+        raise ValueError("n_lambda must be non-negative")
     if args.n_lambda > MAX_N_LAMBDA:
         raise ValueError(f"n_lambda must be at most {MAX_N_LAMBDA}")
     if not math.isfinite(args.lambda_min):

@@ -13,7 +13,8 @@ Conchon, *Type-Safe Modular Hash-Consing*, ML Workshop 2006).  A live node
 keeps its children alive, so the child ids in its table key stay valid.
 A node caches only its compiled evaluation program, which lives and dies
 with it.  A program holds no node, and it refers to the other roots it was
-compiled for only weakly, so it forms no reference cycle.  No node keeps a
+compiled for only weakly, so it forms no reference cycle; it is kept for
+those roots and one layout of jet bindings (see below).  No node keeps a
 derivative: the derivative of sqrt(a) contains sqrt(a), so a cached one
 would form a cycle; each :func:`diff` call keeps its own memo instead.  So
 a DAG that nothing uses is freed at once by reference counting.  Whatever
@@ -42,23 +43,26 @@ its nodes, so the subexpression that a :class:`DomainError` names does not
 either.  :func:`evaluate` takes one root or a sequence of roots; a
 subexpression shared between roots is computed once.
 
-Evaluation is generic over the scalar type: plain floats / numpy arrays, or
-:class:`Jet2` values carrying (f, f', f'') in one shared deformation
-parameter.  A walk with a jet binding keeps every subexpression that does
-not depend on a jet as a plain float or array, and does derivative work
-only where a jet is present.  Its value parts equal those of lifting every
-binding to a jet, because a plain quotient in such a walk is taken as
-a * (1/b), as a jet with zero derivative parts divides; its derivative
-parts are equal after broadcasting, apart from the sign of exact zeros and
-the NaN that a skipped ``f * 0.0`` made of a non-finite ``f``.
-:func:`evaluate` takes that rule whenever a binding is a jet, and
-:func:`evaluate_jet` always, lifting its one root to a jet.
-:class:`LaneJet2` carries the derivative parts of several directions as
-four float lanes, bit for bit the values of a :class:`Jet2` with length-4
-array parts and cheaper on so few elements; :mod:`graph_surface` walks
-point jets with it.  No simplification is performed beyond constant
-folding; correctness of rewrites is semantic (evaluation equality), not
-syntactic.
+A walk computes plain floats and numpy arrays.  Order-2 jets, (f, f',
+f'') in a deformation parameter, are a transform of the tape (Griewank &
+Walther, ch. 13): the bindings that are :class:`Jet2` records name the
+jet variables and carry L directions (lanes) each, and the program
+compiled for that layout gives each node that a jet reaches 1 + 2L slots,
+its value and its L first and L second derivative parts, which one fused
+instruction per node updates.  Every other subexpression stays a plain
+float or array, so derivative work is done only where a jet is present.
+The value parts equal those of lifting every binding to a jet, because a
+plain quotient in such a walk is taken as a * (1/b), as a jet with zero
+derivative parts divides; the derivative parts are equal after
+broadcasting, apart from the sign of exact zeros and the NaN that a
+skipped ``f * 0.0`` made of a non-finite ``f``.  :func:`evaluate` takes
+that rule whenever a binding is a jet, and :func:`evaluate_jet` always.
+Each lane takes the IEEE operations that one element of a length-L array
+part takes, so four float lanes equal a one-lane jet of length-4 arrays
+bit for bit, without numpy's per-call cost on four elements;
+:mod:`graph_surface` walks its point jets so.  No simplification is
+performed beyond constant folding; correctness of rewrites is semantic
+(evaluation equality), not syntactic.
 
 At a float point a walk computes in Python floats: an elementary function
 of a float returns a float, and its domain check and the divisor checks
@@ -71,6 +75,7 @@ range are inf without a warning.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -81,7 +86,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "Expr", "Jet2", "LaneJet2",
+    "Expr", "Jet2",
     "ExprError", "ParseError", "ReservedNameError",
     "EvalError", "UnboundVariableError", "DomainError",
     "const", "var", "pi", "add", "sub", "mul", "div", "powi",
@@ -405,7 +410,7 @@ def _cot_derivs(b, y):
     s = 1.0 + y * y
     return -s, 2.0 * y * s
 
-# The elementary functions of float, Jet2 and symbolic code: kind -> (phi,
+# The elementary functions of plain, jet and symbolic code: kind -> (phi,
 # (b, phi(b)) -> (phi'(b), phi''(b)), None or (mask of the points of b
 # outside the domain, message), (a, da) -> d phi(a) as an expression).
 _FUNCS = {
@@ -528,156 +533,25 @@ def diff(e, name: str):
 # ---------------------------------------------------------------------------
 
 class Jet2:
-    """Truncated Taylor value f(eps) = f + d1*eps + d2/2*eps^2 + O(eps^3).
-
-    Components may be floats or numpy arrays (broadcast elementwise), all in
-    one shared deformation parameter.  Arithmetic is exact at truncation
-    order 2.
-
-    The other operand of an operator may be a plain float or array, a value
-    that does not depend on eps: its derivative parts are zero, and the
-    products with them are skipped.  Numpy defers to the reflected
-    operators, so ``ndarray * Jet2`` is a Jet2, not an object array.
-    """
+    """Truncated Taylor value f(eps) = f + d1*eps + d2/2*eps^2 + O(eps^3): a
+    jet binding of a walk, or the value of a root in a walk with one.  Parts
+    are floats or numpy arrays; ``d1`` and ``d2`` are each one part, or a
+    tuple of one part per direction (lane), as many in every jet of a walk.
+    The walk does the arithmetic (see :func:`_compile`)."""
 
     __slots__ = ("f", "d1", "d2")
-    __array_ufunc__ = None
 
     def __init__(self, f, d1=0.0, d2=0.0):
         self.f = f
         self.d1 = d1
         self.d2 = d2
 
-    @staticmethod
-    def lift(x):
-        return x if isinstance(x, Jet2) else Jet2(x)
-
     def __repr__(self):
         return f"Jet2({self.f}, {self.d1}, {self.d2})"
 
-    def __add__(self, o):
-        if not isinstance(o, Jet2):
-            return Jet2(self.f + o, self.d1, self.d2)
-        return Jet2(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
 
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if not isinstance(o, Jet2):
-            return Jet2(self.f - o, self.d1, self.d2)
-        return Jet2(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __rsub__(self, o):
-        return Jet2(o - self.f, 0.0 - self.d1, 0.0 - self.d2)
-
-    def __mul__(self, o):
-        if not isinstance(o, Jet2):
-            return Jet2(self.f * o, self.d1 * o, self.d2 * o)
-        return Jet2(
-            self.f * o.f,
-            self.f * o.d1 + self.d1 * o.f,
-            self.f * o.d2 + 2.0 * self.d1 * o.d1 + self.d2 * o.f,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        # a plain divisor's reciprocal is 1/o, as the lifted jet's was
-        return self * (o._recip() if isinstance(o, Jet2) else 1.0 / o)
-
-    def __rtruediv__(self, o):
-        return self._recip() * o
-
-    def __neg__(self):
-        return Jet2(-self.f, -self.d1, -self.d2)
-
-    def _recip(self):
-        b = self.f
-        return self._chain(1.0 / b, -1.0 / (b * b), 2.0 / (b * b * b))
-
-    def _chain(self, f0, f1, f2):
-        """Compose with a scalar function given phi(b), phi'(b), phi''(b)."""
-        return Jet2(f0, f1 * self.d1, f2 * self.d1 * self.d1 + f1 * self.d2)
-
-    def powi(self, n):
-        b = self.f
-        return self._chain(b ** n, n * b ** (n - 1), n * (n - 1) * b ** (n - 2))
-
-    __pow__ = powi
-
-
-class LaneJet2(Jet2):
-    """A :class:`Jet2` along four directions at once: ``f`` is a float and
-    ``d1`` and ``d2`` are 4-tuples of floats, one lane per direction.
-
-    Each lane takes the same IEEE operations, in the same order, as
-    :class:`Jet2` takes for one element of length-4 array parts, so the
-    lanes equal that jet's arrays bit for bit; on four elements the
-    interpreter's float operations cost less than numpy's ufunc calls.  The
-    other operand is a plain float or a LaneJet2.  Reciprocal, powers and
-    both divisions are inherited: they go through :meth:`_chain` and
-    ``*``."""
-
-    __slots__ = ()
-
-    def __add__(self, o):
-        if not isinstance(o, Jet2):
-            return LaneJet2(self.f + o, self.d1, self.d2)
-        a0, a1, a2, a3 = self.d1
-        b0, b1, b2, b3 = o.d1
-        c0, c1, c2, c3 = self.d2
-        e0, e1, e2, e3 = o.d2
-        return LaneJet2(self.f + o.f, (a0 + b0, a1 + b1, a2 + b2, a3 + b3),
-                        (c0 + e0, c1 + e1, c2 + e2, c3 + e3))
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if not isinstance(o, Jet2):
-            return LaneJet2(self.f - o, self.d1, self.d2)
-        a0, a1, a2, a3 = self.d1
-        b0, b1, b2, b3 = o.d1
-        c0, c1, c2, c3 = self.d2
-        e0, e1, e2, e3 = o.d2
-        return LaneJet2(self.f - o.f, (a0 - b0, a1 - b1, a2 - b2, a3 - b3),
-                        (c0 - e0, c1 - e1, c2 - e2, c3 - e3))
-
-    def __rsub__(self, o):
-        a0, a1, a2, a3 = self.d1
-        c0, c1, c2, c3 = self.d2
-        return LaneJet2(o - self.f, (0.0 - a0, 0.0 - a1, 0.0 - a2, 0.0 - a3),
-                        (0.0 - c0, 0.0 - c1, 0.0 - c2, 0.0 - c3))
-
-    def __mul__(self, o):
-        f = self.f
-        a0, a1, a2, a3 = self.d1
-        c0, c1, c2, c3 = self.d2
-        if not isinstance(o, Jet2):
-            return LaneJet2(f * o, (a0 * o, a1 * o, a2 * o, a3 * o),
-                            (c0 * o, c1 * o, c2 * o, c3 * o))
-        g = o.f
-        b0, b1, b2, b3 = o.d1
-        e0, e1, e2, e3 = o.d2
-        return LaneJet2(
-            f * g,
-            (f * b0 + a0 * g, f * b1 + a1 * g, f * b2 + a2 * g, f * b3 + a3 * g),
-            (f * e0 + 2.0 * a0 * b0 + c0 * g, f * e1 + 2.0 * a1 * b1 + c1 * g,
-             f * e2 + 2.0 * a2 * b2 + c2 * g, f * e3 + 2.0 * a3 * b3 + c3 * g),
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        a0, a1, a2, a3 = self.d1
-        c0, c1, c2, c3 = self.d2
-        return LaneJet2(-self.f, (-a0, -a1, -a2, -a3), (-c0, -c1, -c2, -c3))
-
-    def _chain(self, f0, f1, f2):
-        a0, a1, a2, a3 = self.d1
-        c0, c1, c2, c3 = self.d2
-        return LaneJet2(f0, (f1 * a0, f1 * a1, f1 * a2, f1 * a3),
-                        (f2 * a0 * a0 + f1 * c0, f2 * a1 * a1 + f1 * c1,
-                         f2 * a2 * a2 + f1 * c2, f2 * a3 * a3 + f1 * c3))
+def _lanes(part):
+    return part if isinstance(part, tuple) else (part,)
 
 
 # ---------------------------------------------------------------------------
@@ -689,109 +563,224 @@ class _Fault(Exception):
     on one that does, which raises the :class:`DomainError`."""
 
 
-def _check_nonzero(v):
-    bad = v.f if isinstance(v, Jet2) else v
-    if bad == 0 if isinstance(bad, float) else np.any(np.asarray(bad) == 0):
+def _check_nonzero(b):
+    if b == 0 if isinstance(b, float) else np.any(np.asarray(b) == 0):
         raise ZeroDivisionError
 
 
-def _function(rules, a):
-    """The ``_FUNCS`` function with ``rules`` at ``a``.  A float argument
-    gives Python floats, so a point walk does no numpy scalar arithmetic."""
-    fn, derivs, check, _ = rules
-    b = a.f if isinstance(a, Jet2) else a
+def _function(rules, b):
+    """The ``_FUNCS`` function with ``rules`` at ``b``, after its domain
+    check.  A float argument gives a Python float, so a point walk does no
+    numpy scalar arithmetic."""
+    fn, _, check, _ = rules
     if isinstance(b, float):
         if check is not None and check[0](b):
             raise _Fault(check[1])
-        y = float(fn(b))
-        if isinstance(a, Jet2):
-            return a._chain(y, *map(float, derivs(b, y)))
-        return y
+        return float(fn(b))
     if check is not None and np.any(check[0](np.asarray(b))):
         raise _Fault(check[1])
-    y = fn(b)
-    return a._chain(y, *derivs(b, y)) if isinstance(a, Jet2) else y
+    return fn(b)
+
+
+# The order-2 rules of a node that a jet reaches (Griewank & Walther,
+# ch. 13), by (kind, whether the first operand is a jet, whether the second
+# is, None for a power's exponent or a function's rules y): (statements,
+# value, first and second derivative part of lane i).  f, p_i and c_i are
+# the first operand's value and lane i's parts, g, q_i and e_i the
+# second's.  Each part takes these IEEE operations in this order, whatever
+# the lane count.  No product with a plain operand's zero parts is formed:
+# a sum with a plain value keeps the jet's parts (the jet's value first),
+# plain - jet takes 0.0 - q, and a product with a plain value scales the
+# jet's parts (the jet's part first).  A quotient by a plain g is a * (1/g).
+_RECIPROCAL = ("_check_nonzero(g)", "r, r1, r2 = 1.0 / g, -1.0 / (g * g), 2.0 / (g * g * g)")
+_POWER = ("if y < 0:", "    _check_nonzero(f)",
+          "f0, f1, f2 = f ** y, y * f ** (y - 1), y * (y - 1) * f ** (y - 2)")
+_FUNCTION = ("f0 = _function(y, f)", "f1, f2 = y[1](f, f0)",
+             "if isinstance(f, float):", "    f1, f2 = float(f1), float(f2)")
+_CHAIN = ("f0", "f1 * p{i}", "f2 * p{i} * p{i} + f1 * c{i}")
+_RULES = {
+    ("add", True, True): ((), "f + g", "p{i} + q{i}", "c{i} + e{i}"),
+    ("add", True, False): ((), "f + g", "p{i}", "c{i}"),
+    ("add", False, True): ((), "g + f", "q{i}", "e{i}"),
+    ("sub", True, True): ((), "f - g", "p{i} - q{i}", "c{i} - e{i}"),
+    ("sub", True, False): ((), "f - g", "p{i}", "c{i}"),
+    ("sub", False, True): ((), "f - g", "0.0 - q{i}", "0.0 - e{i}"),
+    ("mul", True, True): ((), "f * g", "f * q{i} + p{i} * g",
+                          "f * e{i} + 2.0 * p{i} * q{i} + c{i} * g"),
+    ("mul", True, False): ((), "f * g", "p{i} * g", "c{i} * g"),
+    ("mul", False, True): ((), "g * f", "q{i} * f", "e{i} * f"),
+    # 1/g has the parts s_i = r1 * q_i and t_i = r2 * q_i * q_i + r1 * e_i
+    ("div", True, True): (_RECIPROCAL, "f * r", "f * (r1 * q{i}) + p{i} * r",
+                          "f * (r2 * q{i} * q{i} + r1 * e{i}) + 2.0 * p{i} * (r1 * q{i})"
+                          " + c{i} * r"),
+    ("div", True, False): (("_check_nonzero(g)", "r = 1.0 / g"), "f * r", "p{i} * r", "c{i} * r"),
+    ("div", False, True): (_RECIPROCAL, "r * f", "(r1 * q{i}) * f",
+                           "(r2 * q{i} * q{i} + r1 * e{i}) * f"),
+    ("pow", True, None): (_POWER, *_CHAIN),
+    ("func", True, None): (_FUNCTION, *_CHAIN),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _fused(lanes, kind, left, right, drop_x, drop_y):
+    """``_RULES[kind, left, right]`` for ``lanes`` lanes: a function
+    rule(v, o, (x, y)) that reads its operands' slots x and y of the slot
+    list v, clears those of each operand whose drop flag is set (read there
+    for the last time), writes the derivative parts of the node at slot o
+    and returns its value.  It is compiled with its lanes unrolled, so it
+    is one call however many lanes it updates: ``("mul", True, False)`` of
+    one lane that drops neither operand is ``x, y = args; f, p0, c0 =
+    v[x:x + 3]; g = v[y]; v[o + 1:o + 3] = (p0 * g, c0 * g,); return f * g``."""
+    width = 1 + 2 * lanes
+    head, value, *derivatives = _RULES[kind, left, right]
+    reads, clears = [], []
+    for slot, names, jet, drop in zip("xy", ("fpc", "gqe"), (left, right), (drop_x, drop_y)):
+        if jet is None:
+            continue
+        span = f"v[{slot}:{slot} + {width}]" if jet else f"v[{slot}]"
+        parts = [names[0]] + [f"{n}{i}" for n in names[1:] for i in range(lanes) if jet]
+        reads.append(f"{', '.join(parts)} = {span}")
+        clears += [f"{span} = {'_GAP' if jet else 'None'}"] if drop else []
+    parts = [d.format(i=i) for d in derivatives for i in range(lanes)]
+    lines = ["def rule(v, o, args):", "x, y = args", *reads, *clears, *head,
+             f"v[o + 1:o + {width}] = ({', '.join(parts)},)", f"return {value}"]
+    scope = {"_check_nonzero": _check_nonzero, "_function": _function, "_GAP": (None,) * width}
+    exec("\n    ".join(lines), scope)
+    return scope["rule"]
 
 
 # opcodes of a program's instructions, the most frequent first
-_MUL, _ADD, _SUB, _POW, _DIV, _FUNC, _VAR, _FAIL = range(8)
-_BINARY = {"mul": _MUL, "add": _ADD, "sub": _SUB, "div": _DIV}
+_JET, _MUL, _ADD, _SUB, _POW, _DIV, _FUNC, _VAR, _FAIL = range(9)
+_OPCODES = {"mul": _MUL, "add": _ADD, "sub": _SUB, "div": _DIV, "pow": _POW, "func": _FUNC}
+
+# the layouts of walks without jets, without and with the jet quotient rule
+_PLAIN = (frozenset(), 0, False)
+_RECIP = (frozenset(), 0, True)
 
 
-def _compile(roots, by_need=True):
-    """The program of ``roots`` and the nodes of its positions, in
-    :func:`_postorder` order (by need, or left to right).
+def _layout(bindings, recip):
+    """(names bound to jets, lanes L, whether a quotient by a plain value
+    is a * (1/b)) of a walk of ``bindings``: ``recip``, or any jet binding,
+    sets the quotient rule.  Jets whose lane counts differ, or a jet of
+    no lanes, raise ValueError."""
+    names, lanes = [], {}
+    for name, j in bindings.items():
+        if isinstance(j, Jet2):
+            names.append(name)
+            for part in (j.d1, j.d2):
+                lanes[len(part) if isinstance(part, tuple) else 1] = name
+    if not names:
+        return _RECIP if recip else _PLAIN
+    if 0 in lanes:
+        raise ValueError(f"jet binding '{lanes[0]}' carries no lanes")
+    if len(lanes) > 1:
+        (m, a), (n, b) = list(lanes.items())[:2]
+        raise ValueError(f"jet bindings '{a}' and '{b}' carry {m} and {n} lanes")
+    return (frozenset(names), *lanes, True)
 
-    A program is (slots, code, outs).  ``slots`` holds the first value of
-    each position: the float of a constant or ``pi``, else None.  ``code``
-    has one instruction for each other position, in order: (opcode,
-    position, a, b, drops).  a and b are the operands' positions; a power
-    has its exponent as b, a function its ``_FUNCS`` rules as b, a variable
-    its name as a, and a constant past the float range its message as a.
-    drops are the positions of computed values last read there, or None;
-    the roots' values are kept.  ``outs`` are the roots' positions."""
+
+def _compile(roots, layout=_PLAIN, by_need=True):
+    """The program of ``roots`` for ``layout`` (see :func:`_layout`) and
+    the nodes of its slots, in :func:`_postorder` order (by need, or left
+    to right).  A node that a jet binding reaches has 1 + 2L slots in a
+    row, its value and its L first and L second derivative parts, and so
+    has every root of a walk with jets (zero parts where no jet reaches
+    it); any other node has one.
+
+    A program is (slots, code, outs, lanes, recip).  ``slots`` holds the
+    first value of each slot: the float of a constant or ``pi``, a zero
+    part, else None.  ``code`` has one instruction for each other node, in
+    order: (opcode, slot, a, b, drops).  a and b are the operands' slots;
+    a power has its exponent as b, a function its ``_FUNCS`` rules as b, a
+    variable its name as a and its lanes (0 if plain) as b, and a constant
+    past the float range its message as a.  drops are the slots of
+    computed values last read there, or None; the roots' values are kept.
+    A node that a jet reaches, other than a variable, is a ``_JET``
+    instruction: b is its rule from :func:`_fused`, which also drops its
+    operands, and a is (a, b).  ``outs`` are the roots' slots, and
+    ``recip`` takes a quotient by a plain value as a * (1/b)."""
+    names, lanes, recip = layout
     order = _postorder(roots, by_need=by_need)
-    pos = {id(n): i for i, n in enumerate(order)}
-    outs = tuple(pos[id(r)] for r in roots)
-    slots, code = [None] * len(order), []
+    width = 1 + 2 * lanes
+    if names:
+        pos, jets, size, rooted = {}, set(), 0, set(roots)
+        for node in order:
+            pos[node] = size
+            args = node.args
+            if (args[0] in jets or args[-1] in jets if args
+                    else node.kind == "var" and node.payload in names):
+                jets.add(node)
+                size += width
+            else:
+                size += width if node in rooted else 1
+    else:
+        pos, jets, size = {n: i for i, n in enumerate(order)}, (), len(order)
+    outs = tuple(pos[r] for r in roots)
+    slots, code, nodes = [None] * size, [], [None] * size
     # backwards, so that the first read met is the last one
     read = set(outs)
-    for i in range(len(order) - 1, -1, -1):
-        n = order[i]
-        if n.value is not None:
-            slots[i] = n.value
+    for node in reversed(order):
+        i = pos[node]
+        nodes[i] = node
+        jet = node in jets
+        if names and not jet and i in outs:
+            slots[i + 1:i + width] = [0.0] * (width - 1)
+        if node.value is not None:
+            slots[i] = node.value
             continue
-        k, args = n.kind, n.args
+        k, args = node.kind, node.args
         if not args:
-            code.append((_VAR, i, n.payload, None, None) if k == "var" else
+            code.append((_VAR, i, node.payload, lanes if jet else 0, None) if k == "var" else
                         (_FAIL, i, "constant outside the float range", None, None))
             continue
-        x = args[0]
-        a = pos[id(x)]
-        drops = None
-        if x.args and a not in read:
-            read.add(a)
-            drops = (a,)
+        x, y = args[0], args[-1]
+        a, b = pos[x], pos[y]
+        dx = a not in read and x.args != ()
+        read.add(a)
+        dy = b not in read and y.args != ()
+        read.add(b)
         if len(args) == 1:
-            code.append((_POW, i, a, n.payload, drops) if k == "pow" else
-                        (_FUNC, i, a, _FUNCS[k], drops))
-            continue
-        y = args[1]
-        b = pos[id(y)]
-        if y.args and b not in read:
-            read.add(b)
-            drops = (b,) if drops is None else (a, b)
-        code.append((_BINARY[k], i, a, b, drops))
+            k, b = ("pow", node.payload) if k == "pow" else ("func", _FUNCS[k])
+        if jet:
+            rule = (_fused(lanes, k, True, None, dx, False) if len(args) == 1
+                    else _fused(lanes, k, x in jets, y in jets, dx, dy))
+            code.append((_JET, i, (a, b), rule, None))
+        else:
+            drops = (a, b) if dx and dy else (a,) if dx else (b,) if dy else None
+            code.append((_OPCODES[k], i, a, b, drops))
     code.reverse()
-    return (slots, code, outs), order
+    return (slots, code, outs, lanes, recip), nodes
 
 
-def _program(roots):
-    """The by-need program of ``roots``, cached on the first root and keyed
-    by weak references to the others, so a root that dies invalidates it
-    and no cache keeps a root alive."""
+def _program(roots, layout):
+    """The by-need program of ``roots`` for ``layout``, cached on the first
+    root and keyed by the layout and by weak references to the other
+    roots, so a root that dies invalidates it and no cache keeps a root
+    alive."""
     head, rest = roots[0], roots[1:]
     cached = head.program
     if cached is not None:
-        refs, program = cached
-        if len(refs) == len(rest) and all(r() is e for r, e in zip(refs, rest)):
+        refs, key, program = cached
+        if key == layout and len(refs) == len(rest) and all(
+                r() is e for r, e in zip(refs, rest)):
             return program
-    program = _compile(roots)[0]
-    head.program = (tuple(map(weakref.ref, rest)), program)
+    program = _compile(roots, layout)[0]
+    head.program = (tuple(map(weakref.ref, rest)), layout, program)
     return program
 
 
-def _run(program, bindings, jet, nodes=None):
-    """The values of a program's roots.  With ``jet`` a quotient by a plain
-    value is taken as a * (1/b), as a jet with zero derivative parts
-    divides.  A failure raises :class:`DomainError` on its node from
+def _run(program, bindings, nodes=None):
+    """The values of a program's roots; in a walk with jets, each a
+    :class:`Jet2`.  A failure raises :class:`DomainError` on its node from
     ``nodes``, or :class:`_Fault` without them."""
-    slots, code, outs = program
+    slots, code, outs, lanes, recip = program
     v = slots.copy()
     # Python floats raise where numpy arrays overflow to inf
     try:
         for op, out, a, b, drops in code:
-            if op == _MUL:
+            if op == _JET:
+                r = b(v, out, a)
+            elif op == _MUL:
                 r = v[a] * v[b]
             elif op == _ADD:
                 r = v[a] + v[b]
@@ -805,7 +794,7 @@ def _run(program, bindings, jet, nodes=None):
             elif op == _DIV:
                 r = v[b]
                 _check_nonzero(r)
-                r = v[a] * (1.0 / r) if jet and not isinstance(r, Jet2) else v[a] / r
+                r = v[a] * (1.0 / r) if recip else v[a] / r
             elif op == _FUNC:
                 r = _function(b, v[a])
             elif op == _VAR:
@@ -813,6 +802,9 @@ def _run(program, bindings, jet, nodes=None):
                     r = bindings[a]
                 except KeyError:
                     raise UnboundVariableError(a) from None
+                if b:
+                    v[out + 1:out + 1 + 2 * b] = _lanes(r.d1) + _lanes(r.d2)
+                    r = r.f
             else:
                 raise _Fault(a)
             v[out] = r
@@ -826,49 +818,49 @@ def _run(program, bindings, jet, nodes=None):
                    else "division by zero" if isinstance(err, ZeroDivisionError)
                    else "value outside the float range")
         raise DomainError(message, nodes[out]) from None
-    return [v[k] for k in outs]
+    if lanes <= 1:
+        return [Jet2(v[k], v[k + 1], v[k + 2]) if lanes else v[k] for k in outs]
+    return [Jet2(v[k], tuple(v[k + 1:k + 1 + lanes]), tuple(v[k + 1 + lanes:k + 1 + 2 * lanes]))
+            for k in outs]
 
 
-def _eval(roots, bindings, jet):
-    """Values of ``roots`` from their cached program, with the jet quotient
-    rule when ``jet`` is set (:func:`evaluate` sets it when a binding is a
-    jet, :func:`evaluate_jet` always).  Of several failing subexpressions,
-    the one a left-to-right walk meets first raises: a failed run is
-    repeated on that order's program."""
+def _eval(roots, bindings, layout):
+    """Values of ``roots`` from their cached program for ``layout``.  Of
+    several failing subexpressions, the one a left-to-right walk meets
+    first raises: a failed run is repeated on that order's program."""
     if not roots:
         return []
     try:
-        return _run(_program(roots), bindings, jet)
+        return _run(_program(roots, layout), bindings)
     except (_Fault, UnboundVariableError):
         pass
-    program, nodes = _compile(roots, by_need=False)
-    return _run(program, bindings, jet, nodes)
+    program, nodes = _compile(roots, layout, by_need=False)
+    return _run(program, bindings, nodes)
 
 
 def evaluate(e, bindings: dict):
     """IEEE-double evaluation of one expression, or of a sequence of
     expressions into a list of values; each intermediate value is dropped
-    after its last read.  Values may be floats or numpy arrays, or jets:
-    with any :class:`Jet2` binding a quotient by a plain value is taken as
-    a * (1/b), as in :func:`evaluate_jet`, and a root that no jet binding
-    reaches stays plain."""
-    jet = any(isinstance(v, Jet2) for v in bindings.values())
+    after its last read.  Values may be floats or numpy arrays, or
+    :class:`Jet2` values; with any jet binding a quotient by a plain value
+    is taken as a * (1/b), as in :func:`evaluate_jet`, and every root is a
+    jet, with zero derivative parts where no jet binding reaches it."""
+    layout = _layout(bindings, False)
     if isinstance(e, Expr):
-        return _eval((e,), bindings, jet)[0]
-    return _eval(tuple(e), bindings, jet)
+        return _eval((e,), bindings, layout)[0]
+    return _eval(tuple(e), bindings, layout)
 
 
 def evaluate_jet(e: Expr, bindings: dict) -> Jet2:
-    """Evaluate one expression with order-2 jets sharing one deformation
-    parameter; each intermediate value is dropped after its last read.
-    Bindings are jets or plain floats and arrays.  A subexpression that
-    does not depend on a jet stays plain and only the root is lifted, so
-    derivative work is done only where a jet is present.  Against lifting
-    every binding, the value part is equal and the derivative parts are
-    equal after broadcasting (they may be scalars where lifting gave
-    arrays), apart from the sign of exact zeros and NaN from non-finite
-    values."""
-    return Jet2.lift(_eval((e,), bindings, True)[0])
+    """Evaluate one expression with order-2 jets into a :class:`Jet2`, as
+    :func:`evaluate` does with a jet binding, but with the quotient rule
+    a * (1/b) even without one.  Against lifting every binding to a jet,
+    the value part is equal and the derivative parts are equal after
+    broadcasting (they may be scalars where lifting gave arrays), apart
+    from the sign of exact zeros and NaN from non-finite values."""
+    layout = _layout(bindings, True)
+    value = _eval((e,), bindings, layout)[0]
+    return value if layout[1] else Jet2(value)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ derivatives come from one order-2 jet walk of both along four directions,
 diagonal of the Hessian, and the mixed entry comes from polarization,
 H_xy = (D_(1,1)^2 H - D_(1,-1)^2 H) / 4, so the Hessian is symmetric by
 construction (Griewank, Utke & Walther, Math. Comp. 69 (2000)).  The four
-directions are the float lanes of one :class:`expr.LaneJet2`, which equal
-numpy length-4 arrays bit for bit.  A power or a quotient that leaves the
-double range raises :class:`expr.DomainError`, an input error; a product
-past the range is inf, with no numpy warning.
+directions are the four float lanes of the jet bindings of x and y, which
+equal a one-lane walk of numpy length-4 arrays bit for bit.  A power or a
+quotient that leaves the double range raises :class:`expr.DomainError`, an
+input error; a product past the range is inf, with no numpy warning.
 
 Sign convention: H is anchored to the example family's closed-form
 dH/dx = -2(a - a^3 + 3 c1 + 9 a^2 c1 + 6 a^4 c1) / (1 + 2 a^2)^(5/2)
@@ -133,15 +133,13 @@ _ZERO_LANES = (0.0, 0.0, 0.0, 0.0)
 def _derivatives(roots, x, y):
     """Value, gradient and coordinate Hessian of each of ``roots`` at
     (x, y), from one jet walk of them all along the four directions; the
-    mixed entry is polarized.  A constant root comes back as a plain float,
-    with zero derivatives."""
+    mixed entry is polarized.  A constant root has zero derivatives."""
     out = []
-    for j in ex.evaluate(roots, {"x": ex.LaneJet2(x, _X_LANES, _ZERO_LANES),
-                                 "y": ex.LaneJet2(y, _Y_LANES, _ZERO_LANES)}):
-        f, d1, d2 = ((j.f, j.d1, j.d2) if isinstance(j, ex.LaneJet2)
-                     else (j, _ZERO_LANES, _ZERO_LANES))
+    for j in ex.evaluate(roots, {"x": ex.Jet2(x, _X_LANES, _ZERO_LANES),
+                                 "y": ex.Jet2(y, _Y_LANES, _ZERO_LANES)}):
+        d2 = j.d2
         mixed = 0.25 * (d2[2] - d2[3])
-        out.append((f, np.array(d1[:2]), np.array([[d2[0], mixed], [mixed, d2[1]]])))
+        out.append((j.f, np.array(j.d1[:2]), np.array([[d2[0], mixed], [mixed, d2[1]]])))
     return out
 
 

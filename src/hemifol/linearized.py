@@ -196,9 +196,10 @@ def _fields(case: str, u: ex.Expr) -> Mapping[str, ex.Expr]:
         du_eta = sphere.eta_derivative(ut)
         fields = {"interior": lap2_u - rhs - ex.const(3) / 8 * _H, "rhs": rhs}
     else:
-        # lap2_u_eta is the third-order residual less its data; lap2_u holds ut
-        lap_lap2_u, lap_rhs = sphere.laplacian((lap2_u, rhs))
+        # lap2_u_eta is the third-order residual less its data; lap2_u holds
+        # ut.  The Laplacians take the same t-derivatives, from one diff
         du_eta, lap2_u_eta, rhs_eta = sphere.eta_derivative((ut, lap2_u, rhs))
+        lap_lap2_u, lap_rhs = sphere._laplacian((lap2_u, rhs), (lap2_u_eta, rhs_eta))
         fields = {"interior": lap_lap2_u - lap_rhs + _H, "lap2_u_eta": lap2_u_eta,
                   "rhs_eta": rhs_eta, "third_order": lap2_u_eta - 7 * kappa_form + _H}
     fields.update(neumann=du_eta + kappa_form, u=ut, du_eta=du_eta)

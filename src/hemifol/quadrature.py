@@ -11,9 +11,9 @@ sums over them.  Each rule -- the product grid on the hemisphere, the same
 grid times 32 radial shells for the half ball, and the trapezoid rule on
 the equator -- is a :class:`Rule` built once per size and shared
 read-only.  Its nodes bind omega (w1, w2, w3) and (t, phi) alike, and
-:meth:`Rule.sum` is the one weighted sum, for floats and for the parts of
-a ``Jet2``; :meth:`Rule.integrate` walks one expression or a sequence of
-them once.
+:meth:`Rule.sum` is the one weighted sum, of plain values (a caller sums a
+jet's parts one by one); :meth:`Rule.integrate` walks one expression or a
+sequence of them once.
 
 A product rule binds its factors, not a meshgrid: t is a column and phi a
 row, which numpy broadcasts to the grid, so a subexpression of t alone is
@@ -117,10 +117,7 @@ class Rule:
     weights: np.ndarray | None
 
     def sum(self, values):
-        """The weighted sum of ``values`` (broadcast to the nodes): a float,
-        or for a Jet2 the Jet2 of the sums of its parts."""
-        if isinstance(values, ex.Jet2):
-            return ex.Jet2(self.sum(values.f), self.sum(values.d1), self.sum(values.d2))
+        """The weighted sum of ``values`` (broadcast to the nodes), a float."""
         if self.weights is None:
             n = self.bindings["phi"].size
             return float(np.sum(np.broadcast_to(values, (n,))) * 2.0 * np.pi / n)

@@ -43,10 +43,15 @@ def laplacian(f):
     (t, phi)-coordinate expression, or of a sequence of them into a list,
     whose derivatives in each variable are taken in one :func:`ex.diff`."""
     fs = (f,) if isinstance(f, ex.Expr) else f
-    radial = ex.diff([(1 - T ** 2) * ft for ft in ex.diff(fs, "t")], "t")
-    azimuthal = ex.diff(ex.diff(fs, "phi"), "phi")
-    out = [r + a / (1 - T ** 2) for r, a in zip(radial, azimuthal)]
+    out = _laplacian(fs, ex.diff(fs, "t"))
     return out[0] if isinstance(f, ex.Expr) else out
+
+
+def _laplacian(fs, fts):
+    """The Laplacians of the expressions ``fs``, given their t-derivatives."""
+    radial = ex.diff([(1 - T ** 2) * ft for ft in fts], "t")
+    azimuthal = ex.diff(ex.diff(fs, "phi"), "phi")
+    return [r + a / (1 - T ** 2) for r, a in zip(radial, azimuthal)]
 
 
 def grad_norm_sq(f: ex.Expr) -> ex.Expr:

@@ -247,7 +247,8 @@ def _integral(fields: dict, name: str, rule: hq.Rule, k1, k2, dh) -> ex.Jet2:
     """Integral of a named field as a jet over a quadrature rule: one walk
     at the rule's nodes, with no radicand test (it is 1 at eps = 0)."""
     b = {**rule.bindings, **_bindings(k1, k2, dh, _EPS_JET)}
-    return rule.sum(ex.evaluate_jet(fields[name], b))
+    j = ex.evaluate_jet(fields[name], b)
+    return ex.Jet2(rule.sum(j.f), rule.sum(j.d1), rule.sum(j.d2))
 
 
 def functionals(u_dir: ex.Expr, metric: MetricPerturbation,

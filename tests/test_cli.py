@@ -524,6 +524,16 @@ class TestFoliate:
         assert records[-1]["verdict"] == "Foliates"
 
     @pytest.mark.parametrize("v", [0.5, 1.5])
+    def test_negative_lambda_count_rejected(self, tmp_path, capsys, v):
+        # refused before numpy builds the grid, whose error text it was
+        fam = _family_file(tmp_path, v)
+        code = cli.main(["foliate", str(fam), "--n-lambda", "-3"])
+        assert code == cli.EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hemifol: error: n_lambda must be non-negative\n"
+
+    @pytest.mark.parametrize("v", [0.5, 1.5])
     def test_empty_lambda_grid(self, tmp_path, capsys, v):
         # v < 1 would read the grid's ends for its sample-radius rays, v > 1
         # meets the empty grid in the report; both are bad input

@@ -146,7 +146,7 @@ def test_variational_density_jet_matches_bit_for_bit(name, density):
     if rule is not None:
         n = math.prod(size)
         for part in ("f", "d1", "d2"):
-            assert (getattr(rule.sum(got), part).hex()
+            assert (rule.sum(getattr(got, part)).hex()
                     == _flat_sum(getattr(want, part), flat_weights, n).hex()), part
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from jet_reference import Jet, walk
 
 from hemifol import expr as ex
 from hemifol import graph_surface as gs
@@ -155,6 +156,8 @@ class TestJetAgainstSymbolic:
         self._agree(s, x, y)
 
 
+_OPS = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b)
+
 # The four-direction walk as numpy Jet2s with length-4 array parts, as
 # _derivatives made it before its jets carried float lanes: the reference
 # that the lanes must equal bit for bit.
@@ -186,13 +189,15 @@ def _lane_bits(j):
 
 
 def _lane_walk(e, x, y):
-    return ex.evaluate_jet(e, {"x": ex.LaneJet2(x, gs._X_LANES, gs._ZERO_LANES),
-                               "y": ex.LaneJet2(y, gs._Y_LANES, gs._ZERO_LANES)})
+    return ex.evaluate_jet(e, {"x": ex.Jet2(x, gs._X_LANES, gs._ZERO_LANES),
+                               "y": ex.Jet2(y, gs._Y_LANES, gs._ZERO_LANES)})
 
 
 def _assert_lanes_equal_arrays(e, x, y):
-    assert _lane_bits(_lane_walk(e, x, y)) == _lane_bits(_array_lane_jet(e, x, y)), \
-        (ex.to_string(e), x, y)
+    want = _lane_bits(_array_lane_jet(e, x, y))
+    assert _lane_bits(_lane_walk(e, x, y)) == want, (ex.to_string(e), x, y)
+    reference = walk(e, {"x": Jet(x, _REF_DX, 0.0), "y": Jet(y, _REF_DY, 0.0)})
+    assert _lane_bits(reference) == want, (ex.to_string(e), x, y)
 
 
 def _data_bits(d):
@@ -202,8 +207,9 @@ def _data_bits(d):
 
 
 class TestLanesBitIdentical:
-    """The float-lane jet of :func:`gs._derivatives` against the numpy
-    Jet2 walk with length-4 arrays, compared byte for byte."""
+    """The four-lane jet walk of :func:`gs._derivatives` against the
+    one-lane walk with length-4 arrays, and against the reference jet
+    arithmetic of ``jet_reference`` on those arrays, byte for byte."""
 
     def test_gallery_grid(self):
         for a in np.linspace(0.0, 0.7, 29):
@@ -246,32 +252,41 @@ class TestLanesBitIdentical:
                 d = ex.diff(e, name)
                 for x, y in points:
                     _assert_lanes_equal_arrays(d, x, y)
-        # operators, unary minus included, on jets with signed zeros and a
-        # non-finite part, and plain operands (nonzero divisors: a walk
-        # checks those before it divides)
-        ops = (lambda a, b: a + b, lambda a, b: a - b,
-               lambda a, b: a * b, lambda a, b: a / b)
+        # each operation, unary minus included, on jets with signed zeros
+        # and a non-finite part, and with plain operands (nonzero divisors:
+        # a walk checks those before it divides): the walk of x op y with
+        # four lanes, and with one lane of length-4 arrays, against the
+        # reference arithmetic on those arrays
+        ops = [(text, ex.parse(text)) for text in ("x + y", "x - y", "x*y", "x/y")]
+        swapped = [(text, ex.parse(text)) for text in ("y + x", "y - x", "y*x")]
         parts = [(0.7, (0.5, -0.0, 3.0, -2.5), (0.0, 1e300, -1e-300, math.inf)),
                  (-0.0, (0.0, 1e300, -1e-300, math.inf), (-0.0, 2.0, 0.5, -1.0)),
                  (-2.0, (1.0, -1.0, 0.0, 4.0), (0.5, -0.0, 3.0, -2.5))]
-        jets = [(ex.LaneJet2(f, d1, d2), ex.Jet2(f, np.array(d1), np.array(d2)))
-                for f, d1, d2 in parts]
+        jets = [(ex.Jet2(f, d1, d2), ex.Jet2(f, np.array(d1), np.array(d2)),
+                 Jet(f, np.array(d1), np.array(d2))) for f, d1, d2 in parts]
+
+        def check(text, e, p, q, pr, qr, want):
+            b = {"x": p, "y": q}
+            got = [ex.evaluate_jet(e, b), ex.evaluate_jet(e, {"x": pr, "y": qr})]
+            assert [_lane_bits(j) for j in got] == [_lane_bits(want)] * 2, (text, b)
+
         with np.errstate(all="ignore"):
-            for p, pr in jets:
-                assert _lane_bits(-p) == _lane_bits(-pr)
-                assert _lane_bits(p ** 3) == _lane_bits(pr ** 3)
-                for q, qr in jets[::2]:
-                    for op in ops:
-                        assert _lane_bits(op(p, q)) == _lane_bits(op(pr, qr))
+            for p, pa, pr in jets:
+                # -x is 0 - x
+                check("-x", -ex.var("x"), p, 0.0, pa, 0.0, 0.0 - pr)
+                check("x^3", ex.parse("x^3"), p, 0.0, pa, 0.0, pr ** 3)
+                for q, qa, qr in jets[::2]:
+                    for (text, e), op in zip(ops, _OPS):
+                        check(text, e, p, q, pa, qa, op(pr, qr))
                 for c in (2.0, -0.0, -3.25):
-                    for op in ops[:3]:
-                        assert _lane_bits(op(p, c)) == _lane_bits(op(pr, c))
-                        assert _lane_bits(op(c, p)) == _lane_bits(op(c, pr))
+                    for (text, e), (flipped, f), op in zip(ops, swapped, _OPS):
+                        check(text, e, p, c, pa, c, op(pr, c))
+                        check(flipped, f, p, c, pa, c, op(c, pr))
                 for c in (2.0, -3.25):
-                    assert _lane_bits(p / c) == _lane_bits(pr / c)
-            for q, qr in jets[::2]:
-                assert _lane_bits(1.5 / q) == _lane_bits(1.5 / qr)
-                assert _lane_bits(q ** -2) == _lane_bits(qr ** -2)
+                    check("x/y", ops[3][1], p, c, pa, c, pr / c)
+            for q, qa, qr in jets[::2]:
+                check("1.5/x", ex.parse("3/2/x"), q, 0.0, qa, 0.0, 1.5 / qr)
+                check("x^-2", ex.parse("x^-2"), q, 0.0, qa, 0.0, qr ** -2)
 
     def test_constant_has_zero_derivatives(self):
         e = ex.parse("x*y - cos(x)/3")
@@ -320,8 +335,8 @@ class TestJointWalk:
         assert got.point == want.point
         assert got.H == want.H and got.hessH.tobytes() == want.hessH.tobytes()
         x, y = got.point
-        K = ex.evaluate_jet(s.K, {"x": ex.LaneJet2(x, gs._X_LANES, gs._ZERO_LANES),
-                                  "y": ex.LaneJet2(y, gs._Y_LANES, gs._ZERO_LANES)})
+        K = ex.evaluate_jet(s.K, {"x": ex.Jet2(x, gs._X_LANES, gs._ZERO_LANES),
+                                  "y": ex.Jet2(y, gs._Y_LANES, gs._ZERO_LANES)})
         assert got.K == K.f and got.gradK.tobytes() == np.array(K.d1[:2]).tobytes()
         # at a point where K fails, so does curvature_at, naming K's node
         with pytest.raises(ex.DomainError, match="ln of non-positive value"):
