@@ -44,25 +44,22 @@ either.  :func:`evaluate` takes one root or a sequence of roots; a
 subexpression shared between roots is computed once.
 
 A walk computes plain floats and numpy arrays.  Order-2 jets, (f, f',
-f'') in a deformation parameter, are a transform of the tape (Griewank &
-Walther, ch. 13): the bindings that are :class:`Jet2` records name the
-jet variables and carry L directions (lanes) each, and the program
-compiled for that layout gives each node that a jet reaches 1 + 2L slots,
-its value and its L first and L second derivative parts, which one fused
-instruction per node updates.  Every other subexpression stays a plain
-float or array, so derivative work is done only where a jet is present.
-The value parts equal those of lifting every binding to a jet, because a
-plain quotient in such a walk is taken as a * (1/b), as a jet with zero
-derivative parts divides; the derivative parts are equal after
-broadcasting, apart from the sign of exact zeros and the NaN that a
-skipped ``f * 0.0`` made of a non-finite ``f``.  :func:`evaluate` takes
-that rule whenever a binding is a jet, and :func:`evaluate_jet` always.
-Each lane takes the IEEE operations that one element of a length-L array
-part takes, so four float lanes equal a one-lane jet of length-4 arrays
-bit for bit, without numpy's per-call cost on four elements;
-:mod:`graph_surface` walks its point jets so.  No simplification is
-performed beyond constant folding; correctness of rewrites is semantic
-(evaluation equality), not syntactic.
+f'') in one deformation parameter, are a transform of the tape (Griewank
+& Walther, ch. 13): the bindings that are :class:`Jet2` records name the
+jet variables, and the program compiled for that layout gives each node
+that a jet reaches 3 slots, its value and its first and second
+derivative parts, which one fused instruction per node updates.  Every
+other subexpression stays a plain float or array, so derivative work is
+done only where a jet is present.  The value parts equal those of
+lifting every binding to a jet, because a plain quotient in such a walk
+is taken as a * (1/b), as a jet with zero derivative parts divides; the
+derivative parts are equal after broadcasting, apart from the sign of
+exact zeros and the NaN that a skipped ``f * 0.0`` made of a non-finite
+``f``.  :func:`evaluate` takes that rule whenever a binding is a jet, and
+:func:`evaluate_jet` always.  A float derivative part takes the IEEE
+operations that one element of an array part takes.  No simplification
+is performed beyond constant folding; correctness of rewrites is
+semantic (evaluation equality), not syntactic.
 
 At a float point a walk computes in Python floats: an elementary function
 of a float returns a float, and its domain check and the divisor checks
@@ -535,9 +532,8 @@ def diff(e, name: str):
 class Jet2:
     """Truncated Taylor value f(eps) = f + d1*eps + d2/2*eps^2 + O(eps^3): a
     jet binding of a walk, or the value of a root in a walk with one.  Parts
-    are floats or numpy arrays; ``d1`` and ``d2`` are each one part, or a
-    tuple of one part per direction (lane), as many in every jet of a walk.
-    The walk does the arithmetic (see :func:`_compile`)."""
+    are floats or numpy arrays.  The walk does the arithmetic (see
+    :func:`_compile`)."""
 
     __slots__ = ("f", "d1", "d2")
 
@@ -548,10 +544,6 @@ class Jet2:
 
     def __repr__(self):
         return f"Jet2({self.f}, {self.d1}, {self.d2})"
-
-
-def _lanes(part):
-    return part if isinstance(part, tuple) else (part,)
 
 
 # ---------------------------------------------------------------------------
@@ -585,66 +577,62 @@ def _function(rules, b):
 # The order-2 rules of a node that a jet reaches (Griewank & Walther,
 # ch. 13), by (kind, whether the first operand is a jet, whether the second
 # is, None for a power's exponent or a function's rules y): (statements,
-# value, first and second derivative part of lane i).  f, p_i and c_i are
-# the first operand's value and lane i's parts, g, q_i and e_i the
-# second's.  Each part takes these IEEE operations in this order, whatever
-# the lane count.  No product with a plain operand's zero parts is formed:
-# a sum with a plain value keeps the jet's parts (the jet's value first),
-# plain - jet takes 0.0 - q, and a product with a plain value scales the
-# jet's parts (the jet's part first).  A quotient by a plain g is a * (1/g).
+# value, first and second derivative part).  f, p and c are the first
+# operand's value and parts, g, q and e the second's.  Each part takes
+# these IEEE operations in this order.  No product with a plain operand's
+# zero parts is formed: a sum with a plain value keeps the jet's parts (the
+# jet's value first), plain - jet takes 0.0 - q, and a product with a
+# plain value scales the jet's parts (the jet's part first).  A quotient by
+# a plain g is a * (1/g).
 _RECIPROCAL = ("_check_nonzero(g)", "r, r1, r2 = 1.0 / g, -1.0 / (g * g), 2.0 / (g * g * g)")
 _POWER = ("if y < 0:", "    _check_nonzero(f)",
           "f0, f1, f2 = f ** y, y * f ** (y - 1), y * (y - 1) * f ** (y - 2)")
 _FUNCTION = ("f0 = _function(y, f)", "f1, f2 = y[1](f, f0)",
              "if isinstance(f, float):", "    f1, f2 = float(f1), float(f2)")
-_CHAIN = ("f0", "f1 * p{i}", "f2 * p{i} * p{i} + f1 * c{i}")
+_CHAIN = ("f0", "f1 * p", "f2 * p * p + f1 * c")
 _RULES = {
-    ("add", True, True): ((), "f + g", "p{i} + q{i}", "c{i} + e{i}"),
-    ("add", True, False): ((), "f + g", "p{i}", "c{i}"),
-    ("add", False, True): ((), "g + f", "q{i}", "e{i}"),
-    ("sub", True, True): ((), "f - g", "p{i} - q{i}", "c{i} - e{i}"),
-    ("sub", True, False): ((), "f - g", "p{i}", "c{i}"),
-    ("sub", False, True): ((), "f - g", "0.0 - q{i}", "0.0 - e{i}"),
-    ("mul", True, True): ((), "f * g", "f * q{i} + p{i} * g",
-                          "f * e{i} + 2.0 * p{i} * q{i} + c{i} * g"),
-    ("mul", True, False): ((), "f * g", "p{i} * g", "c{i} * g"),
-    ("mul", False, True): ((), "g * f", "q{i} * f", "e{i} * f"),
-    # 1/g has the parts s_i = r1 * q_i and t_i = r2 * q_i * q_i + r1 * e_i
-    ("div", True, True): (_RECIPROCAL, "f * r", "f * (r1 * q{i}) + p{i} * r",
-                          "f * (r2 * q{i} * q{i} + r1 * e{i}) + 2.0 * p{i} * (r1 * q{i})"
-                          " + c{i} * r"),
-    ("div", True, False): (("_check_nonzero(g)", "r = 1.0 / g"), "f * r", "p{i} * r", "c{i} * r"),
-    ("div", False, True): (_RECIPROCAL, "r * f", "(r1 * q{i}) * f",
-                           "(r2 * q{i} * q{i} + r1 * e{i}) * f"),
+    ("add", True, True): ((), "f + g", "p + q", "c + e"),
+    ("add", True, False): ((), "f + g", "p", "c"),
+    ("add", False, True): ((), "g + f", "q", "e"),
+    ("sub", True, True): ((), "f - g", "p - q", "c - e"),
+    ("sub", True, False): ((), "f - g", "p", "c"),
+    ("sub", False, True): ((), "f - g", "0.0 - q", "0.0 - e"),
+    ("mul", True, True): ((), "f * g", "f * q + p * g",
+                          "f * e + 2.0 * p * q + c * g"),
+    ("mul", True, False): ((), "f * g", "p * g", "c * g"),
+    ("mul", False, True): ((), "g * f", "q * f", "e * f"),
+    # 1/g has the parts r1 * q and r2 * q * q + r1 * e
+    ("div", True, True): (_RECIPROCAL, "f * r", "f * (r1 * q) + p * r",
+                          "f * (r2 * q * q + r1 * e) + 2.0 * p * (r1 * q)"
+                          " + c * r"),
+    ("div", True, False): (("_check_nonzero(g)", "r = 1.0 / g"), "f * r", "p * r", "c * r"),
+    ("div", False, True): (_RECIPROCAL, "r * f", "(r1 * q) * f",
+                           "(r2 * q * q + r1 * e) * f"),
     ("pow", True, None): (_POWER, *_CHAIN),
     ("func", True, None): (_FUNCTION, *_CHAIN),
 }
 
 
 @functools.lru_cache(maxsize=None)
-def _fused(lanes, kind, left, right, drop_x, drop_y):
-    """``_RULES[kind, left, right]`` for ``lanes`` lanes: a function
-    rule(v, o, (x, y)) that reads its operands' slots x and y of the slot
-    list v, clears those of each operand whose drop flag is set (read there
-    for the last time), writes the derivative parts of the node at slot o
-    and returns its value.  It is compiled with its lanes unrolled, so it
-    is one call however many lanes it updates: ``("mul", True, False)`` of
-    one lane that drops neither operand is ``x, y = args; f, p0, c0 =
-    v[x:x + 3]; g = v[y]; v[o + 1:o + 3] = (p0 * g, c0 * g,); return f * g``."""
-    width = 1 + 2 * lanes
+def _fused(kind, left, right, drop_x, drop_y):
+    """``_RULES[kind, left, right]`` as a function rule(v, o, (x, y)) that
+    reads its operands' slots x and y of the slot list v, clears those of
+    each operand whose drop flag is set (read there for the last time),
+    writes the derivative parts of the node at slot o and returns its
+    value, in one call: ``("mul", True, False)`` that drops neither operand
+    is ``x, y = args; f, p, c = v[x:x + 3]; g = v[y]; v[o + 1:o + 3] =
+    (p * g, c * g,); return f * g``."""
     head, value, *derivatives = _RULES[kind, left, right]
     reads, clears = [], []
     for slot, names, jet, drop in zip("xy", ("fpc", "gqe"), (left, right), (drop_x, drop_y)):
         if jet is None:
             continue
-        span = f"v[{slot}:{slot} + {width}]" if jet else f"v[{slot}]"
-        parts = [names[0]] + [f"{n}{i}" for n in names[1:] for i in range(lanes) if jet]
-        reads.append(f"{', '.join(parts)} = {span}")
+        span = f"v[{slot}:{slot} + 3]" if jet else f"v[{slot}]"
+        reads.append(f"{', '.join(names if jet else names[0])} = {span}")
         clears += [f"{span} = {'_GAP' if jet else 'None'}"] if drop else []
-    parts = [d.format(i=i) for d in derivatives for i in range(lanes)]
     lines = ["def rule(v, o, args):", "x, y = args", *reads, *clears, *head,
-             f"v[o + 1:o + {width}] = ({', '.join(parts)},)", f"return {value}"]
-    scope = {"_check_nonzero": _check_nonzero, "_function": _function, "_GAP": (None,) * width}
+             f"v[o + 1:o + 3] = ({', '.join(derivatives)},)", f"return {value}"]
+    scope = {"_check_nonzero": _check_nonzero, "_function": _function, "_GAP": (None,) * 3}
     exec("\n    ".join(lines), scope)
     return scope["rule"]
 
@@ -654,54 +642,41 @@ _JET, _MUL, _ADD, _SUB, _POW, _DIV, _FUNC, _VAR, _FAIL = range(9)
 _OPCODES = {"mul": _MUL, "add": _ADD, "sub": _SUB, "div": _DIV, "pow": _POW, "func": _FUNC}
 
 # the layouts of walks without jets, without and with the jet quotient rule
-_PLAIN = (frozenset(), 0, False)
-_RECIP = (frozenset(), 0, True)
+_PLAIN = (frozenset(), False)
+_RECIP = (frozenset(), True)
 
 
 def _layout(bindings, recip):
-    """(names bound to jets, lanes L, whether a quotient by a plain value
-    is a * (1/b)) of a walk of ``bindings``: ``recip``, or any jet binding,
-    sets the quotient rule.  Jets whose lane counts differ, or a jet of
-    no lanes, raise ValueError."""
-    names, lanes = [], {}
-    for name, j in bindings.items():
-        if isinstance(j, Jet2):
-            names.append(name)
-            for part in (j.d1, j.d2):
-                lanes[len(part) if isinstance(part, tuple) else 1] = name
-    if not names:
-        return _RECIP if recip else _PLAIN
-    if 0 in lanes:
-        raise ValueError(f"jet binding '{lanes[0]}' carries no lanes")
-    if len(lanes) > 1:
-        (m, a), (n, b) = list(lanes.items())[:2]
-        raise ValueError(f"jet bindings '{a}' and '{b}' carry {m} and {n} lanes")
-    return (frozenset(names), *lanes, True)
+    """(names bound to jets, whether a quotient by a plain value is
+    a * (1/b)) of a walk of ``bindings``: ``recip``, or any jet binding,
+    sets the quotient rule."""
+    names = frozenset(name for name, j in bindings.items() if isinstance(j, Jet2))
+    return (names, True) if names else _RECIP if recip else _PLAIN
 
 
 def _compile(roots, layout=_PLAIN, by_need=True):
     """The program of ``roots`` for ``layout`` (see :func:`_layout`) and
     the nodes of its slots, in :func:`_postorder` order (by need, or left
-    to right).  A node that a jet binding reaches has 1 + 2L slots in a
-    row, its value and its L first and L second derivative parts, and so
-    has every root of a walk with jets (zero parts where no jet reaches
-    it); any other node has one.
+    to right).  A node that a jet binding reaches has 3 slots in a row,
+    its value and its first and second derivative parts, and so has every
+    root of a walk with jets (zero parts where no jet reaches it); any
+    other node has one.
 
-    A program is (slots, code, outs, lanes, recip).  ``slots`` holds the
+    A program is (slots, code, outs, has_jets, recip).  ``slots`` holds the
     first value of each slot: the float of a constant or ``pi``, a zero
     part, else None.  ``code`` has one instruction for each other node, in
     order: (opcode, slot, a, b, drops).  a and b are the operands' slots;
     a power has its exponent as b, a function its ``_FUNCS`` rules as b, a
-    variable its name as a and its lanes (0 if plain) as b, and a constant
+    variable its name as a and whether it is a jet as b, and a constant
     past the float range its message as a.  drops are the slots of
     computed values last read there, or None; the roots' values are kept.
     A node that a jet reaches, other than a variable, is a ``_JET``
     instruction: b is its rule from :func:`_fused`, which also drops its
-    operands, and a is (a, b).  ``outs`` are the roots' slots, and
-    ``recip`` takes a quotient by a plain value as a * (1/b)."""
-    names, lanes, recip = layout
+    operands, and a is (a, b).  ``outs`` are the roots' slots,
+    ``has_jets`` whether the walk has jet bindings, and ``recip`` takes a quotient by a
+    plain value as a * (1/b)."""
+    names, recip = layout
     order = _postorder(roots, by_need=by_need)
-    width = 1 + 2 * lanes
     if names:
         pos, jets, size, rooted = {}, set(), 0, set(roots)
         for node in order:
@@ -710,9 +685,9 @@ def _compile(roots, layout=_PLAIN, by_need=True):
             if (args[0] in jets or args[-1] in jets if args
                     else node.kind == "var" and node.payload in names):
                 jets.add(node)
-                size += width
+                size += 3
             else:
-                size += width if node in rooted else 1
+                size += 3 if node in rooted else 1
     else:
         pos, jets, size = {n: i for i, n in enumerate(order)}, (), len(order)
     outs = tuple(pos[r] for r in roots)
@@ -724,13 +699,13 @@ def _compile(roots, layout=_PLAIN, by_need=True):
         nodes[i] = node
         jet = node in jets
         if names and not jet and i in outs:
-            slots[i + 1:i + width] = [0.0] * (width - 1)
+            slots[i + 1:i + 3] = 0.0, 0.0
         if node.value is not None:
             slots[i] = node.value
             continue
         k, args = node.kind, node.args
         if not args:
-            code.append((_VAR, i, node.payload, lanes if jet else 0, None) if k == "var" else
+            code.append((_VAR, i, node.payload, jet, None) if k == "var" else
                         (_FAIL, i, "constant outside the float range", None, None))
             continue
         x, y = args[0], args[-1]
@@ -742,14 +717,14 @@ def _compile(roots, layout=_PLAIN, by_need=True):
         if len(args) == 1:
             k, b = ("pow", node.payload) if k == "pow" else ("func", _FUNCS[k])
         if jet:
-            rule = (_fused(lanes, k, True, None, dx, False) if len(args) == 1
-                    else _fused(lanes, k, x in jets, y in jets, dx, dy))
+            rule = (_fused(k, True, None, dx, False) if len(args) == 1
+                    else _fused(k, x in jets, y in jets, dx, dy))
             code.append((_JET, i, (a, b), rule, None))
         else:
             drops = (a, b) if dx and dy else (a,) if dx else (b,) if dy else None
             code.append((_OPCODES[k], i, a, b, drops))
     code.reverse()
-    return (slots, code, outs, lanes, recip), nodes
+    return (slots, code, outs, bool(names), recip), nodes
 
 
 def _program(roots, layout):
@@ -773,7 +748,7 @@ def _run(program, bindings, nodes=None):
     """The values of a program's roots; in a walk with jets, each a
     :class:`Jet2`.  A failure raises :class:`DomainError` on its node from
     ``nodes``, or :class:`_Fault` without them."""
-    slots, code, outs, lanes, recip = program
+    slots, code, outs, has_jets, recip = program
     v = slots.copy()
     # Python floats raise where numpy arrays overflow to inf
     try:
@@ -803,7 +778,7 @@ def _run(program, bindings, nodes=None):
                 except KeyError:
                     raise UnboundVariableError(a) from None
                 if b:
-                    v[out + 1:out + 1 + 2 * b] = _lanes(r.d1) + _lanes(r.d2)
+                    v[out + 1:out + 3] = r.d1, r.d2
                     r = r.f
             else:
                 raise _Fault(a)
@@ -818,10 +793,9 @@ def _run(program, bindings, nodes=None):
                    else "division by zero" if isinstance(err, ZeroDivisionError)
                    else "value outside the float range")
         raise DomainError(message, nodes[out]) from None
-    if lanes <= 1:
-        return [Jet2(v[k], v[k + 1], v[k + 2]) if lanes else v[k] for k in outs]
-    return [Jet2(v[k], tuple(v[k + 1:k + 1 + lanes]), tuple(v[k + 1 + lanes:k + 1 + 2 * lanes]))
-            for k in outs]
+    if has_jets:
+        return [Jet2(v[k], v[k + 1], v[k + 2]) for k in outs]
+    return [v[k] for k in outs]
 
 
 def _eval(roots, bindings, layout):
@@ -860,7 +834,7 @@ def evaluate_jet(e: Expr, bindings: dict) -> Jet2:
     from the sign of exact zeros and NaN from non-finite values."""
     layout = _layout(bindings, True)
     value = _eval((e,), bindings, layout)[0]
-    return value if layout[1] else Jet2(value)
+    return value if layout[0] else Jet2(value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,23 @@
 """Curvature analysis of graph surfaces z = u(x, y): mean and Gauss
 curvature with their derivatives, critical points of H, the foliation
-criterion, and the explicit cubic example family.
+criterion, and the explicit cubic family.
 
-H and K are symbolic expressions in x and y; their first and second
-derivatives come from one order-2 jet walk of both along four directions,
-(1, 0), (0, 1), (1, 1) and (1, -1).  The first two give the gradient and the
-diagonal of the Hessian, and the mixed entry comes from polarization,
-H_xy = (D_(1,1)^2 H - D_(1,-1)^2 H) / 4, so the Hessian is symmetric by
-construction (Griewank, Utke & Walther, Math. Comp. 69 (2000)).  The four
-directions are the four float lanes of the jet bindings of x and y, which
-equal a one-lane walk of numpy length-4 arrays bit for bit.  A power or a
-quotient that leaves the double range raises :class:`expr.DomainError`, an
-input error; a product past the range is inf, with no numpy warning.
+A surface keeps the 14 partial derivatives of u of orders 1 to 4 as one
+tuple of symbolic roots.  At a point they are one plain-float walk, and
+H, gradH, hessH, K and gradK are a fixed function of those 14 numbers
+(:func:`_curvatures`): order-2 bivariate Taylor arithmetic (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13) on
+H = N w^(-3/2) and K = (u_xx u_yy - u_xy^2) w^(-2), with w = 1 + |grad u|^2,
+in Python floats.  So hessH is symmetric by construction, and Newton's
+method runs in plain floats.  A walk of u's derivatives whose power or
+quotient leaves the double range raises :class:`expr.DomainError`, an
+input error; a product past the range, in the walk or in the formula, is
+inf, which Newton's finiteness check refuses.
 
 Sign convention: H is anchored to the example family's closed-form
 dH/dx = -2(a - a^3 + 3 c1 + 9 a^2 c1 + 6 a^4 c1) / (1 + 2 a^2)^(5/2)
-at the origin, which corresponds to H = (1 + u_y^2) u_xx - 2 u_x u_y u_xy
-+ (1 + u_x^2) u_yy over W^3 and gives H = kappa_1 + kappa_2 (not the mean).
+at the origin, which corresponds to N = (1 + u_y^2) u_xx - 2 u_x u_y u_xy
++ (1 + u_x^2) u_yy over w^(3/2) and gives H = kappa_1 + kappa_2 (not the mean).
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ def gallery_params(a: float) -> GalleryParams:
     """c1 = c2 = (-a + a^3) / (3 + 9 a^2 + 6 a^4) makes the origin critical."""
     if not math.isfinite(a):
         raise ValueError("a must be finite")
-    # w2 = 1 + |grad u|^2 = 1 + 2 a^2 at the origin; the jet of H cubes
-    # its denominator w2^(3/2), so w2^(9/2) must stay in the double range
-    # (and so must w2^2 in K).  The bound 709 on its log leaves a factor
-    # e^0.78 ~ 2.2 below the largest double, exp(709.78).
+    # w2 = 1 + |grad u|^2 = 1 + 2 a^2 at the origin.  The bound keeps
+    # w2^(9/2) below the largest double, exp(709.78); hessH and gradK at
+    # the origin scale like w2^(-3/2) and w2^(-5/2), so they stay far above
+    # the smallest normal double (gradK underflows to 0 near a = 1e60).
     w2 = 1.0 + 2.0 * a * a
     if not 4.5 * math.log(w2) < 709.0:
         raise ValueError("a is too large: the curvatures at the origin overflow")
@@ -76,8 +77,8 @@ def gallery_params(a: float) -> GalleryParams:
 
 
 class GraphSurface:
-    """Immutable graph z = u(x, y) with its gradient and its curvatures H
-    and K as symbolic fields; derivatives of H and K are taken by jets at a
+    """Immutable graph z = u(x, y) with the partial derivatives of u of
+    orders 1 to 4 as symbolic roots; curvatures are taken from them at a
     point (:func:`curvature_at`), not stored."""
 
     def __init__(self, u: ex.Expr, name: str = ""):
@@ -86,15 +87,14 @@ class GraphSurface:
             raise ValueError(f"unbound surface parameters: {sorted(extra)}")
         self.u = u
         self.name = name
-        ux = ex.diff(u, "x")
-        uy = ex.diff(u, "y")
-        uxx = ex.diff(ux, "x")
-        uxy, uyy = ex.diff((ux, uy), "y")
-        w2 = 1 + ux ** 2 + uy ** 2
-        self.grad_u = (ux, uy)
-        self.H = ((1 + uy ** 2) * uxx - 2 * ux * uy * uxy
-                  + (1 + ux ** 2) * uyy) / (w2 * ex.sqrt(w2))
-        self.K = (uxx * uyy - uxy ** 2) / w2 ** 2
+        # u_x, u_y, then each order's y derivatives of the order below
+        # after the x derivative of its first root: 14 roots, in the order
+        # of _curvatures
+        roots = order = [ex.diff(u, "x"), ex.diff(u, "y")]
+        for _ in range(3):
+            order = [ex.diff(order[0], "x")] + ex.diff(order, "y")
+            roots = roots + order
+        self.derivatives = tuple(roots)
 
     def contains(self, x, y):
         (x0, x1), (y0, y1) = DOMAIN
@@ -124,43 +124,63 @@ class FoliationVerdict:
     verdict: str                   # 'Foliates' | 'DoesNotFoliate' | 'Inconclusive'
 
 
-# directions (1, 0), (0, 1), (1, 1), (1, -1) as the x and y lanes of one jet
-_X_LANES = (1.0, 0.0, 1.0, 1.0)
-_Y_LANES = (0.0, 1.0, 1.0, -1.0)
-_ZERO_LANES = (0.0, 0.0, 0.0, 0.0)
+def _mul(f, g):
+    """Product of two order-2 Taylor expansions in (x, y), each given as
+    (value, d/dx, d/dy, d2/dx2, d2/dxdy, d2/dy2)."""
+    f0, fx, fy, fxx, fxy, fyy = f
+    g0, gx, gy, gxx, gxy, gyy = g
+    return (f0 * g0, fx * g0 + f0 * gx, fy * g0 + f0 * gy,
+            fxx * g0 + 2.0 * fx * gx + f0 * gxx,
+            fxy * g0 + fx * gy + fy * gx + f0 * gxy,
+            fyy * g0 + 2.0 * fy * gy + f0 * gyy)
 
 
-def _derivatives(roots, x, y):
-    """Value, gradient and coordinate Hessian of each of ``roots`` at
-    (x, y), from one jet walk of them all along the four directions; the
-    mixed entry is polarized.  A constant root has zero derivatives."""
-    out = []
-    for j in ex.evaluate(roots, {"x": ex.Jet2(x, _X_LANES, _ZERO_LANES),
-                                 "y": ex.Jet2(y, _Y_LANES, _ZERO_LANES)}):
-        d2 = j.d2
-        mixed = 0.25 * (d2[2] - d2[3])
-        out.append((j.f, np.array(j.d1[:2]), np.array([[d2[0], mixed], [mixed, d2[1]]])))
-    return out
+def _chain(w, phi, d1, d2):
+    """phi(w) from phi's value, first and second derivative at w's value."""
+    _, wx, wy, wxx, wxy, wyy = w
+    return (phi, d1 * wx, d1 * wy, d2 * wx * wx + d1 * wxx,
+            d2 * wx * wy + d1 * wxy, d2 * wy * wy + d1 * wyy)
 
 
-def _jets_H_K(s: GraphSurface, x, y):
-    """The :func:`_derivatives` of H and of K at (x, y), from one walk of
-    both.  Where only K's part fails, K's is None: K is read only at the
-    critical point, where :func:`_curvature_data` walks it alone."""
-    try:
-        return _derivatives((s.H, s.K), x, y)
-    except ex.EvalError:
-        return _derivatives((s.H,), x, y) + [None]
+def _curvatures(c):
+    """(H, H_x, H_y, H_xx, H_xy, H_yy) and (K, K_x, K_y) at a point from
+    the 14 derivatives ``c`` of u there, in the order of
+    ``GraphSurface.derivatives``: u_x, u_y; u_xx, u_xy, u_yy; u_xxx, ...,
+    u_yyy; u_xxxx, ..., u_yyyy.  Plain float arithmetic: a product past the
+    double range is inf and does not raise."""
+    p0, q0, r0, s0, t0, a30, a21, a12, a03, b40, b31, b22, b13, b04 = c
+    # the expansions of u_x, u_y, u_xx, u_xy and u_yy about the point
+    p = (p0, r0, s0, a30, a21, a12)
+    q = (q0, s0, t0, a21, a12, a03)
+    r = (r0, a30, a21, b40, b31, b22)
+    s = (s0, a21, a12, b31, b22, b13)
+    t = (t0, a12, a03, b22, b13, b04)
+    pp, qq = _mul(p, p), _mul(q, q)
+    w = (1.0 + pp[0] + qq[0],) + tuple(x + y for x, y in zip(pp[1:], qq[1:]))
+    N = tuple(ri + ti + a + b - 2.0 * e for ri, ti, a, b, e in
+              zip(r, t, _mul(qq, r), _mul(pp, t), _mul(_mul(p, q), s)))
+    # w^(-3/2) and w^(-2) with their first two derivatives; w >= 1
+    w0 = w[0]
+    v = 1.0 / (w0 * math.sqrt(w0))
+    H = _mul(N, _chain(w, v, -1.5 * v / w0, 3.75 * v / (w0 * w0)))
+    v = 1.0 / (w0 * w0)
+    d1 = -2.0 * v / w0
+    kn = r0 * t0 - s0 * s0
+    kx = a30 * t0 + r0 * a12 - 2.0 * s0 * a21
+    ky = a21 * t0 + r0 * a03 - 2.0 * s0 * a12
+    K = (kn * v, kx * v + kn * d1 * w[1], ky * v + kn * d1 * w[2])
+    return H, K
 
 
 def curvature_at(s: GraphSurface, x: float, y: float) -> CurvatureData:
-    """H, K, their gradients and the Hessian of H at a point, from one jet
-    walk of H and K (see the module docstring).  The Hessian of H is
+    """H, K, their gradients and the Hessian of H at a point, from one walk
+    of u's derivatives (see the module docstring).  The Hessian of H is
     reported in coordinates; it is the covariant Hessian only where gradH
     vanishes."""
     _check_inside(s, x, y)
     x, y = float(x), float(y)
-    return _curvature_data(s, x, y, *_jets_H_K(s, x, y))
+    c = ex.evaluate(s.derivatives, {"x": x, "y": y})
+    return _curvature_data(x, y, c, *_curvatures(c))
 
 
 def _check_inside(s: GraphSurface, x, y):
@@ -168,54 +188,53 @@ def _check_inside(s: GraphSurface, x, y):
         raise ValueError(f"({x}, {y}) outside surface domain {DOMAIN}")
 
 
-def _curvature_data(s: GraphSurface, x: float, y: float, jet_H, jet_K) -> CurvatureData:
-    """:class:`CurvatureData` at (x, y) from the walks of H and K there,
-    each given as (value, gradient, Hessian); K is walked alone if its jet
-    is None."""
-    H, gradH, hessH = jet_H
-    K, gradK, _ = jet_K or _derivatives((s.K,), x, y)[0]
+def _curvature_data(x: float, y: float, c, H, K) -> CurvatureData:
+    """:class:`CurvatureData` at (x, y) from u's derivatives ``c`` there and
+    their :func:`_curvatures`."""
+    h, gx, gy, hxx, hxy, hyy = H
     return CurvatureData(
         point=(x, y),
-        H=H,
-        K=K,
-        gradH=gradH,
-        hessH=hessH,
-        gradK=gradK,
-        grad_u=np.array(ex.evaluate(s.grad_u, {"x": x, "y": y})),
-        hess_is_covariant=bool(np.linalg.norm(gradH) < NEWTON_TOL),
-        nondegenerate=bool(abs(np.linalg.det(hessH)) > DEGENERACY_TOL),
+        H=h,
+        K=K[0],
+        gradH=np.array([gx, gy]),
+        hessH=np.array([[hxx, hxy], [hxy, hyy]]),
+        gradK=np.array(K[1:]),
+        grad_u=np.array(c[:2]),
+        hess_is_covariant=math.hypot(gx, gy) < NEWTON_TOL,
+        nondegenerate=abs(hxx * hyy - hxy * hxy) > DEGENERACY_TOL,
     )
 
 
 def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
-    """Newton iteration on gradH to |gradH| < 1e-12; raises
-    :class:`ValueError` for a guess that is not finite,
-    :class:`DegenerateHessian` when the Hessian determinant drops below
-    1e-10 and :class:`NoConvergence` at an iterate where H, gradH or hessH
-    is not finite and after 50 steps.  Each iterate walks H and K together,
-    so the converged walk supplies both."""
-    p = np.asarray(guess, dtype=float)
-    if not np.all(np.isfinite(p)):
+    """Newton iteration on gradH to |gradH| < 1e-12, in plain floats with a
+    2x2 Cramer step; raises :class:`ValueError` for a guess that is not
+    finite, :class:`DegenerateHessian` when the Hessian determinant drops
+    below 1e-10 and :class:`NoConvergence` at an iterate where H, gradH or
+    hessH is not finite and after 50 steps.  Each iterate walks u's
+    derivatives once, so the converged walk supplies K too."""
+    x, y = map(float, guess)
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("guess must be finite")
     for _ in range(NEWTON_MAX_ITER):
-        x, y = float(p[0]), float(p[1])
-        jet_H, jet_K = _jets_H_K(s, x, y)
-        H, g, h = jet_H
-        if not (math.isfinite(H) and np.isfinite(g).all() and np.isfinite(h).all()):
+        c = ex.evaluate(s.derivatives, {"x": x, "y": y})
+        H, K = _curvatures(c)
+        if not all(map(math.isfinite, H)):
             raise NoConvergence(
                 f"H or its derivatives not finite at Newton iterate {(x, y)}")
-        if np.linalg.norm(g) < NEWTON_TOL:
+        _, gx, gy, hxx, hxy, hyy = H
+        if math.hypot(gx, gy) < NEWTON_TOL:
             _check_inside(s, x, y)
-            data = _curvature_data(s, x, y, jet_H, jet_K)
+            data = _curvature_data(x, y, c, H, K)
             if not data.nondegenerate:
-                raise DegenerateHessian(f"critical point at {tuple(p.tolist())} "
+                raise DegenerateHessian(f"critical point at {(x, y)} "
                                         f"has |det hessH| <= {DEGENERACY_TOL}")
             return data
-        if abs(np.linalg.det(h)) < DEGENERACY_TOL:
-            raise DegenerateHessian(f"Hessian of H nearly singular at {tuple(p.tolist())}")
-        p = p - np.linalg.solve(h, g)
-        if not s.contains(p[0], p[1]):
-            raise NoConvergence(f"Newton iterate left the domain: {tuple(p.tolist())}")
+        det = hxx * hyy - hxy * hxy
+        if abs(det) < DEGENERACY_TOL:
+            raise DegenerateHessian(f"Hessian of H nearly singular at {(x, y)}")
+        x, y = x - (hyy * gx - hxy * gy) / det, y - (hxx * gy - hxy * gx) / det
+        if not s.contains(x, y):
+            raise NoConvergence(f"Newton iterate left the domain: {(x, y)}")
     raise NoConvergence(f"no critical point within {NEWTON_MAX_ITER} Newton steps")
 
 

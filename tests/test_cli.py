@@ -1,10 +1,13 @@
 import gc
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,13 +211,13 @@ class TestAnalyze:
         capsys.readouterr()
 
     @pytest.mark.parametrize("u, params, message", [
-        # Jet2.powi's x^2 overflows a Python float
+        # u_x^2 = (2e198 + ...)^2 overflows to inf in the curvature formula
         ("a*x^2 + x*y + y^2", "a=1e200",
-         "value outside the float range in 'pow' subexpression of 213 characters"),
-        # the reciprocal of a jet squares its divisor, which underflows to 0
+         "H or its derivatives not finite at Newton iterate (0.01, -0.01)"),
+        # u_xxx divides by the square of (a*(x + 2))^2, which underflows to 0
         ("x*y + x^2 + y^2 + c/(a*(x + 2))", "a=1e-100, c=1e-200",
-         "division by zero in subexpression '0/(1/1" + "0" * 100 + "*(x + 2))^2'"),
-        # the jet of H cubes (1 + |grad u|^2)^(3/2), past the float range
+         "division by zero in 'div' subexpression of 653 characters"),
+        # |grad u|^2 = 2e80: the curvatures and their derivatives are tiny
         ("a*x + a*y + x*y", "a=1e40",
          "critical point at (0.01, -0.01) has |det hessH| <= 1e-10"),
     ], ids=["overflow", "underflow", "steep"])
@@ -821,6 +824,30 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"hemifol: error: {message}\n"
+
+    @pytest.mark.parametrize("body", [
+        "u = a*x^2 + x*y + y^2\nparams: a=1e200\n",
+        "u = x*y + x^2 + y^2 + c/(a*(x + 2))\nparams: a=1e-100, c=1e-200\n",
+        "u = a*x + a*y + x*y\nparams: a=1e40\n",
+        "u = x*y + x^2 + y^2 + (x+3)^600*(x+3)^600\n",
+        "u = x*y + x^2 + y^2 + cot(x^155)\n",
+    ], ids=["overflow", "underflow", "steep", "inf", "cotnear"])
+    def test_float_range_in_a_fresh_process(self, tmp_path, body):
+        # the console command with every warning an error: a float
+        # product past the range in the curvature formula, or a walk of u's
+        # derivatives that leaves it, exits 65 with one line, no traceback
+        (tmp_path / "s.surf").write_text(f"name = s\n{body}")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "hemifol.cli", "analyze",
+                               "s.surf", "--case", "cmc"], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=600)
+        assert proc.returncode == cli.EX_DATAERR
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("hemifol: error: ")
 
     def test_missing_surface_file(self, tmp_path, capsys):
         code = cli.main(["analyze", str(tmp_path / "none.surf"), "--case", "cmc"])

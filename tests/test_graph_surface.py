@@ -13,14 +13,29 @@ def _grad_at_origin(surface):
     return gs.curvature_at(surface, 0.0, 0.0).gradH
 
 
+def _symbolic_H_K(u):
+    """H and K of the graph of u as expressions in x and y, built from
+    ``ex.diff`` of u: the reference for the fixed formula of
+    ``gs._curvatures``, with its sign convention H = kappa_1 + kappa_2."""
+    ux, uy = ex.diff(u, "x"), ex.diff(u, "y")
+    uxx = ex.diff(ux, "x")
+    uxy, uyy = ex.diff((ux, uy), "y")
+    w2 = 1 + ux ** 2 + uy ** 2
+    H = ((1 + uy ** 2) * uxx - 2 * ux * uy * uxy
+         + (1 + ux ** 2) * uyy) / (w2 * ex.sqrt(w2))
+    K = (uxx * uyy - uxy ** 2) / w2 ** 2
+    return H, K
+
+
 def _reference_curvature(s, x, y):
     """H, K, gradH, the symmetrized hessH and gradK at (x, y) by symbolic
-    differentiation of H and K, the construction the jet walk replaced."""
-    gradH = (ex.diff(s.H, "x"), ex.diff(s.H, "y"))
-    gradK = (ex.diff(s.K, "x"), ex.diff(s.K, "y"))
+    differentiation of H and K."""
+    H, K = _symbolic_H_K(s.u)
+    gradH = (ex.diff(H, "x"), ex.diff(H, "y"))
+    gradK = (ex.diff(K, "x"), ex.diff(K, "y"))
     hessH = (ex.diff(gradH[0], "x"), ex.diff(gradH[0], "y"),
              ex.diff(gradH[1], "x"), ex.diff(gradH[1], "y"))
-    vals = ex.evaluate(gradH + hessH + (s.H, s.K) + gradK, {"x": x, "y": y})
+    vals = ex.evaluate(gradH + hessH + (H, K) + gradK, {"x": x, "y": y})
     hess = np.array(vals[2:6]).reshape(2, 2)
     return {"H": vals[6], "K": vals[7], "gradH": np.array(vals[0:2]),
             "hessH": 0.5 * (hess + hess.T), "gradK": np.array(vals[8:10])}
@@ -90,10 +105,8 @@ class TestClosedFormAnchors:
         for x0, y0 in [(0.0, 0.0), (0.1, -0.05)]:
             sym = gs.curvature_at(s, x0, y0).gradH
             fd = np.array([
-                (ex.evaluate(s.H, {"x": x0 + h, "y": y0})
-                 - ex.evaluate(s.H, {"x": x0 - h, "y": y0})) / (2 * h),
-                (ex.evaluate(s.H, {"x": x0, "y": y0 + h})
-                 - ex.evaluate(s.H, {"x": x0, "y": y0 - h})) / (2 * h),
+                (gs.curvature_at(s, x0 + h, y0).H - gs.curvature_at(s, x0 - h, y0).H) / (2 * h),
+                (gs.curvature_at(s, x0, y0 + h).H - gs.curvature_at(s, x0, y0 - h).H) / (2 * h),
             ])
             assert np.max(np.abs(sym - fd)) < 1e-6 * max(1.0, np.max(np.abs(sym)))
         # second derivatives by FD of the jet gradient
@@ -106,6 +119,48 @@ class TestClosedFormAnchors:
         assert np.max(np.abs(hess_sym - fd_hess)) < 1e-6 * np.max(np.abs(hess_sym))
 
 
+class TestMongeClosedForms:
+    """``gs._curvatures`` at the origin of a Monge jet, u = (k1 x^2 + k2 y^2)/2
+    + (a x^3 + 3b x^2 y + 3c x y^2 + d y^3)/6 + q0 x^4 + q1 x^3 y + q2 x^2 y^2
+    + q3 x y^3 + q4 y^4, against its closed forms (Cazals & Pouget, CAGD 22
+    (2005)): H = k1 + k2, gradH = (a + c, b + d), K = k1 k2,
+    gradK = (k2 a + k1 c, k2 b + k1 d), which is (k2 - k1)(a, b) where the
+    origin is critical, and hessH = [[24 q0 + 4 q2 - k1^2 (3 k1 + k2),
+    6 (q1 + q3)], [6 (q1 + q3), 24 q4 + 4 q2 - k2^2 (k1 + 3 k2)]]."""
+
+    @staticmethod
+    def _check(k1, k2, a, b, c, d, q):
+        jet = (0.0, 0.0, k1, 0.0, k2, a, b, c, d,
+               24 * q[0], 6 * q[1], 4 * q[2], 6 * q[3], 24 * q[4])
+        H, K = gs._curvatures(jet)
+        want_H = (k1 + k2, a + c, b + d,
+                  24 * q[0] + 4 * q[2] - k1 ** 2 * (3 * k1 + k2), 6 * (q[1] + q[3]),
+                  24 * q[4] + 4 * q[2] - k2 ** 2 * (k1 + 3 * k2))
+        want_K = (k1 * k2, k2 * a + k1 * c, k2 * b + k1 * d)
+        scale = max(map(abs, want_H + want_K))
+        for got, want in zip(H + K, want_H + want_K):
+            assert abs(got - want) <= 1e-13 * scale, (jet, H, K)
+        return K
+
+    def test_random_jets(self):
+        rng = np.random.default_rng(15)
+        for _ in range(1000):
+            k1, k2, a, b, c, d = (float(v) for v in rng.uniform(-2.0, 2.0, 6))
+            q = [float(v) for v in rng.uniform(-1.0, 1.0, 5)]
+            self._check(k1, k2, a, b, c, d, q)
+            # critical at the origin: c = -a and d = -b
+            K = self._check(k1, k2, a, b, -a, -b, q)
+            scale = max(abs(k1), abs(k2)) * max(abs(a), abs(b))
+            for got, want in zip(K[1:], ((k2 - k1) * a, (k2 - k1) * b)):
+                assert abs(got - want) <= 1e-13 * scale
+
+    def test_umbilic_plane_and_sphere_cap(self):
+        # exact where every product is exact
+        assert gs._curvatures((0.0,) * 14) == ((0.0,) * 6, (0.0,) * 3)
+        H, K = gs._curvatures((0.0, 0.0, 1.0, 0.0, 1.0) + (0.0,) * 4 + (3.0, 0.0, 1.0, 0.0, 3.0))
+        assert H == (2.0, 0.0, 0.0, 0.0, 0.0, 0.0) and K == (1.0, 0.0, 0.0)
+
+
 def _translated_gallery(a, x0, y0):
     """The gallery surface moved so that its critical point is (x0, y0)."""
     shift = {"x": ex.var("x") - ex.const(Fraction(repr(x0))),
@@ -114,8 +169,9 @@ def _translated_gallery(a, x0, y0):
 
 
 class TestJetAgainstSymbolic:
-    """The jet walk against symbolic differentiation: each quantity agrees
-    to 1e-12 of its scale, the largest reference entry or 1 if smaller."""
+    """``curvature_at``, the fixed formula on u's 4-jet, against symbolic
+    differentiation of H and K: each quantity agrees to 1e-12 of its scale,
+    the largest reference entry or 1 if smaller."""
 
     @staticmethod
     def _agree(s, x, y):
@@ -135,8 +191,20 @@ class TestJetAgainstSymbolic:
         rng = np.random.default_rng(1)
         for _ in range(20):
             a, c1, c2 = rng.uniform(-0.5, 0.5, 3)
-            x, y = rng.uniform(-0.5, 0.5, 2)
-            self._agree(gs.gallery_surface(a, c1, c2), x, y)
+            s = gs.gallery_surface(a, c1, c2)
+            for x, y in rng.uniform(-0.5, 0.5, (3, 2)):
+                self._agree(s, x, y)
+
+    def test_random_quartics(self):
+        # every monomial of degrees 1 to 4, each with a rational coefficient
+        rng = np.random.default_rng(4)
+        monomials = [(i, n - i) for n in range(1, 5) for i in range(n + 1)]
+        for _ in range(12):
+            terms = [f"({Fraction(repr(float(c)))})*x^{i}*y^{j}"
+                     for (i, j), c in zip(monomials, rng.uniform(-0.6, 0.6, len(monomials)))]
+            s = gs.GraphSurface(ex.parse(" + ".join(terms).replace("(-", "(0-")))
+            for x, y in rng.uniform(-0.9, 0.9, (3, 2)):
+                self._agree(s, x, y)
 
     @pytest.mark.parametrize("a, x0, y0", [(0.1, 0.2, -0.1), (0.35, -0.25, 0.3),
                                            (0.5, 0.05, 0.05)])
@@ -153,14 +221,14 @@ class TestJetAgainstSymbolic:
     def test_non_polynomial(self, u, x, y):
         s = gs.GraphSurface(ex.parse(u))
         assert np.linalg.norm(gs.curvature_at(s, x, y).gradH) > 1e-3
-        self._agree(s, x, y)
+        for dx, dy in ((0.0, 0.0), (0.15, 0.1), (-0.1, -0.2)):
+            self._agree(s, x + dx, y + dy)
 
 
 _OPS = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b)
 
-# The four-direction walk as numpy Jet2s with length-4 array parts, as
-# _derivatives made it before its jets carried float lanes: the reference
-# that the lanes must equal bit for bit.
+# the directions (1, 0), (0, 1), (1, 1) and (1, -1) of x and y: four float
+# jets, or one jet whose derivative parts are length-4 arrays
 _REF_DX = np.array([1.0, 0.0, 1.0, 1.0])
 _REF_DY = np.array([0.0, 1.0, 1.0, -1.0])
 
@@ -170,64 +238,47 @@ def _array_lane_jet(e, x, y):
                                "y": ex.Jet2(y, _REF_DY, 0.0)})
 
 
-def _array_lane_derivatives(roots, x, y):
-    out = []
-    for e in roots:
-        j = _array_lane_jet(e, x, y)
-        d1 = np.broadcast_to(j.d1, 4)
-        d2 = np.broadcast_to(j.d2, 4)
-        mixed = 0.25 * (d2[2] - d2[3])
-        out.append((j.f, d1[:2].copy(), np.array([[d2[0], mixed], [mixed, d2[1]]])))
-    return out
-
-
-def _lane_bits(j):
-    """Bytes of f, d1 and d2 with d1 and d2 as four lanes; signed zeros
-    and NaN payloads count."""
-    return tuple(np.broadcast_to(np.asarray(p, dtype=float), s).tobytes()
-                 for p, s in ((j.f, ()), (j.d1, 4), (j.d2, 4)))
-
-
-def _lane_walk(e, x, y):
-    return ex.evaluate_jet(e, {"x": ex.Jet2(x, gs._X_LANES, gs._ZERO_LANES),
-                               "y": ex.Jet2(y, gs._Y_LANES, gs._ZERO_LANES)})
+def _lane_bits(j, k):
+    """Bytes of f and of element k of d1 and d2 (a float part is its own
+    element); signed zeros and NaN payloads count."""
+    return (np.asarray(j.f, dtype=float).tobytes(),) + tuple(
+        np.broadcast_to(np.asarray(p, dtype=float), 4)[k].tobytes() for p in (j.d1, j.d2))
 
 
 def _assert_lanes_equal_arrays(e, x, y):
-    want = _lane_bits(_array_lane_jet(e, x, y))
-    assert _lane_bits(_lane_walk(e, x, y)) == want, (ex.to_string(e), x, y)
+    want = _array_lane_jet(e, x, y)
     reference = walk(e, {"x": Jet(x, _REF_DX, 0.0), "y": Jet(y, _REF_DY, 0.0)})
-    assert _lane_bits(reference) == want, (ex.to_string(e), x, y)
-
-
-def _data_bits(d):
-    return {name: (value if isinstance(value, bool)
-                   else np.asarray(value, dtype=float).tobytes())
-            for name, value in vars(d).items()}
+    for k in range(4):
+        lane = ex.evaluate_jet(e, {"x": ex.Jet2(x, float(_REF_DX[k]), 0.0),
+                                   "y": ex.Jet2(y, float(_REF_DY[k]), 0.0)})
+        assert _lane_bits(lane, k) == _lane_bits(want, k), (ex.to_string(e), x, y, k)
+        assert _lane_bits(reference, k) == _lane_bits(want, k), (ex.to_string(e), x, y, k)
 
 
 class TestLanesBitIdentical:
-    """The four-lane jet walk of :func:`gs._derivatives` against the
-    one-lane walk with length-4 arrays, and against the reference jet
-    arithmetic of ``jet_reference`` on those arrays, byte for byte."""
+    """A jet walk whose derivative parts are floats, one per direction,
+    against one walk whose parts are length-4 arrays (one lane per element)
+    and against the reference jet arithmetic of ``jet_reference`` on those
+    arrays, byte for byte: a float part takes the IEEE operations of one
+    array element.  The DAGs are the symbolic H and K of graph surfaces."""
 
     def test_gallery_grid(self):
-        for a in np.linspace(0.0, 0.7, 29):
-            s = gs.gallery_surface(float(a))
+        for a in np.linspace(0.0, 0.7, 15):
+            H, K = _symbolic_H_K(gs.gallery_surface(float(a)).u)
             for x, y in ((0.0, 0.0), (0.25, -0.4), (-0.9, 0.7)):
-                _assert_lanes_equal_arrays(s.H, x, y)
-                _assert_lanes_equal_arrays(s.K, x, y)
+                _assert_lanes_equal_arrays(H, x, y)
+                _assert_lanes_equal_arrays(K, x, y)
 
     def test_analysis_cubics_at_random_points(self):
         rng = np.random.default_rng(26)
-        for _ in range(12):
+        for _ in range(6):
             a = float(rng.uniform(0.0, 0.55))
             x0, y0 = (round(float(v), 6) for v in rng.uniform(-0.3, 0.3, 2))
-            s = _translated_gallery(a, x0, y0)
+            H, K = _symbolic_H_K(_translated_gallery(a, x0, y0).u)
             for x, y in [(x0, y0)] + [tuple(map(float, p))
-                                      for p in rng.uniform(-1.0, 1.0, (4, 2))]:
-                _assert_lanes_equal_arrays(s.H, x, y)
-                _assert_lanes_equal_arrays(s.K, x, y)
+                                      for p in rng.uniform(-1.0, 1.0, (3, 2))]:
+                _assert_lanes_equal_arrays(H, x, y)
+                _assert_lanes_equal_arrays(K, x, y)
 
     def test_every_node_kind(self):
         corpus = [
@@ -255,102 +306,93 @@ class TestLanesBitIdentical:
         # each operation, unary minus included, on jets with signed zeros
         # and a non-finite part, and with plain operands (nonzero divisors:
         # a walk checks those before it divides): the walk of x op y with
-        # four lanes, and with one lane of length-4 arrays, against the
-        # reference arithmetic on those arrays
+        # float parts, and with length-4 array parts, against the reference
+        # arithmetic on those arrays
         ops = [(text, ex.parse(text)) for text in ("x + y", "x - y", "x*y", "x/y")]
         swapped = [(text, ex.parse(text)) for text in ("y + x", "y - x", "y*x")]
         parts = [(0.7, (0.5, -0.0, 3.0, -2.5), (0.0, 1e300, -1e-300, math.inf)),
                  (-0.0, (0.0, 1e300, -1e-300, math.inf), (-0.0, 2.0, 0.5, -1.0)),
                  (-2.0, (1.0, -1.0, 0.0, 4.0), (0.5, -0.0, 3.0, -2.5))]
-        jets = [(ex.Jet2(f, d1, d2), ex.Jet2(f, np.array(d1), np.array(d2)),
+        jets = [(f, d1, d2, ex.Jet2(f, np.array(d1), np.array(d2)),
                  Jet(f, np.array(d1), np.array(d2))) for f, d1, d2 in parts]
 
-        def check(text, e, p, q, pr, qr, want):
-            b = {"x": p, "y": q}
-            got = [ex.evaluate_jet(e, b), ex.evaluate_jet(e, {"x": pr, "y": qr})]
-            assert [_lane_bits(j) for j in got] == [_lane_bits(want)] * 2, (text, b)
+        def lane(j, k):
+            return ex.Jet2(j[0], j[1][k], j[2][k]) if isinstance(j, tuple) else j
+
+        def check(text, e, p, q, pa, qa, want):
+            got = ex.evaluate_jet(e, {"x": pa, "y": qa})
+            for k in range(4):
+                b = {"x": lane(p, k), "y": lane(q, k)}
+                assert (_lane_bits(ex.evaluate_jet(e, b), k) == _lane_bits(got, k)
+                        == _lane_bits(want, k)), (text, b)
 
         with np.errstate(all="ignore"):
-            for p, pa, pr in jets:
+            for *p, pa, pr in jets:
+                p = tuple(p)
                 # -x is 0 - x
                 check("-x", -ex.var("x"), p, 0.0, pa, 0.0, 0.0 - pr)
                 check("x^3", ex.parse("x^3"), p, 0.0, pa, 0.0, pr ** 3)
-                for q, qa, qr in jets[::2]:
+                for *q, qa, qr in jets[::2]:
                     for (text, e), op in zip(ops, _OPS):
-                        check(text, e, p, q, pa, qa, op(pr, qr))
+                        check(text, e, p, tuple(q), pa, qa, op(pr, qr))
                 for c in (2.0, -0.0, -3.25):
                     for (text, e), (flipped, f), op in zip(ops, swapped, _OPS):
                         check(text, e, p, c, pa, c, op(pr, c))
                         check(flipped, f, p, c, pa, c, op(c, pr))
                 for c in (2.0, -3.25):
                     check("x/y", ops[3][1], p, c, pa, c, pr / c)
-            for q, qa, qr in jets[::2]:
-                check("1.5/x", ex.parse("3/2/x"), q, 0.0, qa, 0.0, 1.5 / qr)
-                check("x^-2", ex.parse("x^-2"), q, 0.0, qa, 0.0, qr ** -2)
+            for *q, qa, qr in jets[::2]:
+                check("1.5/x", ex.parse("3/2/x"), tuple(q), 0.0, qa, 0.0, 1.5 / qr)
+                check("x^-2", ex.parse("x^-2"), tuple(q), 0.0, qa, 0.0, qr ** -2)
 
     def test_constant_has_zero_derivatives(self):
+        # a constant root walked beside a jet root is a jet with +0.0 parts
         e = ex.parse("x*y - cos(x)/3")
-        got = gs._derivatives((ex.parse("5/2"), e), 0.1, 0.2)
-        f, grad, hess = got[0]
-        assert f == 2.5
-        assert grad.tobytes() == np.zeros(2).tobytes()
-        assert hess.tobytes() == np.zeros((2, 2)).tobytes()
-        # the root walked beside it has the lanes of the array walk
-        assert ([np.asarray(p).tobytes() for p in got[1]]
-                == [np.asarray(p).tobytes() for p in _array_lane_derivatives((e,), 0.1, 0.2)[0]])
-
-    def test_curvature_data_and_newton(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        cases = []
-        for _ in range(6):
-            a = float(rng.uniform(0.0, 0.45))
-            x0, y0 = (round(float(v), 6) for v in rng.uniform(-0.3, 0.3, 2))
-            cases.append((_translated_gallery(a, x0, y0), (x0 + 0.005, y0 - 0.005)))
-        for u in ("x*y + sqrt(4 + x^2) - cos(y)/3",
-                  "x*y + x^2*sqrt(1 + y^2)/3 + artanh(x/2)*y"):
-            cases.append((gs.GraphSurface(ex.parse(u)), (0.05, -0.05)))
-        got = [(_data_bits(gs.curvature_at(s, *p)), _data_bits(gs.find_critical_point(s, p)))
-               for s, p in cases]
-        # the reference walks H and K apart, each with length-4 array lanes
-        monkeypatch.setattr(gs, "_derivatives", _array_lane_derivatives)
-        want = [(_data_bits(gs.curvature_at(s, *p)), _data_bits(gs.find_critical_point(s, p)))
-                for s, p in cases]
-        assert got == want
+        for k in range(4):
+            b = {"x": ex.Jet2(0.1, float(_REF_DX[k]), 0.0),
+                 "y": ex.Jet2(0.2, float(_REF_DY[k]), 0.0)}
+            const, got = ex.evaluate((ex.parse("5/2"), e), b)
+            assert _lane_bits(const, k) == tuple(np.array(v).tobytes() for v in (2.5, 0.0, 0.0))
+            assert _lane_bits(got, k) == _lane_bits(_array_lane_jet(e, 0.1, 0.2), k)
 
 
 class TestJointWalk:
-    """Each Newton iterate walks H and K together; K is read only at the
-    critical point."""
-
-    def test_k_failing_off_the_critical_point(self):
-        # a K that fails at the guess, but not where Newton stops, does
-        # not stop Newton; at the critical point its own walk is read
-        s = gs.gallery_surface(0.3)
-        guess = (0.005, -0.005)
-        want = gs.find_critical_point(s, guess)
-        s.K = s.K + ex.ln(ex.parse("1/1000 - x"))
-        with pytest.raises(ex.DomainError):
-            ex.evaluate(s.K, {"x": guess[0], "y": guess[1]})
-        got = gs.find_critical_point(s, guess)
-        assert got.point == want.point
-        assert got.H == want.H and got.hessH.tobytes() == want.hessH.tobytes()
-        x, y = got.point
-        K = ex.evaluate_jet(s.K, {"x": ex.Jet2(x, gs._X_LANES, gs._ZERO_LANES),
-                                  "y": ex.Jet2(y, gs._Y_LANES, gs._ZERO_LANES)})
-        assert got.K == K.f and got.gradK.tobytes() == np.array(K.d1[:2]).tobytes()
-        # at a point where K fails, so does curvature_at, naming K's node
-        with pytest.raises(ex.DomainError, match="ln of non-positive value"):
-            gs.curvature_at(s, *guess)
+    """Each Newton iterate walks u's 14 derivatives together, once."""
 
     def test_h_failure_named_as_before(self):
-        # H fails first in the joint walk's left-to-right repeat, as it
-        # failed alone
+        # Newton names the node that a walk of u's derivatives alone names:
+        # the first failing one in left-to-right order
         s = gs.GraphSurface(ex.parse("x*y + x^2 + y^2 + ln(x + 1/2)^3"))
-        with pytest.raises(ex.DomainError) as joint:
+        with pytest.raises(ex.DomainError) as newton:
             gs.find_critical_point(s, (-0.75, 0.0))
         with pytest.raises(ex.DomainError) as alone:
-            ex.evaluate(s.H, {"x": -0.75, "y": 0.0})
-        assert str(joint.value) == str(alone.value)
+            ex.evaluate(s.derivatives, {"x": -0.75, "y": 0.0})
+        assert str(newton.value) == str(alone.value)
+        assert str(alone.value) == "ln of non-positive value in subexpression 'ln(x + 1/2)'"
+
+    def test_converged_walk_supplies_the_data(self, monkeypatch):
+        # the data Newton returns is curvature_at at its point, bit for
+        # bit, from one walk per iterate
+        calls = []
+        evaluate = ex.evaluate
+        monkeypatch.setattr(ex, "evaluate", lambda e, b: calls.append(b) or evaluate(e, b))
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            a = float(rng.uniform(0.0, 0.45))
+            x0, y0 = (round(float(v), 6) for v in rng.uniform(-0.3, 0.3, 2))
+            s = _translated_gallery(a, x0, y0)
+            calls.clear()
+            data = gs.find_critical_point(s, (x0 + 0.005, y0 - 0.005))
+            steps = len(calls)
+            want = gs.curvature_at(s, *data.point)
+            assert _data_bits(data) == _data_bits(want)
+            assert 1 < steps < gs.NEWTON_MAX_ITER and len(calls) == steps + 1
+
+
+def _data_bits(d):
+    return {name: (value if isinstance(value, bool)
+                   else np.asarray(value, dtype=float).tobytes())
+            for name, value in vars(d).items()}
 
 
 class TestV0:
@@ -386,9 +428,10 @@ class TestFindCriticalPoint:
         data = gs.find_critical_point(s, (0.05, -0.07))
         assert np.max(np.abs(data.point)) < 1e-10
         # numeric cross-check: H is radially symmetric, extremal at 0
-        h0 = ex.evaluate(s.H, {"x": 0.0, "y": 0.0})
-        h1 = ex.evaluate(s.H, {"x": 0.05, "y": 0.0})
-        assert h0 > h1
+        H, _ = _symbolic_H_K(s.u)
+        h0 = ex.evaluate(H, {"x": 0.0, "y": 0.0})
+        h1 = ex.evaluate(H, {"x": 0.05, "y": 0.0})
+        assert h0 > h1 and data.H == pytest.approx(h0, rel=1e-14)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_guess_not_finite(self, bad):
