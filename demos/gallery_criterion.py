@@ -36,6 +36,6 @@ for a in (0.0, 0.3, 0.45, 0.51):
     s = gs.gallery_surface(a)
     d = gs.curvature_at(s, 0.0, 0.0)
     for case in ("willmore", "cmc"):
-        v = gs.foliation_criterion(s, d, case)
+        v = gs.foliation_criterion(d, case)
         print(f"  a = {a:4} {case:9}: bracket [{v.v0_norm_lower:9.4f}, "
               f"{v.v0_norm_upper:9.4f}]  ->  {v.verdict}")

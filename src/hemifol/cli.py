@@ -104,7 +104,7 @@ def cmd_analyze(args) -> int:
     from . import graph_surface as gs
     surface = gs.load_surface_file(args.surface)
     data = gs.find_critical_point(surface, tuple(args.guess))
-    verdict = gs.foliation_criterion(surface, data, args.case)
+    verdict = gs.foliation_criterion(data, args.case)
     lines = [
         f"surface: {surface.name or args.surface}",
         f"critical point: ({_f(data.point[0])}, {_f(data.point[1])})",
@@ -132,7 +132,7 @@ def cmd_gallery(args) -> int:
     for a in args.a:
         surface = gs.gallery_surface(a)
         data = gs.curvature_at(surface, 0.0, 0.0)
-        verdict = gs.foliation_criterion(surface, data, args.case)
+        verdict = gs.foliation_criterion(data, args.case)
         writer.writerow([
             _f(a), _f(verdict.v0_component[0]), _f(verdict.v0_component[1]),
             _f(verdict.v0_norm_lower), verdict.verdict,

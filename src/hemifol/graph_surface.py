@@ -65,14 +65,10 @@ def gallery_params(a: float) -> GalleryParams:
     """c1 = c2 = (-a + a^3) / (3 + 9 a^2 + 6 a^4) makes the origin critical."""
     if not math.isfinite(a):
         raise ValueError("a must be finite")
-    # w2 = 1 + |grad u|^2 = 1 + 2 a^2 at the origin.  The bound keeps
-    # w2^(9/2) below the largest double, exp(709.78); hessH and gradK at
-    # the origin scale like w2^(-3/2) and w2^(-5/2), so they stay far above
-    # the smallest normal double (gradK underflows to 0 near a = 1e60).
-    w2 = 1.0 + 2.0 * a * a
-    if not 4.5 * math.log(w2) < 709.0:
-        raise ValueError("a is too large: the curvatures at the origin overflow")
-    c = (-a + a ** 3) / (3.0 + 9.0 * a ** 2 + 6.0 * a ** 4)
+    try:
+        c = (-a + a ** 3) / (3.0 + 9.0 * a ** 2 + 6.0 * a ** 4)
+    except OverflowError:
+        raise ValueError("a is too large: the powers of a in c1 and c2 overflow") from None
     return GalleryParams(a, c, c)
 
 
@@ -205,6 +201,14 @@ def _curvature_data(x: float, y: float, c, H, K) -> CurvatureData:
     )
 
 
+def _solve(hxx, hxy, hyy, bx, by):
+    """[[hxx, hxy], [hxy, hyy]]^-1 (bx, by) by Cramer's rule, which is forward
+    stable for n = 2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., SIAM 2002, sec. 1.10.1)."""
+    det = hxx * hyy - hxy * hxy
+    return (hyy * bx - hxy * by) / det, (hxx * by - hxy * bx) / det
+
+
 def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
     """Newton iteration on gradH to |gradH| < 1e-12, in plain floats with a
     2x2 Cramer step; raises :class:`ValueError` for a guess that is not
@@ -229,10 +233,10 @@ def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
                 raise DegenerateHessian(f"critical point at {(x, y)} "
                                         f"has |det hessH| <= {DEGENERACY_TOL}")
             return data
-        det = hxx * hyy - hxy * hxy
-        if abs(det) < DEGENERACY_TOL:
+        if abs(hxx * hyy - hxy * hxy) < DEGENERACY_TOL:
             raise DegenerateHessian(f"Hessian of H nearly singular at {(x, y)}")
-        x, y = x - (hyy * gx - hxy * gy) / det, y - (hxx * gy - hxy * gx) / det
+        dx, dy = _solve(hxx, hxy, hyy, gx, gy)
+        x, y = x - dx, y - dy
         if not s.contains(x, y):
             raise NoConvergence(f"Newton iterate left the domain: {(x, y)}")
     raise NoConvergence(f"no critical point within {NEWTON_MAX_ITER} Newton steps")
@@ -245,25 +249,21 @@ def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
 _CASE_FACTOR = {"willmore": Fraction(1, 2), "cmc": Fraction(1, 3)}
 
 
-def foliation_criterion(s: GraphSurface, data: CurvatureData,
-                        case: str) -> FoliationVerdict:
+def foliation_criterion(data: CurvatureData, case: str) -> FoliationVerdict:
     """Scaled criterion vector (1/2 Willmore, 1/3 CMC applied to
     hessH^{-1} gradK), the rigorous coordinate-norm bracket, and the
     verdict.  Inconclusive when the bracket straddles 1."""
     factor = float(_CASE_FACTOR[case.lower()])
     if not data.nondegenerate:
         raise DegenerateHessian("foliation criterion needs a nondegenerate critical point")
-    v = factor * np.linalg.solve(data.hessH, data.gradK)
+    (hxx, hxy), (_, hyy) = data.hessH.tolist()
+    v = factor * np.array(_solve(hxx, hxy, hyy, *data.gradK.tolist()))
     lower = float(np.linalg.norm(v))
     du = data.grad_u
     upper = lower * math.sqrt(1.0 + float(du @ du))
     induced = math.sqrt(float(v @ v) + float(v @ du) ** 2)
-    if upper < 1.0:
-        verdict = "Foliates"
-    elif lower > 1.0:
-        verdict = "DoesNotFoliate"
-    else:
-        verdict = "Inconclusive"
+    verdict = ("Foliates" if upper < 1.0 else
+               "DoesNotFoliate" if lower > 1.0 else "Inconclusive")
     return FoliationVerdict(case.lower(), v, lower, upper, induced, verdict)
 
 

@@ -287,14 +287,13 @@ class TestGallery:
 
     @pytest.mark.parametrize("a, message", [
         ("nan", "a must be finite"), ("inf", "a must be finite"),
-        # a^4 overflows in the coefficients, and past a = 1.2e34 the jet of
-        # H, which cubes (1 + |grad u|^2)^(3/2), would overflow with a
-        # RuntimeWarning; the warnings filter makes one fail the test
-        ("1e100", "a is too large: the curvatures at the origin overflow"),
-        ("1e77", "a is too large: the curvatures at the origin overflow"),
-        ("1e76", "a is too large: the curvatures at the origin overflow"),
-        ("1e60", "a is too large: the curvatures at the origin overflow"),
-        ("1e35", "a is too large: the curvatures at the origin overflow")])
+        # a^4 in c1 and c2 leaves the doubles past a = 1.16e77
+        *(pytest.param(a, "a is too large: the powers of a in c1 and c2 overflow", id=a)
+          for a in ("1e100", "1.2e77")),
+        # hessH at the origin falls like a^-3: its determinant is below the
+        # degeneracy tolerance, and the curvatures stay finite
+        *(pytest.param(a, "foliation criterion needs a nondegenerate critical point", id=a)
+          for a in ("1e77", "1e76", "1e60", "1e40", "1e35"))])
     @pytest.mark.filterwarnings("error")
     def test_a_out_of_range(self, capsys, a, message):
         assert cli.main(["gallery", "--a", "0.3", a]) == cli.EX_DATAERR

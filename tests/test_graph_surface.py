@@ -466,7 +466,7 @@ class TestFoliationCriterion:
         s = gs.gallery_surface(0.0)
         data = gs.curvature_at(s, 0.0, 0.0)
         for case in ("willmore", "cmc"):
-            v = gs.foliation_criterion(s, data, case)
+            v = gs.foliation_criterion(data, case)
             assert v.verdict == "Foliates"
             assert v.v0_norm_lower == 0.0
 
@@ -474,14 +474,14 @@ class TestFoliationCriterion:
         s = gs.gallery_surface(0.51)
         data = gs.curvature_at(s, 0.0, 0.0)
         for case in ("willmore", "cmc"):
-            v = gs.foliation_criterion(s, data, case)
+            v = gs.foliation_criterion(data, case)
             assert v.verdict == "DoesNotFoliate"
 
     def test_factor_between_cases(self):
         s = gs.gallery_surface(0.3)
         data = gs.curvature_at(s, 0.0, 0.0)
-        vw = gs.foliation_criterion(s, data, "willmore")
-        vc = gs.foliation_criterion(s, data, "cmc")
+        vw = gs.foliation_criterion(data, "willmore")
+        vc = gs.foliation_criterion(data, "cmc")
         assert vw.v0_norm_lower == pytest.approx(0.5 * gs.gallery_v0_norm(0.3), rel=1e-9)
         assert vc.v0_norm_lower == pytest.approx(gs.gallery_v0_norm(0.3) / 3, rel=1e-9)
 
@@ -489,7 +489,7 @@ class TestFoliationCriterion:
         for a in (0.1, 0.3, 0.45):
             s = gs.gallery_surface(a)
             data = gs.curvature_at(s, 0.0, 0.0)
-            v = gs.foliation_criterion(s, data, "willmore")
+            v = gs.foliation_criterion(data, "willmore")
             assert v.v0_norm_lower <= v.v0_norm_induced + 1e-15
             assert v.v0_norm_induced <= v.v0_norm_upper + 1e-15
 
@@ -498,7 +498,7 @@ class TestFoliationCriterion:
         a = 0.3
         s = gs.gallery_surface(a)
         data = gs.curvature_at(s, 0.0, 0.0)
-        v = gs.foliation_criterion(s, data, "cmc")
+        v = gs.foliation_criterion(data, "cmc")
         assert v.v0_norm_upper == pytest.approx(
             v.v0_norm_lower * math.sqrt(1 + 2 * a ** 2), rel=1e-12)
 

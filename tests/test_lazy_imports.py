@@ -1,6 +1,7 @@
 """The package imports a submodule on first use, and each command loads only
-the modules it runs.  Module sets are read in a fresh interpreter: this
-process has imported every module already."""
+the modules it runs; the acceptance commands raise no warning.  Both are
+read in a fresh interpreter: this process has imported every module
+already, and its warnings filters are pytest's."""
 
 import json
 import os
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from hemifol import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,6 +58,56 @@ def test_command_loads_only_its_modules(tmp_path, argv, loaded):
     rc, modules = json.loads(_python(tmp_path, "-c", _PROBE, *argv))
     assert rc == 0
     assert modules == sorted(_BASE + loaded)
+
+
+# runs each command line of the JSON list argv[1] through cli.main in one
+# interpreter and prints [[exit code, stdout, stderr] per command, whether
+# scipy is loaded]; under -W error a warning ends the run with a traceback
+_STRICT_RUNS = """
+import contextlib, io, json, sys
+from hemifol import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        results.append([cli.main(argv), out.getvalue(), err.getvalue()])
+print(json.dumps([results, "scipy" in sys.modules]))
+"""
+
+
+def test_acceptance_commands_in_a_strict_fresh_interpreter(tmp_path, monkeypatch, capsys):
+    # the README acceptance commands in one fresh interpreter with every
+    # warning an error: each exits with its usual code and prints nothing to
+    # stderr (foliate on the v = 1.5 family reports Overlaps, exit 1), both
+    # expansion cases pass at tolerance 1e-12, and neither linearized case
+    # loads scipy; run again in this process, each prints the same bytes
+    (tmp_path / "gallery.surf").write_text(
+        "name = gallery-a-0.3\nu = a*x + a*y + x*y - c1*x^3 - c2*y^3\n"
+        "params: a=0.3, c1=-0.07075104960348313, c2=-0.07075104960348313\n")
+    (tmp_path / "family.fam").write_text("v = 0.5\nf1 = 0.3\nlambda_max = 0.05\n")
+    (tmp_path / "fast.fam").write_text("v = 1.5\nf1 = 0.3\nlambda_max = 0.05\n")
+    runs = [(["moments", "--max-degree", "4"], 0),
+            (["foliate", "family.fam"], 0), (["foliate", "fast.fam"], 1)]
+    for case in ("willmore", "cmc"):
+        runs += [(["verify-expansions", "--case", case], 0),
+                 (["verify-expansions", "--case", case, "--tolerance", "1e-12"], 0),
+                 (["gallery", "--case", case], 0),
+                 (["linearized", "--case", case, "--k1", "1", "--k2", "0"], 0),
+                 (["linearized", "--case", case, "--k1", "0.7", "--k2=-1.3",
+                   "--dump-csv", f"lin-{case}.csv"], 0),
+                 (["analyze", "gallery.surf", "--case", case], 0)]
+    argvs = [argv for argv, _ in runs]
+    results, scipy_loaded = json.loads(
+        _python(tmp_path, "-W", "error", "-c", _STRICT_RUNS, json.dumps(argvs)))
+    assert [(argv, rc, err) for argv, (rc, _, err) in zip(argvs, results)] == [
+        (argv, code, "") for argv, code in runs]
+    assert not scipy_loaded
+    monkeypatch.chdir(tmp_path)
+    dumps = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
+    for argv, (_, out, _) in zip(argvs, results):
+        cli.main(argv)
+        assert capsys.readouterr().out == out, argv
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == dumps
 
 
 def test_package_import_loads_no_submodule(tmp_path):
