@@ -39,6 +39,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -308,8 +309,20 @@ def cmd_foliate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# argparse takes an argument that starts with '-' for a value only when it
+# matches this; its own pattern, -\d+ or -\d*.\d+, misses exponent forms such
+# as -5e-1, and no option string of this parser looks like a number
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with EX_USAGE, not argparse's 2 (Inconclusive)."""
+    """Usage errors exit with EX_USAGE, not argparse's 2 (Inconclusive).  A
+    negative number, in exponent form too, is a value, not an option; the
+    subparsers are of this class, so they read it so as well."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -1,4 +1,5 @@
-"""Symbolic expression trees with exact rational constants and order-2 jets.
+"""Symbolic expression trees with exact rational constants, order-2 jets and
+order-4 bivariate Taylor numbers.
 
 Expressions are immutable, hash-consed nodes: structurally identical subtrees
 share one object, so evaluation and differentiation run over a DAG instead of
@@ -57,9 +58,19 @@ derivative parts are equal after broadcasting, apart from the sign of
 exact zeros and the NaN that a skipped ``f * 0.0`` made of a non-finite
 ``f``.  :func:`evaluate` takes that rule whenever a binding is a jet, and
 :func:`evaluate_jet` always.  A float derivative part takes the IEEE
-operations that one element of an array part takes.  No simplification
-is performed beyond constant folding; correctness of rewrites is
-semantic (evaluation equality), not syntactic.
+operations that one element of an array part takes.
+
+A plain walk also takes :class:`Taylor` bindings: truncated bivariate
+Taylor polynomials in (dx, dy) of order ``TAYLOR_ORDER`` = 4 (Griewank &
+Walther, ch. 13), whose float coefficients the walk's plain instructions
+combine through the number's own operators, so one walk of a tape gives
+every partial derivative of orders 1 to 4 of its roots at a point.
+Products, reciprocals and the series of powers and elementary functions
+are straight-line rules generated once per polynomial degree; a function
+takes its first four derivatives from ``_FUNCS``.  Only the function and
+divisor checks look at the number type.  No simplification is performed
+beyond constant folding; correctness of rewrites is semantic (evaluation
+equality), not syntactic.
 
 At a float point a walk computes in Python floats: an elementary function
 of a float returns a float, and its domain check and the divisor checks
@@ -67,13 +78,17 @@ test the float directly.  A float operation that overflows (a power) or
 divides by zero (the reciprocal of a jet whose square underflowed, the
 derivative of ``sqrt`` or ``ln`` at 0) raises :class:`DomainError` on its
 node; numpy arrays overflow to inf as before.  Products past the float
-range are inf without a warning.
+range are inf without a warning.  A Taylor walk computes in Python floats
+too: the value of a power is a float power and raises where one does, a
+divisor or a reciprocal whose value is an exact zero raises, and every
+other coefficient that leaves the range is inf.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import sys
 import weakref
@@ -83,7 +98,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "Expr", "Jet2",
+    "Expr", "Jet2", "Taylor", "TAYLOR_ORDER",
     "ExprError", "ParseError", "ReservedNameError",
     "EvalError", "UnboundVariableError", "DomainError",
     "const", "var", "pi", "add", "sub", "mul", "div", "powi",
@@ -407,26 +422,43 @@ def _cot_derivs(b, y):
     s = 1.0 + y * y
     return -s, 2.0 * y * s
 
+def _artanh_derivs34(b, y):
+    d = 1.0 - b * b
+    return (2.0 + 6.0 * b * b) / (d * d * d), 24.0 * b * (1.0 + b * b) / (d * d * d * d)
+
+
+def _cot_derivs34(b, y):
+    s = 1.0 + y * y
+    return -2.0 * s * (1.0 + 3.0 * y * y), 8.0 * y * s * (2.0 + 3.0 * y * y)
+
+
 # The elementary functions of plain, jet and symbolic code: kind -> (phi,
 # (b, phi(b)) -> (phi'(b), phi''(b)), None or (mask of the points of b
-# outside the domain, message), (a, da) -> d phi(a) as an expression).
+# outside the domain, message), (a, da) -> d phi(a) as an expression,
+# (b, phi(b)) -> (phi'''(b), phi''''(b)) for Taylor numbers).
 _FUNCS = {
     "ln": (np.log, lambda b, y: (1.0 / b, -1.0 / (b * b)),
            (lambda b: b <= 0, "ln of non-positive value"),
-           lambda a, da: div(da, a)),
+           lambda a, da: div(da, a),
+           lambda b, y: (2.0 / (b * b * b), -6.0 / (b * b * b * b))),
     "sqrt": (np.sqrt, lambda b, y: (0.5 / y, -0.25 / (y * b)),
              (lambda b: b < 0, "sqrt of negative value"),
-             lambda a, da: div(da, mul(const(2), sqrt(a)))),
+             lambda a, da: div(da, mul(const(2), sqrt(a))),
+             lambda b, y: (0.375 / (y * b * b), -0.9375 / (y * b * b * b))),
     "sin": (np.sin, lambda b, y: (np.cos(b), -y), None,
-            lambda a, da: mul(cos(a), da)),
+            lambda a, da: mul(cos(a), da),
+            lambda b, y: (-np.cos(b), y)),
     "cos": (np.cos, lambda b, y: (-np.sin(b), -y), None,
-            lambda a, da: mul(const(-1), mul(sin(a), da))),
+            lambda a, da: mul(const(-1), mul(sin(a), da)),
+            lambda b, y: (np.sin(b), y)),
     "artanh": (np.arctanh, _artanh_derivs,
                (lambda b: abs(b) >= 1, "artanh outside (-1, 1)"),
-               lambda a, da: div(da, sub(ONE, powi(a, 2)))),
+               lambda a, da: div(da, sub(ONE, powi(a, 2))),
+               _artanh_derivs34),
     "cot": (lambda b: np.cos(b) / np.sin(b), _cot_derivs,
             (lambda b: abs(np.sin(b)) <= _COT_POLE, "cot at a pole"),
-            lambda a, da: mul(const(-1), mul(add(ONE, powi(cot(a), 2)), da))),
+            lambda a, da: mul(const(-1), mul(add(ONE, powi(cot(a), 2)), da)),
+            _cot_derivs34),
 }
 
 
@@ -547,6 +579,185 @@ class Jet2:
 
 
 # ---------------------------------------------------------------------------
+# order-4 bivariate Taylor numbers
+# ---------------------------------------------------------------------------
+
+# a Taylor number keeps the terms dx^i dy^j with i + j <= TAYLOR_ORDER
+TAYLOR_ORDER = 4
+# (i, j) of each coefficient, in graded order: by degree i + j, and within a
+# degree by falling i: 1, dx, dy, dx^2, dx dy, dy^2, dx^3, ...
+_MONOMIALS = tuple((d - j, j) for d in range(TAYLOR_ORDER + 1) for j in range(d + 1))
+_INDEX = {m: k for k, m in enumerate(_MONOMIALS)}
+# the number of coefficients of degree at most d, by d
+_PREFIX = tuple((d + 1) * (d + 2) // 2 for d in range(TAYLOR_ORDER + 1))
+# d^(i+j) / dx^i dy^j of dx^i dy^j
+_FACTORIALS = tuple(float(math.factorial(i) * math.factorial(j)) for i, j in _MONOMIALS)
+
+
+class Taylor(tuple):
+    """Truncated Taylor polynomial f(x + dx, y + dy) = sum of t[k] dx^i
+    dy^j over i + j <= ``TAYLOR_ORDER`` (Griewank & Walther, ch. 13): a
+    binding of a plain walk, or the value of a root in a walk with one.  It
+    is the tuple of its float coefficients in graded order (see
+    ``_MONOMIALS``) up to the polynomial's degree, so a variable has 3 and
+    x*y has 6, and a product of low-degree numbers computes only the terms
+    it can have; a quotient or a function has all of them.  The walk takes
+    its plain instructions, so a Taylor number supplies the arithmetic: a
+    sum, difference, product or quotient with a float or another Taylor
+    number, and an integer power.  Products, reciprocals and the series of
+    a power or a function are straight-line rules generated once per
+    degree (see :func:`_product_rule`)."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"Taylor({tuple.__repr__(self)})"
+
+    def partials(self):
+        """The 15 partial derivatives d^(i+j) f / dx^i dy^j at the point, in
+        graded order: each coefficient times i! j!."""
+        return tuple(map(operator.mul, self, _FACTORIALS)) + (0.0,) * (len(_MONOMIALS) - len(self))
+
+    def __add__(self, other):
+        if type(other) is not Taylor:
+            return Taylor((self[0] + other,) + self[1:])
+        return Taylor(_sum_rule(len(self), len(other), "+")(self, other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not Taylor:
+            return Taylor((self[0] - other,) + self[1:])
+        return Taylor(_sum_rule(len(self), len(other), "-")(self, other))
+
+    def __rsub__(self, other):
+        return Taylor((other - self[0],) + tuple([-x for x in self[1:]]))
+
+    def __mul__(self, other):
+        if type(other) is not Taylor:
+            return Taylor([other * x for x in self])
+        return Taylor(_product_rule(len(self), len(other))(self, other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is not Taylor:
+            return Taylor([x / other for x in self])
+        return self * Taylor(_reciprocal_rule(len(other))(other))
+
+    def __rtruediv__(self, other):
+        return other * Taylor(_reciprocal_rule(len(self))(self))
+
+    def __pow__(self, n):
+        """An integer power: f^n = sum of binomial(n, k) f0^(n - k) h^k
+        with h = f - f0, k <= min(n, TAYLOR_ORDER).  A negative power is
+        f0^n (1 + h/f0)^n, so the terms are scaled as h is; f0 is nonzero
+        there, which the walk checks.  f0^n raises as a float power does."""
+        f = self[0]
+        if n >= 0:
+            return _series(self, [b * f ** (n - k) for k, b in enumerate(_binomials(n))])
+        return f ** n * _series([x / f for x in self], _binomials(n))
+
+
+# bounded: the exponents come from the input
+@functools.lru_cache(maxsize=64)
+def _binomials(n):
+    """binomial(n, k) as floats for k <= min(n, TAYLOR_ORDER), or k <=
+    TAYLOR_ORDER where n < 0."""
+    out = [1]
+    for k in range(1, (min(n, TAYLOR_ORDER) if n >= 0 else TAYLOR_ORDER) + 1):
+        out.append(out[-1] * (n - k + 1) // k)
+    return tuple(map(float, out))
+
+
+def _series(c, phi):
+    """sum of phi[k] h^k, h = c - c[0], as a :class:`Taylor`."""
+    return Taylor(_series_rule(len(c), len(phi) - 1)(c, phi))
+
+
+def _product_texts(a, b, size):
+    """Texts of the first ``size`` graded coefficients of the product of two
+    polynomials, each a list of coefficient texts with None for a zero."""
+    out = []
+    for p, q in _MONOMIALS[:size]:
+        terms = []
+        for (i, j), x in zip(_MONOMIALS, a):
+            k = _INDEX.get((p - i, q - j), len(b))
+            if x is not None and k < len(b) and b[k] is not None:
+                terms.append(f"{x} * {b[k]}")
+        out.append(" + ".join(terms) if terms else None)
+    return out
+
+
+def _straight_line(params, lines, out):
+    """The function of ``params`` that runs ``lines`` and returns the tuple
+    of the texts ``out`` (None for 0.0)."""
+    values = "".join(f"{x or '0.0'}, " for x in out)
+    scope = {}
+    exec("\n    ".join([f"def rule({params}):", *lines, f"return ({values})"]), scope)
+    return scope["rule"]
+
+
+def _unpack(name, n):
+    return f"{''.join(f'{name}{k}, ' for k in range(n))}= {name}"
+
+
+@functools.lru_cache(maxsize=None)
+def _sum_rule(m, n, op):
+    """The rule f + g or f - g, by ``op``, of two Taylor numbers with m and
+    n coefficients."""
+    out = [f"f{k} {op} g{k}" if k < min(m, n) else f"f{k}" if k < m else f"{'' if op == '+' else '-'}g{k}"
+           for k in range(max(m, n))]
+    return _straight_line("f, g", [_unpack("f", m), _unpack("g", n)], out)
+
+
+@functools.lru_cache(maxsize=None)
+def _product_rule(m, n):
+    """The product rule of two Taylor numbers with m and n coefficients."""
+    f = [f"f{k}" for k in range(m)]
+    g = [f"g{k}" for k in range(n)]
+    size = _PREFIX[min(TAYLOR_ORDER, _PREFIX.index(m) + _PREFIX.index(n))]
+    return _straight_line("f, g", [_unpack("f", m), _unpack("g", n)],
+                          _product_texts(f, g, size))
+
+
+@functools.lru_cache(maxsize=None)
+def _reciprocal_rule(n):
+    """The reciprocal rule of a Taylor number with n coefficients:
+    r = 1/g0 and r_a = -r0 * sum of g_b r_(a - b) over 0 < b <= a."""
+    lines = [_unpack("g", n), "r0 = 1.0 / g0"]
+    r = ["r0"] + [None] * (len(_MONOMIALS) - 1)
+    g = [None] + [f"g{k}" for k in range(1, n)]
+    size = 1 if n == 1 else len(_MONOMIALS)
+    for k in range(1, size):
+        terms = _product_texts(g, r, k + 1)[k]
+        lines.append(f"r{k} = -r0 * ({terms})")
+        r[k] = f"r{k}"
+    return _straight_line("g", lines, r[:size])
+
+
+@functools.lru_cache(maxsize=None)
+def _series_rule(n, terms):
+    """The rule sum of phi[k] h^k over k <= ``terms`` of a Taylor number c
+    with n coefficients, h = c - c[0]: h^k is h^(k-1) h, each coefficient
+    a temporary, and h^k has no terms below degree k."""
+    h = [None] + [f"c{k}" for k in range(1, n)]
+    size = _PREFIX[min(TAYLOR_ORDER, _PREFIX.index(n) * terms)]
+    lines = [_unpack("c", n), _unpack("phi", terms + 1)]
+    powers = [h + [None] * (size - n)]
+    for k in range(2, terms + 1):
+        power = _product_texts(powers[-1], h, size)
+        for i, x in enumerate(power):
+            if x is not None:
+                lines.append(f"h{k}_{i} = {x}")
+                power[i] = f"h{k}_{i}"
+        powers.append(power)
+    out = ["phi0"] + [" + ".join(f"phi{k + 1} * {p[i]}" for k, p in enumerate(powers)
+                                 if p[i] is not None) or None for i in range(1, size)]
+    return _straight_line("c, phi", lines, out)
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
@@ -556,19 +767,29 @@ class _Fault(Exception):
 
 
 def _check_nonzero(b):
-    if b == 0 if isinstance(b, float) else np.any(np.asarray(b) == 0):
+    if (b == 0 if isinstance(b, float) else b[0] == 0 if isinstance(b, Taylor)
+            else np.any(np.asarray(b) == 0)):
         raise ZeroDivisionError
 
 
 def _function(rules, b):
     """The ``_FUNCS`` function with ``rules`` at ``b``, after its domain
     check.  A float argument gives a Python float, so a point walk does no
-    numpy scalar arithmetic."""
-    fn, _, check, _ = rules
+    numpy scalar arithmetic; a :class:`Taylor` argument gives its series
+    from the function's first four derivatives at its value, in floats."""
+    fn, derivs, check, _, derivs34 = rules
     if isinstance(b, float):
         if check is not None and check[0](b):
             raise _Fault(check[1])
         return float(fn(b))
+    if isinstance(b, Taylor):
+        f = b[0]
+        if check is not None and check[0](f):
+            raise _Fault(check[1])
+        y = float(fn(f))
+        d1, d2 = map(float, derivs(f, y))
+        d3, d4 = map(float, derivs34(f, y))
+        return _series(b, (y, d1, 0.5 * d2, d3 / 6.0, d4 / 24.0))
     if check is not None and np.any(check[0](np.asarray(b))):
         raise _Fault(check[1])
     return fn(b)
@@ -818,7 +1039,11 @@ def evaluate(e, bindings: dict):
     after its last read.  Values may be floats or numpy arrays, or
     :class:`Jet2` values; with any jet binding a quotient by a plain value
     is taken as a * (1/b), as in :func:`evaluate_jet`, and every root is a
-    jet, with zero derivative parts where no jet binding reaches it."""
+    jet, with zero derivative parts where no jet binding reaches it.
+    Values may also be floats and :class:`Taylor` numbers, not mixed with
+    arrays or jets: a root that a Taylor binding reaches is a Taylor
+    number, whose :meth:`Taylor.partials` are its derivatives, and any
+    other root a float."""
     layout = _layout(bindings, False)
     if isinstance(e, Expr):
         return _eval((e,), bindings, layout)[0]

@@ -2,17 +2,19 @@
 curvature with their derivatives, critical points of H, the foliation
 criterion, and the explicit cubic family.
 
-A surface keeps the 14 partial derivatives of u of orders 1 to 4 as one
-tuple of symbolic roots.  At a point they are one plain-float walk, and
-H, gradH, hessH, K and gradK are a fixed function of those 14 numbers
-(:func:`_curvatures`): order-2 bivariate Taylor arithmetic (Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13) on
-H = N w^(-3/2) and K = (u_xx u_yy - u_xy^2) w^(-2), with w = 1 + |grad u|^2,
-in Python floats.  So hessH is symmetric by construction, and Newton's
-method runs in plain floats.  A walk of u's derivatives whose power or
-quotient leaves the double range raises :class:`expr.DomainError`, an
-input error; a product past the range, in the walk or in the formula, is
-inf, which Newton's finiteness check refuses.
+A surface keeps u and nothing derived from it.  At a point, the 14
+partial derivatives of u of orders 1 to 4 come from one walk of u's own
+tape with x and y bound to order-4 bivariate Taylor numbers
+(:class:`expr.Taylor`; Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., SIAM 2008, ch. 13), and H, gradH, hessH, K and gradK are a fixed
+function of those 14 numbers (:func:`_curvatures`): order-2 bivariate
+Taylor arithmetic on H = N w^(-3/2) and K = (u_xx u_yy - u_xy^2) w^(-2),
+with w = 1 + |grad u|^2, in Python floats.  So hessH is symmetric by
+construction, and Newton's method runs in plain floats.  A walk of u
+whose power leaves the double range, or that divides by an exact zero,
+raises :class:`expr.DomainError`, an input error; a product past the
+range, in the walk or in the formula, is inf, which Newton's finiteness
+check refuses.
 
 Sign convention: H is anchored to the example family's closed-form
 dH/dx = -2(a - a^3 + 3 c1 + 9 a^2 c1 + 6 a^4 c1) / (1 + 2 a^2)^(5/2)
@@ -73,9 +75,8 @@ def gallery_params(a: float) -> GalleryParams:
 
 
 class GraphSurface:
-    """Immutable graph z = u(x, y) with the partial derivatives of u of
-    orders 1 to 4 as symbolic roots; curvatures are taken from them at a
-    point (:func:`curvature_at`), not stored."""
+    """Immutable graph z = u(x, y); curvatures are taken from u's Taylor
+    expansion at a point (:func:`curvature_at`), not stored."""
 
     def __init__(self, u: ex.Expr, name: str = ""):
         extra = ex.free_variables(u) - {"x", "y"}
@@ -83,14 +84,6 @@ class GraphSurface:
             raise ValueError(f"unbound surface parameters: {sorted(extra)}")
         self.u = u
         self.name = name
-        # u_x, u_y, then each order's y derivatives of the order below
-        # after the x derivative of its first root: 14 roots, in the order
-        # of _curvatures
-        roots = order = [ex.diff(u, "x"), ex.diff(u, "y")]
-        for _ in range(3):
-            order = [ex.diff(order[0], "x")] + ex.diff(order, "y")
-            roots = roots + order
-        self.derivatives = tuple(roots)
 
     def contains(self, x, y):
         (x0, x1), (y0, y1) = DOMAIN
@@ -140,10 +133,10 @@ def _chain(w, phi, d1, d2):
 
 def _curvatures(c):
     """(H, H_x, H_y, H_xx, H_xy, H_yy) and (K, K_x, K_y) at a point from
-    the 14 derivatives ``c`` of u there, in the order of
-    ``GraphSurface.derivatives``: u_x, u_y; u_xx, u_xy, u_yy; u_xxx, ...,
-    u_yyy; u_xxxx, ..., u_yyyy.  Plain float arithmetic: a product past the
-    double range is inf and does not raise."""
+    the 14 derivatives ``c`` of u there, in graded order: u_x, u_y; u_xx,
+    u_xy, u_yy; u_xxx, ..., u_yyy; u_xxxx, ..., u_yyyy.  Plain float
+    arithmetic: a product past the double range is inf and does not
+    raise."""
     p0, q0, r0, s0, t0, a30, a21, a12, a03, b40, b31, b22, b13, b04 = c
     # the expansions of u_x, u_y, u_xx, u_xy and u_yy about the point
     p = (p0, r0, s0, a30, a21, a12)
@@ -168,14 +161,22 @@ def _curvatures(c):
     return H, K
 
 
+def _derivatives(s: GraphSurface, x: float, y: float):
+    """The 14 partial derivatives of u of orders 1 to 4 at (x, y), in the
+    order of :func:`_curvatures`, from one walk of u with x and y bound to
+    Taylor numbers."""
+    u = ex.evaluate(s.u, {"x": ex.Taylor((x, 1.0, 0.0)), "y": ex.Taylor((y, 0.0, 1.0))})
+    # a u without x and y is a float
+    return u.partials()[1:] if isinstance(u, ex.Taylor) else (0.0,) * 14
+
+
 def curvature_at(s: GraphSurface, x: float, y: float) -> CurvatureData:
     """H, K, their gradients and the Hessian of H at a point, from one walk
-    of u's derivatives (see the module docstring).  The Hessian of H is
-    reported in coordinates; it is the covariant Hessian only where gradH
-    vanishes."""
+    of u (see the module docstring).  The Hessian of H is reported in
+    coordinates; it is the covariant Hessian only where gradH vanishes."""
     _check_inside(s, x, y)
     x, y = float(x), float(y)
-    c = ex.evaluate(s.derivatives, {"x": x, "y": y})
+    c = _derivatives(s, x, y)
     return _curvature_data(x, y, c, *_curvatures(c))
 
 
@@ -214,13 +215,13 @@ def find_critical_point(s: GraphSurface, guess=(0.0, 0.0)) -> CurvatureData:
     2x2 Cramer step; raises :class:`ValueError` for a guess that is not
     finite, :class:`DegenerateHessian` when the Hessian determinant drops
     below 1e-10 and :class:`NoConvergence` at an iterate where H, gradH or
-    hessH is not finite and after 50 steps.  Each iterate walks u's
-    derivatives once, so the converged walk supplies K too."""
+    hessH is not finite and after 50 steps.  Each iterate walks u once, so
+    the converged walk supplies K too."""
     x, y = map(float, guess)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("guess must be finite")
     for _ in range(NEWTON_MAX_ITER):
-        c = ex.evaluate(s.derivatives, {"x": x, "y": y})
+        c = _derivatives(s, x, y)
         H, K = _curvatures(c)
         if not all(map(math.isfinite, H)):
             raise NoConvergence(

@@ -88,7 +88,7 @@ class Jet:
 
 
 def _function(kind, a):
-    fn, derivs, _, _ = ex._FUNCS[kind]
+    fn, derivs = ex._FUNCS[kind][:2]
     b = a.f if isinstance(a, Jet) else a
     if isinstance(b, float):
         y = float(fn(b))

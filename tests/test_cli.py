@@ -214,9 +214,9 @@ class TestAnalyze:
         # u_x^2 = (2e198 + ...)^2 overflows to inf in the curvature formula
         ("a*x^2 + x*y + y^2", "a=1e200",
          "H or its derivatives not finite at Newton iterate (0.01, -0.01)"),
-        # u_xxx divides by the square of (a*(x + 2))^2, which underflows to 0
-        ("x*y + x^2 + y^2 + c/(a*(x + 2))", "a=1e-100, c=1e-200",
-         "division by zero in 'div' subexpression of 653 characters"),
+        # (a*(x + 2))^2 = 4e-400 underflows to 0, and u divides by it
+        ("x*y + x^2 + y^2 + c/(a*(x + 2))^2", "a=1e-200, c=1e-200",
+         "division by zero in 'div' subexpression of 419 characters"),
         # |grad u|^2 = 2e80: the curvatures and their derivatives are tiny
         ("a*x + a*y + x*y", "a=1e40",
          "critical point at (0.01, -0.01) has |det hessH| <= 1e-10"),
@@ -229,6 +229,37 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"hemifol: error: {message}\n"
+
+    def test_no_symbolic_differentiation(self, tmp_path, capsys, monkeypatch):
+        # u's derivatives come from a Taylor walk of u alone
+        def diff(e, name):
+            raise AssertionError("ex.diff called")
+        monkeypatch.setattr(ex, "diff", diff)
+        path = tmp_path / "s.surf"
+        path.write_text("name = s\nu = x*y + sqrt(4 + x^2) - cos(y)/3 + x^2/5 + 1/(3 + y)^2\n")
+        assert cli.main(["analyze", str(path), "--case", "cmc", "--guess", "0", "0"]) in (0, 1, 2)
+        assert cli.main(["analyze", str(_surface_file(tmp_path, 0.3)), "--case", "willmore"]) == 0
+        assert cli.main(["gallery"]) == 0
+        assert cli.main(["gallery", "--case", "cmc"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_quotient_foliates(self, tmp_path, capsys):
+        # the Taylor walk of u takes 1/(a*(x + 2)) by the reciprocal's
+        # recurrence, which forms no square of 2e-100, so this surface, whose
+        # symbolic third derivative divided by an underflowed square, has a
+        # verdict: the tiny term moves the critical point of x*y + x^2 + y^2
+        # by about 4e-15
+        path = tmp_path / "s.surf"
+        path.write_text("name = s\nu = x*y + x^2 + y^2 + c/(a*(x + 2))\n"
+                        "params: a=1e-100, c=1e-200\n")
+        assert cli.main(["analyze", str(path), "--case", "cmc"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[-1] == "verdict: Foliates"
+        x, y = map(float, lines[1].removeprefix("critical point: (").rstrip(")").split(", "))
+        assert 0.0 < x < 1e-14 and -1e-14 < y < 0.0
 
     @pytest.mark.parametrize("u, params, message", [
         # Fraction(1, 0) raised ZeroDivisionError, exit 1
@@ -279,6 +310,13 @@ class TestGallery:
         assert rows[0][4] == "Foliates"
         assert rows[2][4] == "DoesNotFoliate"
 
+    @pytest.mark.parametrize("value", ["-5e-1", "-5E-1", "-.5e0", "-5.e-1", "-0.05e+1"])
+    def test_negative_exponent_form_is_a_value(self, capsys, value):
+        assert cli.main(["gallery", "--a", "0.1", "-0.5"]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["gallery", "--a", "0.1", value]) == 0
+        assert capsys.readouterr().out == want
+
     def test_deterministic(self, capsys):
         cli.main(["gallery", "--a", "0.2", "0.4"])
         first = capsys.readouterr().out
@@ -303,6 +341,13 @@ class TestGallery:
 
 
 class TestLinearized:
+    def test_negative_exponent_form_is_a_value(self, capsys):
+        # argparse's own pattern reads -1e-3 as an option string
+        assert cli.main(["linearized", "--case", "cmc", "--k2=-1e-3"]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["linearized", "--case", "cmc", "--k2", "-1e-3"]) == 0
+        assert capsys.readouterr().out == want
+
     def test_cmc_report(self, capsys):
         assert cli.main(["linearized", "--case", "cmc",
                          "--k1", "1", "--k2", "0"]) == 0
@@ -826,7 +871,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("body", [
         "u = a*x^2 + x*y + y^2\nparams: a=1e200\n",
-        "u = x*y + x^2 + y^2 + c/(a*(x + 2))\nparams: a=1e-100, c=1e-200\n",
+        "u = x*y + x^2 + y^2 + c/(a*(x + 2))^2\nparams: a=1e-200, c=1e-200\n",
         "u = a*x + a*y + x*y\nparams: a=1e40\n",
         "u = x*y + x^2 + y^2 + (x+3)^600*(x+3)^600\n",
         "u = x*y + x^2 + y^2 + cot(x^155)\n",

@@ -1081,3 +1081,44 @@ def test_failing_walk_names_the_leftmost_failure():
     with pytest.raises(ex.UnboundVariableError) as err:
         ex.evaluate(ex.parse("a*(b + c*d)"), {})
     assert "'a'" in str(err.value)
+
+
+def _taylor_seeds(x, y):
+    return {"x": ex.Taylor((x, 1.0, 0.0)), "y": ex.Taylor((y, 0.0, 1.0))}
+
+
+@pytest.mark.parametrize("text, x, message", [
+    ("x*y + 1/(x - 1/2)", 0.5, "division by zero in subexpression '1/(x - 1/2)'"),
+    ("x*y + (x - 1/4)^-2", 0.25, "division by zero in subexpression '1/(x - 1/4)^2'"),
+    ("x*y + (x + 1)^2000", 1.0, "value outside the float range in subexpression '(x + 1)^2000'"),
+    ("x*y + ln(x)", -1.0, "ln of non-positive value in subexpression 'ln(x)'"),
+    ("y + sqrt(x - 1)", 0.5, "sqrt of negative value in subexpression 'sqrt(x - 1)'"),
+    ("artanh(x + y)", 1.0, "artanh outside (-1, 1) in subexpression 'artanh(x + y)'"),
+    ("cot(x*y)", 0.0, "cot at a pole in subexpression 'cot(x*y)'"),
+], ids=["quotient", "inverse-power", "power-overflow", "ln", "sqrt", "artanh", "cot"])
+@pytest.mark.filterwarnings("error")
+def test_taylor_walk_fails_where_a_float_walk_does(text, x, message):
+    # a Taylor walk checks each value as a float walk does, on the same node
+    e = ex.parse(text)
+    for bindings in ({"x": x, "y": 0.0}, _taylor_seeds(x, 0.0)):
+        with pytest.raises(ex.DomainError) as err:
+            ex.evaluate(e, bindings)
+        assert str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_taylor_walk_values_and_degrees():
+    # the value part is the float walk's value, and a polynomial keeps only
+    # the coefficients of its degree
+    e = ex.parse("x*y + 3*x^2 - y/2")
+    t = ex.evaluate(e, _taylor_seeds(0.25, -0.5))
+    assert type(t) is ex.Taylor and len(t) == 6
+    assert t[0] == ex.evaluate(e, {"x": 0.25, "y": -0.5})
+    assert t == (t[0], -0.5 + 1.5, 0.25 - 0.5, 3.0, 1.0, 0.0)
+    assert t.partials() == (t[0], 1.0, -0.25, 6.0, 1.0, 0.0) + (0.0,) * 9
+    # a quotient has every coefficient, all Python floats
+    q = ex.evaluate(ex.parse("1/(2 + x)"), _taylor_seeds(0.0, 0.0))
+    assert len(q) == len(ex._MONOMIALS) and {type(v) for v in q} == {float}
+    assert q.partials()[:11] == (0.5, -0.25, 0.0, 0.25, 0.0, 0.0, -0.375, 0.0, 0.0, 0.0, 0.75)
+    # a root that no Taylor binding reaches is a float
+    assert ex.evaluate([ex.parse("5/2"), e], _taylor_seeds(0.25, -0.5))[0] == 2.5

@@ -356,17 +356,79 @@ class TestLanesBitIdentical:
             assert _lane_bits(got, k) == _lane_bits(_array_lane_jet(e, 0.1, 0.2), k)
 
 
+def _symbolic_derivatives(u):
+    """u's 14 partial derivatives of orders 1 to 4 as expressions, in the
+    order of ``gs._curvatures``, from 8 ``diff`` calls: u_x, u_y, then each
+    order's x derivative of its first entry and y derivatives of all."""
+    roots = order = [ex.diff(u, "x"), ex.diff(u, "y")]
+    for _ in range(3):
+        order = [ex.diff(order[0], "x")] + ex.diff(order, "y")
+        roots = roots + order
+    return roots
+
+
+class TestTaylorAgainstDiff:
+    """The 14 derivatives of one Taylor walk of u against a plain walk of
+    u's symbolic derivatives: each agrees to 1e-13 of the largest derivative
+    of its order."""
+
+    # every _FUNCS entry, positive and negative powers, quotients, nesting
+    SURFACES = [
+        "ln(3 + x - y^2) + x^2", "sqrt(2 + x^2 + x*y)", "sin(x)*cos(y) + x*y/2",
+        "artanh(x*y/2 + x/3)", "cot(1 + x - y/2)", "(x - 2*y)^5 + x^3*y^2",
+        "(1 + x*y)^7 - y^4", "x*y/(2 + x)^2 + (2 + x + y)^-3", "(1 + x^2 + y^2)^-1",
+        "(x - y/3)/(2 + x*y + y^2)", "1/(3 + x) - y/(2 - x*y)",
+        "sqrt(1 + sin(x*y)^2) + ln(2 + cos(x - y))", "cot(x^2 + 1/2)^3/(1 + y^2)",
+        "artanh(y/2 + 3/4)^-2 + x",
+    ]
+
+    @staticmethod
+    def _agree(s, points):
+        roots = _symbolic_derivatives(s.u)
+        for x, y in points:
+            x, y = float(x), float(y)
+            want = ex.evaluate(roots, {"x": x, "y": y})
+            got = gs._derivatives(s, x, y)
+            for lo, hi in ((0, 2), (2, 5), (5, 9), (9, 14)):
+                scale = max(abs(w) for w in want[lo:hi])
+                for k in range(lo, hi):
+                    assert abs(got[k] - want[k]) <= 1e-13 * scale, (ex.to_string(s.u), x, y, k)
+
+    @pytest.mark.parametrize("u", SURFACES)
+    def test_functions_powers_quotients(self, u):
+        rng = np.random.default_rng(len(u))
+        self._agree(gs.GraphSurface(ex.parse(u)), rng.uniform(-0.45, 0.45, (4, 2)))
+
+    @pytest.mark.parametrize("a", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_gallery(self, a):
+        self._agree(gs.gallery_surface(a), [(0.0, 0.0), (0.3, -0.2), (-0.05, 0.41)])
+
+    def test_translated_cubics(self):
+        rng = np.random.default_rng(2)
+        for _ in range(8):
+            a = float(rng.uniform(0.0, 0.55))
+            x0, y0 = (round(float(v), 6) for v in rng.uniform(-0.3, 0.3, 2))
+            s = _translated_gallery(a, x0, y0)
+            self._agree(s, [(x0, y0), (x0 + 0.005, y0 - 0.005)] + list(rng.uniform(-0.5, 0.5, (2, 2))))
+
+    def test_constant_and_linear_u(self):
+        # a u without x and y walks to a float: every derivative is 0
+        assert gs._derivatives(gs.GraphSurface(ex.parse("3/2")), 0.1, 0.2) == (0.0,) * 14
+        assert gs._derivatives(gs.GraphSurface(ex.parse("2*x - y")), 0.1, 0.2) == (
+            (2.0, -1.0) + (0.0,) * 12)
+
+
 class TestJointWalk:
-    """Each Newton iterate walks u's 14 derivatives together, once."""
+    """Each Newton iterate walks u once."""
 
     def test_h_failure_named_as_before(self):
-        # Newton names the node that a walk of u's derivatives alone names:
+        # Newton names the node that a plain walk of u alone names:
         # the first failing one in left-to-right order
         s = gs.GraphSurface(ex.parse("x*y + x^2 + y^2 + ln(x + 1/2)^3"))
         with pytest.raises(ex.DomainError) as newton:
             gs.find_critical_point(s, (-0.75, 0.0))
         with pytest.raises(ex.DomainError) as alone:
-            ex.evaluate(s.derivatives, {"x": -0.75, "y": 0.0})
+            ex.evaluate(s.u, {"x": -0.75, "y": 0.0})
         assert str(newton.value) == str(alone.value)
         assert str(alone.value) == "ln of non-positive value in subexpression 'ln(x + 1/2)'"
 
