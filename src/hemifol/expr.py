@@ -15,7 +15,7 @@ keeps its children alive, so the child ids in its table key stay valid.
 A node caches only its compiled evaluation program, which lives and dies
 with it.  A program holds no node, and it refers to the other roots it was
 compiled for only weakly, so it forms no reference cycle; it is kept for
-those roots and one layout of jet bindings (see below).  No node keeps a
+those roots and one quotient rule (see below).  No node keeps a
 derivative: the derivative of sqrt(a) contains sqrt(a), so a cached one
 would form a cycle; each :func:`diff` call keeps its own memo instead.  So
 a DAG that nothing uses is freed at once by reference counting.  Whatever
@@ -44,31 +44,31 @@ its nodes, so the subexpression that a :class:`DomainError` names does not
 either.  :func:`evaluate` takes one root or a sequence of roots; a
 subexpression shared between roots is computed once.
 
-A walk computes plain floats and numpy arrays.  Order-2 jets, (f, f',
-f'') in one deformation parameter, are a transform of the tape (Griewank
-& Walther, ch. 13): the bindings that are :class:`Jet2` records name the
-jet variables, and the program compiled for that layout gives each node
-that a jet reaches 3 slots, its value and its first and second
-derivative parts, which one fused instruction per node updates.  Every
-other subexpression stays a plain float or array, so derivative work is
-done only where a jet is present.  The value parts equal those of
-lifting every binding to a jet, because a plain quotient in such a walk
-is taken as a * (1/b), as a jet with zero derivative parts divides; the
+A walk runs the same instructions over every number type: floats, numpy
+arrays, and two kinds of truncated Taylor numbers (Griewank & Walther,
+ch. 13) that combine their parts through their own operators.  Only the
+function and divisor checks look at the number type.
+
+Order-2 jets, :class:`Jet2` values (f, f', f'') in one deformation
+parameter, have float or array parts.  A subexpression that no jet binding
+reaches stays a plain float or array, so derivative work is done only
+where a jet is present.  The value parts equal those of lifting every
+binding to a jet, because a quotient in a walk with a jet binding is taken
+as a * (1.0 / b), as a jet with zero derivative parts divides; the
 derivative parts are equal after broadcasting, apart from the sign of
 exact zeros and the NaN that a skipped ``f * 0.0`` made of a non-finite
 ``f``.  :func:`evaluate` takes that rule whenever a binding is a jet, and
-:func:`evaluate_jet` always.  A float derivative part takes the IEEE
-operations that one element of an array part takes.
+:func:`evaluate_jet` always, so a program is compiled per quotient rule.
+A float derivative part takes the IEEE operations that one element of an
+array part takes.
 
-A plain walk also takes :class:`Taylor` bindings: truncated bivariate
-Taylor polynomials in (dx, dy) of order ``TAYLOR_ORDER`` = 4 (Griewank &
-Walther, ch. 13), whose float coefficients the walk's plain instructions
-combine through the number's own operators, so one walk of a tape gives
-every partial derivative of orders 1 to 4 of its roots at a point.
-Products, reciprocals and the series of powers and elementary functions
-are straight-line rules generated once per polynomial degree; a function
-takes its first four derivatives from ``_FUNCS``.  Only the function and
-divisor checks look at the number type.  No simplification is performed
+:class:`Taylor` numbers are truncated bivariate Taylor polynomials in
+(dx, dy) of order ``TAYLOR_ORDER`` = 4 with float coefficients, not mixed
+with arrays or jets, so one walk of a tape gives every partial derivative
+of orders 1 to 4 of its roots at a point.  Products, reciprocals and the
+series of powers and elementary functions are straight-line rules
+generated once per polynomial degree; a function takes its first four
+derivatives from ``_FUNCS``.  No simplification is performed
 beyond constant folding; correctness of rewrites is semantic (evaluation
 equality), not syntactic.
 
@@ -562,12 +562,19 @@ def diff(e, name: str):
 # ---------------------------------------------------------------------------
 
 class Jet2:
-    """Truncated Taylor value f(eps) = f + d1*eps + d2/2*eps^2 + O(eps^3): a
-    jet binding of a walk, or the value of a root in a walk with one.  Parts
-    are floats or numpy arrays.  The walk does the arithmetic (see
-    :func:`_compile`)."""
+    """Truncated Taylor value f(eps) = f + d1*eps + d2/2*eps^2 + O(eps^3)
+    (Griewank & Walther, ch. 13): a jet binding of a walk, or the value of
+    a root in a walk with one.  Parts are floats or numpy arrays.  The walk
+    takes its plain instructions, so a jet supplies the arithmetic: a sum,
+    difference or product with a plain value or another jet, the
+    reciprocal 1.0 / jet that a quotient is taken through, and an integer
+    power.  A plain operand has zero derivative parts, and no product with
+    them is formed: it scales a jet's parts, a sum with it keeps them, and
+    plain - jet takes 0.0 - d.  Numpy defers to the reflected operators,
+    so ``ndarray * Jet2`` is a jet, not an object array."""
 
     __slots__ = ("f", "d1", "d2")
+    __array_ufunc__ = None
 
     def __init__(self, f, d1=0.0, d2=0.0):
         self.f = f
@@ -576,6 +583,46 @@ class Jet2:
 
     def __repr__(self):
         return f"Jet2({self.f}, {self.d1}, {self.d2})"
+
+    def __add__(self, o):
+        if type(o) is not Jet2:
+            return Jet2(self.f + o, self.d1, self.d2)
+        return Jet2(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is not Jet2:
+            return Jet2(self.f - o, self.d1, self.d2)
+        return Jet2(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2)
+
+    def __rsub__(self, o):
+        return Jet2(o - self.f, 0.0 - self.d1, 0.0 - self.d2)
+
+    def __mul__(self, o):
+        if type(o) is not Jet2:
+            return Jet2(self.f * o, self.d1 * o, self.d2 * o)
+        f, p, c, g, q, e = self.f, self.d1, self.d2, o.f, o.d1, o.d2
+        return Jet2(f * g, f * q + p * g, f * e + 2.0 * p * q + c * g)
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, one):
+        """1.0 / jet: a walk takes a quotient as a * (1.0 / b), once it has
+        checked that b's value is nonzero, and forms no other."""
+        if type(one) is not float or one != 1.0:
+            return NotImplemented
+        g = self.f
+        return self._chain(1.0 / g, -1.0 / (g * g), 2.0 / (g * g * g))
+
+    def __pow__(self, n):
+        f = self.f
+        return self._chain(f ** n, n * f ** (n - 1), n * (n - 1) * f ** (n - 2))
+
+    def _chain(self, f0, f1, f2):
+        """phi of this jet, from phi(f), phi'(f) and phi''(f)."""
+        p = self.d1
+        return Jet2(f0, f1 * p, f2 * p * p + f1 * self.d2)
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +814,17 @@ class _Fault(Exception):
 
 
 def _check_nonzero(b):
-    if (b == 0 if isinstance(b, float) else b[0] == 0 if isinstance(b, Taylor)
-            else np.any(np.asarray(b) == 0)):
+    """Raise ZeroDivisionError where ``b``, or the value of a Taylor
+    number or a jet, is zero."""
+    if isinstance(b, float):
+        zero = b == 0
+    elif isinstance(b, Taylor):
+        zero = b[0] == 0
+    elif isinstance(b, Jet2):
+        return _check_nonzero(b.f)
+    else:
+        zero = np.any(np.asarray(b) == 0)
+    if zero:
         raise ZeroDivisionError
 
 
@@ -776,7 +832,10 @@ def _function(rules, b):
     """The ``_FUNCS`` function with ``rules`` at ``b``, after its domain
     check.  A float argument gives a Python float, so a point walk does no
     numpy scalar arithmetic; a :class:`Taylor` argument gives its series
-    from the function's first four derivatives at its value, in floats."""
+    from the function's first four derivatives at its value, in floats;
+    a :class:`Jet2` argument gives its jet from the function's value and
+    first two derivatives at its value, which is checked as a plain
+    argument is, and whose float parts stay floats."""
     fn, derivs, check, _, derivs34 = rules
     if isinstance(b, float):
         if check is not None and check[0](b):
@@ -790,143 +849,50 @@ def _function(rules, b):
         d1, d2 = map(float, derivs(f, y))
         d3, d4 = map(float, derivs34(f, y))
         return _series(b, (y, d1, 0.5 * d2, d3 / 6.0, d4 / 24.0))
+    if isinstance(b, Jet2):
+        f = b.f
+        y = _function(rules, f)
+        d1, d2 = derivs(f, y)
+        if isinstance(f, float):
+            d1, d2 = float(d1), float(d2)
+        return b._chain(y, d1, d2)
     if check is not None and np.any(check[0](np.asarray(b))):
         raise _Fault(check[1])
     return fn(b)
 
 
-# The order-2 rules of a node that a jet reaches (Griewank & Walther,
-# ch. 13), by (kind, whether the first operand is a jet, whether the second
-# is, None for a power's exponent or a function's rules y): (statements,
-# value, first and second derivative part).  f, p and c are the first
-# operand's value and parts, g, q and e the second's.  Each part takes
-# these IEEE operations in this order.  No product with a plain operand's
-# zero parts is formed: a sum with a plain value keeps the jet's parts (the
-# jet's value first), plain - jet takes 0.0 - q, and a product with a
-# plain value scales the jet's parts (the jet's part first).  A quotient by
-# a plain g is a * (1/g).
-_RECIPROCAL = ("_check_nonzero(g)", "r, r1, r2 = 1.0 / g, -1.0 / (g * g), 2.0 / (g * g * g)")
-_POWER = ("if y < 0:", "    _check_nonzero(f)",
-          "f0, f1, f2 = f ** y, y * f ** (y - 1), y * (y - 1) * f ** (y - 2)")
-_FUNCTION = ("f0 = _function(y, f)", "f1, f2 = y[1](f, f0)",
-             "if isinstance(f, float):", "    f1, f2 = float(f1), float(f2)")
-_CHAIN = ("f0", "f1 * p", "f2 * p * p + f1 * c")
-_RULES = {
-    ("add", True, True): ((), "f + g", "p + q", "c + e"),
-    ("add", True, False): ((), "f + g", "p", "c"),
-    ("add", False, True): ((), "g + f", "q", "e"),
-    ("sub", True, True): ((), "f - g", "p - q", "c - e"),
-    ("sub", True, False): ((), "f - g", "p", "c"),
-    ("sub", False, True): ((), "f - g", "0.0 - q", "0.0 - e"),
-    ("mul", True, True): ((), "f * g", "f * q + p * g",
-                          "f * e + 2.0 * p * q + c * g"),
-    ("mul", True, False): ((), "f * g", "p * g", "c * g"),
-    ("mul", False, True): ((), "g * f", "q * f", "e * f"),
-    # 1/g has the parts r1 * q and r2 * q * q + r1 * e
-    ("div", True, True): (_RECIPROCAL, "f * r", "f * (r1 * q) + p * r",
-                          "f * (r2 * q * q + r1 * e) + 2.0 * p * (r1 * q)"
-                          " + c * r"),
-    ("div", True, False): (("_check_nonzero(g)", "r = 1.0 / g"), "f * r", "p * r", "c * r"),
-    ("div", False, True): (_RECIPROCAL, "r * f", "(r1 * q) * f",
-                           "(r2 * q * q + r1 * e) * f"),
-    ("pow", True, None): (_POWER, *_CHAIN),
-    ("func", True, None): (_FUNCTION, *_CHAIN),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _fused(kind, left, right, drop_x, drop_y):
-    """``_RULES[kind, left, right]`` as a function rule(v, o, (x, y)) that
-    reads its operands' slots x and y of the slot list v, clears those of
-    each operand whose drop flag is set (read there for the last time),
-    writes the derivative parts of the node at slot o and returns its
-    value, in one call: ``("mul", True, False)`` that drops neither operand
-    is ``x, y = args; f, p, c = v[x:x + 3]; g = v[y]; v[o + 1:o + 3] =
-    (p * g, c * g,); return f * g``."""
-    head, value, *derivatives = _RULES[kind, left, right]
-    reads, clears = [], []
-    for slot, names, jet, drop in zip("xy", ("fpc", "gqe"), (left, right), (drop_x, drop_y)):
-        if jet is None:
-            continue
-        span = f"v[{slot}:{slot} + 3]" if jet else f"v[{slot}]"
-        reads.append(f"{', '.join(names if jet else names[0])} = {span}")
-        clears += [f"{span} = {'_GAP' if jet else 'None'}"] if drop else []
-    lines = ["def rule(v, o, args):", "x, y = args", *reads, *clears, *head,
-             f"v[o + 1:o + 3] = ({', '.join(derivatives)},)", f"return {value}"]
-    scope = {"_check_nonzero": _check_nonzero, "_function": _function, "_GAP": (None,) * 3}
-    exec("\n    ".join(lines), scope)
-    return scope["rule"]
-
-
 # opcodes of a program's instructions, the most frequent first
-_JET, _MUL, _ADD, _SUB, _POW, _DIV, _FUNC, _VAR, _FAIL = range(9)
+_MUL, _ADD, _SUB, _POW, _DIV, _FUNC, _VAR, _FAIL = range(8)
 _OPCODES = {"mul": _MUL, "add": _ADD, "sub": _SUB, "div": _DIV, "pow": _POW, "func": _FUNC}
 
-# the layouts of walks without jets, without and with the jet quotient rule
-_PLAIN = (frozenset(), False)
-_RECIP = (frozenset(), True)
 
+def _compile(roots, recip=False, by_need=True):
+    """The program of ``roots`` and its nodes, one slot for each, in
+    :func:`_postorder` order (by need, or left to right).
 
-def _layout(bindings, recip):
-    """(names bound to jets, whether a quotient by a plain value is
-    a * (1/b)) of a walk of ``bindings``: ``recip``, or any jet binding,
-    sets the quotient rule."""
-    names = frozenset(name for name, j in bindings.items() if isinstance(j, Jet2))
-    return (names, True) if names else _RECIP if recip else _PLAIN
-
-
-def _compile(roots, layout=_PLAIN, by_need=True):
-    """The program of ``roots`` for ``layout`` (see :func:`_layout`) and
-    the nodes of its slots, in :func:`_postorder` order (by need, or left
-    to right).  A node that a jet binding reaches has 3 slots in a row,
-    its value and its first and second derivative parts, and so has every
-    root of a walk with jets (zero parts where no jet reaches it); any
-    other node has one.
-
-    A program is (slots, code, outs, has_jets, recip).  ``slots`` holds the
-    first value of each slot: the float of a constant or ``pi``, a zero
-    part, else None.  ``code`` has one instruction for each other node, in
-    order: (opcode, slot, a, b, drops).  a and b are the operands' slots;
-    a power has its exponent as b, a function its ``_FUNCS`` rules as b, a
-    variable its name as a and whether it is a jet as b, and a constant
-    past the float range its message as a.  drops are the slots of
-    computed values last read there, or None; the roots' values are kept.
-    A node that a jet reaches, other than a variable, is a ``_JET``
-    instruction: b is its rule from :func:`_fused`, which also drops its
-    operands, and a is (a, b).  ``outs`` are the roots' slots,
-    ``has_jets`` whether the walk has jet bindings, and ``recip`` takes a quotient by a
-    plain value as a * (1/b)."""
-    names, recip = layout
+    A program is (slots, code, outs, recip).  ``slots`` holds the first
+    value of each slot: the float of a constant or ``pi``, else None.
+    ``code`` has one instruction for each other node, in order: (opcode,
+    slot, a, b, drops).  a and b are the operands' slots; a power has its
+    exponent as b, a function its ``_FUNCS`` rules as b, a variable its
+    name as a, and a constant past the float range its message as a.
+    drops are the slots of computed values last read there, or None; the
+    roots' values are kept.  ``outs`` are the roots' slots, and ``recip``
+    takes every quotient as a * (1.0 / b)."""
     order = _postorder(roots, by_need=by_need)
-    if names:
-        pos, jets, size, rooted = {}, set(), 0, set(roots)
-        for node in order:
-            pos[node] = size
-            args = node.args
-            if (args[0] in jets or args[-1] in jets if args
-                    else node.kind == "var" and node.payload in names):
-                jets.add(node)
-                size += 3
-            else:
-                size += 3 if node in rooted else 1
-    else:
-        pos, jets, size = {n: i for i, n in enumerate(order)}, (), len(order)
+    pos = {n: i for i, n in enumerate(order)}
     outs = tuple(pos[r] for r in roots)
-    slots, code, nodes = [None] * size, [], [None] * size
+    slots, code = [None] * len(order), []
     # backwards, so that the first read met is the last one
     read = set(outs)
     for node in reversed(order):
         i = pos[node]
-        nodes[i] = node
-        jet = node in jets
-        if names and not jet and i in outs:
-            slots[i + 1:i + 3] = 0.0, 0.0
         if node.value is not None:
             slots[i] = node.value
             continue
         k, args = node.kind, node.args
         if not args:
-            code.append((_VAR, i, node.payload, jet, None) if k == "var" else
+            code.append((_VAR, i, node.payload, None, None) if k == "var" else
                         (_FAIL, i, "constant outside the float range", None, None))
             continue
         x, y = args[0], args[-1]
@@ -937,46 +903,41 @@ def _compile(roots, layout=_PLAIN, by_need=True):
         read.add(b)
         if len(args) == 1:
             k, b = ("pow", node.payload) if k == "pow" else ("func", _FUNCS[k])
-        if jet:
-            rule = (_fused(k, True, None, dx, False) if len(args) == 1
-                    else _fused(k, x in jets, y in jets, dx, dy))
-            code.append((_JET, i, (a, b), rule, None))
-        else:
-            drops = (a, b) if dx and dy else (a,) if dx else (b,) if dy else None
-            code.append((_OPCODES[k], i, a, b, drops))
+        drops = (a, b) if dx and dy else (a,) if dx else (b,) if dy else None
+        code.append((_OPCODES[k], i, a, b, drops))
     code.reverse()
-    return (slots, code, outs, bool(names), recip), nodes
+    return (slots, code, outs, recip), order
 
 
-def _program(roots, layout):
-    """The by-need program of ``roots`` for ``layout``, cached on the first
-    root and keyed by the layout and by weak references to the other
-    roots, so a root that dies invalidates it and no cache keeps a root
-    alive."""
+def _program(roots, recip):
+    """The by-need program of ``roots`` with quotient rule ``recip``,
+    cached on the first root and keyed by the rule and by weak references
+    to the other roots, so a root that dies invalidates it and no cache
+    keeps a root alive.  Walks of every number type share it."""
     head, rest = roots[0], roots[1:]
     cached = head.program
     if cached is not None:
         refs, key, program = cached
-        if key == layout and len(refs) == len(rest) and all(
+        if key == recip and len(refs) == len(rest) and all(
                 r() is e for r, e in zip(refs, rest)):
             return program
-    program = _compile(roots, layout)[0]
-    head.program = (tuple(map(weakref.ref, rest)), layout, program)
+    program = _compile(roots, recip)[0]
+    head.program = (tuple(map(weakref.ref, rest)), recip, program)
     return program
 
 
 def _run(program, bindings, nodes=None):
-    """The values of a program's roots; in a walk with jets, each a
-    :class:`Jet2`.  A failure raises :class:`DomainError` on its node from
-    ``nodes``, or :class:`_Fault` without them."""
-    slots, code, outs, has_jets, recip = program
+    """The values of a program's roots.  Each instruction is one float or
+    array operation, which a :class:`Jet2` or :class:`Taylor` operand
+    takes through its own operators.  A failure raises
+    :class:`DomainError` on its node from ``nodes``, or :class:`_Fault`
+    without them."""
+    slots, code, outs, recip = program
     v = slots.copy()
     # Python floats raise where numpy arrays overflow to inf
     try:
         for op, out, a, b, drops in code:
-            if op == _JET:
-                r = b(v, out, a)
-            elif op == _MUL:
+            if op == _MUL:
                 r = v[a] * v[b]
             elif op == _ADD:
                 r = v[a] + v[b]
@@ -998,9 +959,6 @@ def _run(program, bindings, nodes=None):
                     r = bindings[a]
                 except KeyError:
                     raise UnboundVariableError(a) from None
-                if b:
-                    v[out + 1:out + 3] = r.d1, r.d2
-                    r = r.f
             else:
                 raise _Fault(a)
             v[out] = r
@@ -1014,52 +972,57 @@ def _run(program, bindings, nodes=None):
                    else "division by zero" if isinstance(err, ZeroDivisionError)
                    else "value outside the float range")
         raise DomainError(message, nodes[out]) from None
-    if has_jets:
-        return [Jet2(v[k], v[k + 1], v[k + 2]) for k in outs]
     return [v[k] for k in outs]
 
 
-def _eval(roots, bindings, layout):
-    """Values of ``roots`` from their cached program for ``layout``.  Of
-    several failing subexpressions, the one a left-to-right walk meets
-    first raises: a failed run is repeated on that order's program."""
+def _eval(roots, bindings, recip):
+    """Values of ``roots`` from their cached program with quotient rule
+    ``recip``.  Of several failing subexpressions, the one a left-to-right
+    walk meets first raises: a failed run is repeated on that order's
+    program."""
     if not roots:
         return []
     try:
-        return _run(_program(roots, layout), bindings)
+        return _run(_program(roots, recip), bindings)
     except (_Fault, UnboundVariableError):
         pass
-    program, nodes = _compile(roots, layout, by_need=False)
+    program, nodes = _compile(roots, recip, by_need=False)
     return _run(program, bindings, nodes)
+
+
+def _jet(value):
+    """A root of a walk with jets: a plain value has zero parts."""
+    return value if isinstance(value, Jet2) else Jet2(value)
 
 
 def evaluate(e, bindings: dict):
     """IEEE-double evaluation of one expression, or of a sequence of
     expressions into a list of values; each intermediate value is dropped
     after its last read.  Values may be floats or numpy arrays, or
-    :class:`Jet2` values; with any jet binding a quotient by a plain value
-    is taken as a * (1/b), as in :func:`evaluate_jet`, and every root is a
-    jet, with zero derivative parts where no jet binding reaches it.
-    Values may also be floats and :class:`Taylor` numbers, not mixed with
-    arrays or jets: a root that a Taylor binding reaches is a Taylor
-    number, whose :meth:`Taylor.partials` are its derivatives, and any
-    other root a float."""
-    layout = _layout(bindings, False)
-    if isinstance(e, Expr):
-        return _eval((e,), bindings, layout)[0]
-    return _eval(tuple(e), bindings, layout)
+    :class:`Jet2` values; with any jet binding every quotient is taken as
+    a * (1.0 / b), as in :func:`evaluate_jet`, and every root is a jet,
+    with zero derivative parts where no jet binding reaches it.  Values
+    may also be floats and :class:`Taylor` numbers, not mixed with arrays
+    or jets: a root that a Taylor binding reaches is a Taylor number,
+    whose :meth:`Taylor.partials` are its derivatives, and any other root
+    a float."""
+    jets = any(isinstance(j, Jet2) for j in bindings.values())
+    roots = (e,) if isinstance(e, Expr) else tuple(e)
+    values = _eval(roots, bindings, jets)
+    if jets:
+        values = list(map(_jet, values))
+    return values[0] if isinstance(e, Expr) else values
 
 
 def evaluate_jet(e: Expr, bindings: dict) -> Jet2:
     """Evaluate one expression with order-2 jets into a :class:`Jet2`, as
     :func:`evaluate` does with a jet binding, but with the quotient rule
-    a * (1/b) even without one.  Against lifting every binding to a jet,
-    the value part is equal and the derivative parts are equal after
-    broadcasting (they may be scalars where lifting gave arrays), apart
-    from the sign of exact zeros and NaN from non-finite values."""
-    layout = _layout(bindings, True)
-    value = _eval((e,), bindings, layout)[0]
-    return value if layout[0] else Jet2(value)
+    a * (1.0 / b) even without one, so the two share one program.
+    Against lifting every binding to a jet, the value part is equal and
+    the derivative parts are equal after broadcasting (they may be
+    scalars where lifting gave arrays), apart from the sign of exact
+    zeros and NaN from non-finite values."""
+    return _jet(_eval((e,), bindings, True)[0])
 
 
 # ---------------------------------------------------------------------------

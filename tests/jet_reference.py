@@ -1,12 +1,13 @@
 """Order-2 jets as a number type with overloaded operators, and a walk of
-an expression DAG in that type: the reference that the jet instructions of
-``expr``'s evaluation tape are compared against, bit for bit.
+an expression DAG in that type: the reference that ``expr``'s jet walks
+are compared against, bit for bit.
 
-:class:`Jet` is the arithmetic the library's jets had before its tape did
-jets itself, and :func:`walk` is that walk: every node is computed from
-its operands' values, and a value is a :class:`Jet` exactly where a jet
-binding reaches it.  Lanes are parts that are length-L arrays.  There are
-no domain checks: compare where the walk is defined.
+:func:`walk` computes every node from its operands' values, node by node,
+with no program, so it is independent of the tape's slots, drops and
+evaluation order; a value is a :class:`Jet` exactly where a jet binding
+reaches it.  :class:`Jet` spells out each part's IEEE operations, in
+order.  Lanes are parts that are length-L arrays.  There are no domain
+checks: compare where the walk is defined.
 """
 
 from __future__ import annotations

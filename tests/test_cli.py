@@ -485,6 +485,22 @@ class TestFoliate:
         assert code == 1
         assert [r["status"] for r in records if "status" in r][0] == "ray-misses"
 
+    @pytest.mark.parametrize("check", ["crossing", pytest.param("verdict", marks=pytest.mark.xfail(
+        strict=True, reason="open defect, ROADMAP item 13: foliate tests only "
+                            "consecutive and skip-one pairs of its lambda grid"))])
+    def test_crossing_pair_overlaps(self, tmp_path, capsys, check):
+        # for constant f1, leaves lam < mu cross iff v + f1 (lam + mu) > 1,
+        # here lam + mu > 0.0972: leaves 0.048 and 0.05 cross, so the family
+        # does not foliate.  Once foliate finds such a pair, the strict
+        # xfail fails, and its marker is to be removed
+        path = _family_file(tmp_path, 0.972, shift="0.288", lam_max=0.05)
+        if check == "crossing":
+            fam, _ = fo.load_family_file(path)
+            assert fo.leaves_intersect(fam, 0.048, 0.05).intersects
+        else:
+            assert cli.main(["foliate", str(path)]) == 1
+            assert json.loads(capsys.readouterr().out.splitlines()[-1])["verdict"] == "Overlaps"
+
     @pytest.mark.parametrize("v, f1", [
         (1.011290136625749, -0.2275), (1.0003322523382998, -0.1513)])
     def test_constructed_pair_near_v1(self, tmp_path, capsys, v, f1):

@@ -522,19 +522,22 @@ def test_release_edge_cases():
     assert ex.evaluate(x, b) is xs
     assert ex.evaluate_jet(x, {"x": ex.Jet2(xs, 1.0, 0.0)}).f is xs
     # the program drops each computed value but the root's once, holds no
-    # node, and serves a second evaluation
+    # node, and serves a second evaluation; a jet walk runs the program of
+    # its quotient rule, one slot per node, with the same drops
     e = ex.ln(sq + y) * ex.cos(a) - a / (y + ex.ONE)
-    first = ex.evaluate(e, b)
-    refs, layout, program = e.program
-    (slots, code, outs, has_jets, recip), nodes = ex._compile((e,))
-    assert refs == () and layout == ex._PLAIN and program == (slots, code, outs, False, False)
-    assert outs == (len(nodes) - 1,)
-    drops = sorted(k for *_, d in code for k in d or ())
-    assert drops == [i for i, n in enumerate(nodes) if n.args and n is not e]
-    assert not any(isinstance(x, ex.Expr) for part in (slots, *code) for x in part)
-    assert _bits(first) == _bits(_kept(e, b))
-    assert _bits(ex.evaluate(e, b)) == _bits(first)
-    assert e.program[2] is program
+    jb = {"x": ex.Jet2(xs, 1.0, 0.0), "y": 2.0 * xs}
+    for bindings, recip in ((jb, True), (b, False)):
+        first = ex.evaluate(e, bindings)
+        refs, key, program = e.program
+        (slots, code, outs, _), nodes = ex._compile((e,), recip)
+        assert refs == () and key is recip and program == (slots, code, outs, recip)
+        assert outs == (len(nodes) - 1,) and len(slots) == len(nodes)
+        drops = sorted(k for *_, d in code for k in d or ())
+        assert drops == [i for i, n in enumerate(nodes) if n.args and n is not e]
+        assert not any(isinstance(x, ex.Expr) for part in (slots, *code) for x in part)
+        assert _bits(first) == _bits(_kept(e, bindings))
+        assert _bits(ex.evaluate(e, bindings)) == _bits(first)
+        assert e.program[2] is program
     # a root evaluated alone, then as a subtree of a later root
     later = ex.sqrt(e * e + ex.ONE) + e
     want = _kept(later, b)
@@ -548,14 +551,15 @@ def test_multi_root_drops_all_but_the_roots():
     x, y = ex.var("x"), ex.var("y")
     shared = ex.sin(x * y) + ex.ONE
     first, second = shared * shared, ex.sqrt(shared + y * y) - x
-    (_, code, outs, _, _), nodes = ex._compile((first, second))
-    drops = sorted(k for *_, d in code for k in d or ())
-    assert drops == [i for i, n in enumerate(nodes)
-                     if n.args and n is not first and n is not second]
-    b = {"x": np.linspace(0.1, 0.9, 7), "y": 0.5}
-    got = ex.evaluate([first, second, first], b)
-    assert [_bits(v) for v in got] == [_bits(ex.evaluate(e, b)) for e in (first, second, first)]
-    assert ex.evaluate([], b) == []
+    xs = np.linspace(0.1, 0.9, 7)
+    for b, recip in (({"x": xs, "y": 0.5}, False), ({"x": ex.Jet2(xs, 1.0, 0.0), "y": 0.5}, True)):
+        (_, code, outs, _), nodes = ex._compile((first, second), recip)
+        drops = sorted(k for *_, d in code for k in d or ())
+        assert drops == [i for i, n in enumerate(nodes)
+                         if n.args and n is not first and n is not second]
+        got = ex.evaluate([first, second, first], b)
+        assert [_bits(v) for v in got] == [_bits(ex.evaluate(e, b)) for e in (first, second, first)]
+        assert ex.evaluate([], b) == []
 
 
 def test_program_rebuilt_when_a_co_root_dies():
@@ -583,33 +587,42 @@ def test_program_rebuilt_when_a_co_root_dies():
 
 
 def test_program_cache_is_keyed_by_the_layout():
-    # one root tuple walked plain, with x and y jets, with x alone a jet and
-    # plain again: each walk returns the values of its own layout, whatever
-    # the cached program was compiled for
+    # a program's layout is its quotient rule alone.  One root tuple walked
+    # plain, with x and y jets, with x alone a jet and plain again: each
+    # walk returns the values of its own walk, whatever the cached program
+    # was compiled for
     head, co = ex.parse("x*sin(y) + 1/(2 + x*y)"), ex.parse("y^3/7")
     roots = [head, co]
     both = {"x": ex.Jet2(0.3, 1.0, 0.0), "y": ex.Jet2(-0.5, 0.5, 0.25)}
     one = {"x": ex.Jet2(0.3, 1.0, 0.0), "y": -0.5}
     plain = {"x": 0.3, "y": -0.5}
     walks = [(b, ex.evaluate(roots, b)) for b in (plain, both, one, plain)]
-    layouts = [ex._layout(b, False) for b in (plain, both, one)]
-    assert len(set(layouts)) == 3 and head.program[1] == layouts[0]
+    assert head.program[1] is False
     for b, got in walks:
         assert [_bits(v) for v in got] == [_bits(walk(e, _reference(b))) for e in roots]
     assert type(walks[0][1][0]) is float and walks[0][1] == walks[3][1]
     assert isinstance(walks[1][1][1].d1, float) and walks[2][1][1].d1 == 0.0
-    # the quotient rule is part of the layout: pi/13 is pi * (1/13) in
-    # evaluate_jet, also with no jet binding
+    # evaluate_jet without a jet binding and jet walks of any jet bindings
+    # take one quotient rule, so they share one program
+    ex.evaluate_jet(head, plain)
+    program = head.program[2]
+    for b in (both, one):
+        assert _bits(ex.evaluate(head, b)) == _bits(walk(head, _reference(b)))
+        assert _bits(ex.evaluate_jet(head, b)) == _bits(walk(head, _reference(b)))
+        assert head.program[2] is program
+    # a cached program never answers a walk with the other quotient rule:
+    # pi/13 is pi * (1/13) in evaluate_jet, also with no jet binding
     pi13 = ex.parse("pi/13")
     assert ex.evaluate(pi13, {}) == math.pi / 13
     assert ex.evaluate_jet(pi13, {}).f == math.pi * (1.0 / 13)
     assert ex.evaluate(pi13, {}) == math.pi / 13
+    assert ex.evaluate(pi13, {"x": ex.Jet2(0.5, 1.0, 0.0)}).f == math.pi * (1.0 / 13)
 
 
 def test_jet_program_drops_every_slot_of_its_values():
-    # a jet node has 3 slots; each computed value but the roots' is
-    # dropped after its last read, all of its slots, and the program holds
-    # no node
+    # a jet walk runs the plain program, one slot per node: each computed
+    # value but the roots' is dropped after its last read, jet or plain,
+    # and the program holds no node
     class Recording(list):
         def copy(self):
             self.run = list(self)
@@ -619,17 +632,14 @@ def test_jet_program_drops_every_slot_of_its_values():
     shared = ex.sin(x * y) + ex.ONE
     first, second = shared * shared, ex.sqrt(shared + y * y) - ex.cos(y * y) / 3
     b = {"x": ex.Jet2(0.5, 1.0, 0.0), "y": 0.25}
-    (slots, code, outs, has_jets, recip), nodes = ex._compile((first, second), ex._layout(b, False))
-    starts = [i for i, n in enumerate(nodes) if n is not None]
-    width = dict(zip(starts, np.diff(starts + [len(nodes)]).tolist()))
-    assert has_jets and width[outs[0]] == width[outs[1]] == 3
-    assert width[starts[[nodes[i] for i in starts].index(ex.cos(y * y))]] == 1
+    (slots, code, outs, recip), nodes = ex._compile((first, second), True)
+    assert recip and len(slots) == len(nodes)
     assert not any(isinstance(part, ex.Expr) for ins in code for part in ins)
     recording = Recording(slots)
-    got = ex._run((recording, code, outs, has_jets, recip), b)
+    got = ex._run((recording, code, outs, recip), b)
     dropped = [k for k, value in enumerate(recording.run) if value is None]
-    assert dropped == [k for i in starts if nodes[i].args and i not in outs
-                       for k in range(i, i + width[i])]
+    assert dropped == [i for i, n in enumerate(nodes) if n.args and i not in outs]
+    assert all(isinstance(j, ex.Jet2) for j in got)
     assert [_bits(j) for j in got] == [_bits(_kept(e, b)) for e in (first, second)]
 
 
