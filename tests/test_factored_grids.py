@@ -52,8 +52,7 @@ def _flat_tphi(t, phi):
     return dict(t=T.ravel(), phi=P.ravel())
 
 
-# the residual grid of linearized and the sample grid of solve_ode_modes
-_RESIDUAL = (np.linspace(0.0, 0.95, 97), np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
+# the sample grid of solve_ode_modes
 _SAMPLES = (np.linspace(0.0, math.cos(1e-3), 40),
             np.linspace(0.0, 2 * np.pi, 32, endpoint=False))
 
@@ -71,7 +70,6 @@ POINT_SETS = {
                             hq.shell_rule(hq.QuadratureGrid(16, 32))),
     "equator-256": lambda: (hq.equator_rule(256).bindings, _flat_equator(256), None,
                             hq.equator_rule(256)),
-    "residual-grid": lambda: (lin._GRID, _flat_tphi(*_RESIDUAL), None, None),
     "sample-grid": lambda: ({"t": _SAMPLES[0][:, None], "phi": _SAMPLES[1][None, :]},
                             _flat_tphi(*_SAMPLES), None, None),
 }

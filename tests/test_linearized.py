@@ -367,22 +367,27 @@ def _reference_fields(case, u):
 
 
 def _reference_residuals(p, u):
-    """residual_check field by field: one walk per field and per sup, and
-    the equator as its own linspace."""
+    """residual_check field by field: one walk per field and per sup, the
+    interior sup on the surface rule's nodes and the equator's as its own
+    linspace."""
     kb = {"k1": float(p.kappa1), "k2": float(p.kappa2)}
     fields, _ = _reference_fields(p.case, u)
-    equator = (np.zeros(256), np.linspace(0.0, 2 * np.pi, 256, endpoint=False))
+    n = lin.EQUATOR_NODES
+    equator = (np.zeros(n), np.linspace(0.0, 2 * np.pi, n, endpoint=False))
+    surface = hq.surface_rule(lin.SURFACE_GRID).bindings
 
     def sup(name, points):
         t, phi = points
         return float(np.max(np.abs(ex.evaluate(fields[name], dict(kb, t=t, phi=phi)))))
 
-    interior = sup("interior", (lin._GRID["t"], lin._GRID["phi"]))
+    def integral(name):
+        return hq.integrate_surface(fields[name], grid=lin.SURFACE_GRID, extra=kb)
+
+    interior = sup("interior", (surface["t"], surface["phi"]))
     third = float("nan") if p.case == "cmc" else sup("third_order", equator)
     target = 0.0 if p.case == "cmc" else math.pi / 8.0 * p.H
-    mass = abs(hq.integrate_surface(fields["u"], extra=kb) - target)
-    center = max(abs(hq.integrate_surface(fields["w1_u"], extra=kb)),
-                 abs(hq.integrate_surface(fields["w2_u"], extra=kb)))
+    mass = abs(integral("u") - target)
+    center = max(abs(integral("w1_u")), abs(integral("w2_u")))
     return [interior, sup("neumann", equator), third, mass, center]
 
 
@@ -392,10 +397,10 @@ def _reference_multipliers(p):
     _, fields = _reference_fields(p.case, lin.uprime_expr(p.case))
 
     def surface(name):
-        return hq.integrate_surface(fields[name], extra=kb)
+        return hq.integrate_surface(fields[name], grid=lin.SURFACE_GRID, extra=kb)
 
     def boundary(name):
-        return hq.integrate_boundary(fields[name], extra=kb)
+        return hq.integrate_boundary(fields[name], n=lin.EQUATOR_NODES, extra=kb)
 
     if p.case == "cmc":
         alpha = ((surface("rhs") + boundary("du_eta") - 2.0 * surface("u"))
@@ -454,13 +459,13 @@ class TestOneWalkPerPointSet:
                 assert [x.hex() for x in got] == [x.hex() for x in want]
 
     @pytest.mark.parametrize("case, want", [
-        ("cmc", {8192: 2, 256: 2, 6208: 1}),
-        ("willmore", {8192: 1, 256: 2, 6208: 1})], ids=["cmc", "willmore"])
+        ("cmc", {256: 2, 16: 2}),
+        ("willmore", {256: 1, 16: 2})], ids=["cmc", "willmore"])
     def test_walks_per_command(self, monkeypatch, case, want):
         # one linearized command: the multipliers (inside solve_ode_modes)
         # walk the surface rule (CMC) and the equator once each, and
-        # residual_check walks the residual grid, the equator and the
-        # surface rule once each (the 6,208-point grid is 97 x 64)
+        # residual_check walks the surface rule, for its interior sup and
+        # its integrals, and the equator once each (16 x 16 and 16 nodes)
         p = lin.LinearizedProblem(case, 1.0, 0.0)
         lin.solve_ode_modes(p)
         walks = _walks(monkeypatch)
@@ -489,26 +494,70 @@ class TestOneWalkPerPointSet:
         assert mul["third_order"] is fields["lap2_u_eta"]
 
 
+def _integrals(monkeypatch, p):
+    """Every weighted sum that residual_check and multipliers take, in
+    order."""
+    sums = []
+    rule_sum = hq.Rule.sum
+
+    def recorded(rule, values):
+        sums.append(rule_sum(rule, values))
+        return sums[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(hq.Rule, "sum", recorded)
+        lin.residual_check(p, lin.uprime_expr(p.case))
+        lin.multipliers(p)
+    return sums
+
+
+class TestRules:
+    @pytest.mark.parametrize("case", ["cmc", "willmore"])
+    @pytest.mark.parametrize("k1, k2", [(1.0, 0.0), (0.0, 1.0), (2.0, -1.0)])
+    def test_doubling_moves_no_integral(self, monkeypatch, case, k1, k2):
+        # the rules doubled in every direction (32 x 32 and 32 nodes) give
+        # every integral to within rounding
+        p = lin.LinearizedProblem(case, k1, k2)
+        got = _integrals(monkeypatch, p)
+        monkeypatch.setattr(lin, "SURFACE_GRID", hq.QuadratureGrid(32, 32))
+        monkeypatch.setattr(lin, "EQUATOR_NODES", 32)
+        want = _integrals(monkeypatch, p)
+        assert len(got) == len(want) == (10 if case == "cmc" else 9)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14 * max(1.0, abs(k1) + abs(k2))
+
+    @pytest.mark.parametrize("case", ["cmc", "willmore"])
+    def test_closed_forms_leave_rounding(self, case):
+        # on the circle |k| = 2 and inside it every residual of the closed
+        # forms is rounding; the largest, 8.0e-13, is Willmore's interior
+        # sup at the surface node nearest the pole
+        for r in (1.0, 2.0):
+            for th in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
+                k1, k2 = float(r * np.cos(th)), float(r * np.sin(th))
+                p = lin.LinearizedProblem(case, k1, k2)
+                assert lin.residual_check(p, lin.closed_form_uprime(p)).max_residual() < 1e-12
+                alpha, _ = lin.multipliers(p)
+                closed = -3.0 / 8.0 * p.H if case == "cmc" else p.H / 4.0
+                assert abs(alpha - closed) <= 1e-12 * max(1.0, abs(k1) + abs(k2))
+
+
 class TestMemory:
     # the most memory traced at once by one linearized command's solve and
     # residual check, after a first call has built the fields; traced
-    # allocations do not depend on the machine.  Bound as flattened
-    # meshgrids the grids took 4.60 MiB (Willmore) and 2.01 MiB (CMC); as
-    # broadcast factors 3.11 and 1.31 MiB, with the walk visiting the
-    # operand of larger need first 2.24 and 1.31 MiB, and with a walk of
-    # several fields dropping each value after its last read 2.21 and
-    # 0.63 MiB; the CMC case keeps its bound from before that last step
-    @pytest.mark.parametrize("case, bound_mib",
-                             [("willmore", 2.6), ("cmc", 1.6), ("cmc", 0.8)])
+    # allocations do not depend on the machine.  On a 97 x 64 residual grid
+    # and the 64 x 128 rule this took 2.21 MiB (Willmore) and 0.63 MiB
+    # (CMC); on the 16 x 16 rule it takes 0.11 and 0.09 MiB, most of it the
+    # mode solve's
+    @pytest.mark.parametrize("case, bound_mib", [("willmore", 0.15), ("cmc", 0.15)])
     def test_traced_peak(self, case, bound_mib):
         p = lin.LinearizedProblem(case, 0.7, -1.3)
         assert _traced_peak(lambda: lin.residual_check(p, lin.solve_ode_modes(p).u_prime)) \
             <= bound_mib * 2 ** 20
 
-    # the multiplier integrals walk several fields at once: keeping every
-    # value to the end took 0.47 MiB (Willmore) and 1.27 MiB (CMC), and
-    # dropping each after its last read takes 0.05 and 0.50 MiB
-    @pytest.mark.parametrize("case, bound_mib", [("willmore", 0.2), ("cmc", 0.8)])
+    # the multiplier integrals walk several fields at once: on the 256-node
+    # equator and the 64 x 128 rule, dropping each value after its last read
+    # took 0.05 MiB (Willmore) and 0.50 MiB (CMC); on the rules of 16 azimuths
+    # it takes 0.009 and 0.018 MiB
+    @pytest.mark.parametrize("case, bound_mib", [("willmore", 0.02), ("cmc", 0.03)])
     def test_multipliers_traced_peak(self, case, bound_mib):
         p = lin.LinearizedProblem(case, 0.7, -1.3)
         assert _traced_peak(lambda: lin.multipliers(p)) <= bound_mib * 2 ** 20
